@@ -6,9 +6,8 @@ NOMA pair drawn from an ordered Rayleigh user pool, plus a block-level queue
 simulator that checks the tail laws empirically.
 """
 
-from .channel import (GainSample, SystemConfig, db_to_linear, linear_to_db,
-                      ordered_cdf, ordered_pdf, ordered_quantile, sample_gains,
-                      sample_pair, sinr_weak, snr_strong, unordered_pdf_cdf)
+from .channel import (SystemConfig, db_to_linear, ordered_cdf, ordered_pdf,
+                      ordered_quantile, sample_gains, sinr_weak, snr_strong)
 from .delay import DelayPoint, DelaySpec, delay_violation_curve, delay_violation_prob
 from .eccalc import (EcResult, EvalControls, ec_closed_strong, ec_closed_weak,
                      ec_monte_carlo, ec_quadrature, evaluate)
@@ -17,8 +16,7 @@ from .fblrate import (KernelParams, dispersion_root, ec_kernel,
 from .queuesim import (QueueStats, SimSpec, fit_tail_exponent, run_queue_sim,
                        simulate_workload)
 from .specfun import (ConvergenceError, InsufficientDataError, beta_fn,
-                      exp_integral_ei, gaussian_q, gaussian_q_inv,
-                      gen_binomial, tricomi_u)
+                      exp_integral_ei, gaussian_q, gaussian_q_inv, tricomi_u)
 from .sweep import (ResultRow, SweepSpec, ValidationReport, figure_preset,
                     load_sweep_config, read_rows, run_sweep, validate_report,
                     write_rows)

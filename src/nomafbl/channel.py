@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .specfun import beta_fn
 
@@ -22,10 +23,6 @@ ROLES = ("weak", "strong")
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -103,20 +100,6 @@ class SystemConfig:
         return self.eps if per_user is None else per_user
 
 
-@dataclass(frozen=True)
-class GainSample:
-    """Ordered channel power gains of the paired users from one fading draw."""
-
-    x_t: float
-    x_u: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.x_t <= self.x_u:
-            raise ValueError(
-                f"ordered gains must satisfy 0 <= x_t <= x_u, got "
-                f"({self.x_t}, {self.x_u})")
-
-
 def _check_role(role: str):
     if role not in ROLES:
         raise ValueError(f"role must be one of {ROLES}, got {role!r}")
@@ -126,22 +109,14 @@ def _check_role(role: str):
 # Gain statistics
 # ---------------------------------------------------------------------------
 
-def unordered_pdf_cdf(x):
-    """Density and CDF of the unit-mean exponential power gain."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("power gain must be non-negative")
-    f = np.exp(-x)
-    F = -np.expm1(-x)
-    if f.ndim == 0:
-        return float(f), float(F)
-    return f, F
+def _check_order(k: int, V: int):
+    if not 1 <= k <= V:
+        raise ValueError(f"order index k must lie in [1, {V}], got {k}")
 
 
 def ordered_pdf(x, k: int, V: int):
     """Density of the k-th smallest of V iid unit-mean exponential gains."""
-    if not 1 <= k <= V:
-        raise ValueError(f"order index k must lie in [1, {V}], got {k}")
+    _check_order(k, V)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("power gain must be non-negative")
@@ -152,37 +127,21 @@ def ordered_pdf(x, k: int, V: int):
 
 
 def ordered_cdf(x, k: int, V: int):
-    """CDF of the k-th order statistic, as a finite binomial sum."""
-    if not 1 <= k <= V:
-        raise ValueError(f"order index k must lie in [1, {V}], got {k}")
+    """CDF of the k-th order statistic: F(X_(k)) ~ Beta(k, V - k + 1)."""
+    _check_order(k, V)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("power gain must be non-negative")
-    F = -np.expm1(-x)
-    total = np.zeros_like(F)
-    for j in range(k, V + 1):
-        total = total + math.comb(V, j) * F ** j * (1.0 - F) ** (V - j)
-    return float(total) if total.ndim == 0 else total
+    out = special.betainc(k, V - k + 1, -np.expm1(-x))
+    return float(out) if out.ndim == 0 else out
 
 
 def ordered_quantile(q: float, k: int, V: int) -> float:
-    """Quantile of the k-th order statistic by bisection on its CDF."""
+    """Quantile of the k-th order statistic, by inverting its Beta law."""
+    _check_order(k, V)
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {q}")
-    lo, hi = 0.0, 1.0
-    while ordered_cdf(hi, k, V) < q:
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("quantile bracket expansion failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ordered_cdf(mid, k, V) < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(hi, 1.0):
-            break
-    return 0.5 * (lo + hi)
+    return -math.log1p(-float(special.betaincinv(k, V - k + 1, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +152,14 @@ def sample_gains(cfg: SystemConfig, size: int, rng: np.random.Generator):
     """Draw `size` joint realizations of the paired ordered gains.
 
     Sorts V iid exponentials per draw, preserving the joint law of
-    (x_t, x_u), and returns the two picked columns as arrays.
+    (x_t, x_u), and returns the two picked columns as views of the sorted
+    draws (a copy would read the whole draw array once more per column).
+    This is the only sampler of channel gains: Monte-Carlo and the queue
+    simulator draw through it, each from its own generator.
     """
     draws = rng.standard_exponential((size, cfg.V))
     draws.sort(axis=1)
-    return draws[:, cfg.t - 1].copy(), draws[:, cfg.u - 1].copy()
-
-
-def sample_pair(cfg: SystemConfig, rng: np.random.Generator) -> GainSample:
-    """Draw a single joint realization of the paired ordered gains."""
-    x_t, x_u = sample_gains(cfg, 1, rng)
-    return GainSample(float(x_t[0]), float(x_u[0]))
+    return draws[:, cfg.t - 1], draws[:, cfg.u - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .channel import (ROLES, SystemConfig, gamma_for_role, ordered_pdf,
-                      ordered_quantile)
+                      ordered_quantile, sample_gains)
 from .fblrate import (LN2, ec_kernel, ec_kernel_approx, expansion_coeffs,
-                      expansion_error_coeffs, expansion_order, fbl_rate,
+                      expansion_error_coeffs, expansion_order,
                       make_kernel_params)
-from .specfun import ConvergenceError, beta_fn, exp_scaled_e1, tricomi_u
+from .specfun import ConvergenceError, beta_fn, tricomi_u
 
 _MC_CHUNK = 1 << 16
 _MACHEPS = np.finfo(float).eps
@@ -120,13 +120,10 @@ def _mc_gain_chunks(cfg: SystemConfig, role: str, ctl: EvalControls):
     """Deterministic chunked stream of ordered-gain draws for one role."""
     remaining = ctl.mc_samples
     idx = 0
-    col = cfg.order_index(role) - 1
     while remaining > 0:
         m = min(_MC_CHUNK, remaining)
-        rng = np.random.default_rng([ctl.seed, idx])
-        draws = rng.standard_exponential((m, cfg.V))
-        draws.sort(axis=1)
-        yield draws[:, col]
+        x_t, x_u = sample_gains(cfg, m, np.random.default_rng([ctl.seed, idx]))
+        yield x_t if role == "weak" else x_u
         remaining -= m
         idx += 1
 
@@ -160,25 +157,6 @@ def ec_monte_carlo(cfg: SystemConfig, role: str, ctl: EvalControls) -> EcResult:
     value = _ec_from_mean(mean, theta, cfg.n)
     se = se_mean / (mean * theta * cfg.n * LN2)
     return _finalize(value, "monte_carlo", std_error=se)
-
-
-def mc_mean_fbl_rate(cfg: SystemConfig, role: str, ctl: EvalControls):
-    """Plain Monte-Carlo mean of the finite-blocklength rate (unclamped).
-
-    Consumes the random stream exactly like ec_monte_carlo, so with the same
-    controls both estimates are built from identical fading draws.
-    """
-    eps = cfg.eps_for(role)
-    sums, sums_sq = [], []
-    for gains in _mc_gain_chunks(cfg, role, ctl):
-        r = fbl_rate(gamma_for_role(gains, cfg, role), cfg.n, eps)
-        sums.append(float(np.sum(r)))
-        sums_sq.append(float(np.sum(r * r)))
-    n_samp = ctl.mc_samples
-    mean = math.fsum(sums) / n_samp
-    var = max(math.fsum(sums_sq) / n_samp - mean * mean, 0.0)
-    se = math.sqrt(var / n_samp)
-    return mean, se
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +266,7 @@ def _int_ladder(eta: float, s_max: int, s0: float = 0.0) -> np.ndarray:
             return out
     if s0 == 0.0 and eta <= 1.5:
         k0 = 1
-        out[1] = exp_scaled_e1(eta)
+        out[1] = math.exp(eta) * special.exp1(eta)
     else:
         k0 = min(s_max, max(k_lo, int(math.ceil(eta - s0)) + 1))
         out[k0] = tricomi_u(1.0, 2.0 - (s0 + k0), eta)

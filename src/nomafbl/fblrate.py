@@ -109,8 +109,10 @@ def fbl_rate(gamma, n: int, eps: float):
 def ec_kernel(gamma, kp: KernelParams, eps: float):
     """Inside-expectation integrand eps + (1-eps)(1+gamma)^(2 zeta) e^(beta delta)."""
     g = np.asarray(gamma, dtype=float)
-    val = eps + (1.0 - eps) * (1.0 + g) ** (2.0 * kp.zeta) \
-        * np.exp(kp.beta * dispersion_root(g))
+    # one exponent: apart, (1+g)^(2 zeta) underflows where e^(beta delta)
+    # overflows (theta*n large), and their product would be 0 * inf
+    val = eps + (1.0 - eps) * np.exp(2.0 * kp.zeta * np.log1p(g)
+                                     + kp.beta * dispersion_root(g))
     return float(val) if val.ndim == 0 else val
 
 

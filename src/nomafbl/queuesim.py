@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemConfig, gamma_for_role
+from .channel import SystemConfig, gamma_for_role, sample_gains
 from .fblrate import fbl_rate
 from .specfun import InsufficientDataError
 
@@ -99,9 +99,8 @@ def _chunk_services(spec: SimSpec, start: int, count: int,
     gain_rng = np.random.default_rng([spec.seed, chunk_index, 0])
     fail_rng = np.random.default_rng([spec.seed, chunk_index, 1])
     if spec.fixed_gain is None:
-        draws = gain_rng.standard_exponential((count, cfg.V))
-        draws.sort(axis=1)
-        gains = draws[:, cfg.order_index(spec.role) - 1]
+        x_t, x_u = sample_gains(cfg, count, gain_rng)
+        gains = x_t if spec.role == "weak" else x_u
     else:
         gains = np.full(count, spec.fixed_gain)
     rates = np.maximum(fbl_rate(gamma_for_role(gains, cfg, spec.role),

@@ -1,21 +1,22 @@
-"""Special-function kernel used by the closed-form capacity expressions.
+"""Special functions used by the closed-form capacity expressions.
 
-Self-contained implementations of every transcendental ingredient the
-analytical pipeline needs:
+Where scipy.special computes the exact quantity, this module calls it and
+adds only the domain check the callers rely on:
 
-  * Gaussian Q-function and its inverse (tail probabilities down to 1e-300)
-  * exponential integral Ei on the negative axis, plus the scaled form
-    e^z * E1(z) that stays finite for large z
-  * Tricomi's confluent hypergeometric function of the second kind,
-    evaluated from its integral representation by adaptive Gauss-Legendre
-    quadrature (robust for the large negative second parameters that the
-    capacity expressions produce)
-  * generalized binomial coefficients in sign/log-magnitude form
-  * the Beta function via log-Gamma
+  * the Gaussian Q-function and its inverse, Qinv(p) = -ndtri(p)
+  * the exponential integral Ei on the negative axis (scipy's expi)
+  * the Beta function (scipy's beta: within 2.3 eps of the exact value at
+    every integer pair of a pool of up to 40 users)
 
-All functions are pure and thread-safe.  SciPy equivalents exist for most
-of them; these evaluators are kept independent so the test suite can
-cross-check the two implementations against each other.
+Two evaluators stay hand-written.  tricomi_u gives U(1, b, z) from its
+Laplace integral by adaptive Gauss-Legendre quadrature (gauss_adaptive);
+it seeds the I_s ladders of both users, which need U at large negative b,
+where scipy.special.hyperu returns nan.  A scipy quad seed would be faster
+and more accurate, but any change to the seeds moves the strong user's
+closed form by its float rounding noise (see ROADMAP, Open item 2), so the
+swap waits for a strong-user sum that does not cancel.
+
+All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-_EULER_GAMMA = 0.5772156649015329
+from scipy import special
 
 _SQRT2 = math.sqrt(2.0)
+# tricomi_u maps a tail with s > _POWER_TAIL_RATIO * z by its power law: the
+# exponential map would put the tail's e-fold within 2z/s < 8.3e-4 of u = 1,
+# inside the 8.4e-4 gap between the end of [0, 1] and the nearest 41-point
+# Gauss-Legendre node, where neither rule of gauss_adaptive sees it.
+_POWER_TAIL_RATIO = 2400.0
 
 
 class ConvergenceError(RuntimeError):
@@ -99,109 +104,25 @@ def gaussian_q(x: float) -> float:
 
 
 def gaussian_q_inv(p: float) -> float:
-    """Inverse Gaussian Q-function: the x with Q(x) = p, for p in (0, 1).
-
-    Bisection brackets the root, a safeguarded Newton iteration polishes it.
-    Accurate to better than 1e-12 relative in Q even for extreme tail
-    probabilities.
-    """
+    """Inverse Gaussian Q-function: the x with Q(x) = p, for p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"gaussian_q_inv requires 0 < p < 1, got {p}")
-    if p == 0.5:
-        return 0.0
-    lo, hi = -40.0, 40.0
-    # Q is decreasing: Q(lo) ~ 1, Q(hi) ~ 0.
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if gaussian_q(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-2:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        q = gaussian_q(x)
-        err = q - p
-        if abs(err) <= 1e-14 * p:
-            break
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf <= 0.0:
-            break
-        step = err / pdf          # Q'(x) = -pdf, so x_new = x + (Q - p)/pdf
-        x_new = x + step
-        if not lo <= x_new <= hi:
-            x_new = 0.5 * (lo + hi)
-        if gaussian_q(x_new) > p:
-            lo = x_new
-        else:
-            hi = x_new
-        if x_new == x:
-            break
-        x = x_new
-    return x
+    return -float(special.ndtri(p))
 
 
 # ---------------------------------------------------------------------------
 # Exponential integral
 # ---------------------------------------------------------------------------
 
-def _e1_series(z: float) -> float:
-    """E1(z) by the convergent series, for 0 < z <= 1."""
-    total = -_EULER_GAMMA - math.log(z)
-    term = 1.0
-    for k in range(1, 60):
-        term *= -z / k
-        increment = -term / k
-        total += increment
-        if abs(increment) < 1e-17 * abs(total):
-            break
-    return total
-
-
-def _e1_cf_scaled(z: float) -> float:
-    """e^z * E1(z) by the standard continued fraction, for z > 1."""
-    # E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - 9/(...))))
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for k in range(1, 200):
-        a = -k * k
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return f
-    raise ConvergenceError(f"continued fraction for E1 stalled at z={z}")
-
-
-def exp_scaled_e1(z: float) -> float:
-    """Scaled exponential integral e^z * E1(z) for z > 0 (no overflow)."""
-    if z <= 0.0:
-        raise ValueError(f"exp_scaled_e1 requires z > 0, got {z}")
-    if z <= 1.0:
-        return math.exp(z) * _e1_series(z)
-    return _e1_cf_scaled(z)
-
-
 def exp_integral_ei(x: float) -> float:
     """Exponential integral Ei(x) for strictly negative arguments.
 
-    Uses the identity Ei(x) = -E1(-x).  Below x ~ -700 the value underflows
-    to zero; that is returned silently since |Ei| < 1e-306 there.
+    Below x ~ -700 the value underflows to zero; that is returned silently
+    since |Ei| < 1e-306 there.
     """
     if x >= 0.0:
         raise ValueError(f"exp_integral_ei requires x < 0, got {x}")
-    z = -x
-    if z <= 1.0:
-        return -_e1_series(z)
-    return -math.exp(-z) * _e1_cf_scaled(z)
+    return float(special.expi(x))
 
 
 # ---------------------------------------------------------------------------
@@ -210,80 +131,62 @@ def exp_integral_ei(x: float) -> float:
 
 def tricomi_u(a: float, b: float, z: float, abs_tol: float = 1e-12,
               rel_tol: float = 1e-12) -> float:
-    """Confluent hypergeometric function of the second kind.
+    """Confluent hypergeometric function of the second kind at a = 1.
 
     Evaluates the Laplace integral
 
-        U(a, b, z) = (1/Gamma(a)) * int_0^inf e^{-z y} y^{a-1} (1+y)^{b-a-1} dy
+        U(1, b, z) = int_0^inf e^{-z y} (1+y)^{b-2} dy = e^z E_{2-b}(z)
 
-    valid for a > 0, z > 0 and any real b.  The integral is split at y = 1;
-    the head uses the substitution y = w^{1/a} to remove the endpoint
-    singularity when a < 1, and the tail is mapped onto (0, 1] by
-    y = 1 - ln(u)/z.  Both pieces are integrated by adaptive Gauss-Legendre.
+    for z > 0 and any real b.  The integral is split at y = 1 and both
+    pieces are integrated by adaptive Gauss-Legendre.  The tail is mapped
+    onto (0, 1] by y = 1 - ln(u)/z, which follows its exponential decay;
+    where s = 2 - b exceeds _POWER_TAIL_RATIO * z the power law decays so
+    much faster that this map squeezes the tail into a spike at u = 1 that
+    no rule node reaches, so the map that follows (1+y)^-s is used there.
+    Only a = 1 is implemented, the case every capacity moment reduces to.
     """
-    if a <= 0.0 or z <= 0.0:
-        raise ValueError(f"tricomi_u requires a > 0 and z > 0, got a={a}, z={z}")
+    if a != 1.0 or z <= 0.0:
+        raise ValueError(f"tricomi_u requires a = 1 and z > 0, got a={a}, z={z}")
     power = b - a - 1.0
+    s = -power
 
-    if a >= 1.0:
-        def head(y):
-            return np.exp(-z * y) * y ** (a - 1.0) * (1.0 + y) ** power
-    else:
-        inv_a = 1.0 / a
-
-        def head(w):
-            y = w ** inv_a
-            return inv_a * np.exp(-z * y) * (1.0 + y) ** power
+    def head(y):
+        return np.exp(-z * y) * (1.0 + y) ** power
 
     head_val = gauss_adaptive(head, 0.0, 1.0, abs_tol, rel_tol)
 
-    scale = math.exp(-z) / z
-    if scale > 0.0:
+    if s > 1.0 and s > _POWER_TAIL_RATIO * z:
+        # power-law tail: 1 + y = 2 u^(-1/(s-1)) makes (1+y)^-s dy flat in u;
+        # it is integrated before scaling, so its absolute tolerance is its
+        # share of U's error budget over the scale
+        scale = 2.0 ** (1.0 - s) / (s - 1.0)
+        tail_tol = min(abs_tol, rel_tol * head_val) / max(scale, 1.0)
+        inv = 1.0 / (s - 1.0)
+
+        def tail(u):
+            with np.errstate(over="ignore"):
+                return np.exp(-z * (2.0 * u ** -inv - 1.0))
+    else:
+        scale = math.exp(-z) / z
+        tail_tol = abs_tol
+
         def tail(u):
             y = 1.0 - np.log(u) / z
-            return y ** (a - 1.0) * (1.0 + y) ** power
+            return (1.0 + y) ** power
 
-        tail_val = scale * gauss_adaptive(tail, 0.0, 1.0, abs_tol, rel_tol)
+    if scale > 0.0:
+        tail_val = scale * gauss_adaptive(tail, 0.0, 1.0, tail_tol, rel_tol)
     else:
         tail_val = 0.0
-    return (head_val + tail_val) / math.gamma(a)
+    return head_val + tail_val
 
 
 # ---------------------------------------------------------------------------
-# Binomial and Beta
+# Beta function
 # ---------------------------------------------------------------------------
-
-def gen_binomial(alpha: float, s: int) -> float:
-    """Generalized binomial coefficient C(alpha, s) for real upper index.
-
-    Computed as prod_{j=0}^{s-1} (alpha - j) / s! in sign/log-magnitude form
-    so that large indices neither overflow nor lose the sign.  Exact for
-    integer alpha >= s >= 0.
-    """
-    if s < 0:
-        raise ValueError(f"gen_binomial requires s >= 0, got {s}")
-    if s == 0:
-        return 1.0
-    if float(alpha).is_integer() and alpha >= 0:
-        ai = int(alpha)
-        return float(math.comb(ai, s)) if ai >= s else 0.0
-    log_mag = 0.0
-    sign = 1.0
-    for j in range(s):
-        factor = alpha - j
-        if factor == 0.0:
-            return 0.0
-        if factor < 0.0:
-            sign = -sign
-        log_mag += math.log(abs(factor))
-    log_mag -= math.lgamma(s + 1.0)
-    if log_mag > 709.0:
-        return sign * math.inf
-    return sign * math.exp(log_mag)
-
 
 def beta_fn(a: float, b: float) -> float:
     """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for a, b > 0."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return float(special.beta(a, b))

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from nomafbl.channel import (GainSample, SystemConfig, db_to_linear,
-                             gamma_for_role, ordered_cdf, ordered_pdf,
-                             ordered_quantile, sample_gains, sample_pair,
-                             sinr_weak, snr_strong, unordered_pdf_cdf)
+from nomafbl.channel import (SystemConfig, db_to_linear, gamma_for_role,
+                             ordered_cdf, ordered_pdf, ordered_quantile,
+                             sample_gains, sinr_weak, snr_strong)
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, rho=100.0, n=300,
             eps=1e-5, theta_t=0.01, theta_u=0.01)
@@ -61,20 +62,18 @@ class TestSystemConfig:
         assert cfg.eps_for("weak") == 1e-3
         assert cfg.eps_for("strong") == 1e-5
 
-    def test_gain_sample_ordering(self):
-        with pytest.raises(ValueError):
-            GainSample(x_t=2.0, x_u=1.0)
-
 
 class TestGainStatistics:
+    # a pool of one user: the order statistic is the unordered exponential
     def test_unordered_examples(self):
-        assert unordered_pdf_cdf(0.0) == (1.0, 0.0)
-        f, F = unordered_pdf_cdf(math.log(2.0))
-        assert f == pytest.approx(0.5, rel=1e-14)
-        assert F == pytest.approx(0.5, rel=1e-14)
+        assert (ordered_pdf(0.0, 1, 1), ordered_cdf(0.0, 1, 1)) == (1.0, 0.0)
+        assert ordered_pdf(math.log(2.0), 1, 1) == pytest.approx(0.5,
+                                                                 rel=1e-14)
+        assert ordered_cdf(math.log(2.0), 1, 1) == pytest.approx(0.5,
+                                                                 rel=1e-14)
 
     def test_unordered_normalization(self):
-        val, _ = integrate.quad(lambda x: unordered_pdf_cdf(x)[0], 0, np.inf)
+        val, _ = integrate.quad(lambda x: ordered_pdf(x, 1, 1), 0, np.inf)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_single_user_reduces_to_unordered(self):
@@ -110,6 +109,14 @@ class TestGainStatistics:
             x = ordered_quantile(q, 8, 10)
             assert ordered_cdf(x, 8, 10) == pytest.approx(q, rel=1e-9)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(V=st.integers(1, 20), k_frac=st.floats(0.0, 1.0),
+           q=st.floats(1e-12, 1.0 - 1e-9))
+    def test_quantile_round_trip_property(self, V, k_frac, q):
+        k = 1 + min(int(k_frac * V), V - 1)
+        x = ordered_quantile(q, k, V)
+        assert ordered_cdf(x, k, V) == pytest.approx(q, rel=1e-11)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             ordered_pdf(1.0, 0, 10)
@@ -122,10 +129,8 @@ class TestGainStatistics:
 class TestSampling:
     def test_pair_ordering(self):
         cfg = make_cfg()
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            s = sample_pair(cfg, rng)
-            assert s.x_t <= s.x_u
+        x_t, x_u = sample_gains(cfg, 200, np.random.default_rng(5))
+        assert np.all(x_t <= x_u)
 
     def test_strong_user_mean(self):
         # E[x_(8)] = sum_{j=3}^{10} 1/j = H_10 - H_2 for V = 10

@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 
-from nomafbl.channel import SystemConfig, db_to_linear, sinr_weak
-from nomafbl.eccalc import (EvalControls, _int_ladder, _weak_series,
-                            ec_closed_strong, ec_closed_weak, ec_monte_carlo,
-                            ec_quadrature, evaluate, mc_mean_fbl_rate)
-from nomafbl.fblrate import LN2, ec_kernel, make_kernel_params
+from nomafbl.channel import (SystemConfig, db_to_linear, gamma_for_role,
+                             sinr_weak)
+from nomafbl.eccalc import (EvalControls, _int_ladder, _mc_gain_chunks,
+                            _weak_series, ec_closed_strong, ec_closed_weak,
+                            ec_monte_carlo, ec_quadrature, evaluate)
+from nomafbl.fblrate import LN2, ec_kernel, fbl_rate, make_kernel_params
 from nomafbl.specfun import tricomi_u
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, n=300, eps=1e-5,
@@ -63,8 +65,12 @@ class TestMonteCarlo:
         ctl = EvalControls(mc_samples=150_000, seed=21)
         for role in ("weak", "strong"):
             ec = ec_monte_carlo(cfg, role, ctl)
-            mean_rate, se = mc_mean_fbl_rate(cfg, role, ctl)
-            target = (1.0 - 1e-5) * mean_rate
+            rates = np.concatenate([
+                fbl_rate(gamma_for_role(gains, cfg, role), cfg.n, 1e-5)
+                for gains in _mc_gain_chunks(cfg, role, ctl)])
+            assert rates.size == ctl.mc_samples
+            se = rates.std() / math.sqrt(rates.size)
+            target = (1.0 - 1e-5) * rates.mean()
             assert abs(ec.value - target) <= 2.0 * (se + ec.std_error)
 
     def test_agrees_with_quadrature(self):
@@ -110,6 +116,34 @@ class TestQuadrature:
             xs)
         assert math.exp(-res.value * 1.0 * 400 * LN2) == pytest.approx(
             brute, rel=1e-3)
+
+
+    @pytest.mark.parametrize("role, expected", [("weak", -0.03514),
+                                                ("strong", -0.02244)])
+    def test_exact_kernel_at_very_large_theta(self, role, expected):
+        # theta = 10, n = 400, eps = 1e-6: beta ~ 951, so (1+g)^(2 zeta)
+        # underflows where e^(beta delta) overflows unless the kernel is
+        # evaluated as one exponent; checked against a log-domain trapezoid
+        # rule in ln(gain) that shares no code with ec_kernel
+        theta, n, eps = 10.0, 400, 1e-6
+        cfg = make_cfg(n=n, eps=eps, theta_t=theta, theta_u=theta)
+        res = ec_quadrature(cfg, role, EvalControls(), "exact")
+        k, V = cfg.order_index(role), cfg.V
+        u = np.linspace(-40.0, 4.0, 200_001)
+        x = np.exp(u)
+        g = gamma_for_role(x, cfg, role)
+        beta = theta * math.sqrt(n) * -special.ndtri(eps)
+        log_k = np.logaddexp(
+            math.log(eps), math.log1p(-eps) - theta * n * np.log1p(g)
+            + beta * np.sqrt(g * (g + 2.0)) / (1.0 + g))
+        log_pdf = (-special.betaln(k, V - k + 1)
+                   + (k - 1) * np.log(-np.expm1(-x)) - (V - k + 1) * x)
+        w = np.full(u.size, u[1] - u[0])
+        w[[0, -1]] *= 0.5
+        log_mean = special.logsumexp(log_k + log_pdf + u, b=w)
+        assert res.value == pytest.approx(
+            -log_mean / (theta * n * LN2), rel=1e-9)
+        assert res.value == pytest.approx(expected, abs=1e-5)
 
 
 def _weak_series_loop(c, q, d, ladder, log_prefactor, ctl):
@@ -184,6 +218,19 @@ class TestClosedForms:
             closed = ec_closed_strong(cfg, ctl)
             oracle = ec_quadrature(cfg, "strong", ctl, "approx")
             assert closed.value == pytest.approx(oracle.value, rel=1e-6)
+
+    def test_strong_within_its_bound_at_small_eta(self):
+        # 40 dB with theta n = 26 seeds every ladder at eta = 1.5e-3..5e-3,
+        # where tricomi_u's tail follows the power law; with the tail lost
+        # the closed form was 3.8e-3 bits/cu off, 1500 times its bound
+        cfg = make_cfg(rho_db=40.0, n=400, eps=1e-6, theta_t=0.065,
+                       theta_u=0.065)
+        ctl = EvalControls()
+        closed = ec_closed_strong(cfg, ctl)
+        oracle = ec_quadrature(cfg, "strong", ctl, "approx",
+                               closed.expansion_order)
+        assert abs(closed.value - oracle.value) <= \
+            closed.tail_bound + oracle.tail_bound
 
     def test_weak_matches_quadrature_oracle(self):
         ctl = EvalControls()

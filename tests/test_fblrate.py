@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from nomafbl.fblrate import (PAPER_ORDER, KernelParams, dispersion_root,
@@ -144,6 +146,18 @@ class TestEcKernel:
                 assert np.all(diffs <= 0.0)
                 live = vals[:-1] > eps * (1 + 1e-9)
                 assert np.all(diffs[live] < 0.0)
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(theta=st.floats(1e-6, 20.0), n=st.integers(1, 4000),
+           eps=st.floats(1e-12, 0.5), gamma=st.floats(0.0, 1e8))
+    def test_finite_and_above_eps(self, theta, n, eps, gamma):
+        # the exponent peaks near theta Qinv(eps)^2 / 2 (about 494 here),
+        # while its two parts apart reach beta ~ 8900 and theta n ~ 8e4
+        kp = make_kernel_params(theta, n, eps)
+        val = ec_kernel(gamma, kp, eps)
+        assert math.isfinite(val)
+        assert val >= eps
 
 
 class TestEcKernelApprox:

@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
 
+from nomafbl.eccalc import _int_ladder
 from nomafbl.specfun import (ConvergenceError, beta_fn, exp_integral_ei,
-                             exp_scaled_e1, gauss_adaptive, gaussian_q,
-                             gaussian_q_inv, gen_binomial, tricomi_u)
+                             gauss_adaptive, gaussian_q, gaussian_q_inv,
+                             tricomi_u)
 
 
 class TestGaussianQInv:
@@ -74,8 +76,10 @@ class TestExpIntegral:
             exp_integral_ei(x)
 
     def test_scaled_e1(self):
+        # e^z E1(z) is the first rung of the I_s ladder: scipy's exp1 up to
+        # z = 1.5, a Tricomi seed above
         for z in (0.1, 0.5, 1.0, 5.0, 50.0, 2000.0):
-            assert exp_scaled_e1(z) == pytest.approx(
+            assert _int_ladder(z, 1)[1] == pytest.approx(
                 float(sp.exp1(z) / np.exp(-z)) if z < 600 else 1 / (z + 1),
                 rel=1e-9 if z < 600 else 2e-3)
 
@@ -98,8 +102,8 @@ class TestTricomiU:
         assert tricomi_u(1, 0, 1e4) == pytest.approx(1e-4, rel=1e-2)
 
     def test_matches_scipy(self):
-        for a, b, z in [(1.0, -1.0, 0.45), (1.0, -3.0, 0.5), (2.0, 0.5, 1.3),
-                        (0.5, 0.25, 2.0), (3.0, 1.0, 10.0)]:
+        for a, b, z in [(1.0, -1.0, 0.45), (1.0, -3.0, 0.5), (1.0, 0.5, 1.3),
+                        (1.0, 0.25, 2.0), (1.0, 1.0, 10.0)]:
             assert tricomi_u(a, b, z) == pytest.approx(
                 float(sp.hyperu(a, b, z)), rel=1e-9)
 
@@ -112,48 +116,34 @@ class TestTricomiU:
     def test_large_negative_b(self, a, b, z, expected):
         assert tricomi_u(a, b, z) == pytest.approx(expected, rel=1e-10)
 
+    def test_mpmath_oracle_over_seed_box(self):
+        # U(1, 2 - s, eta) = e^eta E_s(eta) over the (s, eta) box that the
+        # I_s ladders seed at; 60 digits, since mpmath's expint loses
+        # digits at 30 (0.9 % off at s = 187, eta = 50)
+        worst = 0.0
+        with mpmath.workdps(60):
+            for s in np.geomspace(1.05, 400.0, 12):
+                for eta in np.geomspace(1.5e-3, 50.0, 10):
+                    ref = float(mpmath.exp(eta) * mpmath.expint(s, eta))
+                    rel = abs(tricomi_u(1.0, 2.0 - s, eta) - ref) / ref
+                    worst = max(worst, rel)
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("s, eta", [(26.25, 1.5e-3), (31.33, 1.5e-3),
+                                        (30.0, 3.1e-3)])
+    def test_power_law_tail_at_small_eta(self, s, eta):
+        # s >> eta squeezes the exponentially mapped tail into a spike at
+        # its end that no Gauss node reaches; it was lost (2.4e-8 relative
+        # at s = 26.25) before the tail followed its power law
+        with mpmath.workdps(60):
+            ref = float(mpmath.exp(eta) * mpmath.expint(s, eta))
+        assert tricomi_u(1.0, 2.0 - s, eta) == pytest.approx(ref, rel=1e-12)
+
     @pytest.mark.parametrize("a, z", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
-                                      (1.0, -2.0)])
+                                      (1.0, -2.0), (2.0, 1.0)])
     def test_domain(self, a, z):
         with pytest.raises(ValueError):
             tricomi_u(a, 1.0, z)
-
-
-class TestGenBinomial:
-    def test_integer_cases(self):
-        assert gen_binomial(5, 2) == 10.0
-        assert gen_binomial(7, 3) == float(math.comb(7, 3))
-        assert gen_binomial(3, 5) == 0.0  # integer alpha below s
-
-    def test_empty_product(self):
-        for alpha in (-4.2, 0.0, 17.5):
-            assert gen_binomial(alpha, 0) == 1.0
-
-    def test_real_alpha(self):
-        # direct product (-4.328)(-5.328)(-6.328) / 3!
-        assert gen_binomial(-4.328, 3) == pytest.approx(-24.320174592,
-                                                        rel=1e-12)
-
-    def test_pascal_recurrence(self):
-        # C(a, s) = C(a-1, s) + C(a-1, s-1); the right side may cancel, so
-        # the tolerance is relative to the operand scale
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            alpha = rng.uniform(-30, 30)
-            s = int(rng.integers(1, 40))
-            t1 = gen_binomial(alpha - 1, s)
-            t2 = gen_binomial(alpha - 1, s - 1)
-            scale = max(abs(t1), abs(t2), 1e-300)
-            assert abs(gen_binomial(alpha, s) - (t1 + t2)) <= 1e-12 * scale
-
-    def test_large_index_no_overflow(self):
-        val = gen_binomial(-400.0, 150)
-        assert math.isfinite(val)
-        assert val != 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gen_binomial(1.0, -1)
 
 
 class TestBetaFn:
