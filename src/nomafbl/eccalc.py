@@ -116,39 +116,66 @@ def _order(kp, ctl: EvalControls, order):
 # Monte-Carlo estimator
 # ---------------------------------------------------------------------------
 
-def _mc_gain_chunks(cfg: SystemConfig, role: str, ctl: EvalControls):
-    """Deterministic chunked stream of ordered-gain draws for one role."""
+def _mc_gain_chunks(cfg: SystemConfig, ctl: EvalControls):
+    """Deterministic chunked stream of ordered-gain draws (x_t, x_u).
+
+    Chunk idx is drawn from the generator seeded by (seed, idx), and the
+    draws depend on cfg only through (V, t, u), so one stream serves every
+    SNR, QoS exponent and user of a pool.
+    """
     remaining = ctl.mc_samples
     idx = 0
     while remaining > 0:
         m = min(_MC_CHUNK, remaining)
-        x_t, x_u = sample_gains(cfg, m, np.random.default_rng([ctl.seed, idx]))
-        yield x_t if role == "weak" else x_u
+        yield sample_gains(cfg, m, np.random.default_rng([ctl.seed, idx]))
         remaining -= m
         idx += 1
 
 
-def ec_monte_carlo(cfg: SystemConfig, role: str, ctl: EvalControls) -> EcResult:
+def mc_gain_draws(cfg: SystemConfig, ctl: EvalControls) -> list:
+    """The whole Monte-Carlo chunk stream, drawn once for reuse.
+
+    Keeps contiguous read-only copies of the two picked columns only
+    (16 bytes per sample), so each chunk's sorted draws are freed as soon
+    as the next one is made.  Pass the list as `gains` to ec_monte_carlo
+    for any configuration with the same (V, t, u) and controls.
+    """
+    draws = []
+    for pair in _mc_gain_chunks(cfg, ctl):
+        cols = tuple(col.copy() for col in pair)
+        for col in cols:
+            col.flags.writeable = False
+        draws.append(cols)
+    return draws
+
+
+def ec_monte_carlo(cfg: SystemConfig, role: str, ctl: EvalControls,
+                   gains: list | None = None) -> EcResult:
     """Sample-average estimate of the effective capacity (exact kernel).
 
     The standard error of the kernel mean is pushed through the log
-    transform by the delta method.
+    transform by the delta method.  `gains` is the chunk list of
+    mc_gain_draws(cfg, ctl); without it the chunks are drawn one at a time.
+    The result is bit-identical either way.
     """
     theta = cfg.theta_for(role)
     eps = cfg.eps_for(role)
     if eps == 1.0:
         return _finalize(0.0, "monte_carlo", note="degenerate eps = 1")
+    col = 0 if role == "weak" else 1
+    chunks = _mc_gain_chunks(cfg, ctl) if gains is None else gains
     kp = make_kernel_params(theta, cfg.n, eps)
     sums, sums_sq = [], []
-    for gains in _mc_gain_chunks(cfg, role, ctl):
-        k = ec_kernel(gamma_for_role(gains, cfg, role), kp, eps)
+    for pair in chunks:
+        k = ec_kernel(gamma_for_role(pair[col], cfg, role), kp, eps)
         sums.append(float(np.sum(k)))
         sums_sq.append(float(np.sum(k * k)))
     n_samp = ctl.mc_samples
+    how = f"{n_samp} samples, seed {ctl.seed}"
     mean = math.fsum(sums) / n_samp
     if not math.isfinite(mean) or mean <= 0.0:
         return _finalize(math.nan, "monte_carlo", converged=False,
-                         note="non-finite kernel mean")
+                         note=f"non-finite kernel mean; {how}")
     mean_sq = math.fsum(sums_sq) / n_samp
     var = max(mean_sq - mean * mean, 0.0)
     if n_samp > 1:
@@ -156,7 +183,7 @@ def ec_monte_carlo(cfg: SystemConfig, role: str, ctl: EvalControls) -> EcResult:
     se_mean = math.sqrt(var / n_samp)
     value = _ec_from_mean(mean, theta, cfg.n)
     se = se_mean / (mean * theta * cfg.n * LN2)
-    return _finalize(value, "monte_carlo", std_error=se)
+    return _finalize(value, "monte_carlo", std_error=se, note=how)
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +547,15 @@ def ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls) -> EcResult:
 
 
 def evaluate(cfg: SystemConfig, role: str, method: str,
-             ctl: EvalControls) -> EcResult:
-    """Single entry point used by sweeps and reports."""
+             ctl: EvalControls, gains: list | None = None) -> EcResult:
+    """Single entry point used by sweeps and reports.
+
+    `gains` (from mc_gain_draws) is used by the Monte-Carlo method only.
+    """
     if method == "closed_form":
         return ec_closed(cfg, role, ctl)
     if method == "monte_carlo":
-        return ec_monte_carlo(cfg, role, ctl)
+        return ec_monte_carlo(cfg, role, ctl, gains)
     if method == "quadrature":
         return ec_quadrature(cfg, role, ctl, kernel_variant="exact")
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

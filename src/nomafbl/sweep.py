@@ -20,7 +20,8 @@ import numpy as np
 
 from .channel import ROLES, SystemConfig, db_to_linear
 from .delay import DelaySpec, delay_violation_prob
-from .eccalc import METHODS, EcResult, EvalControls, ec_quadrature, evaluate
+from .eccalc import (METHODS, EcResult, EvalControls, ec_quadrature, evaluate,
+                     mc_gain_draws)
 
 CSV_HEADER = ("scenario_id,axis_name,axis_value,role,method,ec_bits_per_cu,"
               "std_error,delay_violation_prob,series_terms,converged")
@@ -90,9 +91,13 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every grid x role x method combination and write the CSV.
 
     Evaluator failures are recorded in their row with converged = False
-    instead of aborting the sweep.
+    instead of aborting the sweep.  The Monte-Carlo gains are drawn once
+    and shared by every row: the axis and the variants change only rho
+    and theta, which the draws do not depend on.
     """
     rows: list[ResultRow] = []
+    gains = (mc_gain_draws(spec.base, spec.controls)
+             if "monte_carlo" in spec.methods else None)
     variants = spec.rho_db_variants or (None,)
     for variant in variants:
         if variant is None:
@@ -105,14 +110,15 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
             cfg = _apply_axis(base, spec.axis, value)
             for role in spec.roles:
                 for method in spec.methods:
-                    rows.append(_one_row(scen, spec, cfg, value, role, method))
+                    rows.append(_one_row(scen, spec, cfg, value, role, method,
+                                         gains))
     write_rows(spec.output_path, rows)
     return rows
 
 
-def _one_row(scenario, spec, cfg, value, role, method) -> ResultRow:
+def _one_row(scenario, spec, cfg, value, role, method, gains) -> ResultRow:
     try:
-        res = evaluate(cfg, role, method, spec.controls)
+        res = evaluate(cfg, role, method, spec.controls, gains)
         ec = res.value if math.isfinite(res.value) else None
     except (ValueError, RuntimeError) as exc:
         res = EcResult(value=math.nan, method=method, converged=False,
@@ -337,14 +343,16 @@ def validate_report(cfg: SystemConfig, ctl: EvalControls) -> ValidationReport:
     Gate structure localizes failures: closed form against quadrature of the
     expanded kernel checks the series algebra, Monte-Carlo against
     quadrature of the exact kernel checks sampling, and the convergence
-    flags surface truncated series.
+    flags surface truncated series.  Both users' Monte-Carlo estimates use
+    one draw of the gains.
     """
     report = ValidationReport()
+    gains = mc_gain_draws(cfg, ctl)
     for role in ROLES:
         closed = evaluate(cfg, role, "closed_form", ctl)
         quad_approx = ec_quadrature(cfg, role, ctl, kernel_variant="approx")
         quad_exact = ec_quadrature(cfg, role, ctl, kernel_variant="exact")
-        mc = evaluate(cfg, role, "monte_carlo", ctl)
+        mc = evaluate(cfg, role, "monte_carlo", ctl, gains)
         report.evaluations[f"{role}/closed_form"] = closed
         report.evaluations[f"{role}/quadrature_approx"] = quad_approx
         report.evaluations[f"{role}/quadrature_exact"] = quad_exact

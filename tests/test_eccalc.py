@@ -58,16 +58,21 @@ class TestMonteCarlo:
         assert ec_monte_carlo(cfg, "weak", ctl).value == \
             ec_monte_carlo(cfg, "weak", ctl).value
 
+    def test_note_states_samples_and_seed(self):
+        res = ec_monte_carlo(make_cfg(), "weak",
+                             EvalControls(mc_samples=5000, seed=8))
+        assert res.note == "5000 samples, seed 8"
+
     def test_small_theta_ergodic_limit(self):
         # as theta -> 0 the capacity approaches (1 - eps) E[rate]; the rate
         # average is built from the same fading draws via seed reuse
         cfg = make_cfg(theta_t=1e-6, theta_u=1e-6)
         ctl = EvalControls(mc_samples=150_000, seed=21)
-        for role in ("weak", "strong"):
+        for col, role in enumerate(("weak", "strong")):
             ec = ec_monte_carlo(cfg, role, ctl)
             rates = np.concatenate([
-                fbl_rate(gamma_for_role(gains, cfg, role), cfg.n, 1e-5)
-                for gains in _mc_gain_chunks(cfg, role, ctl)])
+                fbl_rate(gamma_for_role(pair[col], cfg, role), cfg.n, 1e-5)
+                for pair in _mc_gain_chunks(cfg, ctl)])
             assert rates.size == ctl.mc_samples
             se = rates.std() / math.sqrt(rates.size)
             target = (1.0 - 1e-5) * rates.mean()

@@ -1,20 +1,25 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import nomafbl.eccalc
 from nomafbl.channel import SystemConfig, db_to_linear
 from nomafbl.cli import main
-from nomafbl.eccalc import EvalControls
+from nomafbl.eccalc import EvalControls, ec_monte_carlo, mc_gain_draws
 from nomafbl.sweep import (CSV_HEADER, SweepSpec, figure_preset,
                            load_sweep_config, read_rows, run_sweep,
                            validate_report, write_plot_script)
 
 
+BASE = SystemConfig(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2,
+                    rho=db_to_linear(20.0), n=300, eps=1e-5,
+                    theta_t=0.01, theta_u=0.01)
+
+
 def small_spec(tmp_path, **overrides):
-    base = SystemConfig(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2,
-                        rho=db_to_linear(20.0), n=300, eps=1e-5,
-                        theta_t=0.01, theta_u=0.01)
-    params = dict(base=base, axis="rho_db", grid=(0.0, 20.0),
+    params = dict(base=BASE, axis="rho_db", grid=(0.0, 20.0),
                   roles=("strong",), methods=("closed_form",),
                   controls=EvalControls(mc_samples=5000, seed=1),
                   output_path=str(tmp_path / "out.csv"), scenario_id="t")
@@ -128,6 +133,78 @@ class TestRunSweep:
         spec = small_spec(tmp_path, rho_db_variants=(10.0, 20.0))
         rows = run_sweep(spec)
         assert {r.scenario_id for r in rows} == {"t_rho10db", "t_rho20db"}
+
+
+class TestGainReuse:
+    # crosses a chunk boundary, with a partial last chunk
+    CTL = EvalControls(mc_samples=(1 << 16) + 777, seed=5)
+
+    @staticmethod
+    def assert_mc_rows_standalone(spec, rows):
+        """Every MC row equals ec_monte_carlo run alone on its point."""
+        expected = []
+        for variant in spec.rho_db_variants or (None,):
+            base = spec.base if variant is None else \
+                replace(spec.base, rho=db_to_linear(variant))
+            for value in spec.grid:
+                cfg = (replace(base, rho=db_to_linear(value))
+                       if spec.axis == "rho_db"
+                       else replace(base, theta_t=value, theta_u=value))
+                for role in spec.roles:
+                    res = ec_monte_carlo(cfg, role, spec.controls)
+                    expected.append((res.value, res.std_error))
+        assert [(r.ec_bits_per_cu, r.std_error) for r in rows
+                if r.method == "monte_carlo"] == expected
+
+    def test_snr_sweep_rows_equal_standalone(self, tmp_path):
+        spec = small_spec(tmp_path, grid=(0.0, 20.0, 40.0),
+                          roles=("weak", "strong"),
+                          methods=("closed_form", "monte_carlo"),
+                          controls=self.CTL)
+        self.assert_mc_rows_standalone(spec, run_sweep(spec))
+
+    def test_theta_sweep_variants_equal_standalone(self, tmp_path):
+        spec = small_spec(tmp_path, axis="theta", grid=(0.001, 0.01, 0.1),
+                          roles=("weak", "strong"), methods=("monte_carlo",),
+                          controls=self.CTL, rho_db_variants=(10.0, 20.0))
+        rows = run_sweep(spec)
+        assert len(rows) == 2 * 3 * 2
+        self.assert_mc_rows_standalone(spec, rows)
+
+    def test_validate_equals_standalone(self):
+        report = validate_report(BASE, self.CTL)
+        for role in ("weak", "strong"):
+            alone = ec_monte_carlo(BASE, role, self.CTL)
+            res = report.evaluations[f"{role}/monte_carlo"]
+            assert res.value == alone.value
+            assert res.std_error == alone.std_error
+
+    def test_one_draw_per_chunk(self, tmp_path, monkeypatch):
+        calls = []
+        sample_gains = nomafbl.eccalc.sample_gains
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return sample_gains(*args, **kwargs)
+
+        monkeypatch.setattr(nomafbl.eccalc, "sample_gains", counting)
+        spec = figure_preset("fig3", output_path=str(tmp_path / "fig3.csv"),
+                             mc_samples=200_000)
+        rows = run_sweep(spec)
+        # 42 Monte-Carlo rows share the 4 chunks of one draw
+        assert sum(r.method == "monte_carlo" for r in rows) == 42
+        assert calls == [1 << 16] * 3 + [200_000 - 3 * (1 << 16)]
+
+    def test_shared_columns_are_read_only_copies(self):
+        draws = mc_gain_draws(BASE, self.CTL)
+        assert [c.size for c, _ in draws] == [1 << 16, 777]
+        for pair in draws:
+            for col in pair:
+                # owns its data: no view holds the V-column sorted draws
+                assert col.base is None and col.flags.c_contiguous
+                with pytest.raises(ValueError):
+                    col[0] = 1.0
+        assert np.all(draws[0][0] <= draws[0][1])
 
 
 class TestConfigFile:
