@@ -15,16 +15,16 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .channel import SystemConfig, db_to_linear
 from .delay import DelaySpec, delay_violation_prob
 from .eccalc import EvalControls, evaluate
 from .queuesim import SimSpec, run_queue_sim
 from .specfun import ConvergenceError
-from .sweep import (FIGURE_NAMES, figure_preset, load_sweep_config, run_sweep,
-                    validate_report, write_plot_script)
+from .sweep import (FIG3_POINT, FIGURE_NAMES, figure_preset, load_sweep_config,
+                    pool_config, run_sweep, validate_report, write_plot_script)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = EvalControls()
     parser = argparse.ArgumentParser(
         prog="nomafbl",
         description="Effective capacity and delay analytics for two-user "
@@ -41,19 +41,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="reproduce a reference figure")
     p_fig.add_argument("name", choices=FIGURE_NAMES)
     p_fig.add_argument("--out", default=None, help="output CSV path")
-    p_fig.add_argument("--seed", type=int, default=1234)
-    p_fig.add_argument("--mc-samples", type=int, default=200_000)
+    p_fig.add_argument("--seed", type=int, default=defaults.seed)
+    p_fig.add_argument("--mc-samples", type=int, default=defaults.mc_samples)
     p_fig.add_argument("--plot-script", action="store_true",
                        help="also write a gnuplot script next to the CSV")
 
     p_val = sub.add_parser("validate", help="cross-method validation report")
-    p_val.add_argument("--rho-db", type=float, nargs="+", default=[20.0])
-    p_val.add_argument("--seed", type=int, default=1234)
-    p_val.add_argument("--mc-samples", type=int, default=200_000)
-    p_val.add_argument("--n", type=int, default=300)
-    p_val.add_argument("--eps", type=float, default=1e-5)
-    p_val.add_argument("--theta", type=float, default=0.01)
-    p_val.add_argument("--series-max-terms", type=int, default=500)
+    p_val.add_argument("--rho-db", type=float, nargs="+",
+                       default=[FIG3_POINT["rho_db"]])
+    p_val.add_argument("--seed", type=int, default=defaults.seed)
+    p_val.add_argument("--mc-samples", type=int, default=defaults.mc_samples)
+    p_val.add_argument("--n", type=int, default=FIG3_POINT["n"])
+    p_val.add_argument("--eps", type=float, default=FIG3_POINT["eps"])
+    p_val.add_argument("--theta", type=float, default=FIG3_POINT["theta"])
+    p_val.add_argument("--series-max-terms", type=int,
+                       default=defaults.series_max_terms)
 
     p_q = sub.add_parser("queue-sim", help="block queue simulation")
     p_q.add_argument("--theta", type=float, default=0.01,
@@ -70,14 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--n", type=int, default=400)
     p_q.add_argument("--eps", type=float, default=1e-6)
     p_q.add_argument("--d-max", type=float, default=400.0)
-    p_q.add_argument("--seed", type=int, default=1234)
+    p_q.add_argument("--seed", type=int, default=defaults.seed)
     return parser
-
-
-def _pool_config(rho_db: float, n: int, eps: float, theta: float) -> SystemConfig:
-    return SystemConfig(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2,
-                        rho=db_to_linear(rho_db), n=n, eps=eps,
-                        theta_t=theta, theta_u=theta)
 
 
 def _cmd_sweep(args) -> int:
@@ -110,7 +106,7 @@ def _cmd_validate(args) -> int:
                        series_max_terms=args.series_max_terms)
     ok = True
     for rho_db in args.rho_db:
-        cfg = _pool_config(rho_db, args.n, args.eps, args.theta)
+        cfg = pool_config(args.n, args.eps, args.theta, rho_db)
         report = validate_report(cfg, ctl)
         print(f"=== rho = {rho_db:g} dB ===")
         print(report.render())
@@ -119,7 +115,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_queue_sim(args) -> int:
-    cfg = _pool_config(args.rho_db, args.n, args.eps, args.theta)
+    cfg = pool_config(args.n, args.eps, args.theta, args.rho_db)
     ctl = EvalControls(seed=args.seed)
     ec = evaluate(cfg, args.role, "closed_form", ctl)
     mu = args.mu if args.mu is not None else args.mu_frac * ec.value

@@ -9,8 +9,7 @@ D_max channel uses is approximately
 
 with mu the arrival rate in bits per channel use.  The effective capacity
 is the largest such mu, so the curve generator pairs each theta with
-mu = C_e(theta) by default; a fixed-mu mode is available for sensitivity
-studies.
+mu = C_e(theta).
 """
 
 from __future__ import annotations
@@ -63,14 +62,12 @@ class DelayPoint:
 
 
 def delay_violation_curve(cfg: SystemConfig, role: str, thetas,
-                          d_max: float, ctl: EvalControls,
-                          method: str = "closed_form",
-                          fixed_mu: float | None = None,
-                          nonempty_prob: float = 1.0) -> list[DelayPoint]:
+                          d_max: float,
+                          ctl: EvalControls) -> list[DelayPoint]:
     """Delay-violation probability across a QoS-exponent grid.
 
-    For each theta the arrival rate is the effective capacity at that theta
-    (both users' exponents are swept together), unless fixed_mu pins it.
+    For each theta the arrival rate is the closed-form effective capacity
+    at that theta (both users' exponents are swept together).
     """
     thetas = list(thetas)
     if any(th <= 0.0 for th in thetas):
@@ -80,10 +77,8 @@ def delay_violation_curve(cfg: SystemConfig, role: str, thetas,
     points = []
     for th in thetas:
         cfg_th = replace(cfg, theta_t=th, theta_u=th)
-        ec = evaluate(cfg_th, role, method, ctl)
-        mu = fixed_mu if fixed_mu is not None else max(ec.value, 0.0)
+        ec = evaluate(cfg_th, role, "closed_form", ctl)
         prob = delay_violation_prob(
-            th, DelaySpec(d_max=d_max, arrival_rate=mu,
-                          nonempty_prob=nonempty_prob))
+            th, DelaySpec(d_max=d_max, arrival_rate=max(ec.value, 0.0)))
         points.append(DelayPoint(theta=th, prob=prob, ec=ec))
     return points

@@ -116,32 +116,29 @@ def _order(kp, ctl: EvalControls, order):
 # Monte-Carlo estimator
 # ---------------------------------------------------------------------------
 
-def _mc_gain_chunks(cfg: SystemConfig, ctl: EvalControls):
-    """Deterministic chunked stream of ordered-gain draws (x_t, x_u).
+class GainDraws(list):
+    """Chunk list of mc_gain_draws; key is its (V, t, u, seed, mc_samples)."""
+    key: tuple = ()
+
+
+def _draw_key(cfg: SystemConfig, ctl: EvalControls) -> tuple:
+    return cfg.V, cfg.t, cfg.u, ctl.seed, ctl.mc_samples
+
+
+def mc_gain_draws(cfg: SystemConfig, ctl: EvalControls) -> GainDraws:
+    """The Monte-Carlo ordered-gain draws (x_t, x_u), one pair per chunk.
 
     Chunk idx is drawn from the generator seeded by (seed, idx), and the
-    draws depend on cfg only through (V, t, u), so one stream serves every
-    SNR, QoS exponent and user of a pool.
+    draws depend on cfg only through (V, t, u), so one list serves every
+    SNR, QoS exponent and user of a pool.  Keeps contiguous read-only
+    copies of the two picked columns only (16 bytes per sample), so each
+    chunk's sorted draws are freed as soon as the next one is made.
     """
-    remaining = ctl.mc_samples
-    idx = 0
-    while remaining > 0:
-        m = min(_MC_CHUNK, remaining)
-        yield sample_gains(cfg, m, np.random.default_rng([ctl.seed, idx]))
-        remaining -= m
-        idx += 1
-
-
-def mc_gain_draws(cfg: SystemConfig, ctl: EvalControls) -> list:
-    """The whole Monte-Carlo chunk stream, drawn once for reuse.
-
-    Keeps contiguous read-only copies of the two picked columns only
-    (16 bytes per sample), so each chunk's sorted draws are freed as soon
-    as the next one is made.  Pass the list as `gains` to ec_monte_carlo
-    for any configuration with the same (V, t, u) and controls.
-    """
-    draws = []
-    for pair in _mc_gain_chunks(cfg, ctl):
+    draws = GainDraws()
+    draws.key = _draw_key(cfg, ctl)
+    for idx, start in enumerate(range(0, ctl.mc_samples, _MC_CHUNK)):
+        m = min(_MC_CHUNK, ctl.mc_samples - start)
+        pair = sample_gains(cfg, m, np.random.default_rng([ctl.seed, idx]))
         cols = tuple(col.copy() for col in pair)
         for col in cols:
             col.flags.writeable = False
@@ -150,23 +147,26 @@ def mc_gain_draws(cfg: SystemConfig, ctl: EvalControls) -> list:
 
 
 def ec_monte_carlo(cfg: SystemConfig, role: str, ctl: EvalControls,
-                   gains: list | None = None) -> EcResult:
+                   gains: GainDraws | None = None) -> EcResult:
     """Sample-average estimate of the effective capacity (exact kernel).
 
     The standard error of the kernel mean is pushed through the log
-    transform by the delta method.  `gains` is the chunk list of
-    mc_gain_draws(cfg, ctl); without it the chunks are drawn one at a time.
-    The result is bit-identical either way.
+    transform by the delta method.  `gains` is mc_gain_draws(cfg, ctl),
+    drawn here when not given; a list drawn for another (V, t, u, seed,
+    mc_samples) is a ValueError.
     """
+    key = _draw_key(cfg, ctl)
+    if gains is not None and getattr(gains, "key", None) != key:
+        raise ValueError(f"gains were drawn for (V, t, u, seed, mc_samples) "
+                         f"= {getattr(gains, 'key', None)}, not {key}")
     theta = cfg.theta_for(role)
     eps = cfg.eps_for(role)
     if eps == 1.0:
         return _finalize(0.0, "monte_carlo", note="degenerate eps = 1")
     col = 0 if role == "weak" else 1
-    chunks = _mc_gain_chunks(cfg, ctl) if gains is None else gains
     kp = make_kernel_params(theta, cfg.n, eps)
     sums, sums_sq = [], []
-    for pair in chunks:
+    for pair in mc_gain_draws(cfg, ctl) if gains is None else gains:
         k = ec_kernel(gamma_for_role(pair[col], cfg, role), kp, eps)
         sums.append(float(np.sum(k)))
         sums_sq.append(float(np.sum(k * k)))
@@ -189,12 +189,6 @@ def ec_monte_carlo(cfg: SystemConfig, role: str, ctl: EvalControls,
 # ---------------------------------------------------------------------------
 # Quadrature oracle
 # ---------------------------------------------------------------------------
-
-def _kernel_of_gamma(kp, eps, variant, order):
-    if variant == "exact":
-        return lambda g: ec_kernel(g, kp, eps)
-    return lambda g: ec_kernel_approx(g, kp, eps, order)
-
 
 def _gamma_to_gain(gamma, cfg, role):
     if role == "strong":
@@ -238,7 +232,8 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
         return _finalize(0.0, "quadrature", note="degenerate eps = 1")
     kp = make_kernel_params(theta, cfg.n, eps)
     order = None if kernel_variant == "exact" else _order(kp, ctl, order)
-    kern = _kernel_of_gamma(kp, eps, kernel_variant, order)
+    kern = ((lambda g: ec_kernel(g, kp, eps)) if order is None
+            else (lambda g: ec_kernel_approx(g, kp, eps, order)))
     k_idx = cfg.order_index(role)
 
     def integrand(x):
@@ -315,9 +310,11 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
     underflow while the series peak (near |c q| / (1 - |q|)) may still lie
     far ahead, and only the log trend can tell a genuinely negligible tail
     from a not-yet-reached bulk.  Each row stops at its first term whose
-    tail is negligible against the running sum, or as "diverging" before a
-    term beyond e^700.  Returns per-row arrays (sum, terms_used, tail_bound)
-    and a list of statuses in {"ok", "truncated", "diverging"}.
+    tail is negligible against the running sum, before a term beyond e^700
+    (the first term, d I_0 <= 1 times a prefactor <= 1, never is), or at
+    the term budget.  Returns per-row arrays (sum, terms_used, tail_bound);
+    the tail bound is inf where the series diverges, that is where it meets
+    a term beyond e^700 or its terms still grow at the budget.
     """
     s_max = min(ctl.series_max_terms, ladder.size - 1)
     s = np.arange(1, s_max + 1)
@@ -342,27 +339,13 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
         | ((totals == 0.0) & (log_term < -700.0)))
     done[:, :2] = False
     blown = log_term > 700.0
-    out_sum = np.empty(cs.size)
-    out_terms = np.empty(cs.size, dtype=int)
-    out_tail = np.empty(cs.size)
-    status = []
-    for i in range(cs.size):
-        stop = int(np.argmax(done[i])) if done[i].any() else s_max + 1
-        blow = int(np.argmax(blown[i])) if blown[i].any() else s_max + 1
-        if blow <= min(stop, s_max):
-            out_sum[i] = totals[i, blow - 1] if blow else 0.0
-            out_terms[i], out_tail[i] = blow, math.inf
-            status.append("diverging")
-        elif stop <= s_max:
-            out_sum[i], out_terms[i] = totals[i, stop], stop
-            out_tail[i] = tails[i, stop]
-            status.append("ok")
-        else:
-            out_sum[i], out_terms[i] = totals[i, s_max], s_max
-            diverging = log_ratio[i, s_max] >= 0.0
-            out_tail[i] = math.inf if diverging else tails[i, s_max]
-            status.append("diverging" if diverging else "truncated")
-    return out_sum, out_terms, out_tail, status
+    rows = np.arange(cs.size)
+    stop = np.where(done.any(axis=1), done.argmax(axis=1), s_max)
+    blow = np.where(blown.any(axis=1), blown.argmax(axis=1), s_max + 1)
+    diverged = blow <= stop
+    last = np.where(diverged, blow - 1, stop)
+    return (totals[rows, last], np.where(diverged, blow, stop),
+            np.where(diverged, math.inf, tails[rows, last]))
 
 
 def _weak_expectations(cfg: SystemConfig, cs, ctl: EvalControls):
@@ -374,10 +357,10 @@ def _weak_expectations(cfg: SystemConfig, cs, ctl: EvalControls):
     alpha_t / (alpha_t + alpha_u); each integral moment reduces to the
     I_s ladder above, which depends on c only through the binomial weights,
     so each ladder is built once and serves every c.  Returns arrays
-    (value, terms_used, tail_bound, scale) and a list of statuses, one entry
-    per c: scale is the sum of the inner series' magnitudes, against which
-    rounding and truncation are judged, and status is the worst of the
-    inner series.
+    (value, terms_used, tail_bound, scale), one entry per c: scale is the
+    sum of the inner series' magnitudes, against which rounding and
+    truncation are judged, and tail_bound is inf where an inner series
+    diverges.
     """
     cs = np.asarray(cs, dtype=float)
     csum = cfg.alpha_t + cfg.alpha_u
@@ -385,26 +368,21 @@ def _weak_expectations(cfg: SystemConfig, cs, ctl: EvalControls):
     d = 1.0 / (cfg.rho * cfg.alpha_u)
     xi = 1.0 / beta_fn(cfg.t, cfg.V - cfg.t + 1)
     log_pref = cs * math.log(csum / cfg.alpha_u)
-    rank = {"ok": 0, "truncated": 1, "diverging": 2}
     parts, abs_parts, tails = [], [], []
     terms_used = np.zeros(cs.size, dtype=int)
-    worst = ["ok"] * cs.size
     for r in range(cfg.t):
         ladder = _int_ladder((cfg.V - cfg.t + 1 + r) * d,
                              ctl.series_max_terms)
-        series, s_used, tail, status = _weak_series(cs, q, d, ladder,
-                                                    log_pref, ctl)
+        series, s_used, tail = _weak_series(cs, q, d, ladder, log_pref, ctl)
         weight = math.comb(cfg.t - 1, r)
         parts.append(weight * series * (-1.0 if r % 2 else 1.0))
         abs_parts.append(weight * np.abs(series))
         tails.append(weight * tail)
         terms_used = np.maximum(terms_used, s_used + 1)
-        worst = [max(w, st, key=rank.get) for w, st in zip(worst, status)]
     value = xi * np.array([math.fsum(col) for col in zip(*parts)])
     scale = xi * np.array([math.fsum(col) for col in zip(*abs_parts)])
     tail_total = xi * np.array([math.fsum(col) for col in zip(*tails)])
-    tail_total[[w == "diverging" for w in worst]] = math.inf
-    return value, terms_used, tail_total, scale, worst
+    return value, terms_used, tail_total, scale
 
 
 def _expansion_bound(kp, eps, theta, n, order, inner, mu_0=1.0, mu_j=1.0):
@@ -458,9 +436,9 @@ def ec_closed_weak(cfg: SystemConfig, ctl: EvalControls,
     counts as converged when the |a_j|-weighted sum of the moments' tail
     bounds is within series_rel_tol of the same weighted sum of the inner
     series' magnitudes, so a high moment left truncated by the term budget
-    counts only as much as its coefficient lets it.  If a
-    series diverges or an intermediate overflows (large theta*n pushes the
-    binomial weights out of double range), the returned value falls back to
+    counts only as much as its coefficient lets it.  If a series diverges
+    (an infinite tail bound) or an intermediate overflows (large theta*n
+    pushes the binomial weights out of double range), the value falls back to
     adaptive quadrature of the same expanded kernel and the result is
     flagged unconverged so reports can surface it.
     """
@@ -473,15 +451,14 @@ def ec_closed_weak(cfg: SystemConfig, ctl: EvalControls,
     order = _order(kp, ctl, order)
     a = expansion_coeffs(kp.beta, order)
     two_zeta = 2.0 * kp.zeta
-    moments, n_terms, tails_j, scale_j, status = _weak_expectations(
+    moments, n_terms, tails_j, scale_j = _weak_expectations(
         cfg, two_zeta - 2.0 * np.arange(a.size), ctl)
     terms = int(n_terms.max())
     used = a != 0.0
     tails = math.fsum(np.abs(a[used]) * tails_j[used])
     scale = math.fsum(np.abs(a[used]) * scale_j[used])
     err = tails + _MACHEPS * (scale + math.fsum(np.abs(a * moments)))
-    diverging = any(st == "diverging" for st, u in zip(status, used) if u)
-    res, inner = (None, math.nan) if diverging else _closed_result(
+    res, inner = (None, math.nan) if math.isinf(tails) else _closed_result(
         kp, eps, theta, cfg.n, order, a, moments, err, series_terms=terms,
         converged=tails <= ctl.series_rel_tol * scale)
     if res is None or not err < 0.5 * inner:
@@ -538,22 +515,17 @@ def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
     return res
 
 
-def ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls) -> EcResult:
-    if role not in ROLES:
-        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
-    if role == "weak":
-        return ec_closed_weak(cfg, ctl)
-    return ec_closed_strong(cfg, ctl)
-
-
 def evaluate(cfg: SystemConfig, role: str, method: str,
-             ctl: EvalControls, gains: list | None = None) -> EcResult:
+             ctl: EvalControls, gains: GainDraws | None = None) -> EcResult:
     """Single entry point used by sweeps and reports.
 
     `gains` (from mc_gain_draws) is used by the Monte-Carlo method only.
     """
+    if role not in ROLES:
+        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
     if method == "closed_form":
-        return ec_closed(cfg, role, ctl)
+        closed = ec_closed_weak if role == "weak" else ec_closed_strong
+        return closed(cfg, ctl)
     if method == "monte_carlo":
         return ec_monte_carlo(cfg, role, ctl, gains)
     if method == "quadrature":

@@ -46,7 +46,7 @@ PAPER_ORDER = (2, 1)
 # tolerance, and the binomial order used with it.  J = 16 brings the 0 dB
 # weak user of the presets within 2.5 % of the exact kernel; its shifted
 # moments need up to about 450 series terms at beta = 4, inside the default
-# budget of 500.
+# term budget (EvalControls.series_max_terms).
 ORDER_M_MAX = 30
 ORDER_J_MAX = 16
 
@@ -57,12 +57,10 @@ class KernelParams:
 
     zeta    log-term half exponent, -theta*n/2 (negative for theta > 0)
     beta    dispersion-term coefficient theta*sqrt(n)*Qinv(eps)
-    kappa   beta^2/2 + beta, the constant of the quadratic kernel expansion
     """
 
     zeta: float
     beta: float
-    kappa: float
 
 
 def make_kernel_params(theta: float, n: int, eps: float) -> KernelParams:
@@ -72,9 +70,8 @@ def make_kernel_params(theta: float, n: int, eps: float) -> KernelParams:
         raise ValueError(f"blocklength n must be >= 1, got {n}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    beta = theta * math.sqrt(n) * gaussian_q_inv(eps)
-    return KernelParams(zeta=-theta * n / 2.0, beta=beta,
-                        kappa=beta * beta / 2.0 + beta)
+    return KernelParams(zeta=-theta * n / 2.0,
+                        beta=theta * math.sqrt(n) * gaussian_q_inv(eps))
 
 
 def dispersion_root(gamma):
@@ -195,7 +192,7 @@ def ec_kernel_approx(gamma, kp: KernelParams, eps: float,
 
     The default PAPER_ORDER (2, 1) truncates e^(beta delta) to three
     Maclaurin terms and the dispersion root to delta ~ 1 - (1+gamma)^-2 / 2,
-    which regroups into
+    which with K = beta^2/2 + beta regroups into
 
         eps + (1-eps) [ (1+g)^(2z) (K+1) - (1+g)^(2z-2) (K - beta/2) ];
 

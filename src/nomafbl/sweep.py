@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,10 @@ AXES = ("rho_db", "theta")
 
 FIGURE_NAMES = ("fig3", "fig4", "fig5", "fig6")
 
-_BASE_POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2)
+# The user pool of every preset and the fig3 operating point, which are
+# also the defaults of config files and of the command line.
+POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2)
+FIG3_POINT = dict(n=300, eps=1e-5, theta=0.01, rho_db=20.0)
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,6 @@ class SweepSpec:
     output_path: str
     scenario_id: str = "sweep"
     d_max: float | None = None
-    nonempty_prob: float = 1.0
     rho_db_variants: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -128,8 +130,7 @@ def _one_row(scenario, spec, cfg, value, role, method, gains) -> ResultRow:
     if spec.d_max is not None and ec is not None:
         dvp = delay_violation_prob(
             cfg.theta_for(role),
-            DelaySpec(d_max=spec.d_max, arrival_rate=max(ec, 0.0),
-                      nonempty_prob=spec.nonempty_prob))
+            DelaySpec(d_max=spec.d_max, arrival_rate=max(ec, 0.0)))
     return ResultRow(scenario_id=scenario, axis_name=spec.axis,
                      axis_value=value, role=role, method=method,
                      ec_bits_per_cu=ec, std_error=res.std_error,
@@ -188,9 +189,11 @@ def read_rows(path: str) -> list[ResultRow]:
 # Figure presets
 # ---------------------------------------------------------------------------
 
-def _pool_cfg(n, eps, theta, rho_db) -> SystemConfig:
+def pool_config(n: int, eps: float, theta: float,
+                rho_db: float) -> SystemConfig:
+    """The preset pool at one operating point (both users share theta)."""
     return SystemConfig(n=n, eps=eps, theta_t=theta, theta_u=theta,
-                        rho=db_to_linear(rho_db), **_BASE_POOL)
+                        rho=db_to_linear(rho_db), **POOL)
 
 
 _THETA_GRID = tuple(float(v) for v in np.logspace(-4, 0, 30))
@@ -198,7 +201,8 @@ _SNR_GRID = tuple(float(v) for v in range(0, 41, 2))
 
 
 def figure_preset(name: str, output_path: str | None = None,
-                  seed: int = 1234, mc_samples: int = 200_000) -> SweepSpec:
+                  seed: int = EvalControls.seed,
+                  mc_samples: int = EvalControls.mc_samples) -> SweepSpec:
     """Fully-populated sweep for one of the four reference figures.
 
     fig3: capacity vs transmit SNR (0..40 dB), theta 0.01, n 300, eps 1e-5,
@@ -210,21 +214,22 @@ def figure_preset(name: str, output_path: str | None = None,
     """
     ctl = EvalControls(mc_samples=mc_samples, seed=seed)
     out = output_path or f"{name}.csv"
+    qos_base = pool_config(400, 1e-6, 0.01, 15.0)
     if name == "fig3":
-        return SweepSpec(base=_pool_cfg(300, 1e-5, 0.01, 20.0),
+        return SweepSpec(base=pool_config(**FIG3_POINT),
                          axis="rho_db", grid=_SNR_GRID,
                          roles=("weak", "strong"),
                          methods=("closed_form", "monte_carlo"),
                          controls=ctl, output_path=out, scenario_id="fig3")
     if name == "fig4":
-        return SweepSpec(base=_pool_cfg(400, 1e-6, 0.01, 15.0),
+        return SweepSpec(base=qos_base,
                          axis="theta", grid=_THETA_GRID,
                          roles=("weak", "strong"), methods=("closed_form",),
                          controls=ctl, output_path=out, scenario_id="fig4",
                          rho_db_variants=(15.0, 20.0))
     if name in ("fig5", "fig6"):
         role = "strong" if name == "fig5" else "weak"
-        return SweepSpec(base=_pool_cfg(400, 1e-6, 0.01, 15.0),
+        return SweepSpec(base=qos_base,
                          axis="theta", grid=_THETA_GRID, roles=(role,),
                          methods=("closed_form",), controls=ctl,
                          output_path=out, scenario_id=name, d_max=400.0,
@@ -236,12 +241,12 @@ def figure_preset(name: str, output_path: str | None = None,
 # Config files
 # ---------------------------------------------------------------------------
 
-_CFG_DEFAULTS = dict(V="10", t="2", u="8", alpha_t="0.8", alpha_u="0.2",
-                     n="300", eps="1e-5", theta="0.01", rho_db="20",
-                     roles="weak,strong", methods="closed_form",
-                     seed="1234", mc_samples="200000",
-                     quad_rel_tol="1e-9", series_max_terms="500",
-                     series_rel_tol="1e-10", nonempty_prob="1.0")
+# configparser lower-cases key names, so these are lower-case too
+_CFG_DEFAULTS = {**{k.lower(): v for k, v in POOL.items()}, **FIG3_POINT,
+                 "roles": "weak,strong", "methods": "closed_form",
+                 **asdict(EvalControls())}
+_CFG_REQUIRED = ("axis", "grid", "output")
+_CFG_KEYS = {*_CFG_DEFAULTS, *_CFG_REQUIRED, "d_max", "rho_db_variants"}
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -262,23 +267,28 @@ def load_sweep_config(path: str) -> list[SweepSpec]:
     """Parse a line-oriented key = value sweep description.
 
     One [sweep:<id>] section per sweep; every key has a default and can be
-    overridden per section.  Required keys: axis, grid, output.
+    overridden per section.  Required keys: axis, grid, output.  Keys are
+    case-insensitive, and a key the loader does not know is an error.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ValueError(f"cannot read sweep config {path!r}")
     specs = []
     for section in parser.sections():
         if not section.startswith("sweep:"):
             raise ValueError(f"unexpected section [{section}]; use [sweep:<id>]")
-        get = {**_CFG_DEFAULTS, **dict(parser.items(section))}.__getitem__
-        for key in ("axis", "grid", "output"):
-            if key not in parser[section] and key not in _CFG_DEFAULTS:
+        given = dict(parser.items(section))
+        unknown = sorted(set(given) - _CFG_KEYS)
+        if unknown:
+            raise ValueError(f"[{section}] has unknown key(s) "
+                             + ", ".join(map(repr, unknown)))
+        for key in _CFG_REQUIRED:
+            if key not in given:
                 raise ValueError(f"[{section}] is missing required key {key!r}")
+        get = {**_CFG_DEFAULTS, **given}.__getitem__
         theta = float(get("theta"))
         base = SystemConfig(
-            V=int(get("V")), t=int(get("t")), u=int(get("u")),
+            V=int(get("v")), t=int(get("t")), u=int(get("u")),
             alpha_t=float(get("alpha_t")), alpha_u=float(get("alpha_u")),
             rho=db_to_linear(float(get("rho_db"))), n=int(get("n")),
             eps=float(get("eps")), theta_t=theta, theta_u=theta)
@@ -287,17 +297,15 @@ def load_sweep_config(path: str) -> list[SweepSpec]:
             quad_rel_tol=float(get("quad_rel_tol")),
             series_max_terms=int(get("series_max_terms")),
             series_rel_tol=float(get("series_rel_tol")))
-        d_max = float(get("d_max")) if "d_max" in parser[section] else None
-        variants = None
-        if "rho_db_variants" in parser[section]:
-            variants = tuple(float(v) for v in get("rho_db_variants").split(","))
+        d_max = float(get("d_max")) if "d_max" in given else None
+        variants = (tuple(float(v) for v in get("rho_db_variants").split(","))
+                    if "rho_db_variants" in given else None)
         specs.append(SweepSpec(
             base=base, axis=get("axis"), grid=_parse_grid(get("grid")),
             roles=tuple(r.strip() for r in get("roles").split(",")),
             methods=tuple(m.strip() for m in get("methods").split(",")),
             controls=ctl, output_path=get("output"),
             scenario_id=section.split(":", 1)[1], d_max=d_max,
-            nonempty_prob=float(get("nonempty_prob")),
             rho_db_variants=variants))
     if not specs:
         raise ValueError(f"no [sweep:<id>] sections found in {path!r}")

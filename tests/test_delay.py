@@ -107,14 +107,6 @@ class TestDelayViolationCurve:
         for a, b in zip(lo, hi):
             assert b.prob < a.prob
 
-    def test_fixed_mu_mode(self):
-        ctl = EvalControls()
-        pts = delay_violation_curve(make_cfg(), "strong", [0.01, 0.02],
-                                    400.0, ctl, fixed_mu=2.0)
-        expected = [math.exp(-th * 2.0 * 400.0 * math.log(2.0))
-                    for th in (0.01, 0.02)]
-        assert [p.prob for p in pts] == pytest.approx(expected, rel=1e-12)
-
     def test_grid_validation(self):
         ctl = EvalControls()
         with pytest.raises(ValueError):

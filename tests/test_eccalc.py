@@ -1,15 +1,18 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from nomafbl.channel import (SystemConfig, db_to_linear, gamma_for_role,
                              sinr_weak)
-from nomafbl.eccalc import (EvalControls, _int_ladder, _mc_gain_chunks,
-                            _weak_series, ec_closed_strong, ec_closed_weak,
-                            ec_monte_carlo, ec_quadrature, evaluate)
+from nomafbl.eccalc import (EvalControls, _int_ladder, _weak_series,
+                            ec_closed_strong, ec_closed_weak, ec_monte_carlo,
+                            ec_quadrature, evaluate, mc_gain_draws)
 from nomafbl.fblrate import LN2, ec_kernel, fbl_rate, make_kernel_params
 from nomafbl.specfun import tricomi_u
 
@@ -72,11 +75,33 @@ class TestMonteCarlo:
             ec = ec_monte_carlo(cfg, role, ctl)
             rates = np.concatenate([
                 fbl_rate(gamma_for_role(pair[col], cfg, role), cfg.n, 1e-5)
-                for pair in _mc_gain_chunks(cfg, ctl)])
+                for pair in mc_gain_draws(cfg, ctl)])
             assert rates.size == ctl.mc_samples
             se = rates.std() / math.sqrt(rates.size)
             target = (1.0 - 1e-5) * rates.mean()
             assert abs(ec.value - target) <= 2.0 * (se + ec.std_error)
+
+    def test_draws_made_for_other_inputs_are_refused(self):
+        # a list drawn at 5000 samples once gave 3.303 +- 0.0 at 1000
+        # samples (right: 4.025 +- 0.035), and one drawn for (t, u) = (2, 8)
+        # gave 4.077 at (1, 3) (right: 1.851)
+        cfg = make_cfg()
+        ctl = EvalControls(mc_samples=1000, seed=5)
+        with pytest.raises(ValueError, match="mc_samples"):
+            ec_monte_carlo(cfg, "strong", ctl,
+                           mc_gain_draws(cfg, replace(ctl, mc_samples=5000)))
+        with pytest.raises(ValueError):
+            ec_monte_carlo(replace(cfg, t=1, u=3), "strong", ctl,
+                           mc_gain_draws(cfg, ctl))
+        with pytest.raises(ValueError):
+            ec_monte_carlo(cfg, "weak", replace(ctl, seed=6),
+                           mc_gain_draws(cfg, ctl))
+        with pytest.raises(ValueError):
+            ec_monte_carlo(cfg, "weak", ctl, list(mc_gain_draws(cfg, ctl)))
+        # the same inputs at another SNR and QoS exponent are fine
+        other = replace(cfg, rho=db_to_linear(5.0), theta_t=0.1, theta_u=0.1)
+        assert ec_monte_carlo(other, "weak", ctl, mc_gain_draws(cfg, ctl)) \
+            == ec_monte_carlo(other, "weak", ctl)
 
     def test_agrees_with_quadrature(self):
         rng = np.random.default_rng(13)
@@ -165,7 +190,7 @@ def _weak_series_loop(c, q, d, ladder, log_prefactor, ctl):
             sign *= (1.0 if step > 0.0 else -1.0) * sign_q
         log_term = log_coef + math.log(d * ladder[s])
         if log_term > 700.0:
-            return total, s, math.inf, "diverging"
+            return total, s, math.inf
         total += sign * math.exp(log_term)
         s_used = s
         if prev_log is not None:
@@ -175,11 +200,11 @@ def _weak_series_loop(c, q, d, ladder, log_prefactor, ctl):
                 tail = math.exp(log_term) * ratio / (1.0 - ratio)
                 if tail <= ctl.series_rel_tol * abs(total) \
                         or (total == 0.0 and log_term < -700.0):
-                    return total, s, tail, "ok"
+                    return total, s, tail
         prev_log = log_term
     if log_ratio >= 0.0:
-        return total, s_used, math.inf, "diverging"
-    return total, s_used, tail, "truncated"
+        return total, s_used, math.inf
+    return total, s_used, tail
 
 
 class TestClosedFormSeries:
@@ -194,14 +219,19 @@ class TestClosedFormSeries:
         for budget in (2, 200, 500):
             ctl = EvalControls(series_max_terms=budget)
             ladder = _int_ladder(9 * d, budget)
-            sums, terms, tails, status = _weak_series(cs, q, d, ladder,
-                                                      log_pref, ctl)
+            sums, terms, tails = _weak_series(cs, q, d, ladder, log_pref,
+                                              ctl)
             for i, c in enumerate(cs):
                 ref = _weak_series_loop(c, q, d, ladder, log_pref[i], ctl)
-                assert (terms[i], status[i]) == (ref[1], ref[3])
+                assert terms[i] == ref[1]
                 assert sums[i] == pytest.approx(ref[0], rel=1e-12, abs=0.0)
                 assert tails[i] == pytest.approx(ref[2], rel=1e-12, abs=0.0)
-            assert status[-1] == "diverging"
+            assert tails[-1] == math.inf
+        # ok: tail within tolerance; truncated: a finite tail above it;
+        # diverging: an infinite tail
+        status = ["ok" if tail <= ctl.series_rel_tol * abs(total)
+                  else "truncated" if math.isfinite(tail) else "diverging"
+                  for total, tail in zip(sums, tails)]
         assert status == ["ok", "ok", "ok", "truncated", "diverging"]
 
     @pytest.mark.parametrize("eta, s0", [(0.05, 3.0), (1.2, 6.4),
@@ -346,12 +376,13 @@ class TestClosedForms:
         # recompute the strong-user bracket in both summation orders
         cfg = make_cfg()
         kp = make_kernel_params(0.01, 300, 1e-5)
+        kappa = kp.beta ** 2 / 2 + kp.beta
         d = 1.0 / (cfg.rho * cfg.alpha_u)
         terms = []
         for i in range(cfg.u):
             eta = (cfg.V - cfg.u + 1 + i) * d
-            combo = tricomi_u(1.0, 2.0 + 2 * kp.zeta, eta) * (kp.kappa + 1) \
-                - tricomi_u(1.0, 2 * kp.zeta, eta) * (kp.kappa - kp.beta / 2)
+            combo = tricomi_u(1.0, 2.0 + 2 * kp.zeta, eta) * (kappa + 1) \
+                - tricomi_u(1.0, 2 * kp.zeta, eta) * (kappa - kp.beta / 2)
             terms.append(math.comb(cfg.u - 1, i) * combo
                          * (-1.0 if i % 2 else 1.0))
         fwd = math.fsum(terms)
@@ -381,3 +412,30 @@ class TestClosedForms:
             evaluate(make_cfg(), "weak", "tea_leaves", EvalControls())
         with pytest.raises(ValueError):
             evaluate(make_cfg(), "both", "closed_form", EvalControls())
+
+
+class TestClosedFormDomain:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(V=st.integers(2, 20), t_frac=st.floats(0.0, 1.0),
+           u_frac=st.floats(0.0, 1.0),
+           alpha_t=st.floats(0.5, 0.99, exclude_min=True, exclude_max=True),
+           rho_db=st.floats(-10.0, 50.0), n=st.integers(50, 2000),
+           log_eps=st.floats(-9.0, -1.0), log_theta=st.floats(-4.0,
+                                                            math.log10(3.0)))
+    def test_closed_forms_finite_or_flagged(self, V, t_frac, u_frac, alpha_t,
+                                            rho_db, n, log_eps, log_theta):
+        # over the whole SystemConfig box the closed forms neither raise nor
+        # warn, and a non-finite value is always flagged unconverged
+        t = 1 + min(int(t_frac * (V - 1)), V - 2)
+        u = t + 1 + min(int(u_frac * (V - t)), V - t - 1)
+        theta = 10.0 ** log_theta
+        cfg = SystemConfig(V=V, t=t, u=u, alpha_t=alpha_t,
+                           alpha_u=1.0 - alpha_t, rho=db_to_linear(rho_db),
+                           n=n, eps=10.0 ** log_eps, theta_t=theta,
+                           theta_u=theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [ec_closed_weak(cfg, EvalControls()),
+                       ec_closed_strong(cfg, EvalControls())]
+        for res in results:
+            assert math.isfinite(res.value) or not res.converged

@@ -20,13 +20,10 @@ class TestKernelParams:
         expected_beta = 0.01 * math.sqrt(300) * float(sp.ndtri(1 - 1e-5))
         assert kp.beta == pytest.approx(expected_beta, rel=1e-12)
         assert kp.beta == pytest.approx(0.73870075438071, rel=1e-10)
-        assert kp.kappa == pytest.approx(kp.beta ** 2 / 2 + kp.beta,
-                                         rel=1e-14)
 
     def test_half_eps_kills_dispersion_terms(self):
         kp = make_kernel_params(0.02, 500, 0.5)
         assert kp.beta == 0.0
-        assert kp.kappa == 0.0
 
     def test_blocklength_scaling(self):
         kp1 = make_kernel_params(0.01, 250, 1e-4)
@@ -104,7 +101,7 @@ class TestEcKernel:
 
     def test_reference_value(self):
         # frozen from the definition at the quoted parameter point
-        kp = KernelParams(zeta=-2.16404, beta=0.73872, kappa=1.0115)
+        kp = KernelParams(zeta=-2.16404, beta=0.73872)
         assert ec_kernel(3.0, kp, 1e-5) == pytest.approx(
             0.005078348094230605, rel=1e-12)
 
@@ -180,8 +177,7 @@ class TestEcKernelApprox:
         # under 5% for beta <= 0.75 over gamma in [0.25, 100]
         g = np.linspace(0.25, 100.0, 4000)
         for beta in (0.1, 0.4, 0.75):
-            kp = KernelParams(zeta=-1.5, beta=beta,
-                              kappa=beta * beta / 2 + beta)
+            kp = KernelParams(zeta=-1.5, beta=beta)
             exact = ec_kernel(g, kp, 1e-5)
             approx = ec_kernel_approx(g, kp, 1e-5)
             assert np.max(np.abs(approx - exact) / exact) < 0.05
@@ -194,10 +190,11 @@ class TestEcKernelApprox:
         for theta, n, eps in ((0.01, 300, 1e-5), (0.3, 400, 1e-6),
                               (0.02, 100, 0.8)):
             kp = make_kernel_params(theta, n, eps)
+            kappa = kp.beta ** 2 / 2 + kp.beta
             base = (1.0 + g) ** (2.0 * kp.zeta)
             regrouped = eps + (1 - eps) * (
-                base * (kp.kappa + 1.0)
-                - base * (1.0 + g) ** -2.0 * (kp.kappa - kp.beta / 2.0))
+                base * (kappa + 1.0)
+                - base * (1.0 + g) ** -2.0 * (kappa - kp.beta / 2.0))
             assert PAPER_ORDER == (2, 1)
             for val in (ec_kernel_approx(g, kp, eps),
                         ec_kernel_approx(g, kp, eps, (2, 1))):
@@ -225,8 +222,7 @@ class TestExpansionOrder:
         g = np.concatenate([[0.0], np.logspace(-6, 3, 400)])
         w = (1.0 + g) ** -2.0
         for beta in (0.1, 0.75, 2.0, 4.0, -1.0, 9.0):
-            kp = KernelParams(zeta=-1.5, beta=beta,
-                              kappa=beta * beta / 2 + beta)
+            kp = KernelParams(zeta=-1.5, beta=beta)
             for order in (expansion_order(beta, 1e-10), (2, 1), (6, 16)):
                 r_m, t_j = expansion_error_coeffs(beta, order)
                 bound = (1 - 1e-5) * (1.0 + g) ** (2 * kp.zeta) \
@@ -240,8 +236,7 @@ class TestExpansionOrder:
         # is within a few parts per million over gamma in [0.25, 100]
         g = np.linspace(0.25, 100.0, 4000)
         for beta in (0.1, 0.75, 2.0, 4.0):
-            kp = KernelParams(zeta=-1.5, beta=beta,
-                              kappa=beta * beta / 2 + beta)
+            kp = KernelParams(zeta=-1.5, beta=beta)
             exact = ec_kernel(g, kp, 1e-5)
             approx = ec_kernel_approx(g, kp, 1e-5,
                                       expansion_order(beta, 1e-10))

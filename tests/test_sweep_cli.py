@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,8 +105,8 @@ class TestRunSweep:
                             output_path=str(tmp_path / "b.csv"))
         run_sweep(spec_a)
         run_sweep(spec_b)
-        assert open(spec_a.output_path, "rb").read() == \
-            open(spec_b.output_path, "rb").read()
+        assert Path(spec_a.output_path).read_bytes() == \
+            Path(spec_b.output_path).read_bytes()
 
     def test_unconverged_row_flagged(self, tmp_path):
         # theta = 1 drives the weak-user series out of double range; the
@@ -245,6 +246,23 @@ class TestConfigFile:
         cfg_file.write_text("[sweep:x]\naxis = rho_db\ngrid = 0,10\n")
         with pytest.raises(ValueError):
             load_sweep_config(str(cfg_file))
+
+    def test_keys_are_case_insensitive(self, tmp_path):
+        # configparser lower-cases names; V = 20 once ran a 10-user pool
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text("[sweep:x]\naxis = rho_db\ngrid = 0,10\n"
+                            "output = x.csv\nV = 20\nu = 15\nSEED = 7\n")
+        spec, = load_sweep_config(str(cfg_file))
+        assert (spec.base.V, spec.base.u, spec.controls.seed) == (20, 15, 7)
+
+    def test_unknown_key_is_an_error(self, tmp_path):
+        # misspelled keys once ran silently at the default 200k samples
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text("[sweep:x]\naxis = rho_db\ngrid = 0,10\n"
+                            "output = x.csv\nmc_sample = 1000\nsede = 5\n")
+        with pytest.raises(ValueError, match="'mc_sample', 'sede'"):
+            load_sweep_config(str(cfg_file))
+        assert main(["sweep", str(cfg_file)]) == 2
 
     def test_unknown_section(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
