@@ -21,20 +21,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
 from .channel import (ROLES, SystemConfig, gamma_for_role, ordered_pdf,
                       ordered_quantile, sample_gains)
 from .fblrate import (LN2, ec_kernel, ec_kernel_approx, expansion_coeffs,
                       expansion_error_coeffs, expansion_order,
                       make_kernel_params)
-from .specfun import ConvergenceError, beta_fn, tricomi_u
+from .specfun import ConvergenceError, beta_fn, scaled_expint
 
 _MC_CHUNK = 1 << 16
 _MACHEPS = np.finfo(float).eps
-# Relative accuracy of a Tricomi-seeded I_s ladder (tricomi_u's rel_tol).
-_SEED_REL_TOL = 1e-12
+# Significant digits of the strong user's sum (see ec_closed_strong)
+_SUM_DIGITS, _SUM_DIGITS_KEPT, _SUM_DIGITS_SPARE = 50, 20, 30
 
 METHODS = ("closed_form", "monte_carlo", "quadrature")
 
@@ -242,6 +243,9 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
     x_hi = ordered_quantile(1.0 - 1e-6, k_idx, cfg.V)
     pts = [ordered_quantile(q, k_idx, cfg.V)
            for q in (1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9)]
+    # mass near gamma = 1 (high SNR, large theta n) lies below the quantiles
+    unit = _gamma_to_gain(1.0, cfg, role)
+    pts.extend(unit * 10.0 ** k for k in range(-2, 3))
     peak = _kernel_peak_gain(cfg, role, kern, x_hi)
     if peak is not None:
         pts.extend([0.5 * peak, peak, 2.0 * peak])
@@ -271,31 +275,28 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def _int_ladder(eta: float, s_max: int, s0: float = 0.0) -> np.ndarray:
+def _int_ladder(eta, s_max: int, s0=0.0) -> np.ndarray:
     """I_{s0+k} = int_0^inf e^{-eta v} (1+v)^{-(s0+k)} dv for k = 0 .. s_max.
 
     The three-term recurrence I_{s+1} = (1 - eta I_s)/s holds for real s and
     is stable upward for s > eta and downward below, so the ladder is seeded
-    at s ~ ceil(eta)+1 (one scaled-E1 call or one Tricomi quadrature) and
-    run in the stable direction on each side.
+    at s ~ ceil(eta)+1 by one scaled_expint call and run in the stable
+    direction on each side.  The rungs are floats for a float eta, else
+    mpmath numbers at the working precision, orders s0 + k included.
     """
-    out = np.empty(s_max + 1)
+    extended = isinstance(eta, mpmath.mpf)
+    out = np.empty(s_max + 1, dtype=object if extended else float)
     k_lo = 0
     if s0 == 0.0:
-        out[0] = 1.0 / eta
+        out[0] = 1 / eta
         k_lo = 1
-        if s_max == 0:
-            return out
-    if s0 == 0.0 and eta <= 1.5:
-        k0 = 1
-        out[1] = math.exp(eta) * special.exp1(eta)
-    else:
-        k0 = min(s_max, max(k_lo, int(math.ceil(eta - s0)) + 1))
-        out[k0] = tricomi_u(1.0, 2.0 - (s0 + k0), eta)
-        for k in range(k0 - 1, k_lo - 1, -1):
-            out[k] = (1.0 - (s0 + k) * out[k + 1]) / eta
+    k0 = min(s_max, max(k_lo, math.ceil(eta - s0) + 1))
+    seed = scaled_expint(s0 + k0, eta)
+    out[k0] = seed if extended else float(seed)
+    for k in range(k0 - 1, k_lo - 1, -1):
+        out[k] = (1 - (s0 + k) * out[k + 1]) / eta
     for k in range(k0, s_max):
-        out[k + 1] = (1.0 - eta * out[k]) / (s0 + k)
+        out[k + 1] = (1 - eta * out[k]) / (s0 + k)
     return out
 
 
@@ -477,6 +478,24 @@ def ec_closed_weak(cfg: SystemConfig, ctl: EvalControls,
     return res
 
 
+def _strong_moments(cfg: SystemConfig, zeta, a, digits: int):
+    """Strong-user moments E[(1+g)^(2 zeta - 2j)] summed at `digits` digits,
+    as floats; the magnitude xi d sum_j |a_j| sum_i |w_i I_i| of the terms
+    of their a-weighted sum; and the digits that sum loses to cancellation.
+    """
+    with mpmath.workdps(digits):
+        d = 1 / mpmath.mpf(cfg.rho * cfg.alpha_u)
+        s0 = -2 * mpmath.mpf(zeta)
+        xi_d = d / beta_fn(cfg.u, cfg.V - cfg.u + 1)
+        terms = [(-1) ** i * math.comb(cfg.u - 1, i) * _int_ladder(
+                     (cfg.V - cfg.u + 1 + i) * d, 2 * (a.size - 1), s0)[::2]
+                 for i in range(cfg.u)]
+        moments = xi_d * sum(terms)
+        scale = xi_d * mpmath.fdot(np.abs(a).tolist(), sum(np.abs(terms)))
+        lost = mpmath.log10(scale / abs(mpmath.fdot(a.tolist(), moments)))
+        return np.array(moments, dtype=float), float(scale), float(lost)
+
+
 def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
                      order: tuple[int, int] | None = None) -> EcResult:
     """Closed-form effective capacity of the strong user.
@@ -484,10 +503,11 @@ def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
     The interference-free SNR is linear in the gain, so each moment
     E[(1+g)^(2 zeta - 2j)] of the expanded kernel is an alternating sum of
     I_s(eta) = U(1, 2 - s, eta) at s = -2 zeta + 2j; per eta all of them sit
-    on one ladder of the real-order recurrence, seeded by a single Tricomi
-    evaluation.  No infinite series is involved, so the only error against
-    the expanded kernel is the rounding of the alternating sum, bounded by
-    the Tricomi seed's relative tolerance times the sum of magnitudes.
+    on one ladder of the real-order recurrence, seeded by one scaled_expint
+    call.  The sum cancels up to about 30 digits, so it runs in mpmath at
+    _SUM_DIGITS digits, redone at _SUM_DIGITS_SPARE more than it loses where
+    fewer than _SUM_DIGITS_KEPT remain.  The only error is rounding: 10^(4 -
+    digits) times the sum's magnitude, plus eps times the float moments'.
     """
     role = "strong"
     theta = cfg.theta_for(role)
@@ -497,16 +517,13 @@ def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
     kp = make_kernel_params(theta, cfg.n, eps)
     order = _order(kp, ctl, order)
     a = expansion_coeffs(kp.beta, order)
-    d = 1.0 / (cfg.rho * cfg.alpha_u)
-    xi = 1.0 / beta_fn(cfg.u, cfg.V - cfg.u + 1)
-    rungs = []
-    for i in range(cfg.u):
-        eta = (cfg.V - cfg.u + 1 + i) * d
-        ladder = _int_ladder(eta, 2 * (a.size - 1), -2.0 * kp.zeta)[::2]
-        rungs.append(math.comb(cfg.u - 1, i) * ladder)
-    signed = [r * (-1.0 if i % 2 else 1.0) for i, r in enumerate(rungs)]
-    moments = xi * d * np.array([math.fsum(col) for col in zip(*signed)])
-    noise = _SEED_REL_TOL * xi * d * math.fsum(np.abs(a) @ np.array(rungs).T)
+    digits = _SUM_DIGITS
+    moments, scale, lost = _strong_moments(cfg, kp.zeta, a, digits)
+    if digits - lost < _SUM_DIGITS_KEPT:
+        digits = math.ceil(lost) + _SUM_DIGITS_SPARE
+        moments, scale, _ = _strong_moments(cfg, kp.zeta, a, digits)
+    noise = 10.0 ** (4 - digits) * scale \
+        + _MACHEPS * math.fsum(np.abs(a * moments))
     res, _ = _closed_result(kp, eps, theta, cfg.n, order, a, moments, noise)
     if res is None:
         return _finalize(math.nan, "closed_form", converged=False,

@@ -67,6 +67,9 @@ class SweepSpec:
             raise ValueError(f"roles must be a non-empty subset of {ROLES}")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValueError(f"methods must be a non-empty subset of {METHODS}")
+        if self.axis == "rho_db" and self.rho_db_variants:
+            raise ValueError("rho_db_variants need a theta axis: the rho_db "
+                             "axis sets the SNR of every row itself")
 
 
 @dataclass(frozen=True)

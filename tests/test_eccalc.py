@@ -132,6 +132,22 @@ class TestQuadrature:
         approx = ec_quadrature(cfg, "strong", ctl, "approx").value
         assert abs(approx - exact) / exact < 0.02
 
+    @pytest.mark.parametrize("variant, expected", [
+        ("approx", 0.029056535576364142), ("exact", 0.029056447183616406)])
+    def test_breaks_where_gamma_is_one(self, variant, expected):
+        # at 49 dB with theta n = 694 the kernel's mass sits near gamma = 1,
+        # far below every quantile breakpoint; breaking only at those gave
+        # 6.8e-8 (approx) and 1.1e-6 (exact) relative errors with error
+        # estimates of 1e-16.  Values from a 40-digit mpmath quadrature
+        alpha_t = 0.8060464884840143
+        cfg = SystemConfig(V=2, t=1, u=2, alpha_t=alpha_t,
+                           alpha_u=1.0 - alpha_t, rho=87866.59022508598,
+                           n=1901, eps=8.474824899382552e-07,
+                           theta_t=0.3651629118661908,
+                           theta_u=0.3651629118661908)
+        res = ec_quadrature(cfg, "strong", EvalControls(), variant)
+        assert res.value == pytest.approx(expected, rel=1e-10)
+
     def test_resolves_kernel_spike_at_large_theta(self):
         # at large theta the exact kernel has an interior maximum from the
         # dispersion term; the integrator must find it
@@ -267,6 +283,26 @@ class TestClosedForms:
         assert abs(closed.value - oracle.value) <= \
             closed.tail_bound + oracle.tail_bound
 
+    @pytest.mark.parametrize("cfg", [
+        # worst float64 sum of the benchmark's reference points (9e-6)
+        make_cfg(rho_db=25.0, n=400, eps=1e-6, theta_t=0.0117210229753,
+                 theta_u=0.0117210229753),
+        # fig3 at 34 dB, where the float64 sum's gap exceeded its bound
+        make_cfg(rho_db=34.0),
+        # the ladders seed at different orders here; with each order
+        # s0 + k rounded to float64 the sum was 7e-10 off
+        make_cfg(rho=551.22, V=19, t=3, u=13, alpha_t=0.99, alpha_u=0.01,
+                 n=481, eps=0.0258, theta_t=0.002246, theta_u=0.002246),
+    ], ids=["25dB", "fig3-34dB", "u13"])
+    def test_strong_sum_in_extended_precision(self, cfg):
+        ctl = EvalControls(quad_rel_tol=1e-12)
+        closed = ec_closed_strong(cfg, ctl)
+        oracle = ec_quadrature(cfg, "strong", ctl, "approx",
+                               closed.expansion_order)
+        assert closed.value == pytest.approx(oracle.value, rel=1e-10)
+        assert abs(closed.value - oracle.value) <= \
+            closed.tail_bound + oracle.tail_bound
+
     def test_weak_matches_quadrature_oracle(self):
         ctl = EvalControls()
         for rho_db in (0.0, 10.0, 20.0, 30.0, 40.0):
@@ -306,24 +342,27 @@ class TestClosedForms:
     def test_paper_order_reproduces_first_derivation(self):
         # at order (2, 1) the closed forms are the ones first derived; these
         # fig3 values were computed by that implementation.  The weak user
-        # matches to 1e-12.  The strong user's old values took two separate
-        # Tricomi quadratures per eta into an alternating sum whose rounding
-        # the reported tail_bound covers (up to about 1e-6 bits at 15-25 dB)
+        # matches to 1e-12.  The strong user's old values carry the float64
+        # rounding of its alternating sum (7.2e-8 bits at 30 dB), so each is
+        # checked against the bound the float64 sum reported at its point;
+        # the extended-precision sum is checked against approx quadrature
         first_derived = {
-            0.0: (-0.00441327928439427, 0.117316668410792),
-            10.0: (0.5939324221564581, 1.4134823727282848),
-            20.0: (1.5367828107950892, 4.095527073691053),
-            30.0: (1.9356651146491983, 5.5256352912345035),
-            40.0: (1.9862343948538301, 5.5365355651304125),
+            0.0: (-0.00441327928439427, 0.117316668410792, 1.09e-8),
+            10.0: (0.5939324221564581, 1.4134823727282848, 9.09e-8),
+            20.0: (1.5367828107950892, 4.095527073691053, 5.26e-6),
+            30.0: (1.9356651146491983, 5.5256352912345035, 1.23e-5),
+            40.0: (1.9862343948538301, 5.5365355651304125, 1.29e-6),
         }
         ctl = EvalControls()
-        for rho_db, (weak, strong) in first_derived.items():
+        for rho_db, (weak, strong, float_bound) in first_derived.items():
             cfg = make_cfg(rho_db=rho_db)
             w = ec_closed_weak(cfg, ctl, order=(2, 1))
             s = ec_closed_strong(cfg, ctl, order=(2, 1))
             assert w.expansion_order == s.expansion_order == (2, 1)
             assert abs(w.value - weak) <= 1e-12
-            assert abs(s.value - strong) <= s.tail_bound
+            assert abs(s.value - strong) <= float_bound
+            oracle = ec_quadrature(cfg, "strong", ctl, "approx", (2, 1))
+            assert s.value == pytest.approx(oracle.value, rel=1e-10)
 
     def test_default_order_tracks_exact_kernel_at_0db(self):
         # the 0 dB row of fig3, where the second-order kernel is off by
@@ -439,3 +478,29 @@ class TestClosedFormDomain:
                        ec_closed_strong(cfg, EvalControls())]
         for res in results:
             assert math.isfinite(res.value) or not res.converged
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(V=st.integers(2, 20), t_frac=st.floats(0.0, 1.0),
+           u_frac=st.floats(0.0, 1.0),
+           alpha_t=st.floats(0.5, 0.99, exclude_min=True, exclude_max=True),
+           rho_db=st.floats(-10.0, 50.0), n=st.integers(50, 2000),
+           log_eps=st.floats(-9.0, -1.0), log_theta=st.floats(-4.0,
+                                                            math.log10(3.0)))
+    def test_strong_tracks_quadrature_over_box(self, V, t_frac, u_frac,
+                                               alpha_t, rho_db, n, log_eps,
+                                               log_theta):
+        # the extended-precision sum is within 1e-10 of the quadrature of
+        # the same expanded kernel, and the two error bounds cover the gap
+        t = 1 + min(int(t_frac * (V - 1)), V - 2)
+        u = t + 1 + min(int(u_frac * (V - t)), V - t - 1)
+        theta = 10.0 ** log_theta
+        cfg = SystemConfig(V=V, t=t, u=u, alpha_t=alpha_t,
+                           alpha_u=1.0 - alpha_t, rho=db_to_linear(rho_db),
+                           n=n, eps=10.0 ** log_eps, theta_t=theta,
+                           theta_u=theta)
+        closed = ec_closed_strong(cfg, EvalControls())
+        oracle = ec_quadrature(cfg, "strong", EvalControls(), "approx",
+                               closed.expansion_order)
+        assert closed.value == pytest.approx(oracle.value, rel=1e-10)
+        assert abs(closed.value - oracle.value) <= \
+            closed.tail_bound + oracle.tail_bound

@@ -6,9 +6,8 @@ import pytest
 from scipy import special as sp
 
 from nomafbl.eccalc import _int_ladder
-from nomafbl.specfun import (ConvergenceError, beta_fn, exp_integral_ei,
-                             gauss_adaptive, gaussian_q, gaussian_q_inv,
-                             tricomi_u)
+from nomafbl.specfun import (beta_fn, exp_integral_ei, gaussian_q,
+                             gaussian_q_inv, scaled_expint, tricomi_u)
 
 
 class TestGaussianQInv:
@@ -76,8 +75,8 @@ class TestExpIntegral:
             exp_integral_ei(x)
 
     def test_scaled_e1(self):
-        # e^z E1(z) is the first rung of the I_s ladder: scipy's exp1 up to
-        # z = 1.5, a Tricomi seed above
+        # e^z E1(z) is the first rung of the I_s ladder, run down from its
+        # scaled_expint seed
         for z in (0.1, 0.5, 1.0, 5.0, 50.0, 2000.0):
             assert _int_ladder(z, 1)[1] == pytest.approx(
                 float(sp.exp1(z) / np.exp(-z)) if z < 600 else 1 / (z + 1),
@@ -118,16 +117,29 @@ class TestTricomiU:
 
     def test_mpmath_oracle_over_seed_box(self):
         # U(1, 2 - s, eta) = e^eta E_s(eta) over the (s, eta) box that the
-        # I_s ladders seed at; 60 digits, since mpmath's expint loses
-        # digits at 30 (0.9 % off at s = 187, eta = 50)
-        worst = 0.0
-        with mpmath.workdps(60):
-            for s in np.geomspace(1.05, 400.0, 12):
-                for eta in np.geomspace(1.5e-3, 50.0, 10):
-                    ref = float(mpmath.exp(eta) * mpmath.expint(s, eta))
-                    rel = abs(tricomi_u(1.0, 2.0 - s, eta) - ref) / ref
-                    worst = max(worst, rel)
+        # I_s ladders seed at, against a 50-digit quadrature of its Laplace
+        # integral.  The box reaches s ~ eta <= 500, past the switch to the
+        # continued fraction at eta = 32, up to (501, 500), where mpmath's
+        # expint at 34 digits is 100 % off
+        def laplace(s, eta):
+            with mpmath.workdps(50):
+                s, eta = mpmath.mpf(s), mpmath.mpf(eta)
+                return mpmath.quad(
+                    lambda v: mpmath.exp(-eta * v) * (1 + v) ** -s,
+                    [0, 1 / (eta + s), mpmath.inf])
+
+        box = [(s, eta) for s in np.geomspace(1.05, 400.0, 7)
+               for eta in np.geomspace(1.5e-3, 50.0, 6)]
+        box += [(eta + ds, eta) for eta in np.geomspace(20.0, 500.0, 6)
+                for ds in (-0.5, 1.0, 2.5)]
+        worst = worst_mp = 0.0
+        for s, eta in box:
+            ref = laplace(s, eta)
+            worst = max(worst, abs(tricomi_u(1.0, 2.0 - s, eta) / ref - 1))
+            with mpmath.workdps(34):
+                worst_mp = max(worst_mp, abs(scaled_expint(s, eta) / ref - 1))
         assert worst <= 1e-10
+        assert worst_mp <= 1e-30
 
     @pytest.mark.parametrize("s, eta", [(26.25, 1.5e-3), (31.33, 1.5e-3),
                                         (30.0, 3.1e-3)])
@@ -165,25 +177,3 @@ class TestBetaFn:
     def test_domain(self, a, b):
         with pytest.raises(ValueError):
             beta_fn(a, b)
-
-
-class TestAdaptiveQuadrature:
-    def test_polynomial(self):
-        assert gauss_adaptive(lambda x: x * x, 0.0, 1.0) == pytest.approx(
-            1.0 / 3.0, rel=1e-13)
-
-    def test_gaussian_mass(self):
-        val = gauss_adaptive(
-            lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi),
-            -8.0, 8.0)
-        assert val == pytest.approx(1.0, rel=1e-12)
-
-    def test_budget_exhaustion(self):
-        # a pathological rapidly oscillating integrand with a tiny budget
-        with pytest.raises(ConvergenceError):
-            gauss_adaptive(lambda x: np.sin(1e6 * x * x), 0.0, 10.0,
-                           max_panels=4)
-
-    def test_empty_interval(self):
-        with pytest.raises(ValueError):
-            gauss_adaptive(lambda x: x, 1.0, 1.0)

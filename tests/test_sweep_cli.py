@@ -83,6 +83,12 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             small_spec(tmp_path, axis="snr")
 
+    def test_snr_axis_takes_no_variants(self, tmp_path):
+        # the axis overwrote each variant's SNR, so both variants wrote the
+        # same rows under different scenario ids
+        with pytest.raises(ValueError, match="theta axis"):
+            small_spec(tmp_path, rho_db_variants=(0.0, 40.0))
+
 
 class TestRunSweep:
     def test_rows_and_round_trip(self, tmp_path):
@@ -131,7 +137,8 @@ class TestRunSweep:
                                                              rel=1e-12)
 
     def test_variant_expansion(self, tmp_path):
-        spec = small_spec(tmp_path, rho_db_variants=(10.0, 20.0))
+        spec = small_spec(tmp_path, axis="theta", grid=(0.01, 0.1),
+                          rho_db_variants=(10.0, 20.0))
         rows = run_sweep(spec)
         assert {r.scenario_id for r in rows} == {"t_rho10db", "t_rho20db"}
 
@@ -261,6 +268,14 @@ class TestConfigFile:
         cfg_file.write_text("[sweep:x]\naxis = rho_db\ngrid = 0,10\n"
                             "output = x.csv\nmc_sample = 1000\nsede = 5\n")
         with pytest.raises(ValueError, match="'mc_sample', 'sede'"):
+            load_sweep_config(str(cfg_file))
+        assert main(["sweep", str(cfg_file)]) == 2
+
+    def test_snr_axis_with_variants_is_an_error(self, tmp_path):
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text("[sweep:x]\naxis = rho_db\ngrid = 0,10\n"
+                            "output = x.csv\nrho_db_variants = 0,40\n")
+        with pytest.raises(ValueError, match="theta axis"):
             load_sweep_config(str(cfg_file))
         assert main(["sweep", str(cfg_file)]) == 2
 
