@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, getcontext, localcontext
 
 import mpmath
 import numpy as np
@@ -282,17 +283,23 @@ def _int_ladder(eta, s_max: int, s0=0.0) -> np.ndarray:
     is stable upward for s > eta and downward below, so the ladder is seeded
     at s ~ ceil(eta)+1 by one scaled_expint call and run in the stable
     direction on each side.  The rungs are floats for a float eta, else
-    mpmath numbers at the working precision, orders s0 + k included.
+    Decimals at the precision of the current decimal context, orders
+    s0 + k included.  mpmath then makes the seed at that many digits; it
+    takes no Decimal, so the seed's arguments and value pass as strings,
+    and the value's string rounds it within 10^(1 - digits) relative.
     """
-    extended = isinstance(eta, mpmath.mpf)
+    extended = isinstance(eta, Decimal)
     out = np.empty(s_max + 1, dtype=object if extended else float)
     k_lo = 0
     if s0 == 0.0:
         out[0] = 1 / eta
         k_lo = 1
     k0 = min(s_max, max(k_lo, math.ceil(eta - s0) + 1))
-    seed = scaled_expint(s0 + k0, eta)
-    out[k0] = seed if extended else float(seed)
+    if extended:
+        with mpmath.workdps(getcontext().prec):
+            out[k0] = Decimal(str(scaled_expint(str(s0 + k0), str(eta))))
+    else:
+        out[k0] = float(scaled_expint(s0 + k0, eta))
     for k in range(k0 - 1, k_lo - 1, -1):
         out[k] = (1 - (s0 + k) * out[k + 1]) / eta
     for k in range(k0, s_max):
@@ -482,18 +489,22 @@ def _strong_moments(cfg: SystemConfig, zeta, a, digits: int):
     """Strong-user moments E[(1+g)^(2 zeta - 2j)] summed at `digits` digits,
     as floats; the magnitude xi d sum_j |a_j| sum_i |w_i I_i| of the terms
     of their a-weighted sum; and the digits that sum loses to cancellation.
+
+    The ladders, the sums and both measures run in Decimal under a local
+    decimal context of `digits` digits; the float inputs enter exactly.
     """
-    with mpmath.workdps(digits):
-        d = 1 / mpmath.mpf(cfg.rho * cfg.alpha_u)
-        s0 = -2 * mpmath.mpf(zeta)
-        xi_d = d / beta_fn(cfg.u, cfg.V - cfg.u + 1)
+    with localcontext(Context(prec=digits)):
+        d = 1 / Decimal(cfg.rho * cfg.alpha_u)
+        s0 = -2 * Decimal(zeta)
+        xi_d = d / Decimal(beta_fn(cfg.u, cfg.V - cfg.u + 1))
         terms = [(-1) ** i * math.comb(cfg.u - 1, i) * _int_ladder(
                      (cfg.V - cfg.u + 1 + i) * d, 2 * (a.size - 1), s0)[::2]
                  for i in range(cfg.u)]
         moments = xi_d * sum(terms)
-        scale = xi_d * mpmath.fdot(np.abs(a).tolist(), sum(np.abs(terms)))
-        lost = mpmath.log10(scale / abs(mpmath.fdot(a.tolist(), moments)))
-        return np.array(moments, dtype=float), float(scale), float(lost)
+        a = [Decimal(x) for x in a]     # exact, as is every float here
+        scale = xi_d * sum(abs(x) * y for x, y in zip(a, sum(np.abs(terms))))
+        lost = (scale / abs(sum(x * y for x, y in zip(a, moments)))).log10()
+        return moments.astype(float), float(scale), float(lost)
 
 
 def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
@@ -504,10 +515,11 @@ def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
     E[(1+g)^(2 zeta - 2j)] of the expanded kernel is an alternating sum of
     I_s(eta) = U(1, 2 - s, eta) at s = -2 zeta + 2j; per eta all of them sit
     on one ladder of the real-order recurrence, seeded by one scaled_expint
-    call.  The sum cancels up to about 30 digits, so it runs in mpmath at
+    call.  The sum cancels up to about 30 digits, so it runs in Decimal at
     _SUM_DIGITS digits, redone at _SUM_DIGITS_SPARE more than it loses where
-    fewer than _SUM_DIGITS_KEPT remain.  The only error is rounding: 10^(4 -
-    digits) times the sum's magnitude, plus eps times the float moments'.
+    fewer than _SUM_DIGITS_KEPT remain; mpmath makes only the seeds.  The
+    only error is rounding: 10^(4 - digits) times the sum's magnitude, plus
+    eps times the float moments'.
     """
     role = "strong"
     theta = cfg.theta_for(role)

@@ -12,10 +12,14 @@ scaled_expint gives e^eta E_s(eta) = U(1, 2 - s, eta) for real s at
 mpmath's working precision and seeds the I_s ladders of both users: scipy
 has no real-order E_s (its hyperu is nan at the large negative b needed),
 and the strong user's alternating sum cancels up to about 30 digits, so its
-ladders run in extended precision.  tricomi_u is its float64 form.
+ladders run in extended precision.  Below eta = 32 a non-integer order is
+the direct sum e^eta eta^(s-1) Gamma(1-s) - 1F1(1; 2-s; eta) / (1-s), redone
+with more guard bits where its two terms cancel.  tricomi_u is its float64
+form.
 
-The float functions are pure and thread-safe; scaled_expint reads mpmath's
-process-wide working precision.
+The float functions are pure and thread-safe.  scaled_expint reads
+mpmath's working precision, which is process-wide (mp.workdps sets it for
+every thread), unlike a decimal context, which is per thread.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ _SQRT2 = math.sqrt(2.0)
 # scaled_expint switches to the continued fraction at eta >= _CF_ETA: it
 # needs 64 terms at eta = 10 and 17 at eta = 100, but about 400 near 1
 _CF_ETA = 32.0
+# bits carried beyond the working precision by the sum in _expint_sum
+_SEED_GUARD_BITS = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -77,12 +83,15 @@ def exp_integral_ei(x: float) -> float:
 def scaled_expint(s, eta):
     """e^eta E_s(eta) = int_0^inf e^{-eta v} (1+v)^{-s} dv for real s, eta > 0.
 
-    Returns an mpmath number at the working precision.  Below _CF_ETA it is
-    mpmath's expint at integer s, else the sum expint falls back to after a
-    divergent asymptotic series, e^eta eta^(s-1) Gamma(1-s) - 1F1(1; 2-s;
-    eta) / (1-s), at a third of the cost.  From _CF_ETA up, where expint
-    loses every digit if s is large too, it is the continued fraction of
-    E_s by the modified Lentz method (Numerical Recipes, 3rd ed., 6.3).
+    Takes numbers or decimal strings and returns an mpmath number at the
+    working precision.  Below _CF_ETA it is mpmath's expint at integer s,
+    else the convergent sum e^eta eta^(s-1) Gamma(1-s) - 1F1(1; 2-s; eta) /
+    (1-s) (DLMF 8.19.1, with Gamma(1-s, eta) split by 8.5.1), which expint
+    tries only after a divergent asymptotic series; it runs with guard bits
+    and is redone with more where its terms cancel (_expint_sum).  From
+    _CF_ETA up, where expint loses every digit if s is large too, it is the
+    continued fraction of E_s by the modified Lentz method (Numerical
+    Recipes, 3rd ed., 6.3).
     """
     mp = mpmath.mp
     s, eta = mp.mpf(s), mp.mpf(eta)
@@ -91,9 +100,7 @@ def scaled_expint(s, eta):
     if eta < _CF_ETA and mp.isint(s):
         return mp.exp(eta) * mp.expint(s, eta)
     if eta < _CF_ETA:
-        return mp.hypercomb(lambda s: [
-            ([mp.exp(eta), eta], [1, s - 1], [1 - s], [], [], [], 0),
-            ([-1], [1], [1 - s], [2 - s], [1], [2 - s], eta)], [s])
+        return _expint_sum(s, eta)
     b = eta + s
     c, d = mp.inf, 1 / b
     h = d
@@ -106,6 +113,32 @@ def scaled_expint(s, eta):
         if abs(c * d - 1) <= mp.eps:
             return h
     raise ConvergenceError(f"E_s fraction unconverged at s={s}, eta={eta}")
+
+
+def _expint_sum(s, eta):
+    """e^eta eta^(s-1) Gamma(1-s) - 1F1(1; 2-s; eta) / (1-s) for non-integer s.
+
+    Both terms have poles at the integers, so near one they cancel: by
+    about log2(1/|s - m|) bits, plus more where e^eta eta^(s-1) / Gamma(s)
+    is large.  The sum runs _SEED_GUARD_BITS above the working precision
+    and is redone once with the bits it lost added to the guard; a redo
+    that still loses more than its guard, or a zero sum, is a
+    ConvergenceError.
+    """
+    mp = mpmath.mp
+    guard = _SEED_GUARD_BITS
+    for _ in range(2):
+        with mp.extraprec(guard):
+            head = mp.exp(eta + (s - 1) * mp.ln(eta)) * mp.gamma(1 - s)
+            tail = mp.hyp1f1(1, 2 - s, eta) / (1 - s)
+            value = head - tail
+        if not value:
+            break
+        lost = max(mp.mag(head), mp.mag(tail)) - mp.mag(value)
+        if lost <= guard:
+            return +value
+        guard = lost + _SEED_GUARD_BITS
+    raise ConvergenceError(f"E_s sum cancels at s={s}, eta={eta}")
 
 
 def tricomi_u(a: float, b: float, z: float) -> float:

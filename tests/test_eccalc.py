@@ -1,7 +1,10 @@
+import decimal
 import math
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,6 +263,26 @@ class TestClosedFormSeries:
             assert ladder[k] == pytest.approx(
                 tricomi_u(1.0, 2.0 - s0 - k, eta), rel=1e-10)
 
+    @pytest.mark.parametrize("eta, s0", [("0.05", "3.0"), ("8.0", "3.0"),
+                                         ("40.0", "2.5"),
+                                         ("0.3", "4.000000000001")],
+                             ids=["upward", "downward", "fraction",
+                                  "near-integer"])
+    def test_decimal_ladder(self, eta, s0):
+        # the strong user's ladder: Decimal rungs at 50 digits from one
+        # seed, against a 60-digit quadrature of the Laplace integral.
+        # With the seed cast through float the rungs were 4e-31 to 8e-17 off
+        with decimal.localcontext(decimal.Context(prec=50)):
+            ladder = _int_ladder(Decimal(eta), 34, Decimal(s0))
+        with mpmath.workdps(60):
+            for k in (0, 1, 2, 17, 34):
+                s, z = mpmath.mpf(s0) + k, mpmath.mpf(eta)
+                ref = mpmath.quad(
+                    lambda v: mpmath.exp(-z * v) * (1 + v) ** -s,
+                    [0, 1 / (z + s), 1, mpmath.inf])
+                assert isinstance(ladder[k], Decimal)
+                assert abs(mpmath.mpf(str(ladder[k])) / ref - 1) <= 1e-45
+
 
 class TestClosedForms:
     def test_strong_matches_quadrature_oracle(self):
@@ -293,7 +316,9 @@ class TestClosedForms:
         # s0 + k rounded to float64 the sum was 7e-10 off
         make_cfg(rho=551.22, V=19, t=3, u=13, alpha_t=0.99, alpha_u=0.01,
                  n=481, eps=0.0258, theta_t=0.002246, theta_u=0.002246),
-    ], ids=["25dB", "fig3-34dB", "u13"])
+        # the sum loses 30.8 digits here and is redone at 61
+        make_cfg(rho_db=25.0, n=400, eps=1e-6, theta_t=1.0, theta_u=1.0),
+    ], ids=["25dB", "fig3-34dB", "u13", "25dB-redo"])
     def test_strong_sum_in_extended_precision(self, cfg):
         ctl = EvalControls(quad_rel_tol=1e-12)
         closed = ec_closed_strong(cfg, ctl)

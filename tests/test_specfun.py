@@ -132,6 +132,11 @@ class TestTricomiU:
                for eta in np.geomspace(1.5e-3, 50.0, 6)]
         box += [(eta + ds, eta) for eta in np.geomspace(20.0, 500.0, 6)
                 for ds in (-0.5, 1.0, 2.5)]
+        # orders just off an integer, where the two terms of the direct sum
+        # have poles and cancel by up to 25 digits
+        box += [(m + ds, eta) for m in (1, 2, 4, 50, 400)
+                for ds in (-1e-12, 1e-12, -1e-8, 1e-8)
+                for eta in (1e-3, 0.15, 1.6, 20.0)]
         worst = worst_mp = 0.0
         for s, eta in box:
             ref = laplace(s, eta)
