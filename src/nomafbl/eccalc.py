@@ -26,8 +26,8 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from .channel import (ROLES, SystemConfig, gamma_for_role, ordered_pdf,
-                      ordered_quantile, sample_gains)
+from .channel import (ROLES, SystemConfig, gamma_for_role, ordered_quantile,
+                      sample_gains)
 from .fblrate import (LN2, ec_kernel, ec_kernel_approx, expansion_coeffs,
                       expansion_error_coeffs, expansion_order,
                       make_kernel_params)
@@ -81,7 +81,9 @@ class EcResult:
                      bound holds); tail_bound + expansion_bound bounds the
                      gap to the exact-kernel value
     note             how the value was made, for closed forms including the
-                     expansion order and both bounds
+                     expansion order and both bounds, for quadrature the
+                     kernel and QUADPACK's integrand evaluations and
+                     subintervals
     """
 
     value: float
@@ -99,12 +101,13 @@ def _ec_from_mean(mean: float, theta: float, n: int) -> float:
     return -math.log(mean) / (theta * n * LN2)
 
 
+_NEGATIVE = "negative capacity: delay exponent infeasible at this SNR"
+
+
 def _finalize(value, method, **kw) -> EcResult:
     res = EcResult(value=value, method=method, **kw)
-    if res.value < 0.0:
-        res.note = "; ".join(filter(None, [
-            res.note,
-            "negative capacity: delay exponent infeasible at this SNR"]))
+    if res.value < 0.0 and _NEGATIVE not in res.note:
+        res.note = "; ".join(filter(None, [res.note, _NEGATIVE]))
     return res
 
 
@@ -215,6 +218,40 @@ def _kernel_peak_gain(cfg, role, kern, x_hi):
     return x_star
 
 
+def _integrand(cfg: SystemConfig, role: str, kp, eps: float, order):
+    """kernel(gamma_for_role(x)) * ordered_pdf(x) as a function of one float.
+
+    QUADPACK calls the integrand one node at a time, so it is plain float
+    arithmetic in math over constants made once here; numpy's per-call
+    overhead would outweigh the arithmetic.  The kernel is ec_kernel, or
+    ec_kernel_approx at ``order`` with its polynomial in w by Horner's rule.
+    """
+    k = cfg.order_index(role)
+    xi = 1.0 / beta_fn(k, cfg.V - k + 1)
+    k_1, v_k = k - 1, cfg.V - k
+    one_eps, two_zeta, beta = 1.0 - eps, 2.0 * kp.zeta, kp.beta
+    a_t, a_u, rho_inv = cfg.alpha_t, cfg.alpha_u, 1.0 / cfg.rho
+    snr = cfg.alpha_u * cfg.rho
+    weak = role == "weak"
+    coeffs = ([] if order is None
+              else expansion_coeffs(kp.beta, order)[::-1].tolist())
+
+    def integrand(x):
+        g = a_t * x / (a_u * x + rho_inv) if weak else snr * x
+        pdf = (xi * math.exp(-x) * (-math.expm1(-x)) ** k_1
+               * math.exp(-v_k * x))
+        if not coeffs:
+            return (eps + one_eps * math.exp(
+                two_zeta * math.log1p(g)
+                + beta * (math.sqrt(g * (g + 2.0)) / (1.0 + g)))) * pdf
+        w, poly = (1.0 + g) ** -2.0, 0.0
+        for c in coeffs:
+            poly = poly * w + c
+        return (eps + one_eps * (1.0 + g) ** two_zeta * poly) * pdf
+
+    return integrand
+
+
 def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
                   kernel_variant: str = "exact",
                   order: tuple[int, int] | None = None) -> EcResult:
@@ -224,7 +261,9 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
     forms, at the expansion order they use for the same (cfg, ctl) unless
     ``order`` pins it.  The domain splits at the 99.9999th percentile of the
     order statistic; beyond it the integrand carries negligible mass and is
-    handled by a dedicated semi-infinite panel.
+    handled by a dedicated semi-infinite panel.  The note names the kernel
+    and counts QUADPACK's integrand evaluations and subintervals, head +
+    tail.
     """
     if kernel_variant not in ("exact", "approx"):
         raise ValueError(f"unknown kernel_variant {kernel_variant!r}")
@@ -236,10 +275,8 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
     order = None if kernel_variant == "exact" else _order(kp, ctl, order)
     kern = ((lambda g: ec_kernel(g, kp, eps)) if order is None
             else (lambda g: ec_kernel_approx(g, kp, eps, order)))
+    integrand = _integrand(cfg, role, kp, eps, order)
     k_idx = cfg.order_index(role)
-
-    def integrand(x):
-        return kern(gamma_for_role(x, cfg, role)) * ordered_pdf(x, k_idx, cfg.V)
 
     x_hi = ordered_quantile(1.0 - 1e-6, k_idx, cfg.V)
     pts = [ordered_quantile(q, k_idx, cfg.V)
@@ -252,24 +289,31 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
         pts.extend([0.5 * peak, peak, 2.0 * peak])
     pts = sorted(p for p in pts if 0.0 < p < x_hi)
 
-    head = integrate.quad(integrand, 0.0, x_hi, points=pts, limit=400,
-                          epsabs=1e-300, epsrel=ctl.quad_rel_tol,
-                          full_output=1)
-    if len(head) > 3:
-        raise ConvergenceError(f"head quadrature failed: {head[3]}")
-    tail = integrate.quad(integrand, x_hi, np.inf, limit=200,
-                          epsabs=1e-300, epsrel=ctl.quad_rel_tol,
-                          full_output=1)
-    if len(tail) > 3:
-        raise ConvergenceError(f"tail quadrature failed: {tail[3]}")
+    try:
+        head = integrate.quad(integrand, 0.0, x_hi, points=pts, limit=400,
+                              epsabs=1e-300, epsrel=ctl.quad_rel_tol,
+                              full_output=1)
+        if len(head) > 3:
+            raise ConvergenceError(f"head quadrature failed: {head[3]}")
+        tail = integrate.quad(integrand, x_hi, np.inf, limit=200,
+                              epsabs=1e-300, epsrel=ctl.quad_rel_tol,
+                              full_output=1)
+        if len(tail) > 3:
+            raise ConvergenceError(f"tail quadrature failed: {tail[3]}")
+    except OverflowError as exc:        # the kernel's exponent beyond e^709
+        raise ConvergenceError("kernel exceeds the float range") from exc
     total = head[0] + tail[0]
     err = head[1] + tail[1]
     if not math.isfinite(total) or total <= 0.0:
         raise ConvergenceError("kernel expectation is non-positive")
     value = _ec_from_mean(total, theta, cfg.n)
     bound = err / (total * theta * cfg.n * LN2)
+    kernel = ("exact kernel" if order is None
+              else f"approx kernel at order {order}")
+    note = (f"{kernel}; {head[2]['neval']} + {tail[2]['neval']} integrand "
+            f"evaluations, {head[2]['last']} + {tail[2]['last']} subintervals")
     return _finalize(value, "quadrature", tail_bound=bound,
-                     expansion_order=order)
+                     expansion_order=order, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +522,8 @@ def ec_closed_weak(cfg: SystemConfig, ctl: EvalControls,
             fallback.value, "closed_form", converged=False,
             series_terms=terms, tail_bound=fallback.tail_bound,
             expansion_order=order, expansion_bound=expansion_bound,
-            note="series unconverged; value from approx-kernel quadrature; "
+            note=f"series unconverged; value from quadrature "
+                 f"({fallback.note}); "
                  + _provenance(order, fallback.tail_bound, expansion_bound))
     if not res.converged:
         res.note = f"series truncated at term budget; {res.note}"

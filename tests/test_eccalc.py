@@ -11,13 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from nomafbl.channel import (SystemConfig, db_to_linear, gamma_for_role,
+from nomafbl.channel import (ROLES, SystemConfig, db_to_linear,
+                             gamma_for_role, ordered_pdf, ordered_quantile,
                              sinr_weak)
-from nomafbl.eccalc import (EvalControls, _int_ladder, _weak_series,
-                            ec_closed_strong, ec_closed_weak, ec_monte_carlo,
-                            ec_quadrature, evaluate, mc_gain_draws)
-from nomafbl.fblrate import LN2, ec_kernel, fbl_rate, make_kernel_params
-from nomafbl.specfun import tricomi_u
+from nomafbl.eccalc import (EvalControls, _int_ladder, _integrand,
+                            _weak_series, ec_closed_strong, ec_closed_weak,
+                            ec_monte_carlo, ec_quadrature, evaluate,
+                            mc_gain_draws)
+from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
+                             ec_kernel_approx, expansion_coeffs, fbl_rate,
+                             make_kernel_params)
+from nomafbl.specfun import ConvergenceError, tricomi_u
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, n=300, eps=1e-5,
             theta_t=0.01, theta_u=0.01)
@@ -194,6 +198,79 @@ class TestQuadrature:
             -log_mean / (theta * n * LN2), rel=1e-9)
         assert res.value == pytest.approx(expected, abs=1e-5)
 
+    def test_kernel_overflow_is_a_convergence_error(self):
+        # at eps = 1e-300 and theta = 3 the exact kernel's exponent passes
+        # e^709; sweeps record a ConvergenceError as a failed row
+        cfg = make_cfg(n=400, eps=1e-300, theta_t=3.0, theta_u=3.0)
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError):
+            ec_quadrature(cfg, "weak", EvalControls(), "exact")
+
+    @pytest.mark.parametrize("theta", [1e-4, 1.0, 10.0])
+    @pytest.mark.parametrize("order", [None, PAPER_ORDER, (13, 16)])
+    @pytest.mark.parametrize("role", ROLES)
+    def test_integrand_matches_vector_functions(self, role, order, theta):
+        # order None is the exact kernel.  The two sides round exp, log1p
+        # and pow differently (numpy's SIMD loops and BLAS's fused
+        # multiply-add against libm), and the kernel's exponent and the
+        # expansion's alternating sum amplify that, so the gap is held to
+        # 1e-14 of the integrand's condition: its value times the
+        # exponent's term magnitudes (exact), or the integrand with the
+        # polynomial's terms taken in absolute value (approx).  Measured
+        # at most 1.6e-15.  At theta = 10 the exact kernel overflows unless
+        # it is one exponent.
+        eps = 1e-6
+        cfg = make_cfg(n=400, eps=eps, theta_t=theta, theta_u=theta)
+        kp = make_kernel_params(theta, cfg.n, eps)
+        k = cfg.order_index(role)
+        x_hi = ordered_quantile(1.0 - 1e-6, k, cfg.V)
+        xs = np.logspace(-9.0, math.log10(2.0 * x_hi), 300)
+        g = gamma_for_role(xs, cfg, role)
+        pdf = ordered_pdf(xs, k, cfg.V)
+        if order is None:
+            want = ec_kernel(g, kp, eps) * pdf
+            scale = want * np.maximum(
+                1.0, np.abs(2.0 * kp.zeta * np.log1p(g))
+                + np.abs(kp.beta * dispersion_root(g)))
+        else:
+            want = ec_kernel_approx(g, kp, eps, order) * pdf
+            a = expansion_coeffs(kp.beta, order)
+            w = (1.0 + g) ** -2.0
+            terms = w[:, None] ** np.arange(a.size) @ np.abs(a)
+            scale = (eps + (1.0 - eps) * (1.0 + g) ** (2.0 * kp.zeta)
+                     * terms) * pdf
+        integrand = _integrand(cfg, role, kp, eps, order)
+        got = np.array([integrand(float(x)) for x in xs])
+        assert np.all(want > 0.0)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("n, eps, theta, role, variant, value, note", [
+        (400, 1e-6, 1.0, "weak", "approx", 0.041762812956390415,
+         "approx kernel at order (2, 1); 399 + 75 integrand evaluations, "
+         "17 + 3 subintervals"),
+        (300, 1e-5, 0.01, "weak", "exact", 1.5216427900278409,
+         "exact kernel; 315 + 75 integrand evaluations, 15 + 3 subintervals"),
+        (300, 1e-5, 0.01, "weak", "approx", 1.5216398545244625,
+         "approx kernel at order (12, 16); 315 + 75 integrand evaluations, "
+         "15 + 3 subintervals"),
+        (300, 1e-5, 0.01, "strong", "exact", 4.07744539833393,
+         "exact kernel; 315 + 105 integrand evaluations, "
+         "15 + 4 subintervals"),
+        (300, 1e-5, 0.01, "strong", "approx", 4.077445398334631,
+         "approx kernel at order (12, 16); 315 + 105 integrand evaluations, "
+         "15 + 4 subintervals"),
+    ])
+    def test_values_and_node_counts_frozen(self, n, eps, theta, role, variant,
+                                           value, note):
+        # at 20 dB: the fig4-fig6 point at theta = 1, where the weak
+        # user's series diverges and falls back to this quadrature, and the
+        # validate point.  The values and QUADPACK's counts are those of the
+        # earlier integrand built from the vector functions; the float
+        # integrand reproduces them bit for bit
+        cfg = make_cfg(n=n, eps=eps, theta_t=theta, theta_u=theta)
+        res = ec_quadrature(cfg, role, EvalControls(), variant)
+        assert res.value == value
+        assert res.note == note
+
 
 def _weak_series_loop(c, q, d, ladder, log_prefactor, ctl):
     """Term-by-term reference for eccalc._weak_series (one c at a time)."""
@@ -364,6 +441,15 @@ class TestClosedForms:
         assert res.value < 0.0
         assert "infeasible" in res.note
 
+    def test_negative_fallback_flagged_once(self):
+        # the closed form's note quotes the fallback quadrature's, which
+        # carries the flag too
+        cfg = make_cfg(rho_db=-10.0, n=400, eps=1e-6, theta_t=1.0,
+                       theta_u=1.0)
+        res = ec_closed_weak(cfg, EvalControls())
+        assert res.value < 0.0 and not res.converged
+        assert res.note.count("infeasible") == 1
+
     def test_paper_order_reproduces_first_derivation(self):
         # at order (2, 1) the closed forms are the ones first derived; these
         # fig3 values were computed by that implementation.  The weak user
@@ -417,6 +503,8 @@ class TestClosedForms:
         assert res.expansion_order == (2, 1)
         assert res.expansion_bound == math.inf
         assert "order (2, 1)" in res.note and "quadrature" in res.note
+        quad = ec_quadrature(cfg, "weak", EvalControls(), "approx", (2, 1))
+        assert f"({quad.note})" in res.note
 
     def test_weak_interference_ceiling(self):
         # at very high SNR the weak user saturates at the kernel value of
