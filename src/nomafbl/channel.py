@@ -1,11 +1,13 @@
 """Rayleigh block-fading channel model with ordered gains for a user pool.
 
 A base station serves V single-antenna users whose channel power gains are
-independent unit-mean exponentials (Rayleigh fading, unit variance), sorted
+independent unit-mean exponentials (Rayleigh fading, unit variance), ranked
 ascending each fading block.  Two of them are paired for power-domain NOMA:
 the weak user (order index t, larger power share) decodes against the strong
 user's interference, while the strong user (order index u > t) applies
 successive interference cancellation and sees interference-free SNR.
+Sampling draws the two ranked gains directly, without sorting the pool
+(see sample_gains).
 """
 
 from __future__ import annotations
@@ -151,15 +153,19 @@ def ordered_quantile(q: float, k: int, V: int) -> float:
 def sample_gains(cfg: SystemConfig, size: int, rng: np.random.Generator):
     """Draw `size` joint realizations of the paired ordered gains.
 
-    Sorts V iid exponentials per draw, preserving the joint law of
-    (x_t, x_u), and returns the two picked columns as views of the sorted
-    draws (a copy would read the whole draw array once more per column).
+    Uses Renyi's representation of exponential order statistics,
+    X_(k) = sum_{i<=k} E_i / (V - i + 1) with E_i iid unit exponentials
+    (Renyi 1953; David & Nagaraja, Order Statistics, sec. 2.5): it draws u
+    exponentials per realization instead of V, sorts nothing, and keeps the
+    joint law of (x_t, x_u).  Returns two fresh contiguous float64 arrays.
     This is the only sampler of channel gains: Monte-Carlo and the queue
     simulator draw through it, each from its own generator.
     """
-    draws = rng.standard_exponential((size, cfg.V))
-    draws.sort(axis=1)
-    return draws[:, cfg.t - 1], draws[:, cfg.u - 1]
+    spacings = rng.standard_exponential((cfg.u, size))
+    spacings /= (cfg.V - np.arange(cfg.u, dtype=float))[:, None]
+    x_t = spacings[:cfg.t].sum(axis=0)
+    x_u = x_t + spacings[cfg.t:].sum(axis=0)
+    return x_t, x_u
 
 
 # ---------------------------------------------------------------------------

@@ -135,19 +135,17 @@ def mc_gain_draws(cfg: SystemConfig, ctl: EvalControls) -> GainDraws:
 
     Chunk idx is drawn from the generator seeded by (seed, idx), and the
     draws depend on cfg only through (V, t, u), so one list serves every
-    SNR, QoS exponent and user of a pool.  Keeps contiguous read-only
-    copies of the two picked columns only (16 bytes per sample), so each
-    chunk's sorted draws are freed as soon as the next one is made.
+    SNR, QoS exponent and user of a pool.  Keeps the two contiguous arrays
+    that sample_gains returns (16 bytes per sample), marked read-only.
     """
     draws = GainDraws()
     draws.key = _draw_key(cfg, ctl)
     for idx, start in enumerate(range(0, ctl.mc_samples, _MC_CHUNK)):
         m = min(_MC_CHUNK, ctl.mc_samples - start)
         pair = sample_gains(cfg, m, np.random.default_rng([ctl.seed, idx]))
-        cols = tuple(col.copy() for col in pair)
-        for col in cols:
+        for col in pair:
             col.flags.writeable = False
-        draws.append(cols)
+        draws.append(pair)
     return draws
 
 

@@ -90,8 +90,7 @@ def simulate_workload(arrivals_per_block: float, services: np.ndarray,
     return walk + np.maximum(initial, -np.minimum.accumulate(walk))
 
 
-def _chunk_services(spec: SimSpec, start: int, count: int,
-                    chunk_index: int) -> np.ndarray:
+def _chunk_services(spec: SimSpec, count: int, chunk_index: int) -> np.ndarray:
     # gains and decoding failures use separate substreams so the service
     # trajectory of a given seed does not depend on the horizon length
     cfg = spec.cfg
@@ -171,7 +170,7 @@ def run_queue_sim(spec: SimSpec) -> QueueStats:
     chunk_index = 0
     while start < total:
         m = min(_BLOCK_CHUNK, total - start)
-        services = _chunk_services(spec, start, m, chunk_index)
+        services = _chunk_services(spec, m, chunk_index)
         backlog = simulate_workload(A, services, initial=carry_w)
         start_w = np.empty(m)
         start_w[0] = carry_w

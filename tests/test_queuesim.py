@@ -90,11 +90,13 @@ class TestReproducibility:
         spec = SimSpec(cfg=make_cfg(rho_db=10.0, eps=0.05), role="strong",
                        arrival_rate=1.0, num_blocks=3000, warmup_blocks=50,
                        d_max=125.0, seed=4)
-        frozen = queuesim._chunk_services(spec, 0, 3002, 0)
+        frozen = queuesim._chunk_services(spec, 3002, 0)
         original_fn = queuesim._chunk_services
         original_chunk = queuesim._BLOCK_CHUNK
 
-        def serve(spec_, start, count, chunk_index):
+        def serve(spec_, count, chunk_index):
+            # every chunk but the last holds _BLOCK_CHUNK blocks
+            start = chunk_index * queuesim._BLOCK_CHUNK
             return frozen[start:start + count].copy()
 
         try:
@@ -120,7 +122,7 @@ class TestReproducibility:
         mu = 1.0
         A = mu * n
         # lookahead j + 1 extra blocks beyond the counted window
-        services = queuesim._chunk_services(spec, 0, 1501, 0)
+        services = queuesim._chunk_services(spec, 1501, 0)
         N = services.size
         W = np.zeros(N + 1)
         D = np.zeros(N)

@@ -208,7 +208,7 @@ class TestGainReuse:
         assert [c.size for c, _ in draws] == [1 << 16, 777]
         for pair in draws:
             for col in pair:
-                # owns its data: no view holds the V-column sorted draws
+                # owns its data: no view into a larger draw array
                 assert col.base is None and col.flags.c_contiguous
                 with pytest.raises(ValueError):
                     col[0] = 1.0
