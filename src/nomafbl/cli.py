@@ -17,6 +17,7 @@ from dataclasses import replace
 
 from .delay import DelaySpec, delay_violation_prob
 from .eccalc import EvalControls, evaluate
+from .fblrate import LN2
 from .queuesim import SimSpec, run_queue_sim
 from .specfun import ConvergenceError
 from .sweep import (FIG3_POINT, FIGURE_NAMES, figure_preset, load_sweep_config,
@@ -134,7 +135,7 @@ def _cmd_queue_sim(args) -> int:
     if stats.fitted_theta is not None:
         print(f"fitted tail exponent  : {stats.fitted_theta:.6g} per bit "
               f"(+- {stats.fitted_theta_stderr:.2g}); "
-              f"theta*ln2 = {args.theta * 0.6931471805599453:.6g}")
+              f"theta*ln2 = {args.theta * LN2:.6g}")
     else:
         print("fitted tail exponent  : insufficient tail data")
     print(f"delay violation freq  : {stats.delay_violation_freq:.3e} "

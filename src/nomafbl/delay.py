@@ -7,9 +7,11 @@ D_max channel uses is approximately
 
     Pr{D > D_max} ~ Pr{Q > 0} * exp(-theta * mu * D_max * ln 2)
 
-with mu the arrival rate in bits per channel use.  The effective capacity
-is the largest such mu, so the curve generator pairs each theta with
-mu = C_e(theta).
+with mu the arrival rate in bits per channel use.  Under FIFO service a bit
+is late exactly when the backlog D_max later exceeds mu * D_max, so this is
+the queue tail at that level, which `queuesim` measures exactly.  The
+effective capacity is the largest such mu, so the curve generator pairs
+each theta with mu = C_e(theta).
 """
 
 from __future__ import annotations

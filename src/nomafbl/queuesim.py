@@ -7,12 +7,12 @@ and the block delivers S = n * max(r, 0) bits with probability 1 - eps
 Arrivals are fluid at the constant rate mu, i.e. A = mu * n bits per block,
 and the backlog follows the reflected recursion W <- max(W + A - S, 0).
 
-Delay accounting is fluid FIFO: a bit arriving at time tau violates the
-bound D if the cumulative deliveries by tau + D have not reached the bit's
-own cumulative-arrival level.  With per-block-constant rates the condition
-reduces to one linear inequality in the arrival offset per overlapped
-block, so the violating bit fraction is measured exactly, and everything
-streams in fixed-size chunks so long horizons stay cheap.
+Delay accounting is fluid FIFO: departures are cumulative arrivals minus
+backlog, so a bit arriving at tau waits longer than D exactly when
+Q(tau + D) > mu * D, the backlog tail that the bound in `delay` approximates.
+Q is linear within a block, so the violating share is the time it spends
+above mu * D over [warmup * n + D, num_blocks * n + D), measured exactly.
+Only the backlog crosses from one fixed-size chunk to the next.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .fblrate import fbl_rate
 from .specfun import InsufficientDataError
 
 _BLOCK_CHUNK = 1 << 17
+_FIT_MIN_HITS = 100     # raw exceedances a threshold needs to enter the fit
+_FIT_MIN_POINTS = 5     # qualifying thresholds the fit needs
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,9 @@ class QueueStats:
 
     thresholds / tail_prob / tail_hits   Pr{Q > x} histogram over log-spaced
                                          bit thresholds with raw hit counts
-    delay_violation_freq                 fraction of arriving bits whose
-                                         fluid FIFO sojourn exceeds d_max
+    delay_violation_freq                 share of arriving bits late by more
+                                         than d_max: a bit arriving at tau is
+                                         late iff Q(tau + d_max) > mu * d_max
     fitted_theta / fitted_theta_stderr   least-squares slope of -ln Pr{Q > x}
                                          against x (per bit), None when too
                                          few thresholds qualify
@@ -108,29 +111,16 @@ def _chunk_services(spec: SimSpec, count: int, chunk_index: int) -> np.ndarray:
     return cfg.n * rates * delivered
 
 
-def _segment_violation(mu, n, A, shift_blocks, extra, off_lo, off_hi,
-                       start_backlog, deliveries):
-    """Violating offset measure for one lookahead segment.
-
-    A bit arriving at offset s of block k violates when
-
-        mu*s > shift*A - W_start + ((s + extra)/n) * D_ahead
-
-    where W_start is the backlog at the start of block k+shift and D_ahead
-    that block's deliveries; both are passed pre-aligned to the arrivals.
-    """
-    if off_hi <= off_lo or start_backlog.size == 0:
-        return 0.0
-    slope = mu - deliveries / n
-    const = start_backlog - shift_blocks * A - (extra / n) * deliveries
+def _time_above(w_start, w_end, level, lo, hi, n):
+    """Time within [lo, hi] of each n-use block where the backlog, linear
+    from w_start to w_end, exceeds level; summed over the blocks."""
+    slope = (w_end - w_start) / n
     with np.errstate(divide="ignore", invalid="ignore"):
-        root = -const / slope
+        cross = np.clip((level - w_start) / slope, lo, hi)
     length = np.where(
-        slope > 0.0,
-        off_hi - np.clip(root, off_lo, off_hi),
-        np.where(slope < 0.0,
-                 np.clip(root, off_lo, off_hi) - off_lo,
-                 np.where(const > 0.0, off_hi - off_lo, 0.0)))
+        slope > 0.0, hi - cross,
+        np.where(slope < 0.0, cross - lo,
+                 np.where(w_start > level, hi - lo, 0.0)))
     return float(np.sum(length))
 
 
@@ -144,10 +134,11 @@ def run_queue_sim(spec: SimSpec) -> QueueStats:
     n = cfg.n
     mu = spec.arrival_rate
     A = mu * n
-    j, o = divmod(spec.d_max, n)
-    j = int(j)
-    lookahead = j + 1
-    total = spec.num_blocks + lookahead
+    total = spec.num_blocks + int(spec.d_max // n) + 1
+    # arrivals over [warmup * n, num_blocks * n) are late where the backlog
+    # d_max later exceeds mu * d_max
+    late_lo = spec.warmup_blocks * n + spec.d_max
+    late_hi = spec.num_blocks * n + spec.d_max
 
     if A > 0.0:
         thresholds = A * np.logspace(-2, 1.8, 26)
@@ -156,68 +147,34 @@ def run_queue_sim(spec: SimSpec) -> QueueStats:
     hits = np.zeros(thresholds.size)
     sum_w = 0.0
     counted = 0
-    viol_length = 0.0
-    arrivals_counted = 0
+    late_time = 0.0
 
     carry_w = 0.0
-    # start-of-block backlog and deliveries for the trailing `lookahead`
-    # blocks, so arrivals can look across chunk boundaries
-    tail_start_w = np.empty(0)
-    tail_deliv = np.empty(0)
-    tail_base = 0            # global block index of tail_start_w[0]
-
-    start = 0
-    chunk_index = 0
-    while start < total:
+    for chunk_index, start in enumerate(range(0, total, _BLOCK_CHUNK)):
         m = min(_BLOCK_CHUNK, total - start)
         services = _chunk_services(spec, m, chunk_index)
         backlog = simulate_workload(A, services, initial=carry_w)
-        start_w = np.empty(m)
-        start_w[0] = carry_w
-        start_w[1:] = backlog[:-1]
-        deliveries = start_w + A - backlog
 
         # backlog statistics over post-warmup counted blocks
         lo = max(spec.warmup_blocks - start, 0)
         hi = min(spec.num_blocks - start, m)
         if hi > lo:
             window = backlog[lo:hi]
-            hits += (window[None, :] > thresholds[:, None]).sum(axis=1)
+            hits += window.size - np.searchsorted(np.sort(window), thresholds,
+                                                  side="right")
             sum_w += float(np.sum(window))
             counted += window.size
 
-        # delay accounting: arrival block k is evaluated in the chunk that
-        # contains block k + j + 1
-        if A > 0.0:
-            ext_w = np.concatenate((tail_start_w, start_w))
-            ext_d = np.concatenate((tail_deliv, deliveries))
-            ext_base = tail_base if tail_start_w.size else start
-            k_lo = max(start - j - 1, spec.warmup_blocks, 0)
-            k_hi = min(start + m - j - 1, spec.num_blocks)
-            if k_hi > k_lo:
-                ks = np.arange(k_lo, k_hi)
-                i1 = ks + j - ext_base          # index of block k + j
-                viol_length += _segment_violation(
-                    mu, n, A, j, o, 0.0, n - o, ext_w[i1], ext_d[i1])
-                viol_length += _segment_violation(
-                    mu, n, A, j + 1, o - n, n - o, float(n),
-                    ext_w[i1 + 1], ext_d[i1 + 1])
-                arrivals_counted += ks.size
-
-        keep = min(lookahead + 1, m)
-        tail_start_w = start_w[m - keep:].copy()
-        tail_deliv = deliveries[m - keep:].copy()
-        tail_base = start + m - keep
+        start_w = np.concatenate(([carry_w], backlog[:-1]))
+        block_t = n * np.arange(start, start + m, dtype=float)
+        late_time += _time_above(start_w, backlog, mu * spec.d_max,
+                                 np.clip(late_lo - block_t, 0.0, n),
+                                 np.clip(late_hi - block_t, 0.0, n), n)
         carry_w = float(backlog[-1])
-        start += m
-        chunk_index += 1
 
     mean_queue = sum_w / counted if counted else 0.0
     tail_prob = hits / max(counted, 1)
-    if arrivals_counted > 0:
-        freq = viol_length * mu / (arrivals_counted * A)
-    else:
-        freq = 0.0
+    freq = late_time / ((spec.num_blocks - spec.warmup_blocks) * n)
 
     try:
         slope, se = fit_tail_exponent(thresholds, tail_prob, hits)
@@ -229,22 +186,21 @@ def run_queue_sim(spec: SimSpec) -> QueueStats:
                       mean_queue=mean_queue, blocks_counted=counted)
 
 
-def fit_tail_exponent(thresholds, probs, hits, min_hits: int = 100,
-                      min_points: int = 5):
+def fit_tail_exponent(thresholds, probs, hits):
     """Least-squares slope of -ln Pr{Q > x} against x over qualifying bins.
 
-    Only thresholds backed by at least `min_hits` raw exceedances enter the
-    fit; fewer than `min_points` such thresholds raises
+    Only thresholds backed by at least _FIT_MIN_HITS raw exceedances enter
+    the fit; fewer than _FIT_MIN_POINTS such thresholds raises
     InsufficientDataError.  Returns (slope, standard_error).
     """
     thresholds = np.asarray(thresholds, dtype=float)
     probs = np.asarray(probs, dtype=float)
     hits = np.asarray(hits, dtype=float)
-    mask = (hits >= min_hits) & (probs > 0.0)
-    if int(mask.sum()) < min_points:
+    mask = (hits >= _FIT_MIN_HITS) & (probs > 0.0)
+    if int(mask.sum()) < _FIT_MIN_POINTS:
         raise InsufficientDataError(
-            f"only {int(mask.sum())} thresholds have >= {min_hits} hits; "
-            f"need {min_points}")
+            f"only {int(mask.sum())} thresholds have >= {_FIT_MIN_HITS} "
+            f"hits; need {_FIT_MIN_POINTS}")
     x = thresholds[mask]
     y = -np.log(probs[mask])
     x_bar = x.mean()

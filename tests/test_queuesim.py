@@ -84,12 +84,13 @@ class TestReproducibility:
         assert a.mean_queue == b.mean_queue
         assert a.fitted_theta == b.fitted_theta
 
-    def test_chunking_invariance_of_delay_accounting(self):
+    @pytest.mark.parametrize("d_max", [125.0, 530.5])
+    def test_chunking_invariance_of_delay_accounting(self, d_max):
         # with a frozen service sequence, the streaming delay accounting
         # must not depend on the chunk size
         spec = SimSpec(cfg=make_cfg(rho_db=10.0, eps=0.05), role="strong",
                        arrival_rate=1.0, num_blocks=3000, warmup_blocks=50,
-                       d_max=125.0, seed=4)
+                       d_max=d_max, seed=4)
         frozen = queuesim._chunk_services(spec, 3002, 0)
         original_fn = queuesim._chunk_services
         original_chunk = queuesim._BLOCK_CHUNK
@@ -112,17 +113,21 @@ class TestReproducibility:
         for freq in results:
             assert freq == pytest.approx(ref.delay_violation_freq, rel=1e-12)
 
-    def test_delay_accounting_matches_dense_reference(self):
-        # brute-force fluid FIFO check on a short heavily loaded run
+    @pytest.mark.parametrize("d_max", [0.0, 73.0, 400.0, 530.5])
+    def test_delay_accounting_matches_dense_reference(self, d_max):
+        # brute-force fluid FIFO check on a short heavily loaded run; the
+        # bounds cover d_max = 0, d_max < n, d_max = n and d_max > n
         spec = SimSpec(cfg=make_cfg(rho_db=10.0, eps=0.05), role="strong",
                        arrival_rate=1.0, num_blocks=1500, warmup_blocks=50,
-                       d_max=73.0, seed=5)
+                       d_max=d_max, seed=5)
         stats = run_queue_sim(spec)
         n = 400
         mu = 1.0
         A = mu * n
-        # lookahead j + 1 extra blocks beyond the counted window
-        services = queuesim._chunk_services(spec, 1501, 0)
+        # the simulator's horizon, d_max // n + 1 blocks beyond the counted
+        # window, drawn as one chunk
+        horizon = 1500 + int(d_max // n) + 1
+        services = queuesim._chunk_services(spec, horizon, 0)
         N = services.size
         W = np.zeros(N + 1)
         D = np.zeros(N)
@@ -137,7 +142,7 @@ class TestReproducibility:
         viol = 0.0
         for k in range(50, 1500):
             levels = k * A + mu * offsets
-            times = k * n + offsets + 73.0
+            times = k * n + offsets + d_max
             m = (times // n).astype(int)
             cds = cum[m] + (times - m * n) / n * D[m]
             viol += np.mean(levels > cds)
@@ -170,7 +175,7 @@ class TestTailFit:
         probs = np.exp(-x)
         hits = np.array([500.0, 400.0, 300.0, 50.0, 20.0, 5.0])
         with pytest.raises(InsufficientDataError):
-            fit_tail_exponent(x, probs, hits, min_hits=100, min_points=5)
+            fit_tail_exponent(x, probs, hits)
 
 
 class TestAgainstAnalytics:
