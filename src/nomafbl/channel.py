@@ -34,14 +34,14 @@ class SystemConfig:
     V          total number of users in the pool
     t, u       order indices of the paired weak / strong user, 1 <= t < u <= V
     alpha_t    power-allocation coefficient of the weak user
-    alpha_u    power-allocation coefficient of the strong user
+    alpha_u    power-allocation coefficient of the strong user; the pair
+               splits the full power, alpha_t + alpha_u = 1
     rho        transmit SNR, linear scale
     n          blocklength in channel uses
     eps        transmission error probability (eps = 1 degenerates all
                evaluators to zero capacity and is allowed for sanity checks)
     theta_t/u  delay QoS exponents of the two users
     eps_t/u    optional per-user error targets, defaulting to the common eps
-    allow_power_backoff  permit alpha_t + alpha_u < 1 (power back-off studies)
     """
 
     V: int
@@ -56,7 +56,6 @@ class SystemConfig:
     theta_u: float
     eps_t: float | None = None
     eps_u: float | None = None
-    allow_power_backoff: bool = False
 
     def __post_init__(self):
         if self.V < 1:
@@ -70,13 +69,9 @@ class SystemConfig:
                 f"power coefficients must satisfy alpha_t > alpha_u > 0, got "
                 f"({self.alpha_t}, {self.alpha_u})")
         alpha_sum = self.alpha_t + self.alpha_u
-        if self.allow_power_backoff:
-            if alpha_sum > 1.0 + 1e-12:
-                raise ValueError(f"alpha_t + alpha_u = {alpha_sum} exceeds 1")
-        elif abs(alpha_sum - 1.0) > 1e-12:
+        if abs(alpha_sum - 1.0) > 1e-12:
             raise ValueError(
-                f"alpha_t + alpha_u must equal 1 (got {alpha_sum}); set "
-                f"allow_power_backoff=True for sums below 1")
+                f"alpha_t + alpha_u must equal 1, got {alpha_sum}")
         if self.rho <= 0.0:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.n < 1:

@@ -20,8 +20,9 @@ from .eccalc import EvalControls, evaluate
 from .fblrate import LN2
 from .queuesim import SimSpec, run_queue_sim
 from .specfun import ConvergenceError
-from .sweep import (FIG3_POINT, FIGURE_NAMES, figure_preset, load_sweep_config,
-                    pool_config, run_sweep, validate_report, write_plot_script)
+from .sweep import (FIG3_POINT, FIGURE_NAMES, QOS_D_MAX, QOS_POINT,
+                    figure_preset, load_sweep_config, pool_config, run_sweep,
+                    validate_report, write_plot_script)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=defaults.series_max_terms)
 
     p_q = sub.add_parser("queue-sim", help="block queue simulation")
-    p_q.add_argument("--theta", type=float, default=0.01,
+    p_q.add_argument("--theta", type=float, default=QOS_POINT["theta"],
                      help="QoS exponent defining the operating point")
     p_q.add_argument("--mu-frac", type=float, default=0.95,
                      help="arrival rate as a fraction of the effective capacity")
@@ -70,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--warmup", type=int, default=10_000)
     p_q.add_argument("--role", choices=("weak", "strong"), default="strong")
     p_q.add_argument("--rho-db", type=float, default=20.0)
-    p_q.add_argument("--n", type=int, default=400)
-    p_q.add_argument("--eps", type=float, default=1e-6)
-    p_q.add_argument("--d-max", type=float, default=400.0)
+    p_q.add_argument("--n", type=int, default=QOS_POINT["n"])
+    p_q.add_argument("--eps", type=float, default=QOS_POINT["eps"])
+    p_q.add_argument("--d-max", type=float, default=QOS_D_MAX)
     p_q.add_argument("--seed", type=int, default=defaults.seed)
     return parser
 

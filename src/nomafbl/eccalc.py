@@ -67,6 +67,9 @@ class EvalControls:
             raise ValueError("series_max_terms must be >= 2")
 
 
+_NEGATIVE = "negative capacity: delay exponent infeasible at this SNR"
+
+
 @dataclass
 class EcResult:
     """An effective-capacity value with method tag and diagnostics.
@@ -83,7 +86,8 @@ class EcResult:
     note             how the value was made, for closed forms including the
                      expansion order and both bounds, for quadrature the
                      kernel and QUADPACK's integrand evaluations and
-                     subintervals
+                     subintervals; a negative value adds, once, that its
+                     delay exponent is infeasible
     """
 
     value: float
@@ -96,19 +100,13 @@ class EcResult:
     expansion_order: tuple[int, int] | None = None
     expansion_bound: float | None = None
 
+    def __post_init__(self):
+        if self.value < 0.0 and _NEGATIVE not in self.note:
+            self.note = "; ".join(filter(None, [self.note, _NEGATIVE]))
+
 
 def _ec_from_mean(mean: float, theta: float, n: int) -> float:
     return -math.log(mean) / (theta * n * LN2)
-
-
-_NEGATIVE = "negative capacity: delay exponent infeasible at this SNR"
-
-
-def _finalize(value, method, **kw) -> EcResult:
-    res = EcResult(value=value, method=method, **kw)
-    if res.value < 0.0 and _NEGATIVE not in res.note:
-        res.note = "; ".join(filter(None, [res.note, _NEGATIVE]))
-    return res
 
 
 def _order(kp, ctl: EvalControls, order):
@@ -165,7 +163,7 @@ def ec_monte_carlo(cfg: SystemConfig, role: str, ctl: EvalControls,
     theta = cfg.theta_for(role)
     eps = cfg.eps_for(role)
     if eps == 1.0:
-        return _finalize(0.0, "monte_carlo", note="degenerate eps = 1")
+        return EcResult(0.0, "monte_carlo", note="degenerate eps = 1")
     col = 0 if role == "weak" else 1
     kp = make_kernel_params(theta, cfg.n, eps)
     sums, sums_sq = [], []
@@ -177,8 +175,8 @@ def ec_monte_carlo(cfg: SystemConfig, role: str, ctl: EvalControls,
     how = f"{n_samp} samples, seed {ctl.seed}"
     mean = math.fsum(sums) / n_samp
     if not math.isfinite(mean) or mean <= 0.0:
-        return _finalize(math.nan, "monte_carlo", converged=False,
-                         note=f"non-finite kernel mean; {how}")
+        return EcResult(math.nan, "monte_carlo", converged=False,
+                        note=f"non-finite kernel mean; {how}")
     mean_sq = math.fsum(sums_sq) / n_samp
     var = max(mean_sq - mean * mean, 0.0)
     if n_samp > 1:
@@ -186,7 +184,7 @@ def ec_monte_carlo(cfg: SystemConfig, role: str, ctl: EvalControls,
     se_mean = math.sqrt(var / n_samp)
     value = _ec_from_mean(mean, theta, cfg.n)
     se = se_mean / (mean * theta * cfg.n * LN2)
-    return _finalize(value, "monte_carlo", std_error=se, note=how)
+    return EcResult(value, "monte_carlo", std_error=se, note=how)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +266,7 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
     theta = cfg.theta_for(role)
     eps = cfg.eps_for(role)
     if eps == 1.0:
-        return _finalize(0.0, "quadrature", note="degenerate eps = 1")
+        return EcResult(0.0, "quadrature", note="degenerate eps = 1")
     kp = make_kernel_params(theta, cfg.n, eps)
     order = None if kernel_variant == "exact" else _order(kp, ctl, order)
     kern = ((lambda g: ec_kernel(g, kp, eps)) if order is None
@@ -310,8 +308,8 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
               else f"approx kernel at order {order}")
     note = (f"{kernel}; {head[2]['neval']} + {tail[2]['neval']} integrand "
             f"evaluations, {head[2]['last']} + {tail[2]['last']} subintervals")
-    return _finalize(value, "quadrature", tail_bound=bound,
-                     expansion_order=order, note=note)
+    return EcResult(value, "quadrature", tail_bound=bound,
+                    expansion_order=order, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +330,13 @@ def _int_ladder(eta, s_max: int, s0=0.0) -> np.ndarray:
     """
     extended = isinstance(eta, Decimal)
     out = np.empty(s_max + 1, dtype=object if extended else float)
-    k_lo = 0
-    if s0 == 0.0:
-        out[0] = 1 / eta
-        k_lo = 1
-    k0 = min(s_max, max(k_lo, math.ceil(eta - s0) + 1))
+    k0 = min(s_max, max(0, math.ceil(eta - s0) + 1))
     if extended:
         with mpmath.workdps(getcontext().prec):
             out[k0] = Decimal(str(scaled_expint(str(s0 + k0), str(eta))))
     else:
         out[k0] = float(scaled_expint(s0 + k0, eta))
-    for k in range(k0 - 1, k_lo - 1, -1):
+    for k in range(k0 - 1, -1, -1):
         out[k] = (1 - (s0 + k) * out[k + 1]) / eta
     for k in range(k0, s_max):
         out[k + 1] = (1 - eta * out[k]) / (s0 + k)
@@ -354,11 +348,12 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
     """Inner series sum_s C(c, s) q^s d I_s, scaled by exp(log_prefactor),
     for every c in cs at once (one row per c).
 
-    Here c < 0 always.  With q < 0 every term is then positive, so the sum
+    SystemConfig makes c < 0 and q < 0, so every term C(c, s) q^s d I_s =
+    C(s - c - 1, s) |q|^s d I_s is positive: no signs are tracked, the sum
     is monotone and the running term ratio gives an honest geometric tail
-    bound.  Term magnitudes are tracked in the log domain: for large |c| the early terms
-    underflow while the series peak (near |c q| / (1 - |q|)) may still lie
-    far ahead, and only the log trend can tell a genuinely negligible tail
+    bound.  Terms are tracked in the log domain: for large |c| the early
+    terms underflow while the series peak (near |c q| / (1 - |q|)) may
+    still lie far ahead, and only the log trend can tell a negligible tail
     from a not-yet-reached bulk.  Each row stops at its first term whose
     tail is negligible against the running sum, before a term beyond e^700
     (the first term, d I_0 <= 1 times a prefactor <= 1, never is), or at
@@ -368,24 +363,21 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
     """
     s_max = min(ctl.series_max_terms, ladder.size - 1)
     s = np.arange(1, s_max + 1)
-    steps = cs[:, None] - (s - 1.0)     # C(c,s)/C(c,s-1) = step/s
+    steps = (s - 1.0) - cs[:, None]     # term ratio = step |q| / s
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        incr = np.log(np.abs(steps)) - np.log(s) + math.log(abs(q))
+        incr = np.log(steps) - np.log(s) + math.log(-q)
         log_term = np.concatenate(
             [log_prefactors[:, None],
              log_prefactors[:, None] + np.cumsum(incr, axis=1)], axis=1) \
             + np.log(d * ladder[:s_max + 1])
-        signs = np.cumprod(np.concatenate(
-            [np.ones((cs.size, 1)), np.sign(steps) * np.sign(q)], axis=1),
-            axis=1)
-        totals = np.cumsum(signs * np.exp(log_term), axis=1)
+        totals = np.cumsum(np.exp(log_term), axis=1)
         log_ratio = np.full_like(log_term, np.inf)
         log_ratio[:, 1:] = np.diff(log_term, axis=1)
         ratio = np.exp(np.minimum(log_ratio, 0.0))
         tails = np.where(log_ratio < 0.0,
                          np.exp(log_term) * ratio / (1.0 - ratio), np.inf)
     done = (log_ratio < 0.0) & (
-        (tails <= ctl.series_rel_tol * np.abs(totals))
+        (tails <= ctl.series_rel_tol * totals)
         | ((totals == 0.0) & (log_term < -700.0)))
     done[:, :2] = False
     blown = log_term > 700.0
@@ -418,19 +410,19 @@ def _weak_expectations(cfg: SystemConfig, cs, ctl: EvalControls):
     d = 1.0 / (cfg.rho * cfg.alpha_u)
     xi = 1.0 / beta_fn(cfg.t, cfg.V - cfg.t + 1)
     log_pref = cs * math.log(csum / cfg.alpha_u)
-    parts, abs_parts, tails = [], [], []
+    parts, tails = [], []
     terms_used = np.zeros(cs.size, dtype=int)
     for r in range(cfg.t):
         ladder = _int_ladder((cfg.V - cfg.t + 1 + r) * d,
                              ctl.series_max_terms)
         series, s_used, tail = _weak_series(cs, q, d, ladder, log_pref, ctl)
         weight = math.comb(cfg.t - 1, r)
-        parts.append(weight * series * (-1.0 if r % 2 else 1.0))
-        abs_parts.append(weight * np.abs(series))
+        parts.append(weight * series)
         tails.append(weight * tail)
         terms_used = np.maximum(terms_used, s_used + 1)
-    value = xi * np.array([math.fsum(col) for col in zip(*parts)])
-    scale = xi * np.array([math.fsum(col) for col in zip(*abs_parts)])
+    value = xi * np.array([math.fsum((-1) ** r * x for r, x in enumerate(col))
+                           for col in zip(*parts)])
+    scale = xi * np.array([math.fsum(col) for col in zip(*parts)])
     tail_total = xi * np.array([math.fsum(col) for col in zip(*tails)])
     return value, terms_used, tail_total, scale
 
@@ -469,10 +461,10 @@ def _closed_result(kp, eps, theta, n, order, a, moments, trunc_err,
     tail_bound = (1.0 - eps) * trunc_err / (inner * theta * n * LN2)
     expansion_bound = _expansion_bound(kp, eps, theta, n, order, inner,
                                        abs(moments[0]), abs(moments[-1]))
-    res = _finalize(_ec_from_mean(inner, theta, n), "closed_form",
-                    tail_bound=tail_bound, expansion_order=order,
-                    expansion_bound=expansion_bound,
-                    note=_provenance(order, tail_bound, expansion_bound), **kw)
+    res = EcResult(_ec_from_mean(inner, theta, n), "closed_form",
+                   tail_bound=tail_bound, expansion_order=order,
+                   expansion_bound=expansion_bound,
+                   note=_provenance(order, tail_bound, expansion_bound), **kw)
     return res, inner
 
 
@@ -496,7 +488,7 @@ def ec_closed_weak(cfg: SystemConfig, ctl: EvalControls,
     theta = cfg.theta_for(role)
     eps = cfg.eps_for(role)
     if eps == 1.0:
-        return _finalize(0.0, "closed_form", note="degenerate eps = 1")
+        return EcResult(0.0, "closed_form", note="degenerate eps = 1")
     kp = make_kernel_params(theta, cfg.n, eps)
     order = _order(kp, ctl, order)
     a = expansion_coeffs(kp.beta, order)
@@ -516,7 +508,7 @@ def ec_closed_weak(cfg: SystemConfig, ctl: EvalControls,
         expansion_bound = _expansion_bound(
             kp, eps, theta, cfg.n, order,
             math.exp(-fallback.value * theta * cfg.n * LN2))
-        return _finalize(
+        return EcResult(
             fallback.value, "closed_form", converged=False,
             series_terms=terms, tail_bound=fallback.tail_bound,
             expansion_order=order, expansion_bound=expansion_bound,
@@ -568,7 +560,7 @@ def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
     theta = cfg.theta_for(role)
     eps = cfg.eps_for(role)
     if eps == 1.0:
-        return _finalize(0.0, "closed_form", note="degenerate eps = 1")
+        return EcResult(0.0, "closed_form", note="degenerate eps = 1")
     kp = make_kernel_params(theta, cfg.n, eps)
     order = _order(kp, ctl, order)
     a = expansion_coeffs(kp.beta, order)
@@ -581,9 +573,9 @@ def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
         + _MACHEPS * math.fsum(np.abs(a * moments))
     res, _ = _closed_result(kp, eps, theta, cfg.n, order, a, moments, noise)
     if res is None:
-        return _finalize(math.nan, "closed_form", converged=False,
-                         expansion_order=order,
-                         note="non-positive kernel expectation")
+        return EcResult(math.nan, "closed_form", converged=False,
+                        expansion_order=order,
+                        note="non-positive kernel expectation")
     return res
 
 

@@ -140,13 +140,10 @@ def run_queue_sim(spec: SimSpec) -> QueueStats:
     late_lo = spec.warmup_blocks * n + spec.d_max
     late_hi = spec.num_blocks * n + spec.d_max
 
-    if A > 0.0:
-        thresholds = A * np.logspace(-2, 1.8, 26)
-    else:
-        thresholds = np.logspace(-2, 1.8, 26)
+    thresholds = (A if A > 0.0 else 1.0) * np.logspace(-2, 1.8, 26)
     hits = np.zeros(thresholds.size)
     sum_w = 0.0
-    counted = 0
+    counted = spec.num_blocks - spec.warmup_blocks     # >= 1 by SimSpec
     late_time = 0.0
 
     carry_w = 0.0
@@ -163,7 +160,6 @@ def run_queue_sim(spec: SimSpec) -> QueueStats:
             hits += window.size - np.searchsorted(np.sort(window), thresholds,
                                                   side="right")
             sum_w += float(np.sum(window))
-            counted += window.size
 
         start_w = np.concatenate(([carry_w], backlog[:-1]))
         block_t = n * np.arange(start, start + m, dtype=float)
@@ -172,9 +168,9 @@ def run_queue_sim(spec: SimSpec) -> QueueStats:
                                  np.clip(late_hi - block_t, 0.0, n), n)
         carry_w = float(backlog[-1])
 
-    mean_queue = sum_w / counted if counted else 0.0
-    tail_prob = hits / max(counted, 1)
-    freq = late_time / ((spec.num_blocks - spec.warmup_blocks) * n)
+    mean_queue = sum_w / counted
+    tail_prob = hits / counted
+    freq = late_time / (counted * n)
 
     try:
         slope, se = fit_tail_exponent(thresholds, tail_prob, hits)
@@ -208,6 +204,5 @@ def fit_tail_exponent(thresholds, probs, hits):
     sxx = float(np.sum((x - x_bar) ** 2))
     slope = float(np.sum((x - x_bar) * (y - y_bar)) / sxx)
     resid = y - y_bar - slope * (x - x_bar)
-    dof = max(x.size - 2, 1)
-    se = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
+    se = math.sqrt(float(np.sum(resid ** 2)) / (x.size - 2) / sxx)
     return slope, se

@@ -34,6 +34,9 @@ FIGURE_NAMES = ("fig3", "fig4", "fig5", "fig6")
 # also the defaults of config files and of the command line.
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2)
 FIG3_POINT = dict(n=300, eps=1e-5, theta=0.01, rho_db=20.0)
+# The fig4-fig6 operating point and delay bound, also the queue-sim defaults
+QOS_POINT = dict(n=400, eps=1e-6, theta=0.01)
+QOS_D_MAX = 400.0
 
 
 @dataclass(frozen=True)
@@ -145,27 +148,15 @@ def _one_row(scenario, spec, cfg, value, role, method, gains) -> ResultRow:
 # CSV I/O
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_rows(path: str, rows: list[ResultRow]) -> None:
+    # csv writes None as "" and a float by its repr; only the flag needs help
+    columns = CSV_HEADER.split(",")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
+        writer.writerow(columns)
         for r in rows:
-            writer.writerow([
-                r.scenario_id, r.axis_name, _fmt(r.axis_value), r.role,
-                r.method, _fmt(r.ec_bits_per_cu), _fmt(r.std_error),
-                _fmt(r.delay_violation_prob), _fmt(r.series_terms),
-                _fmt(r.converged),
-            ])
+            writer.writerow([getattr(r, c) for c in columns[:-1]]
+                            + [str(r.converged).lower()])
 
 
 def read_rows(path: str) -> list[ResultRow]:
@@ -217,7 +208,7 @@ def figure_preset(name: str, output_path: str | None = None,
     """
     ctl = EvalControls(mc_samples=mc_samples, seed=seed)
     out = output_path or f"{name}.csv"
-    qos_base = pool_config(400, 1e-6, 0.01, 15.0)
+    qos_base = pool_config(**QOS_POINT, rho_db=15.0)
     if name == "fig3":
         return SweepSpec(base=pool_config(**FIG3_POINT),
                          axis="rho_db", grid=_SNR_GRID,
@@ -235,7 +226,7 @@ def figure_preset(name: str, output_path: str | None = None,
         return SweepSpec(base=qos_base,
                          axis="theta", grid=_THETA_GRID, roles=(role,),
                          methods=("closed_form",), controls=ctl,
-                         output_path=out, scenario_id=name, d_max=400.0,
+                         output_path=out, scenario_id=name, d_max=QOS_D_MAX,
                          rho_db_variants=(15.0, 20.0, 25.0))
     raise ValueError(f"unknown preset {name!r}; expected one of {FIGURE_NAMES}")
 
@@ -289,17 +280,12 @@ def load_sweep_config(path: str) -> list[SweepSpec]:
             if key not in given:
                 raise ValueError(f"[{section}] is missing required key {key!r}")
         get = {**_CFG_DEFAULTS, **given}.__getitem__
-        theta = float(get("theta"))
-        base = SystemConfig(
-            V=int(get("v")), t=int(get("t")), u=int(get("u")),
-            alpha_t=float(get("alpha_t")), alpha_u=float(get("alpha_u")),
-            rho=db_to_linear(float(get("rho_db"))), n=int(get("n")),
-            eps=float(get("eps")), theta_t=theta, theta_u=theta)
-        ctl = EvalControls(
-            mc_samples=int(get("mc_samples")), seed=int(get("seed")),
-            quad_rel_tol=float(get("quad_rel_tol")),
-            series_max_terms=int(get("series_max_terms")),
-            series_rel_tol=float(get("series_rel_tol")))
+
+        def cast(defaults):     # each key parsed as the type of its default
+            return {k: type(v)(get(k.lower())) for k, v in defaults.items()}
+
+        base = replace(pool_config(**cast(FIG3_POINT)), **cast(POOL))
+        ctl = EvalControls(**cast(asdict(EvalControls())))
         d_max = float(get("d_max")) if "d_max" in given else None
         variants = (tuple(float(v) for v in get("rho_db_variants").split(","))
                     if "rho_db_variants" in given else None)

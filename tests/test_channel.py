@@ -38,11 +38,9 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_cfg(alpha_t=0.2, alpha_u=0.8)
         with pytest.raises(ValueError):
-            make_cfg(alpha_t=0.7, alpha_u=0.2)  # sum != 1
-        cfg = make_cfg(alpha_t=0.7, alpha_u=0.2, allow_power_backoff=True)
-        assert cfg.alpha_t + cfg.alpha_u < 1.0
+            make_cfg(alpha_t=0.7, alpha_u=0.2)  # sum < 1
         with pytest.raises(ValueError):
-            make_cfg(alpha_t=0.9, alpha_u=0.2, allow_power_backoff=True)
+            make_cfg(alpha_t=0.9, alpha_u=0.2)  # sum > 1
 
     def test_scalar_ranges(self):
         with pytest.raises(ValueError):

@@ -14,10 +14,10 @@ from scipy import special
 from nomafbl.channel import (ROLES, SystemConfig, db_to_linear,
                              gamma_for_role, ordered_pdf, ordered_quantile,
                              sinr_weak)
-from nomafbl.eccalc import (EvalControls, _int_ladder, _integrand,
-                            _weak_series, ec_closed_strong, ec_closed_weak,
-                            ec_monte_carlo, ec_quadrature, evaluate,
-                            mc_gain_draws)
+from nomafbl.eccalc import (_NEGATIVE, EcResult, EvalControls, _int_ladder,
+                            _integrand, _weak_series, ec_closed_strong,
+                            ec_closed_weak, ec_monte_carlo, ec_quadrature,
+                            evaluate, mc_gain_draws)
 from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
                              ec_kernel_approx, expansion_coeffs, fbl_rate,
                              make_kernel_params)
@@ -340,6 +340,13 @@ class TestClosedFormSeries:
             assert ladder[k] == pytest.approx(
                 tricomi_u(1.0, 2.0 - s0 - k, eta), rel=1e-10)
 
+    @pytest.mark.parametrize("eta", [1e-3, 0.45, 7.0, 600.0])
+    def test_integer_ladder_starts_at_one_over_eta(self, eta):
+        # I_0 = 1/eta; the downward recurrence reaches it as (1 - 0 I_1)/eta
+        ladder = _int_ladder(eta, 500)
+        assert ladder[0] == 1.0 / eta
+        assert ladder[1] == pytest.approx(tricomi_u(1.0, 1.0, eta), rel=1e-10)
+
     @pytest.mark.parametrize("eta, s0", [("0.05", "3.0"), ("8.0", "3.0"),
                                          ("40.0", "2.5"),
                                          ("0.3", "4.000000000001")],
@@ -416,9 +423,11 @@ class TestClosedForms:
             assert closed.converged
 
     def test_weak_power_backoff_generalization(self):
-        # the binomial expansion also covers alpha_t + alpha_u < 1
+        # the back-off pair (0.65, 0.15) at 20 dB, sum s = 0.8, gives the
+        # SINRs of the normalized pair (0.65, 0.15) / s at s * rho
         ctl = EvalControls()
-        cfg = make_cfg(alpha_t=0.65, alpha_u=0.15, allow_power_backoff=True)
+        cfg = make_cfg(rho_db=20.0 + 10.0 * math.log10(0.8), alpha_t=0.8125,
+                       alpha_u=0.1875)
         closed = ec_closed_weak(cfg, ctl)
         oracle = ec_quadrature(cfg, "weak", ctl, "approx")
         assert closed.value == pytest.approx(oracle.value, abs=1e-7)
@@ -449,6 +458,18 @@ class TestClosedForms:
         res = ec_closed_weak(cfg, EvalControls())
         assert res.value < 0.0 and not res.converged
         assert res.note.count("infeasible") == 1
+
+    @pytest.mark.parametrize("note", ["", "some note", _NEGATIVE,
+                                      f"quoted ({_NEGATIVE}); closed form"])
+    def test_negative_result_flagged_once_on_construction(self, note):
+        # every EcResult carries the flag, whoever builds it
+        res = EcResult(value=-0.5, method="closed_form", note=note)
+        assert res.note.count("infeasible") == 1
+        assert res.note.startswith(note)
+        assert replace(res).note == res.note
+        for value in (0.0, 0.5, math.nan):
+            assert EcResult(value=value, method="quadrature",
+                            note=note).note == note
 
     def test_paper_order_reproduces_first_derivation(self):
         # at order (2, 1) the closed forms are the ones first derived; these

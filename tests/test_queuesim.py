@@ -84,6 +84,20 @@ class TestReproducibility:
         assert a.mean_queue == b.mean_queue
         assert a.fitted_theta == b.fitted_theta
 
+    def test_bit_identical_rerun_with_late_bits(self):
+        # a heavily loaded two-chunk run whose delay accounting has bits to
+        # count, so the rerun compares a non-zero share
+        spec = SimSpec(cfg=make_cfg(rho_db=10.0, eps=0.05), role="strong",
+                       arrival_rate=1.0, num_blocks=200_000,
+                       warmup_blocks=1000, d_max=400.0, seed=77)
+        a = run_queue_sim(spec)
+        b = run_queue_sim(spec)
+        assert a.delay_violation_freq > 0.0
+        assert a.delay_violation_freq == b.delay_violation_freq
+        assert np.array_equal(a.tail_hits, b.tail_hits)
+        assert a.mean_queue == b.mean_queue
+        assert a.fitted_theta == b.fitted_theta
+
     @pytest.mark.parametrize("d_max", [125.0, 530.5])
     def test_chunking_invariance_of_delay_accounting(self, d_max):
         # with a frozen service sequence, the streaming delay accounting
@@ -121,33 +135,51 @@ class TestReproducibility:
                        arrival_rate=1.0, num_blocks=1500, warmup_blocks=50,
                        d_max=d_max, seed=5)
         stats = run_queue_sim(spec)
-        n = 400
-        mu = 1.0
-        A = mu * n
-        # the simulator's horizon, d_max // n + 1 blocks beyond the counted
-        # window, drawn as one chunk
-        horizon = 1500 + int(d_max // n) + 1
-        services = queuesim._chunk_services(spec, horizon, 0)
-        N = services.size
-        W = np.zeros(N + 1)
-        D = np.zeros(N)
-        for k in range(N):
-            W[k + 1] = max(W[k] + A - services[k], 0.0)
-            D[k] = W[k] + A - W[k + 1]
-        cum = np.concatenate(([0.0], np.cumsum(D)))
-        # midpoint sampling of arrival offsets; resolution bounds the gap
-        # to the exact sub-interval computation
-        n_off = 20_000
-        offsets = (np.arange(n_off) + 0.5) / n_off * n
-        viol = 0.0
-        for k in range(50, 1500):
-            levels = k * A + mu * offsets
-            times = k * n + offsets + d_max
-            m = (times // n).astype(int)
-            cds = cum[m] + (times - m * n) / n * D[m]
-            viol += np.mean(levels > cds)
         assert stats.delay_violation_freq == pytest.approx(
-            viol / 1450, abs=1e-4)
+            _dense_late_share(spec), abs=1e-4)
+
+    def test_delay_window_starts_d_max_after_warmup(self):
+        # 40 counted blocks of an overloaded queue with d_max = 3.8 blocks:
+        # its backlog crosses mu * d_max within d_max of the end of warmup,
+        # so counting the backlog from there instead of d_max later would
+        # add 0.057 to the share
+        spec = SimSpec(cfg=make_cfg(rho_db=10.0, eps=0.05), role="strong",
+                       arrival_rate=1.7, num_blocks=90, warmup_blocks=50,
+                       d_max=1530.5, seed=29)
+        share = run_queue_sim(spec).delay_violation_freq
+        assert 0.0 < share < 1.0
+        assert share == pytest.approx(_dense_late_share(spec), abs=1e-4)
+
+
+def _dense_late_share(spec):
+    """Brute-force fluid FIFO share of bits arriving in the counted blocks
+    that leave more than d_max later, from the simulator's service draw."""
+    n = spec.cfg.n
+    mu = spec.arrival_rate
+    A = mu * n
+    # the simulator's horizon, d_max // n + 1 blocks beyond the counted
+    # window, drawn as one chunk
+    horizon = spec.num_blocks + int(spec.d_max // n) + 1
+    services = queuesim._chunk_services(spec, horizon, 0)
+    N = services.size
+    W = np.zeros(N + 1)
+    D = np.zeros(N)
+    for k in range(N):
+        W[k + 1] = max(W[k] + A - services[k], 0.0)
+        D[k] = W[k] + A - W[k + 1]
+    cum = np.concatenate(([0.0], np.cumsum(D)))
+    # midpoint sampling of arrival offsets; resolution bounds the gap
+    # to the exact sub-interval computation
+    n_off = 20_000
+    offsets = (np.arange(n_off) + 0.5) / n_off * n
+    viol = 0.0
+    for k in range(spec.warmup_blocks, spec.num_blocks):
+        levels = k * A + mu * offsets
+        times = k * n + offsets + spec.d_max
+        m = (times // n).astype(int)
+        cds = cum[m] + (times - m * n) / n * D[m]
+        viol += np.mean(levels > cds)
+    return viol / (spec.num_blocks - spec.warmup_blocks)
 
 
 class TestTailFit:
