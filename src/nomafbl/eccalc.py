@@ -316,31 +316,43 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def _int_ladder(eta, s_max: int, s0=0.0) -> np.ndarray:
-    """I_{s0+k} = int_0^inf e^{-eta v} (1+v)^{-(s0+k)} dv for k = 0 .. s_max.
+def _int_ladder(etas, s_max: int, s0=0.0) -> list[np.ndarray]:
+    """I_{s0+k} = int_0^inf e^{-eta v} (1+v)^{-(s0+k)} dv for k = 0 .. s_max,
+    one ladder per eta of a sequence.
 
     The three-term recurrence I_{s+1} = (1 - eta I_s)/s holds for real s and
-    is stable upward for s > eta and downward below, so the ladder is seeded
-    at s ~ ceil(eta)+1 by one scaled_expint call and run in the stable
-    direction on each side.  The rungs are floats for a float eta, else
+    is stable upward for s > eta and downward below, so each ladder is
+    seeded at s0 + k0 with k0 ~ ceil(eta - s0) + 1 and run in the stable
+    direction on each side.  The etas that share a k0 get their seeds from
+    one scaled_expint call.  The rungs are floats for float etas, else
     Decimals at the precision of the current decimal context, orders
-    s0 + k included.  mpmath then makes the seed at that many digits; it
-    takes no Decimal, so the seed's arguments and value pass as strings,
-    and the value's string rounds it within 10^(1 - digits) relative.
+    s0 + k included.  mpmath then makes the seeds at that many digits; it
+    takes no Decimal, so the seeds' arguments and values pass as strings,
+    and a value's string rounds it within 10^(1 - digits) relative.
     """
-    extended = isinstance(eta, Decimal)
-    out = np.empty(s_max + 1, dtype=object if extended else float)
-    k0 = min(s_max, max(0, math.ceil(eta - s0) + 1))
-    if extended:
-        with mpmath.workdps(getcontext().prec):
-            out[k0] = Decimal(str(scaled_expint(str(s0 + k0), str(eta))))
-    else:
-        out[k0] = float(scaled_expint(s0 + k0, eta))
-    for k in range(k0 - 1, -1, -1):
-        out[k] = (1 - (s0 + k) * out[k + 1]) / eta
-    for k in range(k0, s_max):
-        out[k + 1] = (1 - eta * out[k]) / (s0 + k)
-    return out
+    extended = isinstance(etas[0], Decimal)
+    k0s = [min(s_max, max(0, math.ceil(eta - s0) + 1)) for eta in etas]
+    seeds = {}
+    for k0 in sorted(set(k0s)):
+        group = [i for i, k in enumerate(k0s) if k == k0]
+        if extended:
+            with mpmath.workdps(getcontext().prec):
+                values = [Decimal(str(v)) for v in scaled_expint(
+                    str(s0 + k0), [str(etas[i]) for i in group])]
+        else:
+            values = [float(v) for v in scaled_expint(
+                s0 + k0, [etas[i] for i in group])]
+        seeds.update(zip(group, values))
+    ladders = []
+    for i, (eta, k0) in enumerate(zip(etas, k0s)):
+        rungs = [seeds[i]]
+        for k in range(k0 - 1, -1, -1):
+            rungs.append((1 - (s0 + k) * rungs[-1]) / eta)
+        rungs.reverse()
+        for k in range(k0, s_max):
+            rungs.append((1 - eta * rungs[-1]) / (s0 + k))
+        ladders.append(np.array(rungs, dtype=object if extended else float))
+    return ladders
 
 
 def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
@@ -395,8 +407,8 @@ def _weak_expectations(cfg: SystemConfig, cs, ctl: EvalControls):
     ordered density.
 
     The SINR ratio is rewritten as a scaled (x + a)/(x + b) form whose
-    binomial expansion in d/(x + b) converges geometrically at rate
-    alpha_t / (alpha_t + alpha_u); each integral moment reduces to the
+    binomial expansion in d/(x + b) converges geometrically at rate alpha_t
+    (= -q, as alpha_t + alpha_u = 1); each integral moment reduces to the
     I_s ladder above, which depends on c only through the binomial weights,
     so each ladder is built once and serves every c.  Returns arrays
     (value, terms_used, tail_bound, scale), one entry per c: scale is the
@@ -405,16 +417,15 @@ def _weak_expectations(cfg: SystemConfig, cs, ctl: EvalControls):
     diverges.
     """
     cs = np.asarray(cs, dtype=float)
-    csum = cfg.alpha_t + cfg.alpha_u
-    q = (cfg.alpha_u - csum) / csum
+    q = -cfg.alpha_t
     d = 1.0 / (cfg.rho * cfg.alpha_u)
     xi = 1.0 / beta_fn(cfg.t, cfg.V - cfg.t + 1)
-    log_pref = cs * math.log(csum / cfg.alpha_u)
+    log_pref = cs * math.log(1.0 / cfg.alpha_u)
     parts, tails = [], []
     terms_used = np.zeros(cs.size, dtype=int)
-    for r in range(cfg.t):
-        ladder = _int_ladder((cfg.V - cfg.t + 1 + r) * d,
-                             ctl.series_max_terms)
+    ladders = _int_ladder([(cfg.V - cfg.t + 1 + r) * d for r in range(cfg.t)],
+                          ctl.series_max_terms)
+    for r, ladder in enumerate(ladders):
         series, s_used, tail = _weak_series(cs, q, d, ladder, log_pref, ctl)
         weight = math.comb(cfg.t - 1, r)
         parts.append(weight * series)
@@ -532,9 +543,10 @@ def _strong_moments(cfg: SystemConfig, zeta, a, digits: int):
         d = 1 / Decimal(cfg.rho * cfg.alpha_u)
         s0 = -2 * Decimal(zeta)
         xi_d = d / Decimal(beta_fn(cfg.u, cfg.V - cfg.u + 1))
-        terms = [(-1) ** i * math.comb(cfg.u - 1, i) * _int_ladder(
-                     (cfg.V - cfg.u + 1 + i) * d, 2 * (a.size - 1), s0)[::2]
-                 for i in range(cfg.u)]
+        ladders = _int_ladder([(cfg.V - cfg.u + 1 + i) * d
+                               for i in range(cfg.u)], 2 * (a.size - 1), s0)
+        terms = [(-1) ** i * math.comb(cfg.u - 1, i) * ladder[::2]
+                 for i, ladder in enumerate(ladders)]
         moments = xi_d * sum(terms)
         a = [Decimal(x) for x in a]     # exact, as is every float here
         scale = xi_d * sum(abs(x) * y for x, y in zip(a, sum(np.abs(terms))))
@@ -549,12 +561,13 @@ def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
     The interference-free SNR is linear in the gain, so each moment
     E[(1+g)^(2 zeta - 2j)] of the expanded kernel is an alternating sum of
     I_s(eta) = U(1, 2 - s, eta) at s = -2 zeta + 2j; per eta all of them sit
-    on one ladder of the real-order recurrence, seeded by one scaled_expint
-    call.  The sum cancels up to about 30 digits, so it runs in Decimal at
-    _SUM_DIGITS digits, redone at _SUM_DIGITS_SPARE more than it loses where
-    fewer than _SUM_DIGITS_KEPT remain; mpmath makes only the seeds.  The
-    only error is rounding: 10^(4 - digits) times the sum's magnitude, plus
-    eps times the float moments'.
+    on one ladder of the real-order recurrence, and the u ladders take their
+    seeds from one scaled_expint call per seed order.  The sum cancels up to
+    about 30 digits, so it runs in Decimal at _SUM_DIGITS digits, redone at
+    _SUM_DIGITS_SPARE more than it loses where fewer than _SUM_DIGITS_KEPT
+    remain; mpmath makes only the seeds.  The only error is rounding:
+    10^(4 - digits) times the sum's magnitude, plus eps times the float
+    moments'.
     """
     role = "strong"
     theta = cfg.theta_for(role)

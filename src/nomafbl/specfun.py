@@ -8,14 +8,15 @@ adds only the domain check the callers rely on:
   * the Beta function (scipy's beta: within 2.3 eps of the exact value at
     every integer pair of a pool of up to 40 users)
 
-scaled_expint gives e^eta E_s(eta) = U(1, 2 - s, eta) for real s at
-mpmath's working precision and seeds the I_s ladders of both users: scipy
+scaled_expint gives e^eta E_s(eta) = U(1, 2 - s, eta) for one real s and
+a sequence of eta at mpmath's working precision, and seeds the I_s ladders
+of both users, one call per seed order for all of a row's ladders: scipy
 has no real-order E_s (its hyperu is nan at the large negative b needed),
 and the strong user's alternating sum cancels up to about 30 digits, so its
 ladders run in extended precision.  Below eta = 32 a non-integer order is
-the direct sum e^eta eta^(s-1) Gamma(1-s) - 1F1(1; 2-s; eta) / (1-s), redone
-with more guard bits where its two terms cancel.  tricomi_u is its float64
-form.
+the direct sum e^eta eta^(s-1) Gamma(1-s) - 1F1(1; 2-s; eta) / (1-s),
+redone with more guard bits where its two terms cancel; a call makes
+Gamma(1-s) once, and again per redo.  tricomi_u is its float64 form.
 
 The float functions are pure and thread-safe.  scaled_expint reads
 mpmath's working precision, which is process-wide (mp.workdps sets it for
@@ -80,27 +81,34 @@ def exp_integral_ei(x: float) -> float:
 # Scaled exponential integral of real order
 # ---------------------------------------------------------------------------
 
-def scaled_expint(s, eta):
-    """e^eta E_s(eta) = int_0^inf e^{-eta v} (1+v)^{-s} dv for real s, eta > 0.
+def scaled_expint(s, etas):
+    """e^eta E_s(eta) = int_0^inf e^{-eta v} (1+v)^{-s} dv at one real s, for
+    each eta > 0 of a sequence.
 
-    Takes numbers or decimal strings and returns an mpmath number at the
-    working precision.  Below _CF_ETA it is mpmath's expint at integer s,
-    else the convergent sum e^eta eta^(s-1) Gamma(1-s) - 1F1(1; 2-s; eta) /
-    (1-s) (DLMF 8.19.1, with Gamma(1-s, eta) split by 8.5.1), which expint
-    tries only after a divergent asymptotic series; it runs with guard bits
-    and is redone with more where its terms cancel (_expint_sum).  From
+    Takes numbers or decimal strings, converts s once and returns a list of
+    mpmath numbers at the working precision, one per eta.  Below _CF_ETA it
+    is mpmath's expint at integer s, else the convergent sum e^eta eta^(s-1)
+    Gamma(1-s) - 1F1(1; 2-s; eta) / (1-s) (DLMF 8.19.1, with Gamma(1-s, eta)
+    split by 8.5.1), which expint tries only after a divergent asymptotic
+    series; it runs with guard bits and is redone with more where its terms
+    cancel (_expint_sum), and Gamma(1-s) is made once per guard.  From
     _CF_ETA up, where expint loses every digit if s is large too, it is the
     continued fraction of E_s by the modified Lentz method (Numerical
     Recipes, 3rd ed., 6.3).
     """
     mp = mpmath.mp
-    s, eta = mp.mpf(s), mp.mpf(eta)
-    if not eta > 0:
-        raise ValueError(f"scaled_expint requires eta > 0, got {eta}")
-    if eta < _CF_ETA and mp.isint(s):
-        return mp.exp(eta) * mp.expint(s, eta)
-    if eta < _CF_ETA:
-        return _expint_sum(s, eta)
+    s, etas, gammas = mp.mpf(s), [mp.mpf(eta) for eta in etas], {}
+    bad = [eta for eta in etas if not eta > 0]
+    if bad:
+        raise ValueError(f"scaled_expint requires eta > 0, got {bad[0]}")
+    return [_expint_fraction(s, eta) if eta >= _CF_ETA
+            else mp.exp(eta) * mp.expint(s, eta) if mp.isint(s)
+            else _expint_sum(s, eta, gammas) for eta in etas]
+
+
+def _expint_fraction(s, eta):
+    """The continued fraction of e^eta E_s(eta), for eta >= _CF_ETA."""
+    mp = mpmath.mp
     b = eta + s
     c, d = mp.inf, 1 / b
     h = d
@@ -115,7 +123,7 @@ def scaled_expint(s, eta):
     raise ConvergenceError(f"E_s fraction unconverged at s={s}, eta={eta}")
 
 
-def _expint_sum(s, eta):
+def _expint_sum(s, eta, gammas):
     """e^eta eta^(s-1) Gamma(1-s) - 1F1(1; 2-s; eta) / (1-s) for non-integer s.
 
     Both terms have poles at the integers, so near one they cancel: by
@@ -123,13 +131,16 @@ def _expint_sum(s, eta):
     is large.  The sum runs _SEED_GUARD_BITS above the working precision
     and is redone once with the bits it lost added to the guard; a redo
     that still loses more than its guard, or a zero sum, is a
-    ConvergenceError.
+    ConvergenceError.  gammas maps guard bits to Gamma(1-s) at them, shared
+    by the etas of one scaled_expint call.
     """
     mp = mpmath.mp
     guard = _SEED_GUARD_BITS
     for _ in range(2):
         with mp.extraprec(guard):
-            head = mp.exp(eta + (s - 1) * mp.ln(eta)) * mp.gamma(1 - s)
+            if guard not in gammas:
+                gammas[guard] = mp.gamma(1 - s)
+            head = mp.exp(eta + (s - 1) * mp.ln(eta)) * gammas[guard]
             tail = mp.hyp1f1(1, 2 - s, eta) / (1 - s)
             value = head - tail
         if not value:
@@ -148,7 +159,7 @@ def tricomi_u(a: float, b: float, z: float) -> float:
     """
     if a != 1.0 or z <= 0.0:
         raise ValueError(f"tricomi_u requires a = 1 and z > 0, got a={a}, z={z}")
-    return float(scaled_expint(2.0 - b, z))
+    return float(scaled_expint(2.0 - b, [z])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from nomafbl import eccalc
 from nomafbl.channel import (ROLES, SystemConfig, db_to_linear,
                              gamma_for_role, ordered_pdf, ordered_quantile,
                              sinr_weak)
@@ -303,6 +304,16 @@ def _weak_series_loop(c, q, d, ladder, log_prefactor, ctl):
     return total, s_used, tail
 
 
+def _rel_to_laplace(rung, s0, k, eta):
+    """|rung / I_{s0+k}(eta) - 1| against a 60-digit quadrature of the
+    Laplace integral; s0 and eta are decimal strings."""
+    with mpmath.workdps(60):
+        s, z = mpmath.mpf(s0) + k, mpmath.mpf(eta)
+        ref = mpmath.quad(lambda v: mpmath.exp(-z * v) * (1 + v) ** -s,
+                          [0, 1 / (z + s), 1, mpmath.inf])
+        return abs(mpmath.mpf(str(rung)) / ref - 1)
+
+
 class TestClosedFormSeries:
     def test_weak_series_matches_term_by_term_reference(self):
         # the series runs all moments at once; sums may differ from the
@@ -314,7 +325,7 @@ class TestClosedFormSeries:
         log_pref = cs * math.log(1.0 / cfg.alpha_u)
         for budget in (2, 200, 500):
             ctl = EvalControls(series_max_terms=budget)
-            ladder = _int_ladder(9 * d, budget)
+            ladder = _int_ladder([9 * d], budget)[0]
             sums, terms, tails = _weak_series(cs, q, d, ladder, log_pref,
                                               ctl)
             for i, c in enumerate(cs):
@@ -335,7 +346,7 @@ class TestClosedFormSeries:
     def test_real_order_ladder(self, eta, s0):
         # one Tricomi seed per eta, run in the stable direction, gives
         # every rung I_{s0+k} = U(1, 2 - s0 - k, eta)
-        ladder = _int_ladder(eta, 34, s0)
+        ladder = _int_ladder([eta], 34, s0)[0]
         for k in (0, 1, 2, 17, 34):
             assert ladder[k] == pytest.approx(
                 tricomi_u(1.0, 2.0 - s0 - k, eta), rel=1e-10)
@@ -343,7 +354,7 @@ class TestClosedFormSeries:
     @pytest.mark.parametrize("eta", [1e-3, 0.45, 7.0, 600.0])
     def test_integer_ladder_starts_at_one_over_eta(self, eta):
         # I_0 = 1/eta; the downward recurrence reaches it as (1 - 0 I_1)/eta
-        ladder = _int_ladder(eta, 500)
+        ladder = _int_ladder([eta], 500)[0]
         assert ladder[0] == 1.0 / eta
         assert ladder[1] == pytest.approx(tricomi_u(1.0, 1.0, eta), rel=1e-10)
 
@@ -357,15 +368,37 @@ class TestClosedFormSeries:
         # seed, against a 60-digit quadrature of the Laplace integral.
         # With the seed cast through float the rungs were 4e-31 to 8e-17 off
         with decimal.localcontext(decimal.Context(prec=50)):
-            ladder = _int_ladder(Decimal(eta), 34, Decimal(s0))
-        with mpmath.workdps(60):
-            for k in (0, 1, 2, 17, 34):
-                s, z = mpmath.mpf(s0) + k, mpmath.mpf(eta)
-                ref = mpmath.quad(
-                    lambda v: mpmath.exp(-z * v) * (1 + v) ** -s,
-                    [0, 1 / (z + s), 1, mpmath.inf])
-                assert isinstance(ladder[k], Decimal)
-                assert abs(mpmath.mpf(str(ladder[k])) / ref - 1) <= 1e-45
+            ladder = _int_ladder([Decimal(eta)], 34, Decimal(s0))[0]
+        for k in (0, 1, 2, 17, 34):
+            assert isinstance(ladder[k], Decimal)
+            assert _rel_to_laplace(ladder[k], s0, k, eta) <= 1e-45
+
+    def test_batched_ladders_match_single_eta_ladders(self, monkeypatch):
+        # one seed call per k0: 0.05 and 0.3 share k0 = 0, 2.5 and 8.0
+        # seed at k0 = 1 and 6, and 40 (k0 = 34) by the continued fraction.
+        # Every seed order is 1e-12 off an integer, so the direct sum is
+        # redone at 0.3, 2.5 and 8.0 but not at 0.05: Gamma(1 - s) is made
+        # once per direct-sum call and once per redo, 3 + 3 times
+        etas, s0 = ["0.05", "0.3", "2.5", "8.0", "40.0"], "3.000000000001"
+        gamma, calls = mpmath.mp.gamma, []
+        with decimal.localcontext(decimal.Context(prec=50)):
+            with monkeypatch.context() as patch:
+                patch.setattr(mpmath.mp, "gamma",
+                              lambda *a: calls.append(a) or gamma(*a))
+                batch = _int_ladder([Decimal(e) for e in etas], 34,
+                                    Decimal(s0))
+            singles = [_int_ladder([Decimal(e)], 34, Decimal(s0))[0]
+                       for e in etas]
+        assert len(calls) == 6
+        for ladder, single, eta in zip(batch, singles, etas):
+            assert ladder.tolist() == single.tolist()
+            for k in (0, 1, 17, 34):
+                assert _rel_to_laplace(ladder[k], s0, k, eta) <= 1e-45
+        floats = [float(e) for e in etas]
+        for ladder, eta in zip(_int_ladder(floats, 34, float(s0)), floats):
+            assert ladder.dtype == float
+            assert np.array_equal(ladder, _int_ladder([eta], 34,
+                                                      float(s0))[0])
 
 
 class TestClosedForms:
@@ -389,6 +422,29 @@ class TestClosedForms:
                                closed.expansion_order)
         assert abs(closed.value - oracle.value) <= \
             closed.tail_bound + oracle.tail_bound
+
+    @pytest.mark.parametrize("rho_db, theta, orders, gammas", [
+        (20.0, 0.1082636733874054, 1, 1),   # the fig5 grid point: k0 = 0
+        (20.0, 0.1, 1, 0),      # order theta n = 40: expint, no Gamma
+        (20.0, 1e-4, 1, 1),     # order 2.04: k0 = 2 for all 8 etas
+        (15.0, 1e-4, 2, 2),     # orders 2.04 and 3.04, 4 etas each
+    ])
+    def test_strong_row_seeds_once_per_order(self, monkeypatch, rho_db,
+                                             theta, orders, gammas):
+        # fig5 rows: one scaled_expint call per distinct seed order for all
+        # u ladders of the row, and Gamma(1 - s) once per non-integer order
+        seed, gamma = eccalc.scaled_expint, mpmath.mp.gamma
+        seeds, calls = [], []
+        monkeypatch.setattr(eccalc, "scaled_expint", lambda s, etas: (
+            seeds.append((s, len(etas))) or seed(s, etas)))
+        monkeypatch.setattr(mpmath.mp, "gamma",
+                            lambda *a: calls.append(a) or gamma(*a))
+        cfg = make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
+                       theta_u=theta)
+        ec_closed_strong(cfg, EvalControls())
+        assert len(seeds) == len({s for s, _ in seeds}) == orders
+        assert sum(n for _, n in seeds) == cfg.u
+        assert len(calls) == gammas
 
     @pytest.mark.parametrize("cfg", [
         # worst float64 sum of the benchmark's reference points (9e-6)
