@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 
 from .delay import DelaySpec, delay_violation_prob
@@ -126,7 +127,12 @@ def _cmd_queue_sim(args) -> int:
     spec = SimSpec(cfg=cfg, role=args.role, arrival_rate=mu,
                    num_blocks=args.blocks, warmup_blocks=args.warmup,
                    d_max=args.d_max, seed=args.seed)
+    cpu_start = time.process_time()
     stats = run_queue_sim(spec)
+    cpu_s = time.process_time() - cpu_start
+    print(f"simulated {args.blocks} blocks in {cpu_s:.3f} CPU s "
+          f"({args.blocks / cpu_s:.4g} blocks per CPU-second)",
+          file=sys.stderr)
     analytic = delay_violation_prob(
         args.theta, DelaySpec(d_max=args.d_max, arrival_rate=mu))
     print(f"effective capacity C_e({args.theta:g}) = {ec.value:.6f} b/cu "

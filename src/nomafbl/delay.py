@@ -56,6 +56,13 @@ def delay_violation_prob(theta: float, spec: DelaySpec) -> float:
     return spec.nonempty_prob * math.exp(-exponent)
 
 
+def delay_at_capacity(theta: float, ec: float, d_max: float) -> float:
+    """Delay-violation bound at mu = max(ec, 0) with Pr{Q > 0} = 1, the
+    delay column of a sweep for an effective capacity ec at theta."""
+    return delay_violation_prob(
+        theta, DelaySpec(d_max=d_max, arrival_rate=max(ec, 0.0)))
+
+
 @dataclass(frozen=True)
 class DelayPoint:
     theta: float
@@ -80,7 +87,6 @@ def delay_violation_curve(cfg: SystemConfig, role: str, thetas,
     for th in thetas:
         cfg_th = replace(cfg, theta_t=th, theta_u=th)
         ec = evaluate(cfg_th, role, "closed_form", ctl)
-        prob = delay_violation_prob(
-            th, DelaySpec(d_max=d_max, arrival_rate=max(ec.value, 0.0)))
+        prob = delay_at_capacity(th, ec.value, d_max)
         points.append(DelayPoint(theta=th, prob=prob, ec=ec))
     return points

@@ -12,7 +12,9 @@ backlog, so a bit arriving at tau waits longer than D exactly when
 Q(tau + D) > mu * D, the backlog tail that the bound in `delay` approximates.
 Q is linear within a block, so the violating share is the time it spends
 above mu * D over [warmup * n + D, num_blocks * n + D), measured exactly.
-Only the backlog crosses from one fixed-size chunk to the next.
+Only blocks whose backlog reaches mu * D at their start or end are
+evaluated; no other block spends time above it.  Only the backlog crosses
+from one fixed-size chunk to the next.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .specfun import InsufficientDataError
 _BLOCK_CHUNK = 1 << 17
 _FIT_MIN_HITS = 100     # raw exceedances a threshold needs to enter the fit
 _FIT_MIN_POINTS = 5     # qualifying thresholds the fit needs
+_LEVEL_MARGIN = 1e-9    # relative margin below mu * d_max for late blocks
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,16 @@ def simulate_workload(arrivals_per_block: float, services: np.ndarray,
     """Reflected backlog recursion W_k = max(W_{k-1} + A - S_k, 0).
 
     Vectorized through the running-minimum representation of the reflected
-    random walk; returns the backlog after each block.
+    random walk, in place on one new array and one scratch array; returns
+    the backlog after each block and leaves `services` unchanged.
     """
-    increments = arrivals_per_block - np.asarray(services, dtype=float)
-    walk = np.cumsum(increments)
-    return walk + np.maximum(initial, -np.minimum.accumulate(walk))
+    walk = np.subtract(arrivals_per_block, services, dtype=float)
+    np.cumsum(walk, out=walk)
+    floor = np.minimum.accumulate(walk)
+    np.negative(floor, out=floor)
+    np.maximum(initial, floor, out=floor)
+    walk += floor
+    return walk
 
 
 def _chunk_services(spec: SimSpec, count: int, chunk_index: int) -> np.ndarray:
@@ -113,15 +121,48 @@ def _chunk_services(spec: SimSpec, count: int, chunk_index: int) -> np.ndarray:
 
 def _time_above(w_start, w_end, level, lo, hi, n):
     """Time within [lo, hi] of each n-use block where the backlog, linear
-    from w_start to w_end, exceeds level; summed over the blocks."""
+    from w_start to w_end, exceeds level; one length per block."""
     slope = (w_end - w_start) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = np.clip((level - w_start) / slope, lo, hi)
-    length = np.where(
+    return np.where(
         slope > 0.0, hi - cross,
         np.where(slope < 0.0, cross - lo,
                  np.where(w_start > level, hi - lo, 0.0)))
-    return float(np.sum(length))
+
+
+def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n):
+    """Time the chunk's backlog spends above level within [late_lo, late_hi].
+
+    Block k of the chunk is block start + k of the run: it starts at
+    (start + k) n and runs linearly from the previous block's end backlog
+    (carry_w for k = 0) to backlog[k].  Only blocks that start or end at
+    least level, less a relative _LEVEL_MARGIN, are evaluated; every other
+    block adds exactly 0.  The margin keeps a block that ends within
+    rounding of level, whose crossing time can round to inside the block.
+    The lengths are summed at their places among zeros, so the float sum
+    is the one over every block."""
+    reach = level * (1.0 - _LEVEL_MARGIN)
+    high = backlog >= reach
+    near = high.copy()
+    near[1:] |= high[:-1]
+    near[0] |= carry_w >= reach
+    if 2 * np.count_nonzero(near) > near.size:
+        # most blocks reach the level: slices cost less than gathering them
+        blocks = slice(None)
+        w_start = np.concatenate(([carry_w], backlog[:-1]))
+        block_t = n * np.arange(start, start + backlog.size, dtype=float)
+    else:
+        blocks = np.flatnonzero(near)
+        w_start = backlog[blocks - 1]
+        if blocks.size and blocks[0] == 0:
+            w_start[0] = carry_w
+        block_t = n * (start + blocks).astype(float)
+    lengths = np.zeros(backlog.size)
+    lengths[blocks] = _time_above(w_start, backlog[blocks], level,
+                                  np.clip(late_lo - block_t, 0.0, n),
+                                  np.clip(late_hi - block_t, 0.0, n), n)
+    return float(np.sum(lengths))
 
 
 def run_queue_sim(spec: SimSpec) -> QueueStats:
@@ -161,11 +202,8 @@ def run_queue_sim(spec: SimSpec) -> QueueStats:
                                                   side="right")
             sum_w += float(np.sum(window))
 
-        start_w = np.concatenate(([carry_w], backlog[:-1]))
-        block_t = n * np.arange(start, start + m, dtype=float)
-        late_time += _time_above(start_w, backlog, mu * spec.d_max,
-                                 np.clip(late_lo - block_t, 0.0, n),
-                                 np.clip(late_hi - block_t, 0.0, n), n)
+        late_time += _late_time(backlog, carry_w, mu * spec.d_max, start,
+                                late_lo, late_hi, n)
         carry_w = float(backlog[-1])
 
     mean_queue = sum_w / counted

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ROLES, SystemConfig, db_to_linear
-from .delay import DelaySpec, delay_violation_prob
+from .delay import delay_at_capacity
 from .eccalc import (METHODS, EcResult, EvalControls, ec_quadrature, evaluate,
                      mc_gain_draws)
 
@@ -134,9 +134,7 @@ def _one_row(scenario, spec, cfg, value, role, method, gains) -> ResultRow:
         ec = None
     dvp = None
     if spec.d_max is not None and ec is not None:
-        dvp = delay_violation_prob(
-            cfg.theta_for(role),
-            DelaySpec(d_max=spec.d_max, arrival_rate=max(ec, 0.0)))
+        dvp = delay_at_capacity(cfg.theta_for(role), ec, spec.d_max)
     return ResultRow(scenario_id=scenario, axis_name=spec.axis,
                      axis_value=value, role=role, method=method,
                      ec_bits_per_cu=ec, std_error=res.std_error,

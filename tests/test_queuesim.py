@@ -21,14 +21,17 @@ def make_cfg(rho_db=20.0, **overrides):
 
 
 class TestWorkloadRecursion:
-    def test_flow_conservation_exact(self):
+    @pytest.mark.parametrize("initial", [0.0, 37.0])
+    def test_flow_conservation_exact(self, initial):
         # integer-valued arrivals/services keep the recursion exact in
         # floating point, so conservation can be checked bit-for-bit
         rng = np.random.default_rng(17)
         services = rng.integers(0, 12, size=500).astype(float)
+        given = services.copy()
         A = 5.0
-        w = simulate_workload(A, services)
-        q = 0.0
+        w = simulate_workload(A, services, initial=initial)
+        assert np.array_equal(services, given)
+        q = initial
         for k, s in enumerate(services):
             q = max(q + A - s, 0.0)
             assert w[k] == q
@@ -138,6 +141,40 @@ class TestReproducibility:
         assert stats.delay_violation_freq == pytest.approx(
             _dense_late_share(spec), abs=1e-4)
 
+    @pytest.mark.parametrize("mu, d_max", [(1.0, 0.0), (1.0, 73.0),
+                                           (1.0, 400.0), (1.0, 530.5),
+                                           (1.7, 400.0)])
+    def test_delay_accounting_matches_all_blocks(self, mu, d_max,
+                                                 monkeypatch):
+        # heavily loaded runs over six chunks.  At mu = 1 the backlog crosses
+        # mu * d_max many times, and at d_max = 73 and 400 block 510 starts
+        # a chunk above that level and ends below it; at mu = 1.7 the queue
+        # is overloaded and most blocks are above it.  Evaluating only the
+        # blocks that reach the level must give the share of every block
+        spec = SimSpec(cfg=make_cfg(rho_db=10.0, eps=0.05), role="strong",
+                       arrival_rate=mu, num_blocks=1500, warmup_blocks=50,
+                       d_max=d_max, seed=5)
+        services = queuesim._chunk_services(spec, 1502, 0)
+        stats = _run_frozen(spec, services, 255, monkeypatch)
+        assert stats.delay_violation_freq > 0.0
+        assert stats.delay_violation_freq == _all_blocks_late_share(
+            spec, services, 255)
+
+    def test_block_ending_at_the_level_is_counted(self, monkeypatch):
+        # n = 400, mu = 1 and d_max = 1.75: the backlog climbs from 0 to
+        # exactly mu * d_max in every fifth block, and the crossing time
+        # 1.75 / (1.75 / 400) rounds to just below 400, so each such block
+        # adds 5.7e-14 channel uses; blocks ending at the level must be
+        # evaluated for the share to match every block's
+        spec = SimSpec(cfg=make_cfg(), role="strong", arrival_rate=1.0,
+                       num_blocks=3000, warmup_blocks=30, d_max=1.75, seed=0)
+        services = np.tile([400.0, 400.0, 400.0, 400.0 - 1.75, 400.0 + 1.75],
+                           601)
+        stats = _run_frozen(spec, services, 256, monkeypatch)
+        assert stats.delay_violation_freq > 0.0
+        assert stats.delay_violation_freq == _all_blocks_late_share(
+            spec, services, 256)
+
     def test_delay_window_starts_d_max_after_warmup(self):
         # 40 counted blocks of an overloaded queue with d_max = 3.8 blocks:
         # its backlog crosses mu * d_max within d_max of the end of warmup,
@@ -149,6 +186,47 @@ class TestReproducibility:
         share = run_queue_sim(spec).delay_violation_freq
         assert 0.0 < share < 1.0
         assert share == pytest.approx(_dense_late_share(spec), abs=1e-4)
+
+
+def _run_frozen(spec, services, chunk, monkeypatch):
+    """run_queue_sim on a given service sequence, in chunks of chunk blocks."""
+    def serve(spec_, count, chunk_index):
+        start = chunk_index * chunk
+        return services[start:start + count].copy()
+
+    monkeypatch.setattr(queuesim, "_chunk_services", serve)
+    monkeypatch.setattr(queuesim, "_BLOCK_CHUNK", chunk)
+    return run_queue_sim(spec)
+
+
+def _all_blocks_late_share(spec, services, chunk):
+    """Late share of a run in chunks of chunk blocks, with the time above
+    mu * d_max evaluated and summed over every block of each chunk."""
+    n = spec.cfg.n
+    mu = spec.arrival_rate
+    level = mu * spec.d_max
+    late_lo = spec.warmup_blocks * n + spec.d_max
+    late_hi = spec.num_blocks * n + spec.d_max
+    services = services[:spec.num_blocks + int(spec.d_max // n) + 1]
+    carry_w = 0.0
+    late_time = 0.0
+    for start in range(0, services.size, chunk):
+        backlog = simulate_workload(mu * n, services[start:start + chunk],
+                                    initial=carry_w)
+        w_start = np.concatenate(([carry_w], backlog[:-1]))
+        block_t = n * np.arange(start, start + backlog.size, dtype=float)
+        lo = np.clip(late_lo - block_t, 0.0, n)
+        hi = np.clip(late_hi - block_t, 0.0, n)
+        slope = (backlog - w_start) / n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.clip((level - w_start) / slope, lo, hi)
+        length = np.where(
+            slope > 0.0, hi - cross,
+            np.where(slope < 0.0, cross - lo,
+                     np.where(w_start > level, hi - lo, 0.0)))
+        late_time += float(np.sum(length))
+        carry_w = float(backlog[-1])
+    return late_time / ((spec.num_blocks - spec.warmup_blocks) * n)
 
 
 def _dense_late_share(spec):
