@@ -20,21 +20,28 @@ def make_cfg(rho_db=20.0, **overrides):
     return SystemConfig(rho=db_to_linear(rho_db), **{**FIG5, **overrides})
 
 
+def _check_against_scalar_recursion(initial):
+    # integer-valued arrivals/services keep the recursion exact in
+    # floating point, so conservation can be checked bit-for-bit; the
+    # in-place recursion must also leave its services argument unchanged
+    rng = np.random.default_rng(17)
+    services = rng.integers(0, 12, size=500).astype(float)
+    given = services.copy()
+    A = 5.0
+    w = simulate_workload(A, services, initial=initial)
+    assert np.array_equal(services, given)
+    q = initial
+    for k, s in enumerate(services):
+        q = max(q + A - s, 0.0)
+        assert w[k] == q
+
+
 class TestWorkloadRecursion:
-    @pytest.mark.parametrize("initial", [0.0, 37.0])
-    def test_flow_conservation_exact(self, initial):
-        # integer-valued arrivals/services keep the recursion exact in
-        # floating point, so conservation can be checked bit-for-bit
-        rng = np.random.default_rng(17)
-        services = rng.integers(0, 12, size=500).astype(float)
-        given = services.copy()
-        A = 5.0
-        w = simulate_workload(A, services, initial=initial)
-        assert np.array_equal(services, given)
-        q = initial
-        for k, s in enumerate(services):
-            q = max(q + A - s, 0.0)
-            assert w[k] == q
+    def test_flow_conservation_exact(self):
+        _check_against_scalar_recursion(initial=0.0)
+
+    def test_flow_conservation_exact_with_initial_backlog(self):
+        _check_against_scalar_recursion(initial=37.0)
 
     def test_initial_backlog(self):
         w = simulate_workload(1.0, np.array([0.0, 5.0]), initial=10.0)
