@@ -17,7 +17,7 @@ import time
 from dataclasses import replace
 
 from .delay import DelaySpec, delay_violation_prob
-from .eccalc import EvalControls, evaluate
+from .eccalc import EvalControls, evaluate, mc_gain_draws
 from .fblrate import LN2
 from .queuesim import SimSpec, run_queue_sim
 from .specfun import ConvergenceError
@@ -107,10 +107,13 @@ def _cmd_figure(args) -> int:
 def _cmd_validate(args) -> int:
     ctl = EvalControls(mc_samples=args.mc_samples, seed=args.seed,
                        series_max_terms=args.series_max_terms)
+    # the draws depend on neither the SNR nor theta: one list serves all
+    gains = mc_gain_draws(pool_config(args.n, args.eps, args.theta,
+                                      args.rho_db[0]), ctl)
     ok = True
     for rho_db in args.rho_db:
         cfg = pool_config(args.n, args.eps, args.theta, rho_db)
-        report = validate_report(cfg, ctl)
+        report = validate_report(cfg, ctl, gains)
         print(f"=== rho = {rho_db:g} dB ===")
         print(report.render())
         ok = ok and report.passed

@@ -18,6 +18,7 @@ report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, getcontext, localcontext
@@ -402,6 +403,18 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
             np.where(diverged, math.inf, tails[rows, last]))
 
 
+@functools.lru_cache(maxsize=1)
+def _weak_ladders(V: int, t: int, d: float, s_max: int) -> tuple:
+    """The weak user's I_s ladders at eta = (V - t + 1 + r) d, r < t, made
+    read-only.  They depend on neither theta nor the expansion order, so a
+    theta sweep at one SNR builds them once: the cache keeps the last key
+    only, and an SNR sweep, which changes d on every row, misses on each."""
+    ladders = _int_ladder([(V - t + 1 + r) * d for r in range(t)], s_max)
+    for ladder in ladders:
+        ladder.flags.writeable = False
+    return tuple(ladders)
+
+
 def _weak_expectations(cfg: SystemConfig, cs, ctl: EvalControls):
     """E[(1 + sinr_weak)^c] for each c in cs, via binomial expansion of the
     ordered density.
@@ -410,7 +423,8 @@ def _weak_expectations(cfg: SystemConfig, cs, ctl: EvalControls):
     binomial expansion in d/(x + b) converges geometrically at rate alpha_t
     (= -q, as alpha_t + alpha_u = 1); each integral moment reduces to the
     I_s ladder above, which depends on c only through the binomial weights,
-    so each ladder is built once and serves every c.  Returns arrays
+    so each ladder is built once and serves every c, and the last SNR's
+    ladders serve every theta after it (_weak_ladders).  Returns arrays
     (value, terms_used, tail_bound, scale), one entry per c: scale is the
     sum of the inner series' magnitudes, against which rounding and
     truncation are judged, and tail_bound is inf where an inner series
@@ -423,8 +437,7 @@ def _weak_expectations(cfg: SystemConfig, cs, ctl: EvalControls):
     log_pref = cs * math.log(1.0 / cfg.alpha_u)
     parts, tails = [], []
     terms_used = np.zeros(cs.size, dtype=int)
-    ladders = _int_ladder([(cfg.V - cfg.t + 1 + r) * d for r in range(cfg.t)],
-                          ctl.series_max_terms)
+    ladders = _weak_ladders(cfg.V, cfg.t, d, ctl.series_max_terms)
     for r, ladder in enumerate(ladders):
         series, s_used, tail = _weak_series(cs, q, d, ladder, log_pref, ctl)
         weight = math.comb(cfg.t - 1, r)

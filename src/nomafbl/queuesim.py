@@ -12,7 +12,7 @@ backlog, so a bit arriving at tau waits longer than D exactly when
 Q(tau + D) > mu * D, the backlog tail that the bound in `delay` approximates.
 Q is linear within a block, so the violating share is the time it spends
 above mu * D over [warmup * n + D, num_blocks * n + D), measured exactly.
-Only blocks whose backlog reaches mu * D at their start or end are
+Only blocks whose backlog exceeds mu * D at their start or end are
 evaluated; no other block spends time above it.  Only the backlog crosses
 from one fixed-size chunk to the next.
 """
@@ -31,7 +31,6 @@ from .specfun import InsufficientDataError
 _BLOCK_CHUNK = 1 << 17
 _FIT_MIN_HITS = 100     # raw exceedances a threshold needs to enter the fit
 _FIT_MIN_POINTS = 5     # qualifying thresholds the fit needs
-_LEVEL_MARGIN = 1e-9    # relative margin below mu * d_max for late blocks
 
 
 @dataclass(frozen=True)
@@ -121,13 +120,18 @@ def _chunk_services(spec: SimSpec, count: int, chunk_index: int) -> np.ndarray:
 
 def _time_above(w_start, w_end, level, lo, hi, n):
     """Time within [lo, hi] of each n-use block where the backlog, linear
-    from w_start to w_end, exceeds level; one length per block."""
-    slope = (w_end - w_start) / n
+    from w_start to w_end, exceeds level; one length per block.
+
+    The crossing is n times the share (level - w_start) / (w_end - w_start)
+    of the rise, which is at least 1 where w_end <= level (the float
+    subtraction is monotone), so a block whose backlog stays at or below
+    level adds exactly 0."""
+    rise = w_end - w_start
     with np.errstate(divide="ignore", invalid="ignore"):
-        cross = np.clip((level - w_start) / slope, lo, hi)
+        cross = np.clip(n * ((level - w_start) / rise), lo, hi)
     return np.where(
-        slope > 0.0, hi - cross,
-        np.where(slope < 0.0, cross - lo,
+        rise > 0.0, hi - cross,
+        np.where(rise < 0.0, cross - lo,
                  np.where(w_start > level, hi - lo, 0.0)))
 
 
@@ -136,17 +140,14 @@ def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n):
 
     Block k of the chunk is block start + k of the run: it starts at
     (start + k) n and runs linearly from the previous block's end backlog
-    (carry_w for k = 0) to backlog[k].  Only blocks that start or end at
-    least level, less a relative _LEVEL_MARGIN, are evaluated; every other
-    block adds exactly 0.  The margin keeps a block that ends within
-    rounding of level, whose crossing time can round to inside the block.
-    The lengths are summed at their places among zeros, so the float sum
-    is the one over every block."""
-    reach = level * (1.0 - _LEVEL_MARGIN)
-    high = backlog >= reach
+    (carry_w for k = 0) to backlog[k].  Only blocks that start or end
+    above level are evaluated; every other block adds exactly 0
+    (_time_above).  The lengths are summed at their places among zeros, so
+    the float sum is the one over every block."""
+    high = backlog > level
     near = high.copy()
     near[1:] |= high[:-1]
-    near[0] |= carry_w >= reach
+    near[0] |= carry_w > level
     if 2 * np.count_nonzero(near) > near.size:
         # most blocks reach the level: slices cost less than gathering them
         blocks = slice(None)

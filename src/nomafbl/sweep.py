@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import ROLES, SystemConfig, db_to_linear
 from .delay import delay_at_capacity
-from .eccalc import (METHODS, EcResult, EvalControls, ec_quadrature, evaluate,
-                     mc_gain_draws)
+from .eccalc import (METHODS, EcResult, EvalControls, GainDraws,
+                     ec_quadrature, evaluate, mc_gain_draws)
 
 CSV_HEADER = ("scenario_id,axis_name,axis_value,role,method,ec_bits_per_cu,"
               "std_error,delay_violation_prob,series_terms,converged")
@@ -332,17 +332,20 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_report(cfg: SystemConfig, ctl: EvalControls) -> ValidationReport:
+def validate_report(cfg: SystemConfig, ctl: EvalControls,
+                    gains: GainDraws | None = None) -> ValidationReport:
     """Run the closed / quadrature / Monte-Carlo triangle for both users.
 
     Gate structure localizes failures: closed form against quadrature of the
     expanded kernel checks the series algebra, Monte-Carlo against
     quadrature of the exact kernel checks sampling, and the convergence
     flags surface truncated series.  Both users' Monte-Carlo estimates use
-    one draw of the gains.
+    one draw of the gains: `gains` (mc_gain_draws(cfg, ctl), which serves
+    every SNR of the pool), drawn here when not given.
     """
     report = ValidationReport()
-    gains = mc_gain_draws(cfg, ctl)
+    if gains is None:
+        gains = mc_gain_draws(cfg, ctl)
     for role in ROLES:
         closed = evaluate(cfg, role, "closed_form", ctl)
         quad_approx = ec_quadrature(cfg, role, ctl, kernel_variant="approx")

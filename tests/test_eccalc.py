@@ -401,6 +401,51 @@ class TestClosedFormSeries:
                                                       float(s0))[0])
 
 
+class TestWeakLadderMemo:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        eccalc._weak_ladders.cache_clear()
+
+    def test_theta_sweep_seeds_weak_ladders_once(self, monkeypatch):
+        # the weak ladders depend on the SNR, not on theta: of three fig4
+        # rows at 20 dB only the first seeds them
+        seed, seeds = eccalc.scaled_expint, []
+        monkeypatch.setattr(eccalc, "scaled_expint", lambda s, etas: (
+            seeds.append((s, len(etas))) or seed(s, etas)))
+        per_row = []
+        for theta in (1e-3, 1e-2, 0.1):
+            cfg = make_cfg(rho_db=20.0, n=400, eps=1e-6, theta_t=theta,
+                           theta_u=theta)
+            before = len(seeds)
+            ec_closed_weak(cfg, EvalControls())
+            per_row.append(len(seeds) - before)
+        assert per_row[0] > 0
+        assert per_row[1:] == [0, 0]
+
+    def test_memo_is_read_only(self):
+        cfg = make_cfg()
+        ladders = eccalc._weak_ladders(cfg.V, cfg.t, 0.05, 40)
+        assert ladders is eccalc._weak_ladders(cfg.V, cfg.t, 0.05, 40)
+        for ladder in ladders:
+            assert not ladder.flags.writeable
+            with pytest.raises(ValueError):
+                ladder[0] = 0.0
+
+    def test_memo_gives_cold_results(self):
+        # 15 dB twice (a hit), 20 dB, then 15 dB again (a miss): each
+        # result is repr-equal to one made with the memo cleared
+        ctl = EvalControls()
+        points = [(15.0, 1e-3), (15.0, 0.1), (20.0, 1e-3), (15.0, 1e-3)]
+        cfgs = [make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
+                         theta_u=theta) for rho_db, theta in points]
+        warm = [repr(ec_closed_weak(cfg, ctl)) for cfg in cfgs]
+        cold = []
+        for cfg in cfgs:
+            eccalc._weak_ladders.cache_clear()
+            cold.append(repr(ec_closed_weak(cfg, ctl)))
+        assert warm == cold
+
+
 class TestClosedForms:
     def test_strong_matches_quadrature_oracle(self):
         ctl = EvalControls()

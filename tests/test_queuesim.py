@@ -168,19 +168,25 @@ class TestReproducibility:
             spec, services, 255)
 
     def test_block_ending_at_the_level_is_counted(self, monkeypatch):
-        # n = 400, mu = 1 and d_max = 1.75: the backlog climbs from 0 to
-        # exactly mu * d_max in every fifth block, and the crossing time
-        # 1.75 / (1.75 / 400) rounds to just below 400, so each such block
-        # adds 5.7e-14 channel uses; blocks ending at the level must be
-        # evaluated for the share to match every block's
-        spec = SimSpec(cfg=make_cfg(), role="strong", arrival_rate=1.0,
-                       num_blocks=3000, warmup_blocks=30, d_max=1.75, seed=0)
+        # n = 400, mu = 1: the backlog climbs from 0 to 1.75 in every fifth
+        # block.  At d_max = 1.75 it ends exactly at mu * d_max and never
+        # exceeds it, so the share is exactly 0 (the crossing, once taken
+        # as 1.75 / (1.75 / 400), rounded to just below 400 and added
+        # 5.7e-14 channel uses per block).  With d_max one ulp lower the
+        # block ends above the level and must be counted
         services = np.tile([400.0, 400.0, 400.0, 400.0 - 1.75, 400.0 + 1.75],
                            601)
-        stats = _run_frozen(spec, services, 256, monkeypatch)
-        assert stats.delay_violation_freq > 0.0
-        assert stats.delay_violation_freq == _all_blocks_late_share(
-            spec, services, 256)
+        shares = []
+        for d_max in (1.75, np.nextafter(1.75, 0.0)):
+            spec = SimSpec(cfg=make_cfg(), role="strong", arrival_rate=1.0,
+                           num_blocks=3000, warmup_blocks=30, d_max=d_max,
+                           seed=0)
+            stats = _run_frozen(spec, services, 256, monkeypatch)
+            assert stats.delay_violation_freq == _all_blocks_late_share(
+                spec, services, 256)
+            shares.append(stats.delay_violation_freq)
+        assert shares[0] == 0.0
+        assert shares[1] > 0.0
 
     def test_delay_window_starts_d_max_after_warmup(self):
         # 40 counted blocks of an overloaded queue with d_max = 3.8 blocks:
@@ -224,12 +230,12 @@ def _all_blocks_late_share(spec, services, chunk):
         block_t = n * np.arange(start, start + backlog.size, dtype=float)
         lo = np.clip(late_lo - block_t, 0.0, n)
         hi = np.clip(late_hi - block_t, 0.0, n)
-        slope = (backlog - w_start) / n
+        rise = backlog - w_start
         with np.errstate(divide="ignore", invalid="ignore"):
-            cross = np.clip((level - w_start) / slope, lo, hi)
+            cross = np.clip(n * ((level - w_start) / rise), lo, hi)
         length = np.where(
-            slope > 0.0, hi - cross,
-            np.where(slope < 0.0, cross - lo,
+            rise > 0.0, hi - cross,
+            np.where(rise < 0.0, cross - lo,
                      np.where(w_start > level, hi - lo, 0.0)))
         late_time += float(np.sum(length))
         carry_w = float(backlog[-1])

@@ -83,6 +83,34 @@ class TestExpIntegral:
                 rel=1e-9 if z < 600 else 2e-3)
 
 
+def _direct_sum_by_hyp1f1(s, eta):
+    """e^eta eta^(s-1) Gamma(1-s) - 1F1(1; 2-s; eta) / (1-s) under the
+    seed's guard rule (32 guard bits, redone once with the bits its terms
+    lost added), with mpmath's own 1F1 in place of the fixed-point sum."""
+    mp = mpmath.mp
+    guard = 32
+    for _ in range(2):
+        with mp.extraprec(guard):
+            head = mp.exp(eta + (s - 1) * mp.ln(eta)) * mp.gamma(1 - s)
+            tail = mp.hyp1f1(1, 2 - s, eta) / (1 - s)
+            value = head - tail
+        lost = max(mp.mag(head), mp.mag(tail)) - mp.mag(value)
+        if lost <= guard:
+            return +value
+        guard = lost + 32
+    raise AssertionError(f"the 1F1 sum cancels at s={s}, eta={eta}")
+
+
+def _rel_to_laplace60(value, s, eta):
+    """|value / (e^eta E_s(eta)) - 1| against a 60-digit quadrature of the
+    Laplace integral."""
+    with mpmath.workdps(60):
+        s, eta = mpmath.mpf(s), mpmath.mpf(eta)
+        ref = mpmath.quad(lambda v: mpmath.exp(-eta * v) * (1 + v) ** -s,
+                          [0, 1 / (eta + s), 1, mpmath.inf])
+        return abs(value / ref - 1)
+
+
 class TestTricomiU:
     def test_e1_identity(self):
         # U(1, 1, z) * e^{-z} = E1(z)
@@ -146,6 +174,34 @@ class TestTricomiU:
                                abs(scaled_expint(s, [eta])[0] / ref - 1))
         assert worst <= 1e-10
         assert worst_mp <= 1e-30
+
+    @pytest.mark.parametrize("s, etas", [
+        # 1F1 terms that turn about as 2 - s + k nears 0, with eta large
+        (10.5, [9.0]), (20.3, [19.0]), (30.7, [29.0]), (25.25, [31.9]),
+        # terms that fall to 2^-204 and rise by 2^72 again: a rounding
+        # error at the bottom grows with the rise, which the bits cover
+        (150.25, [25.0]),
+        # terms that fall to 2^-216, below the working precision, and rise
+        # to 2^-159 again: the sum must not stop at the first small term
+        (140.25, [20.0]),
+        # orders just off an integer, where head and tail cancel
+        *[(m + ds, [0.15, 1.6, 20.0]) for m in (1, 2, 4, 50, 400)
+          for ds in (-1e-12, 1e-12)]])
+    def test_direct_sum_at_50_digits(self, s, etas):
+        # the fixed-point 1F1 pass against a 60-digit quadrature and
+        # against the sum as mpmath's 1F1 makes it, under the same guard
+        # rule; one call with every eta gives what one call per eta gives
+        with mpmath.workdps(50):
+            batch = scaled_expint(s, etas)
+            singles = [scaled_expint(s, [eta])[0] for eta in etas]
+            ulps_off = [abs(value - _direct_sum_by_hyp1f1(
+                mpmath.mpf(s), mpmath.mpf(eta)))
+                / 2 ** (mpmath.mag(value) - mpmath.mp.prec)
+                for value, eta in zip(batch, etas)]
+        assert batch == singles
+        assert max(ulps_off) <= 1
+        for value, eta in zip(batch, etas):
+            assert _rel_to_laplace60(value, s, eta) <= 1e-45
 
     @pytest.mark.parametrize("s, eta", [(26.25, 1.5e-3), (31.33, 1.5e-3),
                                         (30.0, 3.1e-3)])

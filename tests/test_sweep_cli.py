@@ -10,8 +10,8 @@ from nomafbl.channel import SystemConfig, db_to_linear
 from nomafbl.cli import main
 from nomafbl.eccalc import EvalControls, ec_monte_carlo, mc_gain_draws
 from nomafbl.sweep import (CSV_HEADER, SweepSpec, figure_preset,
-                           load_sweep_config, read_rows, run_sweep,
-                           validate_report, write_plot_script)
+                           load_sweep_config, pool_config, read_rows,
+                           run_sweep, validate_report, write_plot_script)
 
 
 BASE = SystemConfig(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2,
@@ -202,6 +202,23 @@ class TestGainReuse:
         # 42 Monte-Carlo rows share the 4 chunks of one draw
         assert sum(r.method == "monte_carlo" for r in rows) == 42
         assert calls == [1 << 16] * 3 + [200_000 - 3 * (1 << 16)]
+
+    def test_validate_cli_draws_once_for_every_snr(self, monkeypatch, capsys):
+        # one draw serves the three --rho-db reports, which print what a
+        # report drawing its own gains prints
+        calls = []
+        sample_gains = nomafbl.eccalc.sample_gains
+        monkeypatch.setattr(nomafbl.eccalc, "sample_gains", lambda *a: (
+            calls.append(a[1]) or sample_gains(*a)))
+        main(["validate", "--rho-db", "10", "20", "30", "--mc-samples",
+              "5000"])
+        assert calls == [5000]
+        ctl = EvalControls(mc_samples=5000)
+        alone = [validate_report(pool_config(300, 1e-5, 0.01, rho_db),
+                                 ctl).render() for rho_db in (10, 20, 30)]
+        printed = capsys.readouterr().out
+        assert printed == "".join(f"=== rho = {rho_db} dB ===\n{text}\n"
+                                  for rho_db, text in zip((10, 20, 30), alone))
 
     def test_shared_columns_are_read_only_copies(self):
         draws = mc_gain_draws(BASE, self.CTL)
