@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation-report failure, 2 config or I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -125,8 +126,8 @@ def _cmd_queue_sim(args) -> int:
     ctl = EvalControls(seed=args.seed)
     ec = evaluate(cfg, args.role, "closed_form", ctl)
     mu = args.mu if args.mu is not None else args.mu_frac * ec.value
-    if mu <= 0.0:
-        raise ValueError(f"non-positive arrival rate {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"arrival rate {mu} is not finite and positive")
     spec = SimSpec(cfg=cfg, role=args.role, arrival_rate=mu,
                    num_blocks=args.blocks, warmup_blocks=args.warmup,
                    d_max=args.d_max, seed=args.seed)

@@ -27,7 +27,7 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from .channel import (ROLES, SystemConfig, gamma_for_role, ordered_quantile,
+from .channel import (SystemConfig, gamma_for_role, ordered_quantile,
                       sample_gains)
 from .fblrate import (LN2, ec_kernel, ec_kernel_approx, expansion_coeffs,
                       expansion_error_coeffs, expansion_order,
@@ -36,7 +36,7 @@ from .specfun import ConvergenceError, beta_fn, scaled_expint
 
 _MC_CHUNK = 1 << 16
 _MACHEPS = np.finfo(float).eps
-# Significant digits of the strong user's sum (see ec_closed_strong)
+# Significant digits of the strong user's sum (see _strong_moments)
 _SUM_DIGITS, _SUM_DIGITS_KEPT, _SUM_DIGITS_SPARE = 50, 20, 30
 
 METHODS = ("closed_form", "monte_carlo", "quadrature")
@@ -75,6 +75,11 @@ _NEGATIVE = "negative capacity: delay exponent infeasible at this SNR"
 class EcResult:
     """An effective-capacity value with method tag and diagnostics.
 
+    converged        closed forms: False where the moment series was cut at
+                     the term budget, or where its kernel mean was not finite
+                     or its error bound not below half that mean, so that the
+                     value is the approx-kernel quadrature's; a non-positive
+                     quadrature mean raises ConvergenceError instead
     tail_bound       numerical error bound in bits/cu against the kernel the
                      method integrates: series truncation and rounding, or
                      the quadrature's error estimate
@@ -415,22 +420,24 @@ def _weak_ladders(V: int, t: int, d: float, s_max: int) -> tuple:
     return tuple(ladders)
 
 
-def _weak_expectations(cfg: SystemConfig, cs, ctl: EvalControls):
-    """E[(1 + sinr_weak)^c] for each c in cs, via binomial expansion of the
-    ordered density.
+def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
+    """Weak-user moments E[(1 + sinr_weak)^(2 zeta - 2j)], via binomial
+    expansion of the ordered density.
 
     The SINR ratio is rewritten as a scaled (x + a)/(x + b) form whose
     binomial expansion in d/(x + b) converges geometrically at rate alpha_t
     (= -q, as alpha_t + alpha_u = 1); each integral moment reduces to the
-    I_s ladder above, which depends on c only through the binomial weights,
-    so each ladder is built once and serves every c, and the last SNR's
-    ladders serve every theta after it (_weak_ladders).  Returns arrays
-    (value, terms_used, tail_bound, scale), one entry per c: scale is the
-    sum of the inner series' magnitudes, against which rounding and
-    truncation are judged, and tail_bound is inf where an inner series
-    diverges.
+    I_s ladder above, which depends on the exponent only through the
+    binomial weights, so each ladder is built once and serves every moment,
+    and the last SNR's ladders serve every theta after it (_weak_ladders).
+    Returns (moments, err, terms, converged) for _ec_closed: err is the
+    sum over the expansion coefficients a_j of |a_j| times the inner
+    series' tail bounds (inf where one diverges), plus rounding; converged
+    is that tail sum within series_rel_tol of the same weighted sum of the
+    inner series' magnitudes, so a high moment left truncated by the term
+    budget counts only as much as its coefficient lets it.
     """
-    cs = np.asarray(cs, dtype=float)
+    cs = 2.0 * zeta - 2.0 * np.arange(a.size)
     q = -cfg.alpha_t
     d = 1.0 / (cfg.rho * cfg.alpha_u)
     xi = 1.0 / beta_fn(cfg.t, cfg.V - cfg.t + 1)
@@ -444,107 +451,18 @@ def _weak_expectations(cfg: SystemConfig, cs, ctl: EvalControls):
         parts.append(weight * series)
         tails.append(weight * tail)
         terms_used = np.maximum(terms_used, s_used + 1)
-    value = xi * np.array([math.fsum((-1) ** r * x for r, x in enumerate(col))
-                           for col in zip(*parts)])
-    scale = xi * np.array([math.fsum(col) for col in zip(*parts)])
-    tail_total = xi * np.array([math.fsum(col) for col in zip(*tails)])
-    return value, terms_used, tail_total, scale
-
-
-def _expansion_bound(kp, eps, theta, n, order, inner, mu_0=1.0, mu_j=1.0):
-    """Bound in bits/cu on the capacity error of the expanded kernel.
-
-    By expansion_error_coeffs the kernel means differ by at most
-    (1-eps) (r_M mu_0 + t_J mu_J), with mu_j = E[(1+g)^(2 zeta - 2j)] <= 1;
-    the bound holds on either side of inner, the expanded kernel's mean.
-    """
-    r_m, t_j = expansion_error_coeffs(kp.beta, order)
-    err = (1.0 - eps) * (r_m * mu_0 + t_j * mu_j)
-    if not err < inner:
-        return math.inf
-    return -math.log1p(-err / inner) / (theta * n * LN2)
-
-
-def _provenance(order, tail_bound, expansion_bound) -> str:
-    return (f"kernel expansion order {order}; truncation bound "
-            f"{tail_bound:.1e}, expansion bound {expansion_bound:.1e} bits/cu")
-
-
-def _closed_result(kp, eps, theta, n, order, a, moments, trunc_err,
-                   **kw) -> EcResult:
-    """Assemble a closed-form result from the moments E[(1+g)^(2 zeta-2j)].
-
-    ``tail_bound`` is the truncation error of the moments, against the
-    expanded kernel; ``expansion_bound`` is the error of the expanded kernel
-    against the exact one.  Their sum bounds the gap to the exact-kernel
-    capacity.  Returns (None, inner) when the kernel mean is not positive.
-    """
-    inner = eps + (1.0 - eps) * math.fsum(a * moments)
-    if not math.isfinite(inner) or inner <= 0.0:
-        return None, inner
-    tail_bound = (1.0 - eps) * trunc_err / (inner * theta * n * LN2)
-    expansion_bound = _expansion_bound(kp, eps, theta, n, order, inner,
-                                       abs(moments[0]), abs(moments[-1]))
-    res = EcResult(_ec_from_mean(inner, theta, n), "closed_form",
-                   tail_bound=tail_bound, expansion_order=order,
-                   expansion_bound=expansion_bound,
-                   note=_provenance(order, tail_bound, expansion_bound), **kw)
-    return res, inner
-
-
-def ec_closed_weak(cfg: SystemConfig, ctl: EvalControls,
-                   order: tuple[int, int] | None = None) -> EcResult:
-    """Closed-form effective capacity of the weak user.
-
-    Expands the kernel to ``order`` (chosen from beta by default, see
-    fblrate.expansion_order) and assembles its expectation from
-    exponential-integral moments of the ordered-gain density.  The series
-    counts as converged when the |a_j|-weighted sum of the moments' tail
-    bounds is within series_rel_tol of the same weighted sum of the inner
-    series' magnitudes, so a high moment left truncated by the term budget
-    counts only as much as its coefficient lets it.  If a series diverges
-    (an infinite tail bound) or an intermediate overflows (large theta*n
-    pushes the binomial weights out of double range), the value falls back to
-    adaptive quadrature of the same expanded kernel and the result is
-    flagged unconverged so reports can surface it.
-    """
-    role = "weak"
-    theta = cfg.theta_for(role)
-    eps = cfg.eps_for(role)
-    if eps == 1.0:
-        return EcResult(0.0, "closed_form", note="degenerate eps = 1")
-    kp = make_kernel_params(theta, cfg.n, eps)
-    order = _order(kp, ctl, order)
-    a = expansion_coeffs(kp.beta, order)
-    two_zeta = 2.0 * kp.zeta
-    moments, n_terms, tails_j, scale_j = _weak_expectations(
-        cfg, two_zeta - 2.0 * np.arange(a.size), ctl)
-    terms = int(n_terms.max())
+    mu = xi * np.array([math.fsum((-1) ** r * x for r, x in enumerate(col))
+                        for col in zip(*parts)])
+    tail_j = xi * np.array([math.fsum(col) for col in zip(*tails)])
+    scale_j = xi * np.array([math.fsum(col) for col in zip(*parts)])
     used = a != 0.0
-    tails = math.fsum(np.abs(a[used]) * tails_j[used])
+    tail = math.fsum(np.abs(a[used]) * tail_j[used])
     scale = math.fsum(np.abs(a[used]) * scale_j[used])
-    err = tails + _MACHEPS * (scale + math.fsum(np.abs(a * moments)))
-    res, inner = (None, math.nan) if math.isinf(tails) else _closed_result(
-        kp, eps, theta, cfg.n, order, a, moments, err, series_terms=terms,
-        converged=tails <= ctl.series_rel_tol * scale)
-    if res is None or not err < 0.5 * inner:
-        fallback = ec_quadrature(cfg, role, ctl, "approx", order)
-        expansion_bound = _expansion_bound(
-            kp, eps, theta, cfg.n, order,
-            math.exp(-fallback.value * theta * cfg.n * LN2))
-        return EcResult(
-            fallback.value, "closed_form", converged=False,
-            series_terms=terms, tail_bound=fallback.tail_bound,
-            expansion_order=order, expansion_bound=expansion_bound,
-            note=f"series unconverged; value from quadrature "
-                 f"({fallback.note}); "
-                 + _provenance(order, fallback.tail_bound, expansion_bound))
-    if not res.converged:
-        res.note = f"series truncated at term budget; {res.note}"
-    return res
+    err = tail + _MACHEPS * (scale + math.fsum(np.abs(a * mu)))
+    return mu, err, int(terms_used.max()), tail <= ctl.series_rel_tol * scale
 
 
-def _strong_moments(cfg: SystemConfig, zeta, a, digits: int):
+def _strong_sums(cfg: SystemConfig, zeta, a, digits: int):
     """Strong-user moments E[(1+g)^(2 zeta - 2j)] summed at `digits` digits,
     as floats; the magnitude xi d sum_j |a_j| sum_i |w_i I_i| of the terms
     of their a-weighted sum; and the digits that sum loses to cancellation.
@@ -567,22 +485,47 @@ def _strong_moments(cfg: SystemConfig, zeta, a, digits: int):
         return moments.astype(float), float(scale), float(lost)
 
 
-def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
-                     order: tuple[int, int] | None = None) -> EcResult:
-    """Closed-form effective capacity of the strong user.
+def _strong_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
+    """Strong-user moments E[(1+g)^(2 zeta - 2j)] and their rounding error.
 
-    The interference-free SNR is linear in the gain, so each moment
-    E[(1+g)^(2 zeta - 2j)] of the expanded kernel is an alternating sum of
-    I_s(eta) = U(1, 2 - s, eta) at s = -2 zeta + 2j; per eta all of them sit
-    on one ladder of the real-order recurrence, and the u ladders take their
-    seeds from one scaled_expint call per seed order.  The sum cancels up to
-    about 30 digits, so it runs in Decimal at _SUM_DIGITS digits, redone at
-    _SUM_DIGITS_SPARE more than it loses where fewer than _SUM_DIGITS_KEPT
-    remain; mpmath makes only the seeds.  The only error is rounding:
-    10^(4 - digits) times the sum's magnitude, plus eps times the float
-    moments'.
+    The interference-free SNR is linear in the gain, so each moment is an
+    alternating sum of I_s(eta) = U(1, 2 - s, eta) at s = -2 zeta + 2j; per
+    eta all of them sit on one ladder of the real-order recurrence, and the
+    u ladders take their seeds from one scaled_expint call per seed order.
+    The sum cancels up to about 30 digits, so it runs in Decimal at
+    _SUM_DIGITS digits, redone at _SUM_DIGITS_SPARE more than it loses where
+    fewer than _SUM_DIGITS_KEPT remain; mpmath makes only the seeds.  The
+    only error is rounding: 10^(4 - digits) times the sum's magnitude, plus
+    eps times the float moments'.  The sum has no term budget, so it
+    reports no term count and always counts as converged.
     """
-    role = "strong"
+    digits = _SUM_DIGITS
+    moments, scale, lost = _strong_sums(cfg, zeta, a, digits)
+    if digits - lost < _SUM_DIGITS_KEPT:
+        digits = math.ceil(lost) + _SUM_DIGITS_SPARE
+        moments, scale, _ = _strong_sums(cfg, zeta, a, digits)
+    noise = 10.0 ** (4 - digits) * scale \
+        + _MACHEPS * math.fsum(np.abs(a * moments))
+    return moments, noise, None, True
+
+
+def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
+               order: tuple[int, int] | None) -> EcResult:
+    """Closed-form effective capacity of either user.
+
+    Expands the kernel to ``order`` (chosen from beta by default, see
+    fblrate.expansion_order) and assembles its mean eps + (1 - eps)
+    sum_j a_j mu_j from the role's moments mu_j = E[(1+g)^(2 zeta - 2j)]
+    (_weak_moments, _strong_moments), which also bound the error err of
+    sum_j a_j mu_j.  One rule for both users: the sum stands where the
+    mean is finite and err < mean / 2 (a diverged series has err = inf);
+    otherwise the value is the adaptive quadrature of the same expanded
+    kernel, flagged unconverged, and where that quadrature's mean is not
+    positive its ConvergenceError reaches the caller.  ``tail_bound`` is
+    the error against the expanded kernel, ``expansion_bound`` that of the
+    expanded kernel against the exact one; their sum bounds the gap to the
+    exact-kernel capacity.
+    """
     theta = cfg.theta_for(role)
     eps = cfg.eps_for(role)
     if eps == 1.0:
@@ -590,19 +533,44 @@ def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
     kp = make_kernel_params(theta, cfg.n, eps)
     order = _order(kp, ctl, order)
     a = expansion_coeffs(kp.beta, order)
-    digits = _SUM_DIGITS
-    moments, scale, lost = _strong_moments(cfg, kp.zeta, a, digits)
-    if digits - lost < _SUM_DIGITS_KEPT:
-        digits = math.ceil(lost) + _SUM_DIGITS_SPARE
-        moments, scale, _ = _strong_moments(cfg, kp.zeta, a, digits)
-    noise = 10.0 ** (4 - digits) * scale \
-        + _MACHEPS * math.fsum(np.abs(a * moments))
-    res, _ = _closed_result(kp, eps, theta, cfg.n, order, a, moments, noise)
-    if res is None:
-        return EcResult(math.nan, "closed_form", converged=False,
-                        expansion_order=order,
-                        note="non-positive kernel expectation")
-    return res
+    moments_of = _weak_moments if role == "weak" else _strong_moments
+    moments, err, terms, converged = moments_of(cfg, kp.zeta, a, ctl)
+    inner = eps + (1.0 - eps) * math.fsum(a * moments)
+    if math.isfinite(inner) and err < 0.5 * inner:
+        value = _ec_from_mean(inner, theta, cfg.n)
+        tail_bound = (1.0 - eps) * err / (inner * theta * cfg.n * LN2)
+        mu = abs(moments[0]), abs(moments[-1])
+        how = "" if converged else "series truncated at term budget; "
+    else:
+        fallback = ec_quadrature(cfg, role, ctl, "approx", order)
+        value, tail_bound = fallback.value, fallback.tail_bound
+        inner = math.exp(-fallback.value * theta * cfg.n * LN2)
+        mu, converged = (1.0, 1.0), False
+        how = f"series unconverged; value from quadrature ({fallback.note}); "
+    # by expansion_error_coeffs the kernel means differ by at most
+    # (1-eps) (r_M mu_0 + t_J mu_J), with mu_j <= 1, on either side of inner
+    r_m, t_j = expansion_error_coeffs(kp.beta, order)
+    gap = (1.0 - eps) * (r_m * mu[0] + t_j * mu[1])
+    expansion_bound = (-math.log1p(-gap / inner) / (theta * cfg.n * LN2)
+                       if gap < inner else math.inf)
+    return EcResult(
+        value, "closed_form", series_terms=terms, converged=converged,
+        tail_bound=tail_bound, expansion_order=order,
+        expansion_bound=expansion_bound,
+        note=f"{how}kernel expansion order {order}; truncation bound "
+             f"{tail_bound:.1e}, expansion bound {expansion_bound:.1e} bits/cu")
+
+
+def ec_closed_weak(cfg: SystemConfig, ctl: EvalControls,
+                   order: tuple[int, int] | None = None) -> EcResult:
+    """Closed-form effective capacity of the weak user (_ec_closed)."""
+    return _ec_closed(cfg, "weak", ctl, order)
+
+
+def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
+                     order: tuple[int, int] | None = None) -> EcResult:
+    """Closed-form effective capacity of the strong user (_ec_closed)."""
+    return _ec_closed(cfg, "strong", ctl, order)
 
 
 def evaluate(cfg: SystemConfig, role: str, method: str,
@@ -611,9 +579,8 @@ def evaluate(cfg: SystemConfig, role: str, method: str,
 
     `gains` (from mc_gain_draws) is used by the Monte-Carlo method only.
     """
-    if role not in ROLES:
-        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
     if method == "closed_form":
+        cfg.theta_for(role)     # refuses an unknown role, as the others do
         closed = ec_closed_weak if role == "weak" else ec_closed_strong
         return closed(cfg, ctl)
     if method == "monte_carlo":

@@ -44,17 +44,14 @@ class SimSpec:
     warmup_blocks: int = 0
     d_max: float = 0.0
     seed: int = 0
-    fixed_gain: float | None = None
 
     def __post_init__(self):
-        if self.arrival_rate < 0.0:
-            raise ValueError("arrival_rate must be non-negative")
+        if not 0.0 <= self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be finite and non-negative")
         if self.num_blocks <= self.warmup_blocks or self.warmup_blocks < 0:
             raise ValueError("need num_blocks > warmup_blocks >= 0")
         if self.d_max < 0.0:
             raise ValueError("d_max must be non-negative")
-        if self.fixed_gain is not None and self.fixed_gain < 0.0:
-            raise ValueError("fixed_gain must be non-negative")
 
 
 @dataclass
@@ -107,11 +104,8 @@ def _chunk_services(spec: SimSpec, count: int, chunk_index: int) -> np.ndarray:
     eps = cfg.eps_for(spec.role)
     gain_rng = np.random.default_rng([spec.seed, chunk_index, 0])
     fail_rng = np.random.default_rng([spec.seed, chunk_index, 1])
-    if spec.fixed_gain is None:
-        x_t, x_u = sample_gains(cfg, count, gain_rng)
-        gains = x_t if spec.role == "weak" else x_u
-    else:
-        gains = np.full(count, spec.fixed_gain)
+    x_t, x_u = sample_gains(cfg, count, gain_rng)
+    gains = x_t if spec.role == "weak" else x_u
     rates = np.maximum(fbl_rate(gamma_for_role(gains, cfg, spec.role),
                                 cfg.n, eps), 0.0)
     delivered = fail_rng.random(count) >= eps
@@ -148,17 +142,11 @@ def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n):
     near = high.copy()
     near[1:] |= high[:-1]
     near[0] |= carry_w > level
-    if 2 * np.count_nonzero(near) > near.size:
-        # most blocks reach the level: slices cost less than gathering them
-        blocks = slice(None)
-        w_start = np.concatenate(([carry_w], backlog[:-1]))
-        block_t = n * np.arange(start, start + backlog.size, dtype=float)
-    else:
-        blocks = np.flatnonzero(near)
-        w_start = backlog[blocks - 1]
-        if blocks.size and blocks[0] == 0:
-            w_start[0] = carry_w
-        block_t = n * (start + blocks).astype(float)
+    blocks = np.flatnonzero(near)
+    w_start = backlog[blocks - 1]
+    if blocks.size and blocks[0] == 0:
+        w_start[0] = carry_w
+    block_t = n * (start + blocks).astype(float)
     lengths = np.zeros(backlog.size)
     lengths[blocks] = _time_above(w_start, backlog[blocks], level,
                                   np.clip(late_lo - block_t, 0.0, n),

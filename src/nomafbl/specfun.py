@@ -147,6 +147,7 @@ def _expint_sums(s, etas):
     mp = mpmath.mp
     values = [None] * len(etas)
     todo = {_SEED_GUARD_BITS: range(len(etas))}
+    s_mag = mp.mag(s - 1)
     for attempt in range(2):
         redo = {}
         for guard, group in todo.items():
@@ -155,7 +156,14 @@ def _expint_sums(s, etas):
                 tails = _hyp1f1_sums(2 - s, [etas[i] for i in group])
                 for i, tail in zip(group, tails):
                     eta = etas[i]
-                    head = mp.exp(eta + (s - 1) * mp.ln(eta)) * gamma
+                    # e^x turns x's absolute error into a relative one, so
+                    # x gets bits for the size of its terms eta and
+                    # (s - 1) ln eta, as |ln eta| < |mag(eta)| + 2
+                    m = mp.mag(eta)
+                    with mp.extraprec(max(m, 0,
+                                          s_mag + (abs(m) + 2).bit_length())):
+                        x = eta + (s - 1) * mp.ln(eta)
+                    head = mp.exp(x) * gamma
                     tail /= 1 - s
                     value = head - tail
                     if not value:

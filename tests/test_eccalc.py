@@ -542,6 +542,17 @@ class TestClosedForms:
         oracle = ec_quadrature(cfg, "weak", ctl, "approx")
         assert res.value == pytest.approx(oracle.value, rel=1e-12)
 
+    @pytest.mark.parametrize("closed_form", [ec_closed_weak,
+                                             ec_closed_strong])
+    def test_non_positive_kernel_mean_is_an_error(self, closed_form):
+        # eps = 0.9, theta = 1, -30 dB: neither the sum nor the quadrature
+        # of the expanded kernel has a positive mean, for either user
+        cfg = make_cfg(rho_db=-30.0, n=400, eps=0.9, theta_t=1.0,
+                       theta_u=1.0)
+        with pytest.raises(ConvergenceError,
+                           match="kernel expectation is non-positive"):
+            closed_form(cfg, EvalControls())
+
     def test_forced_truncation_flag(self):
         res = ec_closed_weak(make_cfg(), EvalControls(series_max_terms=2))
         assert not res.converged

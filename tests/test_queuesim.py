@@ -50,16 +50,19 @@ class TestWorkloadRecursion:
 
 
 class TestTrivialQueues:
-    def test_underloaded_deterministic(self):
-        # fixed gain, effectively error-free, arrivals below the service
-        # rate: the queue empties every block and nothing is ever late
+    def test_underloaded_deterministic(self, monkeypatch):
+        # a frozen constant service (gain 1, every block decoded) above the
+        # arrivals: the queue empties every block and nothing is ever late
         cfg = SystemConfig(V=2, t=1, u=2, alpha_t=0.8, alpha_u=0.2,
                            rho=100.0, n=400, eps=1e-300, theta_t=0.01,
                            theta_u=0.01)
         rate = fbl_rate(snr_strong(1.0, cfg), 400, 1e-300)
+        monkeypatch.setattr(queuesim, "_chunk_services",
+                            lambda spec, count, chunk_index:
+                            np.full(count, 400 * rate))
         spec = SimSpec(cfg=cfg, role="strong", arrival_rate=0.5 * rate,
                        num_blocks=4000, warmup_blocks=100, d_max=400.0,
-                       seed=1, fixed_gain=1.0)
+                       seed=1)
         stats = run_queue_sim(spec)
         assert stats.delay_violation_freq == 0.0
         assert stats.mean_queue == 0.0
@@ -80,6 +83,12 @@ class TestTrivialQueues:
         with pytest.raises(ValueError):
             SimSpec(cfg=make_cfg(), role="strong", arrival_rate=1.0,
                     num_blocks=10, warmup_blocks=10)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_arrival_rate_is_refused(self, rate):
+        with pytest.raises(ValueError):
+            SimSpec(cfg=make_cfg(), role="strong", arrival_rate=rate,
+                    num_blocks=10, warmup_blocks=0)
 
 
 class TestReproducibility:

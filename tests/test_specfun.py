@@ -86,12 +86,17 @@ class TestExpIntegral:
 def _direct_sum_by_hyp1f1(s, eta):
     """e^eta eta^(s-1) Gamma(1-s) - 1F1(1; 2-s; eta) / (1-s) under the
     seed's guard rule (32 guard bits, redone once with the bits its terms
-    lost added), with mpmath's own 1F1 in place of the fixed-point sum."""
+    lost added) and with its head, with mpmath's own 1F1 in place of the
+    fixed-point sum."""
     mp = mpmath.mp
     guard = 32
     for _ in range(2):
         with mp.extraprec(guard):
-            head = mp.exp(eta + (s - 1) * mp.ln(eta)) * mp.gamma(1 - s)
+            m = mp.mag(eta)
+            with mp.extraprec(max(m, 0, mp.mag(s - 1)
+                                  + (abs(m) + 2).bit_length())):
+                x = eta + (s - 1) * mp.ln(eta)
+            head = mp.exp(x) * mp.gamma(1 - s)
             tail = mp.hyp1f1(1, 2 - s, eta) / (1 - s)
             value = head - tail
         lost = max(mp.mag(head), mp.mag(tail)) - mp.mag(value)
@@ -202,6 +207,23 @@ class TestTricomiU:
         assert max(ulps_off) <= 1
         for value, eta in zip(batch, etas):
             assert _rel_to_laplace60(value, s, eta) <= 1e-45
+
+    @pytest.mark.parametrize("s, eta, prec", [
+        (10.5, 9.0, mpmath.libmp.dps_to_prec(50)),
+        (95.885181, 30.7235, 300),
+        *[(s, eta, 300) for s, eta in zip(
+            np.random.default_rng(5).uniform(95.0, 105.0, 40),
+            np.random.default_rng(6).uniform(25.0, 31.0, 40))]])
+    def test_head_exponent_keeps_its_bits(self, s, eta, prec):
+        # e^(eta + (s-1) ln eta) Gamma(1-s) turns the exponent's absolute
+        # rounding error into relative error; with the exponent rounded at
+        # the working precision these were up to 95 ulps off
+        with mpmath.workprec(prec):
+            value = scaled_expint(s, [eta])[0]
+        with mpmath.workprec(1000):
+            exact = mpmath.exp(eta) * mpmath.expint(s, eta)
+            ulps_off = abs(value - exact) / 2 ** (mpmath.mag(exact) - prec)
+        assert ulps_off <= 2
 
     @pytest.mark.parametrize("s, eta", [(26.25, 1.5e-3), (31.33, 1.5e-3),
                                         (30.0, 3.1e-3)])

@@ -127,6 +127,21 @@ class TestRunSweep:
         assert not rows[1].converged
         assert rows[1].ec_bits_per_cu is not None
 
+    def test_non_positive_kernel_mean_fails_both_rows_alike(self, tmp_path):
+        # at eps = 0.9, theta = 1, -30 dB the expanded kernel's mean is not
+        # positive for either user: each row is a failed evaluation, with
+        # no capacity and converged = false
+        base = SystemConfig(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2,
+                            rho=db_to_linear(-30.0), n=400, eps=0.9,
+                            theta_t=1.0, theta_u=1.0)
+        spec = small_spec(tmp_path, base=base, axis="theta", grid=(1.0,),
+                          roles=("weak", "strong"))
+        weak, strong = run_sweep(spec)
+        for row in (weak, strong):
+            assert row.ec_bits_per_cu is None and not row.converged
+        lines = Path(spec.output_path).read_text().splitlines()[1:]
+        assert lines[0].replace(",weak,", ",strong,") == lines[1]
+
     def test_delay_column(self, tmp_path):
         spec = small_spec(tmp_path, axis="theta", grid=(0.01,),
                           d_max=400.0)
@@ -366,6 +381,18 @@ class TestCli:
 
     def test_queue_sim_smoke(self):
         assert main(["queue-sim", "--blocks", "50000", "--warmup", "500"]) == 0
+
+    def test_queue_sim_refuses_a_nan_arrival_rate(self):
+        assert main(["queue-sim", "--mu", "nan", "--blocks", "2000",
+                     "--warmup", "10"]) == 2
+
+    def test_queue_sim_refuses_a_failed_capacity(self, capsys):
+        # the strong user's kernel mean is not positive here, so there is
+        # no capacity to load the queue with
+        assert main(["queue-sim", "--role", "strong", "--eps", "0.9",
+                     "--theta", "1", "--rho-db", "-30", "--blocks", "2000",
+                     "--warmup", "10"]) == 2
+        assert "kernel expectation is non-positive" in capsys.readouterr().err
 
     def test_plot_script_helper(self, tmp_path):
         csv_path = tmp_path / "data.csv"
