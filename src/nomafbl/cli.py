@@ -18,7 +18,7 @@ import time
 from dataclasses import replace
 
 from .delay import DelaySpec, delay_violation_prob
-from .eccalc import EvalControls, evaluate, mc_gain_draws
+from .eccalc import EvalControls, evaluate
 from .fblrate import LN2
 from .queuesim import SimSpec, run_queue_sim
 from .specfun import ConvergenceError
@@ -108,13 +108,10 @@ def _cmd_figure(args) -> int:
 def _cmd_validate(args) -> int:
     ctl = EvalControls(mc_samples=args.mc_samples, seed=args.seed,
                        series_max_terms=args.series_max_terms)
-    # the draws depend on neither the SNR nor theta: one list serves all
-    gains = mc_gain_draws(pool_config(args.n, args.eps, args.theta,
-                                      args.rho_db[0]), ctl)
     ok = True
     for rho_db in args.rho_db:
         cfg = pool_config(args.n, args.eps, args.theta, rho_db)
-        report = validate_report(cfg, ctl, gains)
+        report = validate_report(cfg, ctl)
         print(f"=== rho = {rho_db:g} dB ===")
         print(report.render())
         ok = ok and report.passed
@@ -124,8 +121,10 @@ def _cmd_validate(args) -> int:
 def _cmd_queue_sim(args) -> int:
     cfg = pool_config(args.n, args.eps, args.theta, args.rho_db)
     ctl = EvalControls(seed=args.seed)
-    ec = evaluate(cfg, args.role, "closed_form", ctl)
-    mu = args.mu if args.mu is not None else args.mu_frac * ec.value
+    ec, mu = None, args.mu
+    if mu is None:      # the capacity is needed only to scale --mu-frac
+        ec = evaluate(cfg, args.role, "closed_form", ctl).value
+        mu = args.mu_frac * ec
     if not 0.0 < mu < math.inf:
         raise ValueError(f"arrival rate {mu} is not finite and positive")
     spec = SimSpec(cfg=cfg, role=args.role, arrival_rate=mu,
@@ -139,8 +138,9 @@ def _cmd_queue_sim(args) -> int:
           file=sys.stderr)
     analytic = delay_violation_prob(
         args.theta, DelaySpec(d_max=args.d_max, arrival_rate=mu))
-    print(f"effective capacity C_e({args.theta:g}) = {ec.value:.6f} b/cu "
-          f"({args.role} user, {args.rho_db:g} dB)")
+    if ec is not None:
+        print(f"effective capacity C_e({args.theta:g}) = {ec:.6f} b/cu "
+              f"({args.role} user, {args.rho_db:g} dB)")
     print(f"arrival rate mu = {mu:.6f} b/cu over {args.blocks} blocks")
     print(f"mean backlog          : {stats.mean_queue:.1f} bits")
     if stats.fitted_theta is not None:

@@ -48,7 +48,7 @@ class EvalControls:
 
     Monte-Carlo sampling is chunked into fixed-size blocks, each driven by
     an independent substream derived from (seed, chunk index), so results
-    are reproducible regardless of how the chunks are scheduled.
+    are reproducible.
     """
 
     mc_samples: int = 200_000
@@ -125,47 +125,43 @@ def _order(kp, ctl: EvalControls, order):
 # Monte-Carlo estimator
 # ---------------------------------------------------------------------------
 
-class GainDraws(list):
-    """Chunk list of mc_gain_draws; key is its (V, t, u, seed, mc_samples)."""
-    key: tuple = ()
+# The draws of the last (V, t, u, seed, mc_samples), see mc_gain_draws
+_gain_draws: dict[tuple, tuple] = {}
 
 
-def _draw_key(cfg: SystemConfig, ctl: EvalControls) -> tuple:
-    return cfg.V, cfg.t, cfg.u, ctl.seed, ctl.mc_samples
-
-
-def mc_gain_draws(cfg: SystemConfig, ctl: EvalControls) -> GainDraws:
+def mc_gain_draws(cfg: SystemConfig, ctl: EvalControls) -> tuple:
     """The Monte-Carlo ordered-gain draws (x_t, x_u), one pair per chunk.
 
     Chunk idx is drawn from the generator seeded by (seed, idx), and the
-    draws depend on cfg only through (V, t, u), so one list serves every
-    SNR, QoS exponent and user of a pool.  Keeps the two contiguous arrays
-    that sample_gains returns (16 bytes per sample), marked read-only.
+    draws depend on cfg only through (V, t, u), so one tuple serves every
+    SNR, QoS exponent and user of a pool: the draws of the last (V, t, u,
+    seed, mc_samples) are kept, as the two contiguous arrays that
+    sample_gains returns (16 bytes per sample), marked read-only.
     """
-    draws = GainDraws()
-    draws.key = _draw_key(cfg, ctl)
-    for idx, start in enumerate(range(0, ctl.mc_samples, _MC_CHUNK)):
-        m = min(_MC_CHUNK, ctl.mc_samples - start)
-        pair = sample_gains(cfg, m, np.random.default_rng([ctl.seed, idx]))
-        for col in pair:
-            col.flags.writeable = False
-        draws.append(pair)
+    key = cfg.V, cfg.t, cfg.u, ctl.seed, ctl.mc_samples
+    draws = _gain_draws.get(key)
+    if draws is None:
+        pairs = []
+        for idx, start in enumerate(range(0, ctl.mc_samples, _MC_CHUNK)):
+            m = min(_MC_CHUNK, ctl.mc_samples - start)
+            pair = sample_gains(cfg, m, np.random.default_rng([ctl.seed, idx]))
+            for col in pair:
+                col.flags.writeable = False
+            pairs.append(pair)
+        draws = tuple(pairs)
+        _gain_draws.clear()
+        _gain_draws[key] = draws
     return draws
 
 
-def ec_monte_carlo(cfg: SystemConfig, role: str, ctl: EvalControls,
-                   gains: GainDraws | None = None) -> EcResult:
-    """Sample-average estimate of the effective capacity (exact kernel).
+def ec_monte_carlo(cfg: SystemConfig, role: str,
+                   ctl: EvalControls) -> EcResult:
+    """Sample-average estimate of the effective capacity (exact kernel),
+    over mc_gain_draws(cfg, ctl).
 
     The standard error of the kernel mean is pushed through the log
-    transform by the delta method.  `gains` is mc_gain_draws(cfg, ctl),
-    drawn here when not given; a list drawn for another (V, t, u, seed,
-    mc_samples) is a ValueError.
+    transform by the delta method.
     """
-    key = _draw_key(cfg, ctl)
-    if gains is not None and getattr(gains, "key", None) != key:
-        raise ValueError(f"gains were drawn for (V, t, u, seed, mc_samples) "
-                         f"= {getattr(gains, 'key', None)}, not {key}")
     theta = cfg.theta_for(role)
     eps = cfg.eps_for(role)
     if eps == 1.0:
@@ -173,7 +169,7 @@ def ec_monte_carlo(cfg: SystemConfig, role: str, ctl: EvalControls,
     col = 0 if role == "weak" else 1
     kp = make_kernel_params(theta, cfg.n, eps)
     sums, sums_sq = [], []
-    for pair in mc_gain_draws(cfg, ctl) if gains is None else gains:
+    for pair in mc_gain_draws(cfg, ctl):
         k = ec_kernel(gamma_for_role(pair[col], cfg, role), kp, eps)
         sums.append(float(np.sum(k)))
         sums_sq.append(float(np.sum(k * k)))
@@ -574,17 +570,14 @@ def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
 
 
 def evaluate(cfg: SystemConfig, role: str, method: str,
-             ctl: EvalControls, gains: GainDraws | None = None) -> EcResult:
-    """Single entry point used by sweeps and reports.
-
-    `gains` (from mc_gain_draws) is used by the Monte-Carlo method only.
-    """
+             ctl: EvalControls) -> EcResult:
+    """Single entry point used by sweeps and reports."""
     if method == "closed_form":
         cfg.theta_for(role)     # refuses an unknown role, as the others do
         closed = ec_closed_weak if role == "weak" else ec_closed_strong
         return closed(cfg, ctl)
     if method == "monte_carlo":
-        return ec_monte_carlo(cfg, role, ctl, gains)
+        return ec_monte_carlo(cfg, role, ctl)
     if method == "quadrature":
         return ec_quadrature(cfg, role, ctl, kernel_variant="exact")
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -139,8 +139,9 @@ def expansion_coeffs(beta: float, order: tuple[int, int]) -> np.ndarray:
 
     e^(beta delta) is cut to M + 1 Maclaurin terms and each
     delta^m = (1 - w)^(m/2) to its binomial series through w^J.  Cached,
-    since a quadrature evaluates the kernel point by point; the returned
-    array is read-only.
+    since beta depends only on (theta, n, eps): a theta grid repeats across
+    the SNR variants and users of a sweep (one fig4-fig6 pass makes 30 and
+    reuses 330); the returned array is read-only.
     """
     m_max, j_max = order
     a = np.zeros(j_max + 1)

@@ -20,8 +20,7 @@ import numpy as np
 
 from .channel import ROLES, SystemConfig, db_to_linear
 from .delay import delay_at_capacity
-from .eccalc import (METHODS, EcResult, EvalControls, GainDraws,
-                     ec_quadrature, evaluate, mc_gain_draws)
+from .eccalc import METHODS, EcResult, EvalControls, ec_quadrature, evaluate
 
 CSV_HEADER = ("scenario_id,axis_name,axis_value,role,method,ec_bits_per_cu,"
               "std_error,delay_violation_prob,series_terms,converged")
@@ -99,13 +98,9 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every grid x role x method combination and write the CSV.
 
     Evaluator failures are recorded in their row with converged = False
-    instead of aborting the sweep.  The Monte-Carlo gains are drawn once
-    and shared by every row: the axis and the variants change only rho
-    and theta, which the draws do not depend on.
+    instead of aborting the sweep.
     """
     rows: list[ResultRow] = []
-    gains = (mc_gain_draws(spec.base, spec.controls)
-             if "monte_carlo" in spec.methods else None)
     variants = spec.rho_db_variants or (None,)
     for variant in variants:
         if variant is None:
@@ -118,15 +113,14 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
             cfg = _apply_axis(base, spec.axis, value)
             for role in spec.roles:
                 for method in spec.methods:
-                    rows.append(_one_row(scen, spec, cfg, value, role, method,
-                                         gains))
+                    rows.append(_one_row(scen, spec, cfg, value, role, method))
     write_rows(spec.output_path, rows)
     return rows
 
 
-def _one_row(scenario, spec, cfg, value, role, method, gains) -> ResultRow:
+def _one_row(scenario, spec, cfg, value, role, method) -> ResultRow:
     try:
-        res = evaluate(cfg, role, method, spec.controls, gains)
+        res = evaluate(cfg, role, method, spec.controls)
         ec = res.value if math.isfinite(res.value) else None
     except (ValueError, RuntimeError) as exc:
         res = EcResult(value=math.nan, method=method, converged=False,
@@ -332,25 +326,20 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_report(cfg: SystemConfig, ctl: EvalControls,
-                    gains: GainDraws | None = None) -> ValidationReport:
+def validate_report(cfg: SystemConfig, ctl: EvalControls) -> ValidationReport:
     """Run the closed / quadrature / Monte-Carlo triangle for both users.
 
     Gate structure localizes failures: closed form against quadrature of the
     expanded kernel checks the series algebra, Monte-Carlo against
     quadrature of the exact kernel checks sampling, and the convergence
-    flags surface truncated series.  Both users' Monte-Carlo estimates use
-    one draw of the gains: `gains` (mc_gain_draws(cfg, ctl), which serves
-    every SNR of the pool), drawn here when not given.
+    flags surface truncated series.
     """
     report = ValidationReport()
-    if gains is None:
-        gains = mc_gain_draws(cfg, ctl)
     for role in ROLES:
         closed = evaluate(cfg, role, "closed_form", ctl)
         quad_approx = ec_quadrature(cfg, role, ctl, kernel_variant="approx")
         quad_exact = ec_quadrature(cfg, role, ctl, kernel_variant="exact")
-        mc = evaluate(cfg, role, "monte_carlo", ctl, gains)
+        mc = evaluate(cfg, role, "monte_carlo", ctl)
         report.evaluations[f"{role}/closed_form"] = closed
         report.evaluations[f"{role}/quadrature_approx"] = quad_approx
         report.evaluations[f"{role}/quadrature_exact"] = quad_exact
@@ -381,9 +370,10 @@ def validate_report(cfg: SystemConfig, ctl: EvalControls,
     return report
 
 
-def write_plot_script(csv_path: str, script_path: str | None = None) -> str:
-    """Emit a small gnuplot script rendering capacity columns of a sweep CSV."""
-    script_path = script_path or str(Path(csv_path).with_suffix(".gp"))
+def write_plot_script(csv_path: str) -> str:
+    """Emit a small gnuplot script rendering capacity columns of a sweep CSV,
+    next to it with the suffix .gp; returns the script's path."""
+    script_path = str(Path(csv_path).with_suffix(".gp"))
     csv_name = Path(csv_path).name
     lines = [
         "set datafile separator ','",

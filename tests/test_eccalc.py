@@ -1,5 +1,7 @@
 import decimal
 import math
+import sys
+import threading
 import warnings
 from dataclasses import replace
 from decimal import Decimal
@@ -23,6 +25,7 @@ from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
                              ec_kernel_approx, expansion_coeffs, fbl_rate,
                              make_kernel_params)
 from nomafbl.specfun import ConvergenceError, tricomi_u
+from nomafbl.sweep import pool_config, validate_report
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, n=300, eps=1e-5,
             theta_t=0.01, theta_u=0.01)
@@ -88,28 +91,6 @@ class TestMonteCarlo:
             se = rates.std() / math.sqrt(rates.size)
             target = (1.0 - 1e-5) * rates.mean()
             assert abs(ec.value - target) <= 2.0 * (se + ec.std_error)
-
-    def test_draws_made_for_other_inputs_are_refused(self):
-        # a list drawn at 5000 samples once gave 3.303 +- 0.0 at 1000
-        # samples (right: 4.025 +- 0.035), and one drawn for (t, u) = (2, 8)
-        # gave 4.077 at (1, 3) (right: 1.851)
-        cfg = make_cfg()
-        ctl = EvalControls(mc_samples=1000, seed=5)
-        with pytest.raises(ValueError, match="mc_samples"):
-            ec_monte_carlo(cfg, "strong", ctl,
-                           mc_gain_draws(cfg, replace(ctl, mc_samples=5000)))
-        with pytest.raises(ValueError):
-            ec_monte_carlo(replace(cfg, t=1, u=3), "strong", ctl,
-                           mc_gain_draws(cfg, ctl))
-        with pytest.raises(ValueError):
-            ec_monte_carlo(cfg, "weak", replace(ctl, seed=6),
-                           mc_gain_draws(cfg, ctl))
-        with pytest.raises(ValueError):
-            ec_monte_carlo(cfg, "weak", ctl, list(mc_gain_draws(cfg, ctl)))
-        # the same inputs at another SNR and QoS exponent are fine
-        other = replace(cfg, rho=db_to_linear(5.0), theta_t=0.1, theta_u=0.1)
-        assert ec_monte_carlo(other, "weak", ctl, mc_gain_draws(cfg, ctl)) \
-            == ec_monte_carlo(other, "weak", ctl)
 
     def test_agrees_with_quadrature(self):
         rng = np.random.default_rng(13)
@@ -443,6 +424,95 @@ class TestWeakLadderMemo:
         for cfg in cfgs:
             eccalc._weak_ladders.cache_clear()
             cold.append(repr(ec_closed_weak(cfg, ctl)))
+        assert warm == cold
+
+
+class TestGainDrawMemo:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        eccalc._gain_draws.clear()
+
+    @staticmethod
+    def count_draws(monkeypatch):
+        calls = []
+        sample_gains = eccalc.sample_gains
+        monkeypatch.setattr(eccalc, "sample_gains", lambda *a: (
+            calls.append(a[1]) or sample_gains(*a)))
+        return calls
+
+    def test_one_pool_shares_one_draw(self, monkeypatch):
+        # the draws depend on neither the SNR nor theta
+        calls = self.count_draws(monkeypatch)
+        ctl = EvalControls(mc_samples=70_000, seed=4)
+        draws = mc_gain_draws(make_cfg(), ctl)
+        other = make_cfg(rho_db=5.0, theta_t=0.1, theta_u=0.1)
+        assert mc_gain_draws(other, ctl) is draws
+        assert calls == [1 << 16, 70_000 - (1 << 16)]
+        assert mc_gain_draws(other, replace(ctl, seed=5)) is not draws
+
+    def test_memo_is_read_only(self):
+        for pair in mc_gain_draws(make_cfg(), EvalControls(mc_samples=500)):
+            for col in pair:
+                assert not col.flags.writeable
+                with pytest.raises(ValueError):
+                    col[0] = 1.0
+
+    def test_validate_report_at_three_snrs_draws_once(self, monkeypatch):
+        calls = self.count_draws(monkeypatch)
+        ctl = EvalControls(mc_samples=5000)
+        for rho_db in (10.0, 20.0, 30.0):
+            validate_report(pool_config(300, 1e-5, 0.01, rho_db), ctl)
+        assert calls == [5000]
+
+    def test_threads_asking_for_two_pools_get_their_own(self):
+        # under contention for the one entry each call still returns the
+        # draws of its own key and raises nothing
+        cfg = make_cfg()
+        ctls = [EvalControls(mc_samples=m) for m in (100, 200)]
+        want = [mc_gain_draws(cfg, ctl)[0][1].copy() for ctl in ctls]
+        errors = []
+
+        def work(i):
+            try:
+                for _ in range(200):
+                    got = mc_gain_draws(cfg, ctls[i % 2])
+                    assert np.array_equal(got[0][1], want[i % 2])
+            except Exception as exc:    # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+
+    def test_memo_gives_cold_results(self):
+        # each switch of (V, t, u, seed, mc_samples) gives what a cleared
+        # memo gives: 5000 samples then 1000, (t, u) = (2, 8) then (1, 3),
+        # seed 5 then 6, and another SNR and theta at the last key
+        cfg = make_cfg()
+        ctl = EvalControls(mc_samples=1000, seed=5)
+        cases = [(cfg, "strong", replace(ctl, mc_samples=5000)),
+                 (cfg, "strong", ctl),
+                 (cfg, "strong", ctl),
+                 (replace(cfg, t=1, u=3), "strong", ctl),
+                 (cfg, "weak", ctl),
+                 (cfg, "weak", replace(ctl, seed=6)),
+                 (make_cfg(rho_db=5.0, theta_t=0.1, theta_u=0.1), "weak",
+                  replace(ctl, seed=6))]
+        warm = [repr(ec_monte_carlo(*case)) for case in cases]
+        cold = []
+        for case in cases:
+            eccalc._gain_draws.clear()
+            cold.append(repr(ec_monte_carlo(*case)))
         assert warm == cold
 
 

@@ -203,6 +203,7 @@ class TestGainReuse:
             assert res.std_error == alone.std_error
 
     def test_one_draw_per_chunk(self, tmp_path, monkeypatch):
+        nomafbl.eccalc._gain_draws.clear()
         calls = []
         sample_gains = nomafbl.eccalc.sample_gains
 
@@ -221,6 +222,7 @@ class TestGainReuse:
     def test_validate_cli_draws_once_for_every_snr(self, monkeypatch, capsys):
         # one draw serves the three --rho-db reports, which print what a
         # report drawing its own gains prints
+        nomafbl.eccalc._gain_draws.clear()
         calls = []
         sample_gains = nomafbl.eccalc.sample_gains
         monkeypatch.setattr(nomafbl.eccalc, "sample_gains", lambda *a: (
@@ -393,6 +395,15 @@ class TestCli:
                      "--theta", "1", "--rho-db", "-30", "--blocks", "2000",
                      "--warmup", "10"]) == 2
         assert "kernel expectation is non-positive" in capsys.readouterr().err
+
+    def test_queue_sim_at_a_given_rate_needs_no_capacity(self, capsys):
+        # the closed form fails here (see above), but --mu does not need it
+        assert main(["queue-sim", "--mu", "1", "--eps", "0.9", "--theta",
+                     "1", "--rho-db", "-30", "--blocks", "2000",
+                     "--warmup", "10"]) == 0
+        out = capsys.readouterr().out
+        assert "arrival rate mu = 1.000000" in out
+        assert "effective capacity" not in out
 
     def test_plot_script_helper(self, tmp_path):
         csv_path = tmp_path / "data.csv"
