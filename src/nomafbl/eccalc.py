@@ -7,7 +7,7 @@ All three compute the same object,
 where the expectation is over the ordered-gain law of the selected user and
 k is either the exact kernel or its expansion in powers of beta and
 w = (1+gamma)^-2 (fblrate module).  The closed forms need the expansion, and
-its order (M, J) is chosen per point from beta under series_rel_tol
+its order (M, J) is chosen per point from beta under SERIES_REL_TOL
 (fblrate.expansion_order); the "approx" quadrature uses the same order.
 Cross-checking the routes localizes failures: closed form vs quadrature of
 the expanded kernel isolates the series algebra, quadrature of the exact
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from decimal import Context, Decimal, getcontext, localcontext
 
@@ -29,15 +30,17 @@ from scipy import integrate
 
 from .channel import (SystemConfig, gamma_for_role, ordered_quantile,
                       sample_gains)
-from .fblrate import (LN2, ec_kernel, ec_kernel_approx, expansion_coeffs,
-                      expansion_error_coeffs, expansion_order,
-                      make_kernel_params)
+from .fblrate import (LN2, ec_kernel, expansion_coeffs, expansion_error_coeffs,
+                      expansion_order, make_kernel_params, rate_minimum)
 from .specfun import ConvergenceError, beta_fn, scaled_expint
 
 _MC_CHUNK = 1 << 16
 _MACHEPS = np.finfo(float).eps
 # Significant digits of the strong user's sum (see _strong_moments)
 _SUM_DIGITS, _SUM_DIGITS_KEPT, _SUM_DIGITS_SPARE = 50, 20, 30
+# Relative tolerance of the kernel expansion order and the weak-user series
+SERIES_REL_TOL = 1e-10
+_SEED_LOCK = threading.Lock()
 
 METHODS = ("closed_form", "monte_carlo", "quadrature")
 
@@ -55,15 +58,12 @@ class EvalControls:
     seed: int = 1234
     quad_rel_tol: float = 1e-9
     series_max_terms: int = 500
-    series_rel_tol: float = 1e-10
 
     def __post_init__(self):
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
         if not 0.0 < self.quad_rel_tol < 1.0:
             raise ValueError("quad_rel_tol must lie in (0, 1)")
-        if not 0.0 < self.series_rel_tol < 1.0:
-            raise ValueError("series_rel_tol must lie in (0, 1)")
         if self.series_max_terms < 2:
             raise ValueError("series_max_terms must be >= 2")
 
@@ -115,10 +115,9 @@ def _ec_from_mean(mean: float, theta: float, n: int) -> float:
     return -math.log(mean) / (theta * n * LN2)
 
 
-def _order(kp, ctl: EvalControls, order):
+def _order(kp, order):
     """The kernel expansion order of one point: given, or chosen from beta."""
-    return tuple(order) if order else expansion_order(kp.beta,
-                                                     ctl.series_rel_tol)
+    return tuple(order) if order else expansion_order(kp.beta, SERIES_REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +201,13 @@ def _gamma_to_gain(gamma, cfg, role):
     return gamma / (cfg.rho * denom)
 
 
-def _kernel_peak_gain(cfg, role, kern, x_hi):
-    """Locate an interior kernel maximum (present at large theta) in gain space."""
-    g_hi = gamma_for_role(x_hi, cfg, role)
-    grid = np.logspace(-8, math.log10(max(g_hi, 1e-6)), 300)
-    vals = kern(grid)
-    i = int(np.argmax(vals))
-    if vals[i] <= 1.0:
-        return None
-    x_star = _gamma_to_gain(float(grid[i]), cfg, role)
-    if not 0.0 < x_star < x_hi:
-        return None
-    return x_star
-
-
 def _integrand(cfg: SystemConfig, role: str, kp, eps: float, order):
     """kernel(gamma_for_role(x)) * ordered_pdf(x) as a function of one float.
 
     QUADPACK calls the integrand one node at a time, so it is plain float
     arithmetic in math over constants made once here; numpy's per-call
     overhead would outweigh the arithmetic.  The kernel is ec_kernel, or
-    ec_kernel_approx at ``order`` with its polynomial in w by Horner's rule.
+    its expansion at ``order`` with the polynomial in w by Horner's rule.
     """
     k = cfg.order_index(role)
     xi = 1.0 / beta_fn(k, cfg.V - k + 1)
@@ -270,9 +255,7 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
     if eps == 1.0:
         return EcResult(0.0, "quadrature", note="degenerate eps = 1")
     kp = make_kernel_params(theta, cfg.n, eps)
-    order = None if kernel_variant == "exact" else _order(kp, ctl, order)
-    kern = ((lambda g: ec_kernel(g, kp, eps)) if order is None
-            else (lambda g: ec_kernel_approx(g, kp, eps, order)))
+    order = None if kernel_variant == "exact" else _order(kp, order)
     integrand = _integrand(cfg, role, kp, eps, order)
     k_idx = cfg.order_index(role)
 
@@ -282,9 +265,9 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
     # mass near gamma = 1 (high SNR, large theta n) lies below the quantiles
     unit = _gamma_to_gain(1.0, cfg, role)
     pts.extend(unit * 10.0 ** k for k in range(-2, 3))
-    peak = _kernel_peak_gain(cfg, role, kern, x_hi)
-    if peak is not None:
-        pts.extend([0.5 * peak, peak, 2.0 * peak])
+    # the exact kernel peaks at the rate minimum, for every theta
+    peak = _gamma_to_gain(rate_minimum(cfg.n, eps), cfg, role)
+    pts.extend([0.5 * peak, peak, 2.0 * peak])
     pts = sorted(p for p in pts if 0.0 < p < x_hi)
 
     try:
@@ -330,21 +313,25 @@ def _int_ladder(etas, s_max: int, s0=0.0) -> list[np.ndarray]:
     Decimals at the precision of the current decimal context, orders
     s0 + k included.  mpmath then makes the seeds at that many digits; it
     takes no Decimal, so the seeds' arguments and values pass as strings,
-    and a value's string rounds it within 10^(1 - digits) relative.
+    and a value's string rounds it within 10^(1 - digits) relative.  Float
+    seeds are made at mpmath's default 53 bits, whatever the caller's
+    precision; mpmath's precision is process-wide, so seeding holds a lock.
     """
     extended = isinstance(etas[0], Decimal)
     k0s = [min(s_max, max(0, math.ceil(eta - s0) + 1)) for eta in etas]
     seeds = {}
-    for k0 in sorted(set(k0s)):
-        group = [i for i, k in enumerate(k0s) if k == k0]
-        if extended:
-            with mpmath.workdps(getcontext().prec):
+    precision = (mpmath.workdps(getcontext().prec) if extended
+                 else mpmath.workprec(53))
+    with _SEED_LOCK, precision:
+        for k0 in sorted(set(k0s)):
+            group = [i for i, k in enumerate(k0s) if k == k0]
+            if extended:
                 values = [Decimal(str(v)) for v in scaled_expint(
                     str(s0 + k0), [str(etas[i]) for i in group])]
-        else:
-            values = [float(v) for v in scaled_expint(
-                s0 + k0, [etas[i] for i in group])]
-        seeds.update(zip(group, values))
+            else:
+                values = [float(v) for v in scaled_expint(
+                    s0 + k0, [etas[i] for i in group])]
+            seeds.update(zip(group, values))
     ladders = []
     for i, (eta, k0) in enumerate(zip(etas, k0s)):
         rungs = [seeds[i]]
@@ -391,13 +378,13 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
         tails = np.where(log_ratio < 0.0,
                          np.exp(log_term) * ratio / (1.0 - ratio), np.inf)
     done = (log_ratio < 0.0) & (
-        (tails <= ctl.series_rel_tol * totals)
+        (tails <= SERIES_REL_TOL * totals)
         | ((totals == 0.0) & (log_term < -700.0)))
     done[:, :2] = False
     blown = log_term > 700.0
-    rows = np.arange(cs.size)
-    stop = np.where(done.any(axis=1), done.argmax(axis=1), s_max)
-    blow = np.where(blown.any(axis=1), blown.argmax(axis=1), s_max + 1)
+    rows, cols = np.arange(cs.size), np.arange(s_max + 1)
+    stop = np.where(done, cols, s_max).min(axis=1)
+    blow = np.where(blown, cols, s_max + 1).min(axis=1)
     diverged = blow <= stop
     last = np.where(diverged, blow - 1, stop)
     return (totals[rows, last], np.where(diverged, blow, stop),
@@ -429,7 +416,7 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
     Returns (moments, err, terms, converged) for _ec_closed: err is the
     sum over the expansion coefficients a_j of |a_j| times the inner
     series' tail bounds (inf where one diverges), plus rounding; converged
-    is that tail sum within series_rel_tol of the same weighted sum of the
+    is that tail sum within SERIES_REL_TOL of the same weighted sum of the
     inner series' magnitudes, so a high moment left truncated by the term
     budget counts only as much as its coefficient lets it.
     """
@@ -455,7 +442,7 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
     tail = math.fsum(np.abs(a[used]) * tail_j[used])
     scale = math.fsum(np.abs(a[used]) * scale_j[used])
     err = tail + _MACHEPS * (scale + math.fsum(np.abs(a * mu)))
-    return mu, err, int(terms_used.max()), tail <= ctl.series_rel_tol * scale
+    return mu, err, int(terms_used.max()), tail <= SERIES_REL_TOL * scale
 
 
 def _strong_sums(cfg: SystemConfig, zeta, a, digits: int):
@@ -527,7 +514,7 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
     if eps == 1.0:
         return EcResult(0.0, "closed_form", note="degenerate eps = 1")
     kp = make_kernel_params(theta, cfg.n, eps)
-    order = _order(kp, ctl, order)
+    order = _order(kp, order)
     a = expansion_coeffs(kp.beta, order)
     moments_of = _weak_moments if role == "weak" else _strong_moments
     moments, err, terms, converged = moments_of(cfg, kp.zeta, a, ctl)

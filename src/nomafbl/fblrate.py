@@ -103,6 +103,16 @@ def fbl_rate(gamma, n: int, eps: float):
     return float(out) if out.ndim == 0 else out
 
 
+def rate_minimum(n: int, eps: float) -> float:
+    """SNR gamma* at which fbl_rate(gamma, n, eps), and so exp(-theta n r) at
+    every theta, is least: the root of delta / (1 - delta^2) = c, with
+    c = Qinv(eps) / sqrt(n), is gamma* = sqrt((1 + sqrt(1 + 4c^2)) / 2) - 1.
+    Where eps >= 1/2 (c <= 0) the rate only grows and gamma* is inf."""
+    c = gaussian_q_inv(eps) / math.sqrt(n)
+    u = 2.0 * c * c / (1.0 + math.sqrt(1.0 + 4.0 * c * c))  # (1 + gamma*)^2 - 1
+    return math.expm1(0.5 * math.log1p(u)) if c > 0.0 else math.inf
+
+
 def ec_kernel(gamma, kp: KernelParams, eps: float):
     """Inside-expectation integrand eps + (1-eps)(1+gamma)^(2 zeta) e^(beta delta)."""
     g = np.asarray(gamma, dtype=float)

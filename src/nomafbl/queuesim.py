@@ -133,22 +133,17 @@ def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n):
     """Time the chunk's backlog spends above level within [late_lo, late_hi].
 
     Block k of the chunk is block start + k of the run: it starts at
-    (start + k) n and runs linearly from the previous block's end backlog
-    (carry_w for k = 0) to backlog[k].  Only blocks that start or end
-    above level are evaluated; every other block adds exactly 0
+    (start + k) n and runs linearly from w[k] to w[k + 1], w being the
+    chunk's backlog after the carried carry_w.  Only blocks that start or
+    end above level are evaluated; every other block adds exactly 0
     (_time_above).  The lengths are summed at their places among zeros, so
     the float sum is the one over every block."""
-    high = backlog > level
-    near = high.copy()
-    near[1:] |= high[:-1]
-    near[0] |= carry_w > level
-    blocks = np.flatnonzero(near)
-    w_start = backlog[blocks - 1]
-    if blocks.size and blocks[0] == 0:
-        w_start[0] = carry_w
+    w = np.concatenate(([carry_w], backlog))
+    high = w > level
+    blocks = np.flatnonzero(high[:-1] | high[1:])
     block_t = n * (start + blocks).astype(float)
     lengths = np.zeros(backlog.size)
-    lengths[blocks] = _time_above(w_start, backlog[blocks], level,
+    lengths[blocks] = _time_above(w[blocks], w[blocks + 1], level,
                                   np.clip(late_lo - block_t, 0.0, n),
                                   np.clip(late_hi - block_t, 0.0, n), n)
     return float(np.sum(lengths))

@@ -371,17 +371,23 @@ def validate_report(cfg: SystemConfig, ctl: EvalControls) -> ValidationReport:
 
 
 def write_plot_script(csv_path: str) -> str:
-    """Emit a small gnuplot script rendering capacity columns of a sweep CSV,
-    next to it with the suffix .gp; returns the script's path."""
+    """Emit a gnuplot script drawing one line per (scenario_id, role,
+    method) series of a sweep CSV, each from its own data block, next to
+    it with the suffix .gp; returns the script's path."""
     script_path = str(Path(csv_path).with_suffix(".gp"))
-    csv_name = Path(csv_path).name
-    lines = [
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        "set xlabel 'axis value'",
-        "set ylabel 'effective capacity [bits/channel use]'",
-        f"plot '{csv_name}' using 3:6 with linespoints",
-    ]
+    series: dict[tuple[str, str, str], list[str]] = {}
+    for r in read_rows(csv_path):
+        if r.ec_bits_per_cu is not None:
+            series.setdefault((r.scenario_id, r.role, r.method), []).append(
+                f"{r.axis_value!r} {r.ec_bits_per_cu!r}")
+    lines = ["set xlabel 'axis value'",
+             "set ylabel 'effective capacity [bits/channel use]'"]
+    for i, points in enumerate(series.values()):
+        lines += [f"$s{i} << EOD", *points, "EOD"]
+    if series:
+        lines.append("plot " + ", ".join(
+            f"$s{i} using 1:2 with linespoints title '{' '.join(key)}'"
+            for i, key in enumerate(series)))
     with open(script_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return script_path

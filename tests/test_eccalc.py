@@ -17,13 +17,14 @@ from nomafbl import eccalc
 from nomafbl.channel import (ROLES, SystemConfig, db_to_linear,
                              gamma_for_role, ordered_pdf, ordered_quantile,
                              sinr_weak)
-from nomafbl.eccalc import (_NEGATIVE, EcResult, EvalControls, _int_ladder,
-                            _integrand, _weak_series, ec_closed_strong,
-                            ec_closed_weak, ec_monte_carlo, ec_quadrature,
-                            evaluate, mc_gain_draws)
+from nomafbl.eccalc import (_NEGATIVE, SERIES_REL_TOL, EcResult, EvalControls,
+                            _gamma_to_gain, _int_ladder, _integrand,
+                            _weak_series, ec_closed_strong, ec_closed_weak,
+                            ec_monte_carlo, ec_quadrature, evaluate,
+                            mc_gain_draws)
 from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
                              ec_kernel_approx, expansion_coeffs, fbl_rate,
-                             make_kernel_params)
+                             make_kernel_params, rate_minimum)
 from nomafbl.specfun import ConvergenceError, tricomi_u
 from nomafbl.sweep import pool_config, validate_report
 
@@ -153,6 +154,20 @@ class TestQuadrature:
             brute, rel=1e-3)
 
 
+    @pytest.mark.parametrize("variant", ["exact", "approx"])
+    @pytest.mark.parametrize("role", ROLES)
+    def test_head_panel_breaks_at_rate_minimum(self, monkeypatch, role,
+                                               variant):
+        # the kernel peaks at gamma*, for every theta: its gain is among
+        # the breakpoints of the head panel
+        calls, quad = [], eccalc.integrate.quad
+        monkeypatch.setattr(eccalc.integrate, "quad", lambda *a, **kw: (
+            calls.append(kw.get("points")) or quad(*a, **kw)))
+        cfg = make_cfg(n=400, eps=1e-6, theta_t=1.0, theta_u=1.0)
+        ec_quadrature(cfg, role, EvalControls(), variant)
+        peak = _gamma_to_gain(rate_minimum(400, 1e-6), cfg, role)
+        assert peak in calls[0]
+
     @pytest.mark.parametrize("role, expected", [("weak", -0.03514),
                                                 ("strong", -0.02244)])
     def test_exact_kernel_at_very_large_theta(self, role, expected):
@@ -226,9 +241,9 @@ class TestQuadrature:
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("n, eps, theta, role, variant, value, note", [
-        (400, 1e-6, 1.0, "weak", "approx", 0.041762812956390415,
-         "approx kernel at order (2, 1); 399 + 75 integrand evaluations, "
-         "17 + 3 subintervals"),
+        (400, 1e-6, 1.0, "weak", "approx", 0.04176281295639041,
+         "approx kernel at order (2, 1); 315 + 75 integrand evaluations, "
+         "15 + 3 subintervals"),
         (300, 1e-5, 0.01, "weak", "exact", 1.5216427900278409,
          "exact kernel; 315 + 75 integrand evaluations, 15 + 3 subintervals"),
         (300, 1e-5, 0.01, "weak", "approx", 1.5216398545244625,
@@ -245,9 +260,11 @@ class TestQuadrature:
                                            value, note):
         # at 20 dB: the fig4-fig6 point at theta = 1, where the weak
         # user's series diverges and falls back to this quadrature, and the
-        # validate point.  The values and QUADPACK's counts are those of the
-        # earlier integrand built from the vector functions; the float
-        # integrand reproduces them bit for bit
+        # validate point.  The validate point's values and QUADPACK's counts
+        # are those of the earlier integrand built from the vector
+        # functions; the float integrand reproduces them bit for bit.  The
+        # theta = 1 pin is that of the head panel split at the rate minimum
+        # gamma* (fblrate.rate_minimum)
         cfg = make_cfg(n=n, eps=eps, theta_t=theta, theta_u=theta)
         res = ec_quadrature(cfg, role, EvalControls(), variant)
         assert res.value == value
@@ -276,7 +293,7 @@ def _weak_series_loop(c, q, d, ladder, log_prefactor, ctl):
             if s >= 2 and log_ratio < 0.0:
                 ratio = math.exp(log_ratio)
                 tail = math.exp(log_term) * ratio / (1.0 - ratio)
-                if tail <= ctl.series_rel_tol * abs(total) \
+                if tail <= SERIES_REL_TOL * abs(total) \
                         or (total == 0.0 and log_term < -700.0):
                     return total, s, tail
         prev_log = log_term
@@ -317,7 +334,7 @@ class TestClosedFormSeries:
             assert tails[-1] == math.inf
         # ok: tail within tolerance; truncated: a finite tail above it;
         # diverging: an infinite tail
-        status = ["ok" if tail <= ctl.series_rel_tol * abs(total)
+        status = ["ok" if tail <= SERIES_REL_TOL * abs(total)
                   else "truncated" if math.isfinite(tail) else "diverging"
                   for total, tail in zip(sums, tails)]
         assert status == ["ok", "ok", "ok", "truncated", "diverging"]
@@ -425,6 +442,53 @@ class TestWeakLadderMemo:
             eccalc._weak_ladders.cache_clear()
             cold.append(repr(ec_closed_weak(cfg, ctl)))
         assert warm == cold
+
+
+class TestSeedPrecision:
+    @staticmethod
+    def closed(cfg, role):
+        if role == "weak":
+            eccalc._weak_ladders.cache_clear()
+            return ec_closed_weak(cfg, EvalControls()).value
+        return ec_closed_strong(cfg, EvalControls()).value
+
+    def test_threads_get_serial_results(self):
+        # mpmath's precision is process-wide: four threads seeding both
+        # users' ladders at once get the serial results and leave 53 bits
+        points = [(make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
+                            theta_u=theta), role)
+                  for rho_db in (15.0, 25.0) for theta in (0.0031, 0.0117, 0.05)
+                  for role in ROLES]
+        want = [self.closed(*point) for point in points]
+        got = [None] * 4
+
+        def work(i):
+            got[i] = [self.closed(*point) for point in points]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == [want] * 4
+        assert mpmath.mp.prec == 53
+
+    def test_weak_closed_form_ignores_callers_precision(self):
+        cfgs = [make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
+                         theta_u=theta)
+                for rho_db, theta in [(0.0, 0.01), (40.0, 1e-3), (40.0, 0.01)]]
+        with mpmath.workprec(53):       # mpmath's default
+            want = [self.closed(cfg, "weak") for cfg in cfgs]
+        with mpmath.workdps(30):
+            got = [self.closed(cfg, "weak") for cfg in cfgs]
+        assert got == want
 
 
 class TestGainDrawMemo:

@@ -8,7 +8,8 @@ from scipy import special as sp
 
 from nomafbl.fblrate import (PAPER_ORDER, KernelParams, dispersion_root,
                              ec_kernel, ec_kernel_approx, expansion_error_coeffs,
-                             expansion_order, fbl_rate, make_kernel_params)
+                             expansion_order, fbl_rate, make_kernel_params,
+                             rate_minimum)
 
 LN2 = math.log(2.0)
 
@@ -87,6 +88,32 @@ class TestFblRate:
             fbl_rate(-1.0, 300, 1e-5)
         with pytest.raises(ValueError):
             fbl_rate(1.0, 300, 0.0)
+
+
+class TestRateMinimum:
+    def test_values(self):
+        # n = 400, eps = 1e-6: gamma* = 0.026457, where the rate is
+        # -0.039675 bits/cu, below every point of a fine grid
+        g = rate_minimum(400, 1e-6)
+        assert g == pytest.approx(0.0264566374, abs=5e-11)
+        assert fbl_rate(g, 400, 1e-6) == pytest.approx(-0.0396748566,
+                                                       abs=5e-11)
+        grid = np.linspace(0.0, 0.1, 200_001)
+        assert fbl_rate(g, 400, 1e-6) <= fbl_rate(grid, 400, 1e-6).min()
+        assert rate_minimum(300, 1e-5) == pytest.approx(0.0282717, abs=5e-8)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.7, 0.999])
+    def test_infinite_where_the_rate_only_grows(self, eps):
+        assert rate_minimum(300, eps) == math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(10, 100_000), log_eps=st.floats(-12.0, -0.5))
+    def test_is_the_minimum(self, n, log_eps):
+        eps = 10.0 ** log_eps
+        g = rate_minimum(n, eps)
+        assert fbl_rate(g, n, eps) < 0.0
+        for h in (-1e-4, 1e-4):
+            assert fbl_rate(g * (1.0 + h), n, eps) > fbl_rate(g, n, eps)
 
 
 class TestEcKernel:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -357,11 +360,34 @@ class TestCli:
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_plot_script(self, tmp_path):
+    @staticmethod
+    def plot_blocks(script):
+        """The data blocks of a plot script, name -> point count, and its
+        plot lines."""
+        lines = Path(script).read_text().splitlines()
+        blocks = {line.split()[0]: lines.index("EOD", i) - i - 1
+                  for i, line in enumerate(lines) if line.endswith("<< EOD")}
+        return blocks, [line for line in lines if line.startswith("plot ")]
+
+    def check_plot_script(self, tmp_path, name, series, points):
+        # one data block and one plot clause per (scenario, role, method)
         out = tmp_path / "f.csv"
-        assert main(["figure", "fig3", "--mc-samples", "2000",
+        assert main(["figure", name, "--mc-samples", "2000",
                      "--out", str(out), "--plot-script"]) == 0
-        assert (tmp_path / "f.gp").exists()
+        blocks, plots = self.plot_blocks(tmp_path / "f.gp")
+        assert list(blocks.values()) == [points] * series
+        assert len(plots) == 1
+        assert [f"{b} using 1:2" in plots[0] for b in blocks] == \
+            [True] * series
+        assert plots[0].count(" title ") == series
+
+    def test_plot_script(self, tmp_path):
+        # two users by two methods over 21 SNRs
+        self.check_plot_script(tmp_path, "fig3", 4, 21)
+
+    def test_plot_script_splits_snr_variants(self, tmp_path):
+        # three SNR variants over 30 thetas
+        self.check_plot_script(tmp_path, "fig5", 3, 30)
 
     def test_sweep_config_error_exit_code(self, tmp_path):
         assert main(["sweep", str(tmp_path / "missing.cfg")]) == 2
@@ -406,7 +432,22 @@ class TestCli:
         assert "effective capacity" not in out
 
     def test_plot_script_helper(self, tmp_path):
+        # a CSV without rows gives a script without data or plot
         csv_path = tmp_path / "data.csv"
         csv_path.write_text(CSV_HEADER + "\n")
         script = write_plot_script(str(csv_path))
         assert script.endswith(".gp")
+        assert self.plot_blocks(script) == ({}, [])
+
+    def test_module_entry_point(self, capsys):
+        # python -m nomafbl runs the same command line; stderr carries the
+        # CPU time, so only stdout is compared
+        args = ["queue-sim", "--blocks", "20000", "--warmup", "100"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "nomafbl", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0
+        assert main(args) == 0
+        assert proc.stdout == capsys.readouterr().out
