@@ -155,11 +155,21 @@ def sample_gains(cfg: SystemConfig, size: int, rng: np.random.Generator):
     joint law of (x_t, x_u).  Returns two fresh contiguous float64 arrays.
     This is the only sampler of channel gains: Monte-Carlo and the queue
     simulator draw through it, each from its own generator.
+
+    The spacings are drawn one row of `size` at a time into one reused
+    buffer, in the generator's order, and each row is added to its running
+    sum, x_t or the rest x_u - x_t, in index order: the draws and sums are
+    bit for bit those of the (u, size) spacing matrix summed over its rows,
+    and the peak is 24 bytes per sample: the 16 of the output and one row.
     """
-    spacings = rng.standard_exponential((cfg.u, size))
-    spacings /= (cfg.V - np.arange(cfg.u, dtype=float))[:, None]
-    x_t = spacings[:cfg.t].sum(axis=0)
-    x_u = x_t + spacings[cfg.t:].sum(axis=0)
+    x_t, x_u = np.zeros(size), np.zeros(size)
+    row = np.empty(size)
+    for i in range(cfg.u):
+        rng.standard_exponential(out=row)
+        row /= cfg.V - i
+        acc = x_t if i < cfg.t else x_u
+        acc += row
+    x_u += x_t
     return x_t, x_u
 
 

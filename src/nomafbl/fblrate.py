@@ -81,7 +81,12 @@ def dispersion_root(gamma):
     small gamma.  Lies in [0, 1) and increases monotonically.
     """
     g = np.asarray(gamma, dtype=float)
-    out = np.sqrt(g * (g + 2.0)) / (1.0 + g)
+    # in place on the result and one scratch array; the result is an array
+    # even for 0-d input, since out= takes no numpy scalar
+    out = np.add(g, 2.0, out=np.empty_like(g))
+    out *= g
+    np.sqrt(out, out=out)
+    out /= 1.0 + g
     return float(out) if out.ndim == 0 else out
 
 
@@ -98,8 +103,12 @@ def fbl_rate(gamma, n: int, eps: float):
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0.0):
         raise ValueError("gamma must be non-negative")
-    penalty = dispersion_root(g) * gaussian_q_inv(eps) / (math.sqrt(n) * LN2)
-    out = np.log2(1.0 + g) - penalty
+    penalty = dispersion_root(g)
+    penalty *= gaussian_q_inv(eps)
+    penalty /= math.sqrt(n) * LN2
+    out = np.add(g, 1.0, out=np.empty_like(g))
+    np.log2(out, out=out)
+    out -= penalty
     return float(out) if out.ndim == 0 else out
 
 
@@ -117,9 +126,16 @@ def ec_kernel(gamma, kp: KernelParams, eps: float):
     """Inside-expectation integrand eps + (1-eps)(1+gamma)^(2 zeta) e^(beta delta)."""
     g = np.asarray(gamma, dtype=float)
     # one exponent: apart, (1+g)^(2 zeta) underflows where e^(beta delta)
-    # overflows (theta*n large), and their product would be 0 * inf
-    val = eps + (1.0 - eps) * np.exp(2.0 * kp.zeta * np.log1p(g)
-                                     + kp.beta * dispersion_root(g))
+    # overflows (theta*n large), and their product would be 0 * inf; made
+    # in place on the result and the dispersion root
+    val = np.log1p(g, out=np.empty_like(g))
+    val *= 2.0 * kp.zeta
+    delta = dispersion_root(g)
+    delta *= kp.beta
+    val += delta
+    np.exp(val, out=val)
+    val *= 1.0 - eps
+    val += eps
     return float(val) if val.ndim == 0 else val
 
 

@@ -106,10 +106,14 @@ def _chunk_services(spec: SimSpec, count: int, chunk_index: int) -> np.ndarray:
     fail_rng = np.random.default_rng([spec.seed, chunk_index, 1])
     x_t, x_u = sample_gains(cfg, count, gain_rng)
     gains = x_t if spec.role == "weak" else x_u
-    rates = np.maximum(fbl_rate(gamma_for_role(gains, cfg, spec.role),
-                                cfg.n, eps), 0.0)
-    delivered = fail_rng.random(count) >= eps
-    return cfg.n * rates * delivered
+    del x_t, x_u                        # the partner's gain is not needed
+    rates = fbl_rate(gamma_for_role(gains, cfg, spec.role), cfg.n, eps)
+    del gains
+    # clamp, scale and zero the failed blocks in place: n * max(r, 0) * 1{ok}
+    np.maximum(rates, 0.0, out=rates)
+    rates *= cfg.n
+    rates *= fail_rng.random(count) >= eps
+    return rates
 
 
 def _time_above(w_start, w_end, level, lo, hi, n):
@@ -136,14 +140,21 @@ def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n):
     (start + k) n and runs linearly from w[k] to w[k + 1], w being the
     chunk's backlog after the carried carry_w.  Only blocks that start or
     end above level are evaluated; every other block adds exactly 0
-    (_time_above).  The lengths are summed at their places among zeros, so
-    the float sum is the one over every block."""
-    w = np.concatenate(([carry_w], backlog))
-    high = w > level
-    blocks = np.flatnonzero(high[:-1] | high[1:])
+    (_time_above), and a chunk with no such block allocates nothing more.
+    The lengths are summed at their places among zeros, so the float sum is
+    the one over every block."""
+    high = backlog > level
+    above = np.empty_like(high)
+    above[0] = carry_w > level
+    above[1:] = high[:-1]
+    above |= high
+    blocks = np.flatnonzero(above)
+    if blocks.size == 0:
+        return 0.0
+    w_start = np.where(blocks > 0, backlog[blocks - 1], carry_w)
     block_t = n * (start + blocks).astype(float)
     lengths = np.zeros(backlog.size)
-    lengths[blocks] = _time_above(w[blocks], w[blocks + 1], level,
+    lengths[blocks] = _time_above(w_start, backlog[blocks], level,
                                   np.clip(late_lo - block_t, 0.0, n),
                                   np.clip(late_hi - block_t, 0.0, n), n)
     return float(np.sum(lengths))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,42 @@ class TestSampling:
         np.testing.assert_allclose(
             x_u, [1.552964760762945, 1.8086868042029267,
                   1.1903287230213138, 1.469389177520929], rtol=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 41, 2026])
+    @pytest.mark.parametrize("size", [1, 7, 65_539])
+    @pytest.mark.parametrize("V,t,u", [(10, 2, 8), (2, 1, 2), (5, 1, 5),
+                                       (40, 3, 39)])
+    def test_equals_spacing_matrix(self, V, t, u, size, seed):
+        # the row-by-row draw is the (u, size) spacing matrix summed over
+        # its rows, bit for bit: same generator order, same addition order.
+        # numpy's axis-0 sum adds rows in order, except over one column,
+        # where it sums pairwise from 8 rows on; that case is summed here
+        # in order, as the sampler does
+        def row_sum(rows):
+            return (rows.sum(axis=0) if size > 1
+                    else np.add.accumulate(rows)[-1])
+
+        cfg = make_cfg(V=V, t=t, u=u)
+        x_t, x_u = sample_gains(cfg, size, np.random.default_rng(seed))
+        spacings = np.random.default_rng(seed).standard_exponential((u, size))
+        spacings /= (V - np.arange(u, dtype=float))[:, None]
+        ref_t = row_sum(spacings[:t])
+        ref_u = ref_t + row_sum(spacings[t:])
+        assert np.array_equal(x_t, ref_t)
+        assert np.array_equal(x_u, ref_u)
+
+    def test_memory_is_three_sample_arrays(self):
+        # numpy reports its data buffers to tracemalloc: the two outputs
+        # and one reused spacing row, not the u-row spacing matrix
+        size = 65_536
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            sample_gains(make_cfg(), size, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * size
 
     def test_pair_ordering(self):
         cfg = make_cfg()

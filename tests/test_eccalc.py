@@ -1,10 +1,13 @@
 import decimal
 import math
+import os
+import subprocess
 import sys
 import threading
 import warnings
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -153,6 +156,31 @@ class TestQuadrature:
         assert math.exp(-res.value * 1.0 * 400 * LN2) == pytest.approx(
             brute, rel=1e-3)
 
+
+    def test_integrate_loads_on_first_quadrature(self):
+        # closed forms, Monte-Carlo and the queue simulator never import
+        # scipy.integrate; the first quadrature binds it as eccalc.integrate
+        script = """if True:
+            import sys
+            import nomafbl as nf
+            cfg = nf.SystemConfig(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2,
+                                  rho=100.0, n=300, eps=1e-5, theta_t=0.01,
+                                  theta_u=0.01)
+            ctl = nf.EvalControls(mc_samples=1000)
+            mu = 0.9 * nf.ec_closed_strong(cfg, ctl).value
+            nf.ec_monte_carlo(cfg, "strong", ctl)
+            nf.run_queue_sim(nf.SimSpec(cfg=cfg, role="strong",
+                                        arrival_rate=mu, num_blocks=20_000))
+            assert "scipy.integrate" not in sys.modules
+            nf.ec_quadrature(cfg, "strong", ctl)
+            import scipy.integrate
+            assert nf.eccalc.integrate.quad is scipy.integrate.quad
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("variant", ["exact", "approx"])
     @pytest.mark.parametrize("role", ROLES)

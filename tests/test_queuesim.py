@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ class TestReproducibility:
         assert np.array_equal(a.tail_hits, b.tail_hits)
         assert a.mean_queue == b.mean_queue
         assert a.fitted_theta == b.fitted_theta
+
+    def test_memory_is_a_few_chunk_arrays(self):
+        # the spacings are drawn one row at a time and the rates and
+        # services made in place: at most 8 chunk-sized float arrays are
+        # alive at once, where a (u, chunk) spacing matrix made it u + 4
+        cfg = make_cfg()
+        mu = 0.95 * ec_closed_strong(cfg, EvalControls()).value
+        spec = SimSpec(cfg=cfg, role="strong", arrival_rate=mu,
+                       num_blocks=2 * queuesim._BLOCK_CHUNK + 5,
+                       d_max=400.0, seed=5)
+        tracemalloc.start()
+        try:
+            run_queue_sim(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * queuesim._BLOCK_CHUNK
 
     @pytest.mark.parametrize("d_max", [125.0, 530.5])
     def test_chunking_invariance_of_delay_accounting(self, d_max):
