@@ -6,8 +6,9 @@ ascending each fading block.  Two of them are paired for power-domain NOMA:
 the weak user (order index t, larger power share) decodes against the strong
 user's interference, while the strong user (order index u > t) applies
 successive interference cancellation and sees interference-free SNR.
-Sampling draws the two ranked gains directly, without sorting the pool
-(see sample_gains).
+Sampling draws the ranked gains directly, without sorting the pool: both
+paired gains jointly (sample_gains), or one user's gain alone
+(sample_gain).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .fblrate import LN2
 from .specfun import beta_fn
 
 ROLES = ("weak", "strong")
@@ -145,6 +147,42 @@ def ordered_quantile(q: float, k: int, V: int) -> float:
 # Sampling
 # ---------------------------------------------------------------------------
 
+def _add_spacings(acc, row, V: int, start: int, stop: int,
+                  rng: np.random.Generator):
+    """Add the Renyi spacings E_i / (V - i), i = start..stop-1, to acc.
+
+    Each spacing row is drawn into the reused buffer `row`, in the
+    generator's order, and added in index order: bit for bit the rows
+    start..stop-1 of a (stop, size) spacing matrix summed over its rows.
+    """
+    for i in range(start, stop):
+        rng.standard_exponential(out=row)
+        row /= V - i
+        acc += row
+
+
+def _mirror_order_gain(y):
+    """Map y in place to x = -ln(1 - e^-y) and return it.
+
+    The map is decreasing and carries a unit exponential to a unit
+    exponential, so it takes the m-th smallest of V gains to the
+    (V - m + 1)-th smallest.  Two branches keep it within 1e-15 relative
+    from y = 1e-12 to 700 (Maechler 2012, "Accurately computing
+    log(1 - exp(-|a|))"): -log(-expm1(-y)) up to ln 2 and -log1p(-exp(-y))
+    above, where the first would lose the digits of e^-y to the rounding
+    of 1 - e^-y (4 % off at y = 36).
+    """
+    large = y > LN2
+    tail = y[large]
+    np.negative(y, out=y)
+    np.expm1(y, out=y)
+    np.negative(y, out=y)
+    np.log(y, out=y)
+    np.negative(y, out=y)
+    y[large] = -np.log1p(-np.exp(-tail))
+    return y
+
+
 def sample_gains(cfg: SystemConfig, size: int, rng: np.random.Generator):
     """Draw `size` joint realizations of the paired ordered gains.
 
@@ -153,24 +191,40 @@ def sample_gains(cfg: SystemConfig, size: int, rng: np.random.Generator):
     (Renyi 1953; David & Nagaraja, Order Statistics, sec. 2.5): it draws u
     exponentials per realization instead of V, sorts nothing, and keeps the
     joint law of (x_t, x_u).  Returns two fresh contiguous float64 arrays.
-    This is the only sampler of channel gains: Monte-Carlo and the queue
-    simulator draw through it, each from its own generator.
+    Monte-Carlo draws through it, since it needs both gains of one draw;
+    the queue simulator, which needs one user's gain, draws through
+    sample_gain.
 
     The spacings are drawn one row of `size` at a time into one reused
-    buffer, in the generator's order, and each row is added to its running
-    sum, x_t or the rest x_u - x_t, in index order: the draws and sums are
-    bit for bit those of the (u, size) spacing matrix summed over its rows,
-    and the peak is 24 bytes per sample: the 16 of the output and one row.
+    buffer (_add_spacings), rows 0..t-1 summed into x_t and rows t..u-1
+    into the rest x_u - x_t: the draws and sums are bit for bit those of
+    the (u, size) spacing matrix summed over its rows, and the peak is 24
+    bytes per sample: the 16 of the output and one row.
     """
     x_t, x_u = np.zeros(size), np.zeros(size)
     row = np.empty(size)
-    for i in range(cfg.u):
-        rng.standard_exponential(out=row)
-        row /= cfg.V - i
-        acc = x_t if i < cfg.t else x_u
-        acc += row
+    _add_spacings(x_t, row, cfg.V, 0, cfg.t, rng)
+    _add_spacings(x_u, row, cfg.V, cfg.t, cfg.u, rng)
     x_u += x_t
     return x_t, x_u
+
+
+def sample_gain(cfg: SystemConfig, role: str, size: int,
+                rng: np.random.Generator):
+    """Draw `size` realizations of one user's ordered gain X_(k), k the
+    order index of `role`; returns one fresh contiguous float64 array.
+
+    It draws min(k, m) exponentials per realization, m = V - k + 1.  From
+    the bottom (k <= m) it sums Renyi's first k spacings, bit for bit as
+    sample_gains makes x_t at t = k.  From the top it sums the first m
+    into the m-th smallest gain Y and mirrors it, X_(k) = -ln(1 - e^-Y)
+    (_mirror_order_gain).
+    """
+    k = cfg.order_index(role)
+    m = cfg.V - k + 1
+    x = np.zeros(size)
+    _add_spacings(x, np.empty(size), cfg.V, 0, min(k, m), rng)
+    return x if k <= m else _mirror_order_gain(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Block-structured queue simulator validating the tail and delay laws.
 
 Each fading block lasts n channel uses.  Per block the selected user's gain
-is drawn jointly with its partner's, the finite-blocklength rate r follows,
+is drawn alone (channel.sample_gain), the finite-blocklength rate r follows,
 and the block delivers S = n * max(r, 0) bits with probability 1 - eps
 (decoding failure keeps the data queued, mirroring retransmission).
 Arrivals are fluid at the constant rate mu, i.e. A = mu * n bits per block,
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemConfig, gamma_for_role, sample_gains
+from .channel import SystemConfig, gamma_for_role, sample_gain
 from .fblrate import fbl_rate
 from .specfun import InsufficientDataError
 
@@ -104,9 +104,7 @@ def _chunk_services(spec: SimSpec, count: int, chunk_index: int) -> np.ndarray:
     eps = cfg.eps_for(spec.role)
     gain_rng = np.random.default_rng([spec.seed, chunk_index, 0])
     fail_rng = np.random.default_rng([spec.seed, chunk_index, 1])
-    x_t, x_u = sample_gains(cfg, count, gain_rng)
-    gains = x_t if spec.role == "weak" else x_u
-    del x_t, x_u                        # the partner's gain is not needed
+    gains = sample_gain(cfg, spec.role, count, gain_rng)
     rates = fbl_rate(gamma_for_role(gains, cfg, spec.role), cfg.n, eps)
     del gains
     # clamp, scale and zero the failed blocks in place: n * max(r, 0) * 1{ok}

@@ -1,15 +1,18 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from nomafbl.channel import (SystemConfig, db_to_linear, gamma_for_role,
-                             ordered_cdf, ordered_pdf, ordered_quantile,
-                             sample_gains, sinr_weak, snr_strong)
+from nomafbl.channel import (SystemConfig, _mirror_order_gain, db_to_linear,
+                             gamma_for_role, ordered_cdf, ordered_pdf,
+                             ordered_quantile, sample_gain, sample_gains,
+                             sinr_weak, snr_strong)
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, rho=100.0, n=300,
             eps=1e-5, theta_t=0.01, theta_u=0.01)
@@ -163,7 +166,7 @@ class TestSampling:
 
     def test_stream_is_pinned(self):
         # any change to these values changes every Monte-Carlo row and
-        # every queue statistic, so it has to be deliberate
+        # every weak-user queue statistic, so it has to be deliberate
         x_t, x_u = sample_gains(make_cfg(), 4, np.random.default_rng(2026))
         np.testing.assert_allclose(
             x_t, [0.12352186570911598, 0.245271757584105,
@@ -228,6 +231,69 @@ class TestSampling:
         x_t, _ = sample_gains(cfg, 100_000, rng)
         res = stats.kstest(x_t, lambda x: ordered_cdf(x, 2, 10))
         assert res.statistic < 0.01
+
+
+def one_user(V, k):
+    """A config and role whose order index is k in a pool of V.
+
+    A pool of one cannot form a pair, so V = 1 gets a stand-in with the
+    two attributes sample_gain reads."""
+    if V == 1:
+        return SimpleNamespace(V=1, order_index=lambda role: 1), "weak"
+    if k < V:
+        return make_cfg(V=V, t=k, u=V), "weak"
+    return make_cfg(V=V, t=1, u=V), "strong"
+
+
+# every order index of five pool sizes
+EVERY_ORDER = [(V, k) for V in (1, 2, 5, 10, 40) for k in range(1, V + 1)]
+
+
+class TestMarginalSampling:
+    @pytest.mark.parametrize("V,k", EVERY_ORDER)
+    def test_law_matches_ordered_cdf(self, V, k):
+        cfg, role = one_user(V, k)
+        x = sample_gain(cfg, role, 100_000, np.random.default_rng(31))
+        res = stats.kstest(x, lambda g: ordered_cdf(g, k, V))
+        assert res.statistic < 0.01
+
+    @pytest.mark.parametrize("V,k", [(V, k) for V, k in EVERY_ORDER
+                                     if 1 < V and k <= V - k + 1])
+    @pytest.mark.parametrize("size", [1, 7, 65_539])
+    def test_bottom_end_equals_joint_sampler(self, V, k, size):
+        cfg, role = one_user(V, k)
+        x = sample_gain(cfg, role, size, np.random.default_rng(32))
+        x_t, _ = sample_gains(cfg, size, np.random.default_rng(32))
+        assert np.array_equal(x, x_t)
+
+    @pytest.mark.parametrize("V,k", EVERY_ORDER)
+    def test_draws_min_k_m_spacing_rows(self, V, k):
+        cfg, role = one_user(V, k)
+        rng, twin = np.random.default_rng(33), np.random.default_rng(33)
+        x = sample_gain(cfg, role, 1000, rng)
+        twin.standard_exponential((min(k, V - k + 1), 1000))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert x.dtype == np.float64 and x.shape == (1000,)
+        assert x.flags.c_contiguous and x.flags.owndata
+
+    def test_stream_is_pinned(self):
+        # the strong user of the fig3 pool, from the top end: any change to
+        # these values changes every strong-user queue statistic
+        x = sample_gain(make_cfg(), "strong", 4, np.random.default_rng(2026))
+        np.testing.assert_allclose(
+            x, [1.554049427525515, 1.2830916013219729,
+                1.1162498321105543, 1.0732525934493833], rtol=1e-14)
+
+    def test_mirror_map_is_accurate(self):
+        # -ln(1 - e^-y) against 50 digits, across both branches and at ln 2
+        ys = np.concatenate((np.logspace(-12, math.log10(700.0), 2001),
+                             np.nextafter(math.log(2.0), [0.0, 1.0]),
+                             [math.log(2.0)]))
+        x = _mirror_order_gain(ys.copy())
+        with mpmath.workdps(50):
+            ref = np.array([float(-mpmath.log1p(-mpmath.exp(-mpmath.mpf(y))))
+                            for y in ys])
+        assert np.all(np.abs(x - ref) <= 1e-15 * ref)
 
 
 class TestSinrMaps:

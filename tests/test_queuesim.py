@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nomafbl.channel import SystemConfig, db_to_linear, snr_strong
+from nomafbl.channel import (SystemConfig, db_to_linear, gamma_for_role,
+                             sample_gains, snr_strong)
 from nomafbl.delay import DelaySpec, delay_violation_prob
 from nomafbl.eccalc import EvalControls, ec_closed_strong
 from nomafbl.fblrate import fbl_rate
@@ -215,17 +216,47 @@ class TestReproducibility:
         assert shares[0] == 0.0
         assert shares[1] > 0.0
 
-    def test_delay_window_starts_d_max_after_warmup(self):
+    def test_delay_window_starts_d_max_after_warmup(self, monkeypatch):
         # 40 counted blocks of an overloaded queue with d_max = 3.8 blocks:
         # its backlog crosses mu * d_max within d_max of the end of warmup,
         # so counting the backlog from there instead of d_max later would
-        # add 0.057 to the share
+        # add 0.057 to the share.  The services are those of seed 29 with
+        # the strong gain taken from the joint pair sampler, which make
+        # that crossing; the dense reference reads the same sequence
         spec = SimSpec(cfg=make_cfg(rho_db=10.0, eps=0.05), role="strong",
                        arrival_rate=1.7, num_blocks=90, warmup_blocks=50,
                        d_max=1530.5, seed=29)
-        share = run_queue_sim(spec).delay_violation_freq
+        horizon = spec.num_blocks + int(spec.d_max // spec.cfg.n) + 1
+        services = _joint_draw_services(spec, horizon, 0)
+        share = _run_frozen(spec, services, queuesim._BLOCK_CHUNK,
+                            monkeypatch).delay_violation_freq
         assert 0.0 < share < 1.0
         assert share == pytest.approx(_dense_late_share(spec), abs=1e-4)
+
+    @pytest.mark.parametrize("chunk_index", [0, 1])
+    @pytest.mark.parametrize("count", [1, 7, 3002])
+    def test_weak_services_equal_joint_draw(self, count, chunk_index):
+        # the weak user is drawn from the bottom end, the first t spacings
+        # of the joint sampler's stream: its services are bit for bit those
+        # made from sample_gains' x_t
+        spec = SimSpec(cfg=make_cfg(rho_db=10.0, eps=0.05), role="weak",
+                       arrival_rate=0.5, num_blocks=10, seed=8)
+        assert np.array_equal(
+            queuesim._chunk_services(spec, count, chunk_index),
+            _joint_draw_services(spec, count, chunk_index))
+
+
+def _joint_draw_services(spec, count, chunk_index):
+    """A chunk's services with the user's gain taken from the joint pair
+    sampler sample_gains, on the simulator's gain and failure substreams."""
+    cfg = spec.cfg
+    eps = cfg.eps_for(spec.role)
+    x_t, x_u = sample_gains(
+        cfg, count, np.random.default_rng([spec.seed, chunk_index, 0]))
+    gains = x_t if spec.role == "weak" else x_u
+    rates = fbl_rate(gamma_for_role(gains, cfg, spec.role), cfg.n, eps)
+    ok = np.random.default_rng([spec.seed, chunk_index, 1]).random(count)
+    return cfg.n * np.maximum(rates, 0.0) * (ok >= eps)
 
 
 def _run_frozen(spec, services, chunk, monkeypatch):
