@@ -40,10 +40,8 @@ class SystemConfig:
                splits the full power, alpha_t + alpha_u = 1
     rho        transmit SNR, linear scale
     n          blocklength in channel uses
-    eps        transmission error probability (eps = 1 degenerates all
-               evaluators to zero capacity and is allowed for sanity checks)
+    eps        transmission error probability of both users, 0 < eps < 1
     theta_t/u  delay QoS exponents of the two users
-    eps_t/u    optional per-user error targets, defaulting to the common eps
     """
 
     V: int
@@ -56,8 +54,6 @@ class SystemConfig:
     eps: float
     theta_t: float
     theta_u: float
-    eps_t: float | None = None
-    eps_u: float | None = None
 
     def __post_init__(self):
         if self.V < 1:
@@ -78,10 +74,8 @@ class SystemConfig:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.n < 1:
             raise ValueError(f"blocklength n must be >= 1, got {self.n}")
-        for name in ("eps", "eps_t", "eps_u"):
-            val = getattr(self, name)
-            if val is not None and not 0.0 < val <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {val}")
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if self.theta_t <= 0.0 or self.theta_u <= 0.0:
             raise ValueError("QoS exponents theta_t, theta_u must be positive")
 
@@ -92,11 +86,6 @@ class SystemConfig:
     def theta_for(self, role: str) -> float:
         _check_role(role)
         return self.theta_t if role == "weak" else self.theta_u
-
-    def eps_for(self, role: str) -> float:
-        _check_role(role)
-        per_user = self.eps_t if role == "weak" else self.eps_u
-        return self.eps if per_user is None else per_user
 
 
 def _check_role(role: str):

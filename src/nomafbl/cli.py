@@ -15,7 +15,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
 
 from .delay import DelaySpec, delay_violation_prob
 from .eccalc import EvalControls, evaluate
@@ -37,10 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run sweeps from a config file")
     p_sweep.add_argument("config", help="path to a [sweep:<id>] config file")
-    p_sweep.add_argument("--seed", type=int, default=None,
-                         help="override the seed of every sweep section")
-    p_sweep.add_argument("--mc-samples", type=int, default=None,
-                         help="override mc_samples of every sweep section")
 
     p_fig = sub.add_parser("figure", help="reproduce a reference figure")
     p_fig.add_argument("name", choices=FIGURE_NAMES)
@@ -83,13 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     specs = load_sweep_config(args.config)
     for spec in specs:
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.mc_samples is not None:
-            overrides["mc_samples"] = args.mc_samples
-        if overrides:
-            spec = replace(spec, controls=replace(spec.controls, **overrides))
         rows = run_sweep(spec)
         print(f"[{spec.scenario_id}] {len(rows)} rows -> {spec.output_path}")
     return 0

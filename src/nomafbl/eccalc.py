@@ -177,9 +177,7 @@ def ec_monte_carlo(cfg: SystemConfig, role: str,
     transform by the delta method.
     """
     theta = cfg.theta_for(role)
-    eps = cfg.eps_for(role)
-    if eps == 1.0:
-        return EcResult(0.0, "monte_carlo", note="degenerate eps = 1")
+    eps = cfg.eps
     col = 0 if role == "weak" else 1
     kp = make_kernel_params(theta, cfg.n, eps)
     sums, sums_sq = [], []
@@ -271,9 +269,7 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
     if kernel_variant not in ("exact", "approx"):
         raise ValueError(f"unknown kernel_variant {kernel_variant!r}")
     theta = cfg.theta_for(role)
-    eps = cfg.eps_for(role)
-    if eps == 1.0:
-        return EcResult(0.0, "quadrature", note="degenerate eps = 1")
+    eps = cfg.eps
     kp = make_kernel_params(theta, cfg.n, eps)
     order = None if kernel_variant == "exact" else _order(kp, order)
     integrand = _integrand(cfg, role, kp, eps, order)
@@ -530,9 +526,7 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
     exact-kernel capacity.
     """
     theta = cfg.theta_for(role)
-    eps = cfg.eps_for(role)
-    if eps == 1.0:
-        return EcResult(0.0, "closed_form", note="degenerate eps = 1")
+    eps = cfg.eps
     kp = make_kernel_params(theta, cfg.n, eps)
     order = _order(kp, order)
     a = expansion_coeffs(kp.beta, order)

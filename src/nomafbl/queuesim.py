@@ -101,7 +101,7 @@ def _chunk_services(spec: SimSpec, count: int, chunk_index: int) -> np.ndarray:
     # gains and decoding failures use separate substreams so the service
     # trajectory of a given seed does not depend on the horizon length
     cfg = spec.cfg
-    eps = cfg.eps_for(spec.role)
+    eps = cfg.eps
     gain_rng = np.random.default_rng([spec.seed, chunk_index, 0])
     fail_rng = np.random.default_rng([spec.seed, chunk_index, 1])
     gains = sample_gain(cfg, spec.role, count, gain_rng)

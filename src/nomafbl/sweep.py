@@ -384,10 +384,12 @@ def write_plot_script(csv_path: str) -> str:
              "set ylabel 'effective capacity [bits/channel use]'"]
     for i, points in enumerate(series.values()):
         lines += [f"$s{i} << EOD", *points, "EOD"]
+    # gnuplot writes a ' inside a '...' string as ''
+    titles = [" ".join(key).replace("'", "''") for key in series]
     if series:
         lines.append("plot " + ", ".join(
-            f"$s{i} using 1:2 with linespoints title '{' '.join(key)}'"
-            for i, key in enumerate(series)))
+            f"$s{i} using 1:2 with linespoints title '{title}'"
+            for i, title in enumerate(titles)))
     with open(script_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return script_path

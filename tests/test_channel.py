@@ -28,7 +28,6 @@ class TestSystemConfig:
         cfg = make_cfg()
         assert cfg.order_index("weak") == 2
         assert cfg.order_index("strong") == 8
-        assert cfg.eps_for("weak") == cfg.eps_for("strong") == 1e-5
 
     def test_order_constraint(self):
         with pytest.raises(ValueError):
@@ -56,13 +55,9 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_cfg(eps=1.2)
         with pytest.raises(ValueError):
+            make_cfg(eps=1.0)  # every decoding fails: no kernel accepts it
+        with pytest.raises(ValueError):
             make_cfg(theta_t=0.0)
-        make_cfg(eps=1.0)  # degenerate error probability is allowed
-
-    def test_per_user_eps(self):
-        cfg = make_cfg(eps_t=1e-3)
-        assert cfg.eps_for("weak") == 1e-3
-        assert cfg.eps_for("strong") == 1e-5
 
 
 class TestGainStatistics:

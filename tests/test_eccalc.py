@@ -20,11 +20,11 @@ from nomafbl import eccalc
 from nomafbl.channel import (ROLES, SystemConfig, db_to_linear,
                              gamma_for_role, ordered_pdf, ordered_quantile,
                              sinr_weak)
-from nomafbl.eccalc import (_NEGATIVE, SERIES_REL_TOL, EcResult, EvalControls,
-                            _gamma_to_gain, _int_ladder, _integrand,
-                            _weak_series, ec_closed_strong, ec_closed_weak,
-                            ec_monte_carlo, ec_quadrature, evaluate,
-                            mc_gain_draws)
+from nomafbl.eccalc import (_NEGATIVE, METHODS, SERIES_REL_TOL, EcResult,
+                            EvalControls, _gamma_to_gain, _int_ladder,
+                            _integrand, _weak_series, ec_closed_strong,
+                            ec_closed_weak, ec_monte_carlo, ec_quadrature,
+                            evaluate, mc_gain_draws)
 from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
                              ec_kernel_approx, expansion_coeffs, fbl_rate,
                              make_kernel_params, rate_minimum)
@@ -50,14 +50,15 @@ class TestControls:
             EvalControls(quad_rel_tol=0.0)
 
 
-class TestDegenerateEps:
-    @pytest.mark.parametrize("method", ["closed_form", "monte_carlo",
-                                        "quadrature"])
-    @pytest.mark.parametrize("role", ["weak", "strong"])
-    def test_eps_one_gives_zero(self, method, role):
-        cfg = make_cfg(eps=1.0)
-        res = evaluate(cfg, role, method, EvalControls(mc_samples=100))
-        assert res.value == 0.0
+class TestEpsNearOne:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("role", ROLES)
+    def test_capacity_vanishes(self, method, role):
+        # below eps = 1 (which SystemConfig refuses) the kernel lies in
+        # (eps, 1), so 0 < C_e < -log2(eps) / (theta n)
+        cfg = make_cfg(eps=1.0 - 1e-6)
+        res = evaluate(cfg, role, method, EvalControls(mc_samples=1000))
+        assert 0.0 < res.value < -math.log2(cfg.eps) / (0.01 * cfg.n)
 
 
 class TestMonteCarlo:
@@ -857,8 +858,9 @@ class TestClosedForms:
     def test_method_dispatch(self):
         with pytest.raises(ValueError):
             evaluate(make_cfg(), "weak", "tea_leaves", EvalControls())
-        with pytest.raises(ValueError):
-            evaluate(make_cfg(), "both", "closed_form", EvalControls())
+        for method in METHODS:
+            with pytest.raises(ValueError, match="role must be one of"):
+                evaluate(make_cfg(), "both", method, EvalControls())
 
 
 class TestClosedFormDomain:

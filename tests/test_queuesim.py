@@ -86,6 +86,12 @@ class TestTrivialQueues:
             SimSpec(cfg=make_cfg(), role="strong", arrival_rate=1.0,
                     num_blocks=10, warmup_blocks=10)
 
+    def test_unknown_role_is_refused(self):
+        spec = SimSpec(cfg=make_cfg(), role="both", arrival_rate=1.0,
+                       num_blocks=10, warmup_blocks=0)
+        with pytest.raises(ValueError, match="role must be one of"):
+            run_queue_sim(spec)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_arrival_rate_is_refused(self, rate):
         with pytest.raises(ValueError):
@@ -250,7 +256,7 @@ def _joint_draw_services(spec, count, chunk_index):
     """A chunk's services with the user's gain taken from the joint pair
     sampler sample_gains, on the simulator's gain and failure substreams."""
     cfg = spec.cfg
-    eps = cfg.eps_for(spec.role)
+    eps = cfg.eps
     x_t, x_u = sample_gains(
         cfg, count, np.random.default_rng([spec.seed, chunk_index, 0]))
     gains = x_t if spec.role == "weak" else x_u

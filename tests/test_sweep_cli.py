@@ -1,5 +1,7 @@
+import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +12,7 @@ import pytest
 
 import nomafbl.eccalc
 from nomafbl.channel import SystemConfig, db_to_linear
-from nomafbl.cli import main
+from nomafbl.cli import _build_parser, main
 from nomafbl.eccalc import EvalControls, ec_monte_carlo, mc_gain_draws
 from nomafbl.sweep import (CSV_HEADER, SweepSpec, figure_preset,
                            load_sweep_config, pool_config, read_rows,
@@ -332,14 +334,6 @@ class TestValidateReport:
         assert report.passed, report.render()
         assert len(report.evaluations) == 8
 
-    def test_degenerate_eps_trivially_passes(self):
-        cfg = SystemConfig(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2,
-                           rho=db_to_linear(20.0), n=300, eps=1.0,
-                           theta_t=0.01, theta_u=0.01)
-        report = validate_report(cfg, EvalControls(mc_samples=1000, seed=2))
-        assert report.passed
-        assert all(r.value == 0.0 for r in report.evaluations.values())
-
     def test_forced_truncation_flagged(self):
         cfg = SystemConfig(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2,
                            rho=db_to_linear(20.0), n=300, eps=1e-5,
@@ -438,6 +432,14 @@ class TestCli:
         script = write_plot_script(str(csv_path))
         assert script.endswith(".gp")
         assert self.plot_blocks(script) == ({}, [])
+        # a quote in a scenario id is doubled, gnuplot's escape inside '...'
+        csv_path.write_text(
+            CSV_HEADER + "\nit's,rho_db,10.0,strong,closed_form,1.5,0.0,,3,"
+            "true\n")
+        blocks, plots = self.plot_blocks(write_plot_script(str(csv_path)))
+        assert blocks == {"$s0": 1}
+        assert plots == ["plot $s0 using 1:2 with linespoints "
+                         "title 'it''s strong closed_form'"]
 
     def test_module_entry_point(self, capsys):
         # python -m nomafbl runs the same command line; stderr carries the
@@ -451,3 +453,19 @@ class TestCli:
         assert proc.returncode == 0
         assert main(args) == 0
         assert proc.stdout == capsys.readouterr().out
+
+    def test_readme_synopsis_names_every_flag(self):
+        # the README's "Command line" block lists each subcommand once, with
+        # exactly its flags; an indented line continues the one above
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        usage = re.sub(r"\n\s+", " ", block.strip()).splitlines()
+        documented = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+                      for line in usage}
+        assert len(documented) == len(usage)
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert documented == {
+            name: {opt for act in p._actions for opt in act.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, p in sub.choices.items()}
