@@ -7,7 +7,7 @@ simulator that checks the tail laws empirically.
 """
 
 from .channel import (SystemConfig, db_to_linear, ordered_cdf, ordered_pdf,
-                      ordered_quantile, sample_gains, sinr_weak, snr_strong)
+                      ordered_quantile, sinr_weak, snr_strong)
 from .delay import DelayPoint, DelaySpec, delay_violation_curve, delay_violation_prob
 from .eccalc import (EcResult, EvalControls, ec_closed_strong, ec_closed_weak,
                      ec_monte_carlo, ec_quadrature, evaluate)

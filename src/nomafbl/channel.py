@@ -6,9 +6,9 @@ ascending each fading block.  Two of them are paired for power-domain NOMA:
 the weak user (order index t, larger power share) decodes against the strong
 user's interference, while the strong user (order index u > t) applies
 successive interference cancellation and sees interference-free SNR.
-Sampling draws the ranked gains directly, without sorting the pool: both
-paired gains jointly (sample_gains), or one user's gain alone
-(sample_gain).
+Sampling draws one user's ranked gain directly, without sorting the pool
+(sample_gain): each evaluator and the queue simulator needs only the law of
+its own user's gain, never the joint law of the pair.
 """
 
 from __future__ import annotations
@@ -136,20 +136,6 @@ def ordered_quantile(q: float, k: int, V: int) -> float:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _add_spacings(acc, row, V: int, start: int, stop: int,
-                  rng: np.random.Generator):
-    """Add the Renyi spacings E_i / (V - i), i = start..stop-1, to acc.
-
-    Each spacing row is drawn into the reused buffer `row`, in the
-    generator's order, and added in index order: bit for bit the rows
-    start..stop-1 of a (stop, size) spacing matrix summed over its rows.
-    """
-    for i in range(start, stop):
-        rng.standard_exponential(out=row)
-        row /= V - i
-        acc += row
-
-
 def _mirror_order_gain(y):
     """Map y in place to x = -ln(1 - e^-y) and return it.
 
@@ -172,47 +158,28 @@ def _mirror_order_gain(y):
     return y
 
 
-def sample_gains(cfg: SystemConfig, size: int, rng: np.random.Generator):
-    """Draw `size` joint realizations of the paired ordered gains.
+def sample_gain(k: int, V: int, size: int, rng: np.random.Generator):
+    """Draw `size` realizations of X_(k), the k-th smallest of V iid
+    unit-mean exponential gains; returns one fresh contiguous float64 array.
 
     Uses Renyi's representation of exponential order statistics,
-    X_(k) = sum_{i<=k} E_i / (V - i + 1) with E_i iid unit exponentials
-    (Renyi 1953; David & Nagaraja, Order Statistics, sec. 2.5): it draws u
-    exponentials per realization instead of V, sorts nothing, and keeps the
-    joint law of (x_t, x_u).  Returns two fresh contiguous float64 arrays.
-    Monte-Carlo draws through it, since it needs both gains of one draw;
-    the queue simulator, which needs one user's gain, draws through
-    sample_gain.
-
-    The spacings are drawn one row of `size` at a time into one reused
-    buffer (_add_spacings), rows 0..t-1 summed into x_t and rows t..u-1
-    into the rest x_u - x_t: the draws and sums are bit for bit those of
-    the (u, size) spacing matrix summed over its rows, and the peak is 24
-    bytes per sample: the 16 of the output and one row.
+    X_(j) = sum_{i<j} E_i / (V - i) with E_i iid unit exponentials (Renyi
+    1953; David & Nagaraja, Order Statistics, sec. 2.5): it sorts nothing
+    and draws min(k, m) exponentials per realization, m = V - k + 1.  From
+    the bottom (k <= m) it sums the first k spacings; from the top it sums
+    the first m into the m-th smallest gain Y and mirrors it,
+    X_(k) = -ln(1 - e^-Y) (_mirror_order_gain).  The spacings are drawn one
+    row of `size` at a time, in the generator's order, into one reused
+    buffer and added in index order, so the peak is about two arrays of
+    `size`: the output and the row.
     """
-    x_t, x_u = np.zeros(size), np.zeros(size)
-    row = np.empty(size)
-    _add_spacings(x_t, row, cfg.V, 0, cfg.t, rng)
-    _add_spacings(x_u, row, cfg.V, cfg.t, cfg.u, rng)
-    x_u += x_t
-    return x_t, x_u
-
-
-def sample_gain(cfg: SystemConfig, role: str, size: int,
-                rng: np.random.Generator):
-    """Draw `size` realizations of one user's ordered gain X_(k), k the
-    order index of `role`; returns one fresh contiguous float64 array.
-
-    It draws min(k, m) exponentials per realization, m = V - k + 1.  From
-    the bottom (k <= m) it sums Renyi's first k spacings, bit for bit as
-    sample_gains makes x_t at t = k.  From the top it sums the first m
-    into the m-th smallest gain Y and mirrors it, X_(k) = -ln(1 - e^-Y)
-    (_mirror_order_gain).
-    """
-    k = cfg.order_index(role)
-    m = cfg.V - k + 1
-    x = np.zeros(size)
-    _add_spacings(x, np.empty(size), cfg.V, 0, min(k, m), rng)
+    _check_order(k, V)
+    m = V - k + 1
+    x, row = np.zeros(size), np.empty(size)
+    for i in range(min(k, m)):
+        rng.standard_exponential(out=row)
+        row /= V - i
+        x += row
     return x if k <= m else _mirror_order_gain(x)
 
 

@@ -16,7 +16,7 @@ import math
 import sys
 import time
 
-from .delay import DelaySpec, delay_violation_prob
+from .delay import delay_at_capacity
 from .eccalc import EvalControls, evaluate
 from .fblrate import LN2
 from .queuesim import SimSpec, run_queue_sim
@@ -124,8 +124,7 @@ def _cmd_queue_sim(args) -> int:
     print(f"simulated {args.blocks} blocks in {cpu_s:.3f} CPU s "
           f"({args.blocks / cpu_s:.4g} blocks per CPU-second)",
           file=sys.stderr)
-    analytic = delay_violation_prob(
-        args.theta, DelaySpec(d_max=args.d_max, arrival_rate=mu))
+    analytic = delay_at_capacity(args.theta, mu, args.d_max)
     if ec is not None:
         print(f"effective capacity C_e({args.theta:g}) = {ec:.6f} b/cu "
               f"({args.role} user, {args.rho_db:g} dB)")

@@ -4,7 +4,8 @@ All three compute the same object,
 
     C_e = -ln( E[k(gamma)] ) / (theta * n * ln 2)    [bits per channel use],
 
-where the expectation is over the ordered-gain law of the selected user and
+where the expectation is over the ordered-gain law of the selected user
+alone (Monte-Carlo draws that user's gain by itself, channel.sample_gain) and
 k is either the exact kernel or its expansion in powers of beta and
 w = (1+gamma)^-2 (fblrate module).  The closed forms need the expansion, and
 its order (M, J) is chosen per point from beta under SERIES_REL_TOL
@@ -34,7 +35,7 @@ import mpmath
 import numpy as np
 
 from .channel import (SystemConfig, gamma_for_role, ordered_quantile,
-                      sample_gains)
+                      sample_gain)
 from .fblrate import (LN2, ec_kernel, expansion_coeffs, expansion_error_coeffs,
                       expansion_order, make_kernel_params, rate_minimum)
 from .specfun import ConvergenceError, beta_fn, scaled_expint
@@ -77,6 +78,8 @@ class EvalControls:
     def __post_init__(self):
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.quad_rel_tol < 1.0:
             raise ValueError("quad_rel_tol must lie in (0, 1)")
         if self.series_max_terms < 2:
@@ -139,50 +142,41 @@ def _order(kp, order):
 # Monte-Carlo estimator
 # ---------------------------------------------------------------------------
 
-# The draws of the last (V, t, u, seed, mc_samples), see mc_gain_draws
-_gain_draws: dict[tuple, tuple] = {}
+@functools.lru_cache(maxsize=2)
+def mc_gain_draws(k: int, V: int, seed: int, mc_samples: int) -> tuple:
+    """The Monte-Carlo draws of X_(k) of a pool of V (sample_gain), one
+    read-only array per chunk.
 
-
-def mc_gain_draws(cfg: SystemConfig, ctl: EvalControls) -> tuple:
-    """The Monte-Carlo ordered-gain draws (x_t, x_u), one pair per chunk.
-
-    Chunk idx is drawn from the generator seeded by (seed, idx), and the
-    draws depend on cfg only through (V, t, u), so one tuple serves every
-    SNR, QoS exponent and user of a pool: the draws of the last (V, t, u,
-    seed, mc_samples) are kept, as the two contiguous arrays that
-    sample_gains returns (16 bytes per sample), marked read-only.
+    Chunk idx is drawn from the generator seeded by (seed, idx).  The
+    draws depend on neither the SNR nor the QoS exponent, so the cache
+    keeps one entry per user of a pool, 8 bytes per sample each: a sweep
+    or a validate run draws once per user.
     """
-    key = cfg.V, cfg.t, cfg.u, ctl.seed, ctl.mc_samples
-    draws = _gain_draws.get(key)
-    if draws is None:
-        pairs = []
-        for idx, start in enumerate(range(0, ctl.mc_samples, _MC_CHUNK)):
-            m = min(_MC_CHUNK, ctl.mc_samples - start)
-            pair = sample_gains(cfg, m, np.random.default_rng([ctl.seed, idx]))
-            for col in pair:
-                col.flags.writeable = False
-            pairs.append(pair)
-        draws = tuple(pairs)
-        _gain_draws.clear()
-        _gain_draws[key] = draws
-    return draws
+    chunks = []
+    for idx, start in enumerate(range(0, mc_samples, _MC_CHUNK)):
+        x = sample_gain(k, V, min(_MC_CHUNK, mc_samples - start),
+                        np.random.default_rng([seed, idx]))
+        x.flags.writeable = False
+        chunks.append(x)
+    return tuple(chunks)
 
 
 def ec_monte_carlo(cfg: SystemConfig, role: str,
                    ctl: EvalControls) -> EcResult:
     """Sample-average estimate of the effective capacity (exact kernel),
-    over mc_gain_draws(cfg, ctl).
+    over the role's gain draws (mc_gain_draws).
 
     The standard error of the kernel mean is pushed through the log
     transform by the delta method.
     """
     theta = cfg.theta_for(role)
     eps = cfg.eps
-    col = 0 if role == "weak" else 1
     kp = make_kernel_params(theta, cfg.n, eps)
     sums, sums_sq = [], []
-    for pair in mc_gain_draws(cfg, ctl):
-        k = ec_kernel(gamma_for_role(pair[col], cfg, role), kp, eps)
+    draws = mc_gain_draws(cfg.order_index(role), cfg.V, ctl.seed,
+                          ctl.mc_samples)
+    for x in draws:
+        k = ec_kernel(gamma_for_role(x, cfg, role), kp, eps)
         sums.append(float(np.sum(k)))
         k *= k
         sums_sq.append(float(np.sum(k)))

@@ -52,6 +52,8 @@ class SimSpec:
             raise ValueError("need num_blocks > warmup_blocks >= 0")
         if self.d_max < 0.0:
             raise ValueError("d_max must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -104,7 +106,7 @@ def _chunk_services(spec: SimSpec, count: int, chunk_index: int) -> np.ndarray:
     eps = cfg.eps
     gain_rng = np.random.default_rng([spec.seed, chunk_index, 0])
     fail_rng = np.random.default_rng([spec.seed, chunk_index, 1])
-    gains = sample_gain(cfg, spec.role, count, gain_rng)
+    gains = sample_gain(cfg.order_index(spec.role), cfg.V, count, gain_rng)
     rates = fbl_rate(gamma_for_role(gains, cfg, spec.role), cfg.n, eps)
     del gains
     # clamp, scale and zero the failed blocks in place: n * max(r, 0) * 1{ok}

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -11,8 +10,8 @@ from scipy import integrate, stats
 
 from nomafbl.channel import (SystemConfig, _mirror_order_gain, db_to_linear,
                              gamma_for_role, ordered_cdf, ordered_pdf,
-                             ordered_quantile, sample_gain, sample_gains,
-                             sinr_weak, snr_strong)
+                             ordered_quantile, sample_gain, sinr_weak,
+                             snr_strong)
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, rho=100.0, n=300,
             eps=1e-5, theta_t=0.01, theta_u=0.01)
@@ -123,11 +122,26 @@ class TestGainStatistics:
             ordered_pdf(-1.0, 2, 10)
 
 
-def sorted_reference(cfg, size, rng):
-    """The sampler before Renyi's representation: sort V exponentials."""
-    draws = rng.standard_exponential((size, cfg.V))
+def sorted_reference(V, k, size, rng):
+    """The sampler before Renyi's representation: sort V exponentials and
+    take the k-th smallest."""
+    draws = rng.standard_exponential((size, V))
     draws.sort(axis=1)
-    return draws[:, cfg.t - 1].copy(), draws[:, cfg.u - 1].copy()
+    return draws[:, k - 1].copy()
+
+
+def joint_reference(V, t, u, size, rng):
+    """The joint pair sampler that Monte-Carlo drew both gains through
+    before it drew each user alone: Renyi's first u spacings drawn row by
+    row, x_t the sum of rows 0..t-1 and x_u that of rows t..u-1 plus x_t."""
+    x_t, rest = np.zeros(size), np.zeros(size)
+    for i in range(u):
+        spacing = rng.standard_exponential(size) / (V - i)
+        if i < t:
+            x_t += spacing
+        else:
+            rest += spacing
+    return x_t, rest + x_t
 
 
 # (V, t, u): the fig3 pool, both extreme ranks, the smallest pool, a big one
@@ -137,107 +151,91 @@ SAMPLER_POOLS = [(10, 2, 8), (10, 1, 10), (2, 1, 2), (40, 13, 40)]
 class TestSampling:
     @pytest.mark.parametrize("V,t,u", SAMPLER_POOLS)
     def test_law_matches_sorted_reference(self, V, t, u):
-        cfg = make_cfg(V=V, t=t, u=u)
-        x_t, x_u = sample_gains(cfg, 100_000, np.random.default_rng(21))
-        r_t, r_u = sorted_reference(cfg, 100_000, np.random.default_rng(22))
-        for ours, ref in ((x_t, r_t), (x_u, r_u), (x_u - x_t, r_u - r_t)):
+        for k in (t, u):
+            ours = sample_gain(k, V, 100_000, np.random.default_rng(21))
+            ref = sorted_reference(V, k, 100_000, np.random.default_rng(22))
             assert stats.ks_2samp(ours, ref).statistic < 0.01
 
     @pytest.mark.parametrize("V,t,u", SAMPLER_POOLS)
     def test_strong_marginal_ks(self, V, t, u):
-        cfg = make_cfg(V=V, t=t, u=u)
-        _, x_u = sample_gains(cfg, 100_000, np.random.default_rng(23))
+        x_u = sample_gain(u, V, 100_000, np.random.default_rng(23))
         res = stats.kstest(x_u, lambda x: ordered_cdf(x, u, V))
         assert res.statistic < 0.01
 
     @pytest.mark.parametrize("V,t,u", SAMPLER_POOLS)
     def test_returns_fresh_contiguous_arrays(self, V, t, u):
-        pair = sample_gains(make_cfg(V=V, t=t, u=u), 1000,
-                            np.random.default_rng(24))
-        for col in pair:
-            assert col.dtype == np.float64 and col.shape == (1000,)
-            assert col.flags.c_contiguous and col.flags.owndata
-        assert np.all(pair[0] <= pair[1])
+        for k in (t, u):
+            x = sample_gain(k, V, 1000, np.random.default_rng(24))
+            assert x.dtype == np.float64 and x.shape == (1000,)
+            assert x.flags.c_contiguous and x.flags.owndata
 
     def test_stream_is_pinned(self):
-        # any change to these values changes every Monte-Carlo row and
-        # every weak-user queue statistic, so it has to be deliberate
-        x_t, x_u = sample_gains(make_cfg(), 4, np.random.default_rng(2026))
+        # the weak user of the fig3 pool, from the bottom end: the x_t of
+        # joint_reference, so any change to these values changes
+        # every weak-user Monte-Carlo row and queue statistic
+        x_t = sample_gain(2, 10, 4, np.random.default_rng(2026))
         np.testing.assert_allclose(
             x_t, [0.12352186570911598, 0.245271757584105,
                   0.18564433865330712, 0.07069869762363307], rtol=1e-14)
-        np.testing.assert_allclose(
-            x_u, [1.552964760762945, 1.8086868042029267,
-                  1.1903287230213138, 1.469389177520929], rtol=1e-14)
 
     @pytest.mark.parametrize("seed", [0, 41, 2026])
     @pytest.mark.parametrize("size", [1, 7, 65_539])
     @pytest.mark.parametrize("V,t,u", [(10, 2, 8), (2, 1, 2), (5, 1, 5),
                                        (40, 3, 39)])
     def test_equals_spacing_matrix(self, V, t, u, size, seed):
-        # the row-by-row draw is the (u, size) spacing matrix summed over
-        # its rows, bit for bit: same generator order, same addition order.
-        # numpy's axis-0 sum adds rows in order, except over one column,
-        # where it sums pairwise from 8 rows on; that case is summed here
-        # in order, as the sampler does
+        # each user's row-by-row draw is its min(k, m) spacing rows of the
+        # spacing matrix summed over its rows, mirrored from the top end,
+        # bit for bit: same generator order, same addition order.  numpy's
+        # axis-0 sum adds rows in order, except over one column, where it
+        # sums pairwise from 8 rows on; that case is summed here in order,
+        # as the sampler does
         def row_sum(rows):
             return (rows.sum(axis=0) if size > 1
                     else np.add.accumulate(rows)[-1])
 
-        cfg = make_cfg(V=V, t=t, u=u)
-        x_t, x_u = sample_gains(cfg, size, np.random.default_rng(seed))
-        spacings = np.random.default_rng(seed).standard_exponential((u, size))
-        spacings /= (V - np.arange(u, dtype=float))[:, None]
-        ref_t = row_sum(spacings[:t])
-        ref_u = ref_t + row_sum(spacings[t:])
-        assert np.array_equal(x_t, ref_t)
-        assert np.array_equal(x_u, ref_u)
+        for k in (t, u):
+            m = V - k + 1
+            x = sample_gain(k, V, size, np.random.default_rng(seed))
+            rows = min(k, m)
+            spacings = np.random.default_rng(seed).standard_exponential(
+                (rows, size))
+            spacings /= (V - np.arange(rows, dtype=float))[:, None]
+            ref = row_sum(spacings)
+            if k > m:
+                ref = _mirror_order_gain(ref)
+            assert np.array_equal(x, ref)
 
-    def test_memory_is_three_sample_arrays(self):
-        # numpy reports its data buffers to tracemalloc: the two outputs
-        # and one reused spacing row, not the u-row spacing matrix
+    def test_memory_is_two_and_a_half_sample_arrays(self):
+        # numpy reports its data buffers to tracemalloc: the output and one
+        # reused spacing row, plus the mirror map's share of the top end
+        # (measured 2.00 sample arrays at k = 2 and 2.29 at k = 8 of 10)
         size = 65_536
-        rng = np.random.default_rng(3)
-        tracemalloc.start()
-        try:
-            sample_gains(make_cfg(), size, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * 8 * size
-
-    def test_pair_ordering(self):
-        cfg = make_cfg()
-        x_t, x_u = sample_gains(cfg, 200, np.random.default_rng(5))
-        assert np.all(x_t <= x_u)
+        for k in (2, 8):
+            rng = np.random.default_rng(3)
+            tracemalloc.start()
+            try:
+                sample_gain(k, 10, size, rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * 8 * size
 
     def test_strong_user_mean(self):
         # E[x_(8)] = sum_{j=3}^{10} 1/j = H_10 - H_2 for V = 10
-        cfg = make_cfg()
-        rng = np.random.default_rng(11)
-        _, x_u = sample_gains(cfg, 1_000_000, rng)
+        x_u = sample_gain(8, 10, 1_000_000, np.random.default_rng(11))
         expected = sum(1.0 / j for j in range(3, 11))
         se = x_u.std(ddof=1) / math.sqrt(x_u.size)
         assert abs(x_u.mean() - expected) <= 3.0 * se
 
     def test_weak_marginal_ks(self):
-        cfg = make_cfg()
-        rng = np.random.default_rng(12)
-        x_t, _ = sample_gains(cfg, 100_000, rng)
+        x_t = sample_gain(2, 10, 100_000, np.random.default_rng(12))
         res = stats.kstest(x_t, lambda x: ordered_cdf(x, 2, 10))
         assert res.statistic < 0.01
 
-
-def one_user(V, k):
-    """A config and role whose order index is k in a pool of V.
-
-    A pool of one cannot form a pair, so V = 1 gets a stand-in with the
-    two attributes sample_gain reads."""
-    if V == 1:
-        return SimpleNamespace(V=1, order_index=lambda role: 1), "weak"
-    if k < V:
-        return make_cfg(V=V, t=k, u=V), "weak"
-    return make_cfg(V=V, t=1, u=V), "strong"
+    def test_order_index_is_checked(self):
+        for k, V in ((0, 10), (11, 10), (1, 0)):
+            with pytest.raises(ValueError):
+                sample_gain(k, V, 10, np.random.default_rng(0))
 
 
 # every order index of five pool sizes
@@ -247,8 +245,7 @@ EVERY_ORDER = [(V, k) for V in (1, 2, 5, 10, 40) for k in range(1, V + 1)]
 class TestMarginalSampling:
     @pytest.mark.parametrize("V,k", EVERY_ORDER)
     def test_law_matches_ordered_cdf(self, V, k):
-        cfg, role = one_user(V, k)
-        x = sample_gain(cfg, role, 100_000, np.random.default_rng(31))
+        x = sample_gain(k, V, 100_000, np.random.default_rng(31))
         res = stats.kstest(x, lambda g: ordered_cdf(g, k, V))
         assert res.statistic < 0.01
 
@@ -256,16 +253,17 @@ class TestMarginalSampling:
                                      if 1 < V and k <= V - k + 1])
     @pytest.mark.parametrize("size", [1, 7, 65_539])
     def test_bottom_end_equals_joint_sampler(self, V, k, size):
-        cfg, role = one_user(V, k)
-        x = sample_gain(cfg, role, size, np.random.default_rng(32))
-        x_t, _ = sample_gains(cfg, size, np.random.default_rng(32))
+        # the bottom end draws the x_t of joint_reference at t = k
+        # from the same generator, so weak Monte-Carlo and queue streams
+        # did not move when Monte-Carlo stopped drawing pairs
+        x = sample_gain(k, V, size, np.random.default_rng(32))
+        x_t, _ = joint_reference(V, k, V, size, np.random.default_rng(32))
         assert np.array_equal(x, x_t)
 
     @pytest.mark.parametrize("V,k", EVERY_ORDER)
     def test_draws_min_k_m_spacing_rows(self, V, k):
-        cfg, role = one_user(V, k)
         rng, twin = np.random.default_rng(33), np.random.default_rng(33)
-        x = sample_gain(cfg, role, 1000, rng)
+        x = sample_gain(k, V, 1000, rng)
         twin.standard_exponential((min(k, V - k + 1), 1000))
         assert rng.bit_generator.state == twin.bit_generator.state
         assert x.dtype == np.float64 and x.shape == (1000,)
@@ -273,8 +271,9 @@ class TestMarginalSampling:
 
     def test_stream_is_pinned(self):
         # the strong user of the fig3 pool, from the top end: any change to
-        # these values changes every strong-user queue statistic
-        x = sample_gain(make_cfg(), "strong", 4, np.random.default_rng(2026))
+        # these values changes every strong-user Monte-Carlo row and queue
+        # statistic
+        x = sample_gain(8, 10, 4, np.random.default_rng(2026))
         np.testing.assert_allclose(
             x, [1.554049427525515, 1.2830916013219729,
                 1.1162498321105543, 1.0732525934493833], rtol=1e-14)

@@ -48,6 +48,8 @@ class TestControls:
             EvalControls(series_max_terms=1)
         with pytest.raises(ValueError):
             EvalControls(quad_rel_tol=0.0)
+        with pytest.raises(ValueError, match="seed"):
+            EvalControls(seed=-1)
 
 
 class TestEpsNearOne:
@@ -87,11 +89,13 @@ class TestMonteCarlo:
         # average is built from the same fading draws via seed reuse
         cfg = make_cfg(theta_t=1e-6, theta_u=1e-6)
         ctl = EvalControls(mc_samples=150_000, seed=21)
-        for col, role in enumerate(("weak", "strong")):
+        for role in ("weak", "strong"):
             ec = ec_monte_carlo(cfg, role, ctl)
+            draws = mc_gain_draws(cfg.order_index(role), cfg.V, ctl.seed,
+                                  ctl.mc_samples)
             rates = np.concatenate([
-                fbl_rate(gamma_for_role(pair[col], cfg, role), cfg.n, 1e-5)
-                for pair in mc_gain_draws(cfg, ctl)])
+                fbl_rate(gamma_for_role(x, cfg, role), cfg.n, 1e-5)
+                for x in draws])
             assert rates.size == ctl.mc_samples
             se = rates.std() / math.sqrt(rates.size)
             target = (1.0 - 1e-5) * rates.mean()
@@ -523,53 +527,56 @@ class TestSeedPrecision:
 class TestGainDrawMemo:
     @pytest.fixture(autouse=True)
     def cold_memo(self):
-        eccalc._gain_draws.clear()
+        mc_gain_draws.cache_clear()
 
     @staticmethod
     def count_draws(monkeypatch):
+        """Record (k, size) of each sample_gain call Monte-Carlo makes."""
         calls = []
-        sample_gains = eccalc.sample_gains
-        monkeypatch.setattr(eccalc, "sample_gains", lambda *a: (
-            calls.append(a[1]) or sample_gains(*a)))
+        sample_gain = eccalc.sample_gain
+        monkeypatch.setattr(eccalc, "sample_gain", lambda *a: (
+            calls.append((a[0], a[2])) or sample_gain(*a)))
         return calls
 
     def test_one_pool_shares_one_draw(self, monkeypatch):
-        # the draws depend on neither the SNR nor theta
+        # the draws depend on neither the SNR nor theta: one per user
         calls = self.count_draws(monkeypatch)
         ctl = EvalControls(mc_samples=70_000, seed=4)
-        draws = mc_gain_draws(make_cfg(), ctl)
         other = make_cfg(rho_db=5.0, theta_t=0.1, theta_u=0.1)
-        assert mc_gain_draws(other, ctl) is draws
-        assert calls == [1 << 16, 70_000 - (1 << 16)]
-        assert mc_gain_draws(other, replace(ctl, seed=5)) is not draws
+        for cfg in (make_cfg(), other):
+            for role in ROLES:
+                ec_monte_carlo(cfg, role, ctl)
+        chunks = [1 << 16, 70_000 - (1 << 16)]
+        assert calls == [(2, m) for m in chunks] + [(8, m) for m in chunks]
+        draws = mc_gain_draws(8, 10, 4, 70_000)
+        assert mc_gain_draws(8, 10, 4, 70_000) is draws
+        assert mc_gain_draws(8, 10, 5, 70_000) is not draws
 
     def test_memo_is_read_only(self):
-        for pair in mc_gain_draws(make_cfg(), EvalControls(mc_samples=500)):
-            for col in pair:
-                assert not col.flags.writeable
-                with pytest.raises(ValueError):
-                    col[0] = 1.0
+        for x in mc_gain_draws(2, 10, 1234, 500):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 1.0
 
     def test_validate_report_at_three_snrs_draws_once(self, monkeypatch):
         calls = self.count_draws(monkeypatch)
         ctl = EvalControls(mc_samples=5000)
         for rho_db in (10.0, 20.0, 30.0):
             validate_report(pool_config(300, 1e-5, 0.01, rho_db), ctl)
-        assert calls == [5000]
+        assert calls == [(2, 5000), (8, 5000)]
 
     def test_threads_asking_for_two_pools_get_their_own(self):
-        # under contention for the one entry each call still returns the
-        # draws of its own key and raises nothing
-        cfg = make_cfg()
-        ctls = [EvalControls(mc_samples=m) for m in (100, 200)]
-        want = [mc_gain_draws(cfg, ctl)[0][1].copy() for ctl in ctls]
+        # under contention for the memo each call still returns the draws
+        # of its own key and raises nothing
+        keys = [(8, 10, 1234, m) for m in (100, 200)]
+        want = [mc_gain_draws(*key)[0].copy() for key in keys]
         errors = []
 
         def work(i):
             try:
                 for _ in range(200):
-                    got = mc_gain_draws(cfg, ctls[i % 2])
-                    assert np.array_equal(got[0][1], want[i % 2])
+                    got = mc_gain_draws(*keys[i % 2])
+                    assert np.array_equal(got[0], want[i % 2])
             except Exception as exc:    # reported by the main thread
                 errors.append(exc)
 
@@ -588,7 +595,7 @@ class TestGainDrawMemo:
         assert errors == []
 
     def test_memo_gives_cold_results(self):
-        # each switch of (V, t, u, seed, mc_samples) gives what a cleared
+        # each switch of (k, V, seed, mc_samples) gives what a cleared
         # memo gives: 5000 samples then 1000, (t, u) = (2, 8) then (1, 3),
         # seed 5 then 6, and another SNR and theta at the last key
         cfg = make_cfg()
@@ -604,7 +611,7 @@ class TestGainDrawMemo:
         warm = [repr(ec_monte_carlo(*case)) for case in cases]
         cold = []
         for case in cases:
-            eccalc._gain_draws.clear()
+            mc_gain_draws.cache_clear()
             cold.append(repr(ec_monte_carlo(*case)))
         assert warm == cold
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nomafbl.channel import (SystemConfig, db_to_linear, gamma_for_role,
-                             sample_gains, snr_strong)
+                             snr_strong)
 from nomafbl.delay import DelaySpec, delay_violation_prob
 from nomafbl.eccalc import EvalControls, ec_closed_strong
 from nomafbl.fblrate import fbl_rate
@@ -85,6 +85,9 @@ class TestTrivialQueues:
         with pytest.raises(ValueError):
             SimSpec(cfg=make_cfg(), role="strong", arrival_rate=1.0,
                     num_blocks=10, warmup_blocks=10)
+        with pytest.raises(ValueError, match="seed"):
+            SimSpec(cfg=make_cfg(), role="strong", arrival_rate=1.0,
+                    num_blocks=10, seed=-1)
 
     def test_unknown_role_is_refused(self):
         spec = SimSpec(cfg=make_cfg(), role="both", arrival_rate=1.0,
@@ -227,7 +230,7 @@ class TestReproducibility:
         # its backlog crosses mu * d_max within d_max of the end of warmup,
         # so counting the backlog from there instead of d_max later would
         # add 0.057 to the share.  The services are those of seed 29 with
-        # the strong gain taken from the joint pair sampler, which make
+        # the strong gain taken from a joint draw of the pair, which make
         # that crossing; the dense reference reads the same sequence
         spec = SimSpec(cfg=make_cfg(rho_db=10.0, eps=0.05), role="strong",
                        arrival_rate=1.7, num_blocks=90, warmup_blocks=50,
@@ -243,8 +246,8 @@ class TestReproducibility:
     @pytest.mark.parametrize("count", [1, 7, 3002])
     def test_weak_services_equal_joint_draw(self, count, chunk_index):
         # the weak user is drawn from the bottom end, the first t spacings
-        # of the joint sampler's stream: its services are bit for bit those
-        # made from sample_gains' x_t
+        # of the joint draw's stream: its services are bit for bit those
+        # made from the joint draw's x_t
         spec = SimSpec(cfg=make_cfg(rho_db=10.0, eps=0.05), role="weak",
                        arrival_rate=0.5, num_blocks=10, seed=8)
         assert np.array_equal(
@@ -253,13 +256,23 @@ class TestReproducibility:
 
 
 def _joint_draw_services(spec, count, chunk_index):
-    """A chunk's services with the user's gain taken from the joint pair
-    sampler sample_gains, on the simulator's gain and failure substreams."""
+    """A chunk's services with the user's gain taken from a joint draw of
+    the pair, on the simulator's gain and failure substreams.
+
+    The joint draw is Renyi's: the first u spacings E_i / (V - i), drawn
+    row by row, rows 0..t-1 summed into x_t and rows t..u-1 into x_u - x_t,
+    as the pair sampler that Monte-Carlo once drew through."""
     cfg = spec.cfg
     eps = cfg.eps
-    x_t, x_u = sample_gains(
-        cfg, count, np.random.default_rng([spec.seed, chunk_index, 0]))
-    gains = x_t if spec.role == "weak" else x_u
+    rng = np.random.default_rng([spec.seed, chunk_index, 0])
+    x_t, rest = np.zeros(count), np.zeros(count)
+    for i in range(cfg.u):
+        spacing = rng.standard_exponential(count) / (cfg.V - i)
+        if i < cfg.t:
+            x_t += spacing
+        else:
+            rest += spacing
+    gains = x_t if spec.role == "weak" else rest + x_t
     rates = fbl_rate(gamma_for_role(gains, cfg, spec.role), cfg.n, eps)
     ok = np.random.default_rng([spec.seed, chunk_index, 1]).random(count)
     return cfg.n * np.maximum(rates, 0.0) * (ok >= eps)

@@ -207,34 +207,34 @@ class TestGainReuse:
             assert res.value == alone.value
             assert res.std_error == alone.std_error
 
-    def test_one_draw_per_chunk(self, tmp_path, monkeypatch):
-        nomafbl.eccalc._gain_draws.clear()
+    @staticmethod
+    def count_draws(monkeypatch):
+        """Record (k, size) of each sample_gain call Monte-Carlo makes,
+        from a cold memo."""
+        mc_gain_draws.cache_clear()
         calls = []
-        sample_gains = nomafbl.eccalc.sample_gains
+        sample_gain = nomafbl.eccalc.sample_gain
+        monkeypatch.setattr(nomafbl.eccalc, "sample_gain", lambda *a: (
+            calls.append((a[0], a[2])) or sample_gain(*a)))
+        return calls
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return sample_gains(*args, **kwargs)
-
-        monkeypatch.setattr(nomafbl.eccalc, "sample_gains", counting)
+    def test_one_draw_per_chunk(self, tmp_path, monkeypatch):
+        calls = self.count_draws(monkeypatch)
         spec = figure_preset("fig3", output_path=str(tmp_path / "fig3.csv"),
                              mc_samples=200_000)
         rows = run_sweep(spec)
-        # 42 Monte-Carlo rows share the 4 chunks of one draw
+        # 21 Monte-Carlo rows per user share the 4 chunks of its one draw
         assert sum(r.method == "monte_carlo" for r in rows) == 42
-        assert calls == [1 << 16] * 3 + [200_000 - 3 * (1 << 16)]
+        chunks = [1 << 16] * 3 + [200_000 - 3 * (1 << 16)]
+        assert calls == [(2, m) for m in chunks] + [(8, m) for m in chunks]
 
     def test_validate_cli_draws_once_for_every_snr(self, monkeypatch, capsys):
-        # one draw serves the three --rho-db reports, which print what a
-        # report drawing its own gains prints
-        nomafbl.eccalc._gain_draws.clear()
-        calls = []
-        sample_gains = nomafbl.eccalc.sample_gains
-        monkeypatch.setattr(nomafbl.eccalc, "sample_gains", lambda *a: (
-            calls.append(a[1]) or sample_gains(*a)))
+        # one draw per user serves the three --rho-db reports, which print
+        # what a report drawing its own gains prints
+        calls = self.count_draws(monkeypatch)
         main(["validate", "--rho-db", "10", "20", "30", "--mc-samples",
               "5000"])
-        assert calls == [5000]
+        assert calls == [(2, 5000), (8, 5000)]
         ctl = EvalControls(mc_samples=5000)
         alone = [validate_report(pool_config(300, 1e-5, 0.01, rho_db),
                                  ctl).render() for rho_db in (10, 20, 30)]
@@ -243,15 +243,15 @@ class TestGainReuse:
                                   for rho_db, text in zip((10, 20, 30), alone))
 
     def test_shared_columns_are_read_only_copies(self):
-        draws = mc_gain_draws(BASE, self.CTL)
-        assert [c.size for c, _ in draws] == [1 << 16, 777]
-        for pair in draws:
-            for col in pair:
+        for k in (BASE.t, BASE.u):
+            draws = mc_gain_draws(k, BASE.V, self.CTL.seed,
+                                  self.CTL.mc_samples)
+            assert [x.size for x in draws] == [1 << 16, 777]
+            for x in draws:
                 # owns its data: no view into a larger draw array
-                assert col.base is None and col.flags.c_contiguous
+                assert x.base is None and x.flags.c_contiguous
                 with pytest.raises(ValueError):
-                    col[0] = 1.0
-        assert np.all(draws[0][0] <= draws[0][1])
+                    x[0] = 1.0
 
 
 class TestConfigFile:
@@ -344,6 +344,20 @@ class TestValidateReport:
         gate = [g for g in report.gates if "converged" in g.name][0]
         assert not gate.passed
 
+    def test_strong_fallback_fails_its_converged_gate(self, monkeypatch):
+        # a strong closed form whose sum is refused falls back to the very
+        # quadrature it is compared with, so only its flag can show it
+        strong_moments = nomafbl.eccalc._strong_moments
+        monkeypatch.setattr(
+            nomafbl.eccalc, "_strong_moments",
+            lambda *a: (strong_moments(*a)[0], math.inf, None, True))
+        report = validate_report(BASE, EvalControls(mc_samples=5000, seed=2))
+        gates = {g.name: g.passed for g in report.gates}
+        assert gates["strong closed vs approx-kernel quadrature"]
+        assert not gates["strong closed form converged"]
+        assert gates["weak closed form converged"]
+        assert not report.passed
+
 
 class TestCli:
     def test_figure_runs_and_is_deterministic(self, tmp_path):
@@ -401,6 +415,26 @@ class TestCli:
         assert main(["validate", "--mc-samples", "5000",
                      "--series-max-terms", "2"]) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["figure", "fig3", "--mc-samples", "100"],
+        ["validate", "--mc-samples", "100"],
+        ["queue-sim", "--blocks", "2000", "--warmup", "10"]])
+    def test_negative_seed_is_a_config_error(self, command, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: seed must be non-negative, got -1\n"
+
+    def test_negative_seed_in_a_config_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text(
+            "[sweep:s]\naxis = rho_db\ngrid = 10\nmethods = monte_carlo\n"
+            f"output = {tmp_path / 'o.csv'}\nseed = -4\n")
+        assert main(["sweep", str(cfg_file)]) == 2
+        assert capsys.readouterr().err == \
+            "error: seed must be non-negative, got -4\n"
+
     def test_queue_sim_smoke(self):
         assert main(["queue-sim", "--blocks", "50000", "--warmup", "500"]) == 0
 
@@ -453,6 +487,13 @@ class TestCli:
         assert proc.returncode == 0
         assert main(args) == 0
         assert proc.stdout == capsys.readouterr().out
+
+    def test_readme_library_block_runs(self):
+        # the README's "Library entry points" block runs as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library entry points", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
 
     def test_readme_synopsis_names_every_flag(self):
         # the README's "Command line" block lists each subcommand once, with
