@@ -7,7 +7,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import nomafbl.eccalc
