@@ -8,11 +8,11 @@ simulator that checks the tail laws empirically.
 
 from .channel import (SystemConfig, db_to_linear, ordered_cdf, ordered_pdf,
                       ordered_quantile, sinr_weak, snr_strong)
-from .delay import DelayPoint, DelaySpec, delay_violation_curve, delay_violation_prob
+from .delay import DelayPoint, delay_violation_curve, delay_violation_prob
 from .eccalc import (EcResult, EvalControls, ec_closed_strong, ec_closed_weak,
                      ec_monte_carlo, ec_quadrature, evaluate)
-from .fblrate import (KernelParams, dispersion_root, ec_kernel,
-                      ec_kernel_approx, fbl_rate, make_kernel_params)
+from .fblrate import (KernelParams, dispersion_root, ec_kernel, fbl_rate,
+                      make_kernel_params)
 from .queuesim import (QueueStats, SimSpec, fit_tail_exponent, run_queue_sim,
                        simulate_workload)
 from .specfun import (ConvergenceError, InsufficientDataError, beta_fn,

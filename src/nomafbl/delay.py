@@ -24,43 +24,28 @@ from .eccalc import EcResult, EvalControls, evaluate
 from .fblrate import LN2
 
 
-@dataclass(frozen=True)
-class DelaySpec:
-    """Inputs of the delay-violation bound.
-
-    d_max          delay bound in channel uses
-    arrival_rate   constant arrival rate mu in bits per channel use
-    nonempty_prob  Pr{Q > 0}; defaults to the conservative upper bound 1
-    """
-
-    d_max: float
-    arrival_rate: float
-    nonempty_prob: float = 1.0
-
-    def __post_init__(self):
-        if self.d_max < 0.0:
-            raise ValueError(f"d_max must be non-negative, got {self.d_max}")
-        if not 0.0 < self.nonempty_prob <= 1.0:
-            raise ValueError(
-                f"nonempty_prob must lie in (0, 1], got {self.nonempty_prob}")
-        if self.arrival_rate < 0.0:
-            raise ValueError(
-                f"arrival_rate must be non-negative, got {self.arrival_rate}")
-
-
-def delay_violation_prob(theta: float, spec: DelaySpec) -> float:
-    """Large-deviations approximation of Pr{delay > d_max}."""
+def delay_violation_prob(theta: float, arrival_rate: float, d_max: float,
+                         nonempty_prob: float = 1.0) -> float:
+    """Large-deviations approximation of Pr{delay > d_max}: a constant
+    arrival rate mu in bits per channel use, d_max in channel uses and
+    Pr{Q > 0} = nonempty_prob, by default its conservative upper bound 1."""
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
-    exponent = theta * spec.arrival_rate * spec.d_max * LN2
-    return spec.nonempty_prob * math.exp(-exponent)
+    if arrival_rate < 0.0:
+        raise ValueError(
+            f"arrival_rate must be non-negative, got {arrival_rate}")
+    if d_max < 0.0:
+        raise ValueError(f"d_max must be non-negative, got {d_max}")
+    if not 0.0 < nonempty_prob <= 1.0:
+        raise ValueError(
+            f"nonempty_prob must lie in (0, 1], got {nonempty_prob}")
+    return nonempty_prob * math.exp(-theta * arrival_rate * d_max * LN2)
 
 
 def delay_at_capacity(theta: float, ec: float, d_max: float) -> float:
     """Delay-violation bound at mu = max(ec, 0) with Pr{Q > 0} = 1, the
     delay column of a sweep for an effective capacity ec at theta."""
-    return delay_violation_prob(
-        theta, DelaySpec(d_max=d_max, arrival_rate=max(ec, 0.0)))
+    return delay_violation_prob(theta, max(ec, 0.0), d_max)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ import numpy as np
 from .channel import (SystemConfig, gamma_for_role, ordered_quantile,
                       sample_gain)
 from .fblrate import (LN2, ec_kernel, expansion_coeffs, expansion_error_coeffs,
-                      expansion_order, make_kernel_params, rate_minimum)
+                      expansion_order, make_kernel_params, rate_minimum,
+                      scalar_kernel)
 from .specfun import ConvergenceError, beta_fn, scaled_expint
 
 _MC_CHUNK = 1 << 16
@@ -213,36 +214,22 @@ def _gamma_to_gain(gamma, cfg, role):
     return gamma / (cfg.rho * denom)
 
 
-def _integrand(cfg: SystemConfig, role: str, kp, eps: float, order):
-    """kernel(gamma_for_role(x)) * ordered_pdf(x) as a function of one float.
-
-    QUADPACK calls the integrand one node at a time, so it is plain float
-    arithmetic in math over constants made once here; numpy's per-call
-    overhead would outweigh the arithmetic.  The kernel is ec_kernel, or
-    its expansion at ``order`` with the polynomial in w by Horner's rule.
-    """
+def _integrand(cfg: SystemConfig, role: str, kernel):
+    """kernel(gamma_for_role(x)) * ordered_pdf(x) as a function of one float,
+    for a kernel of fblrate.scalar_kernel: plain float arithmetic in math
+    over constants made once here, as QUADPACK calls it node by node."""
     k = cfg.order_index(role)
     xi = 1.0 / beta_fn(k, cfg.V - k + 1)
     k_1, v_k = k - 1, cfg.V - k
-    one_eps, two_zeta, beta = 1.0 - eps, 2.0 * kp.zeta, kp.beta
     a_t, a_u, rho_inv = cfg.alpha_t, cfg.alpha_u, 1.0 / cfg.rho
     snr = cfg.alpha_u * cfg.rho
     weak = role == "weak"
-    coeffs = ([] if order is None
-              else expansion_coeffs(kp.beta, order)[::-1].tolist())
 
     def integrand(x):
         g = a_t * x / (a_u * x + rho_inv) if weak else snr * x
         pdf = (xi * math.exp(-x) * (-math.expm1(-x)) ** k_1
                * math.exp(-v_k * x))
-        if not coeffs:
-            return (eps + one_eps * math.exp(
-                two_zeta * math.log1p(g)
-                + beta * (math.sqrt(g * (g + 2.0)) / (1.0 + g)))) * pdf
-        w, poly = (1.0 + g) ** -2.0, 0.0
-        for c in coeffs:
-            poly = poly * w + c
-        return (eps + one_eps * (1.0 + g) ** two_zeta * poly) * pdf
+        return kernel(g) * pdf
 
     return integrand
 
@@ -254,19 +241,22 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
 
     The "approx" variant integrates the kernel expansion of the closed
     forms, at the expansion order they use for the same (cfg, ctl) unless
-    ``order`` pins it.  The domain splits at the 99.9999th percentile of the
-    order statistic; beyond it the integrand carries negligible mass and is
-    handled by a dedicated semi-infinite panel.  The note names the kernel
-    and counts QUADPACK's integrand evaluations and subintervals, head +
-    tail.
+    ``order`` pins it; the exact variant refuses an order.  The domain
+    splits at the 99.9999th percentile of the order statistic; beyond it
+    the integrand carries negligible mass and is handled by a dedicated
+    semi-infinite panel.  The note names the kernel and counts QUADPACK's
+    integrand evaluations and subintervals, head + tail.
     """
     if kernel_variant not in ("exact", "approx"):
         raise ValueError(f"unknown kernel_variant {kernel_variant!r}")
+    if kernel_variant == "exact" and order is not None:
+        raise ValueError(f"the exact kernel takes no expansion order, got "
+                         f"{order}")
     theta = cfg.theta_for(role)
     eps = cfg.eps
     kp = make_kernel_params(theta, cfg.n, eps)
     order = None if kernel_variant == "exact" else _order(kp, order)
-    integrand = _integrand(cfg, role, kp, eps, order)
+    integrand = _integrand(cfg, role, scalar_kernel(kp, eps, order))
     k_idx = cfg.order_index(role)
 
     x_hi = ordered_quantile(1.0 - 1e-6, k_idx, cfg.V)

@@ -139,6 +139,38 @@ def ec_kernel(gamma, kp: KernelParams, eps: float):
     return float(val) if val.ndim == 0 else val
 
 
+def scalar_kernel(kp: KernelParams, eps: float,
+                  order: tuple[int, int] | None = None):
+    """ec_kernel (order None) or its expansion at order, as a function of
+    one float gamma: QUADPACK calls its integrand node by node, where
+    numpy's per-call overhead would outweigh the arithmetic.
+
+    With a = expansion_coeffs(beta, order) the expanded bracket is
+    eps + (1-eps) (1+g)^(2z) sum_j a_j w^j, w = (1+g)^-2, by Horner's rule.
+    PAPER_ORDER (2, 1) regroups, with K = beta^2/2 + beta, into
+
+        eps + (1-eps) [ (1+g)^(2z) (K+1) - (1+g)^(2z-2) (K - beta/2) ];
+
+    it is exact when beta = 0 and overshoots near gamma = 0 by roughly
+    beta/2.  Higher orders close that gap (see expansion_error_coeffs).
+    """
+    one_eps, two_zeta, beta = 1.0 - eps, 2.0 * kp.zeta, kp.beta
+    if order is None:
+        def kernel(g):
+            return eps + one_eps * math.exp(
+                two_zeta * math.log1p(g)
+                + beta * (math.sqrt(g * (g + 2.0)) / (1.0 + g)))
+        return kernel
+    coeffs = expansion_coeffs(beta, order)[::-1].tolist()
+
+    def kernel(g):
+        w, poly = (1.0 + g) ** -2.0, 0.0
+        for c in coeffs:
+            poly = poly * w + c
+        return eps + one_eps * (1.0 + g) ** two_zeta * poly
+    return kernel
+
+
 def expansion_order(beta: float, rel_tol: float) -> tuple[int, int]:
     """Expansion order (M, J) of the kernel for dispersion coefficient beta.
 
@@ -207,27 +239,3 @@ def expansion_error_coeffs(beta: float, order: tuple[int, int]):
             c *= (m / 2.0 - 1.0 - k) / (k + 1)
         t_j += weight * abs(c)
     return r_m, t_j
-
-
-def ec_kernel_approx(gamma, kp: KernelParams, eps: float,
-                     order: tuple[int, int] = PAPER_ORDER):
-    """Kernel expansion underlying the closed forms.
-
-    With a = expansion_coeffs(beta, order) the bracket is
-
-        eps + (1-eps) (1+g)^(2z) sum_j a_j (1+g)^(-2j).
-
-    The default PAPER_ORDER (2, 1) truncates e^(beta delta) to three
-    Maclaurin terms and the dispersion root to delta ~ 1 - (1+gamma)^-2 / 2,
-    which with K = beta^2/2 + beta regroups into
-
-        eps + (1-eps) [ (1+g)^(2z) (K+1) - (1+g)^(2z-2) (K - beta/2) ];
-
-    it is exact when beta = 0 and overshoots near gamma = 0 by roughly
-    beta/2.  Higher orders close that gap (see expansion_error_coeffs).
-    """
-    g = np.asarray(gamma, dtype=float)
-    a = expansion_coeffs(kp.beta, order)
-    powers = ((1.0 + g) ** -2.0)[..., None] ** np.arange(a.size)
-    val = eps + (1.0 - eps) * (1.0 + g) ** (2.0 * kp.zeta) * (powers @ a)
-    return float(val) if val.ndim == 0 else val

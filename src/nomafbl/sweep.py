@@ -246,6 +246,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         else:
             values = np.logspace(math.log10(a), math.log10(b), count)
         return tuple(float(v) for v in values)
+    return _parse_floats(text)
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
@@ -257,7 +261,11 @@ def load_sweep_config(path: str) -> list[SweepSpec]:
     case-insensitive, and a key the loader does not know is an error.
     """
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:   # e.g. a key given twice
+        raise ValueError(f"cannot parse sweep config {path!r}: {exc}") from exc
+    if not read:
         raise ValueError(f"cannot read sweep config {path!r}")
     specs = []
     for section in parser.sections():
@@ -273,16 +281,23 @@ def load_sweep_config(path: str) -> list[SweepSpec]:
                 raise ValueError(f"[{section}] is missing required key {key!r}")
         get = {**_CFG_DEFAULTS, **given}.__getitem__
 
+        def parse(key, how):    # a value that fails to parse names its key
+            try:
+                return how(get(key))
+            except ValueError as exc:
+                raise ValueError(f"[{section}] cannot parse {key} = "
+                                 f"{get(key)!r}: {exc}") from exc
+
         def cast(defaults):     # each key parsed as the type of its default
-            return {k: type(v)(get(k.lower())) for k, v in defaults.items()}
+            return {k: parse(k.lower(), type(v)) for k, v in defaults.items()}
 
         base = replace(pool_config(**cast(FIG3_POINT)), **cast(POOL))
         ctl = EvalControls(**cast(asdict(EvalControls())))
-        d_max = float(get("d_max")) if "d_max" in given else None
-        variants = (tuple(float(v) for v in get("rho_db_variants").split(","))
+        d_max = parse("d_max", float) if "d_max" in given else None
+        variants = (parse("rho_db_variants", _parse_floats)
                     if "rho_db_variants" in given else None)
         specs.append(SweepSpec(
-            base=base, axis=get("axis"), grid=_parse_grid(get("grid")),
+            base=base, axis=get("axis"), grid=parse("grid", _parse_grid),
             roles=tuple(r.strip() for r in get("roles").split(",")),
             methods=tuple(m.strip() for m in get("methods").split(",")),
             controls=ctl, output_path=get("output"),

@@ -12,7 +12,7 @@ import numpy as np
 
 from nomafbl.channel import (SystemConfig, db_to_linear, ordered_pdf,
                              sample_gain)
-from nomafbl.delay import DelaySpec, delay_violation_curve, delay_violation_prob
+from nomafbl.delay import delay_violation_curve, delay_violation_prob
 from nomafbl.eccalc import (EvalControls, ec_closed_strong, ec_closed_weak,
                             ec_monte_carlo, ec_quadrature, evaluate)
 from nomafbl.queuesim import SimSpec, run_queue_sim
@@ -217,9 +217,7 @@ def test_criterion_8_queue_simulator_consistency():
             hi = mid
     theta_op = 0.5 * (lo + hi)
     nonempty = float(stats.tail_prob[0])
-    analytic = delay_violation_prob(
-        theta_op, DelaySpec(d_max=400.0, arrival_rate=mu,
-                            nonempty_prob=nonempty))
+    analytic = delay_violation_prob(theta_op, mu, 400.0, nonempty)
     ratio = stats.delay_violation_freq / analytic if analytic > 0 else np.inf
     freq_ok = 0.1 <= ratio <= 10.0
 

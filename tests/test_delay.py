@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nomafbl.channel import SystemConfig, db_to_linear
-from nomafbl.delay import DelaySpec, delay_violation_curve, delay_violation_prob
+from nomafbl.delay import delay_violation_curve, delay_violation_prob
 from nomafbl.eccalc import EvalControls
 
 FIG5 = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, n=400, eps=1e-6,
@@ -17,51 +17,47 @@ def make_cfg(rho_db=20.0, **overrides):
 
 class TestDelayViolationProb:
     def test_zero_arrival_saturates(self):
-        spec = DelaySpec(d_max=400.0, arrival_rate=0.0, nonempty_prob=0.7)
-        assert delay_violation_prob(0.5, spec) == 0.7
+        assert delay_violation_prob(0.5, 0.0, 400.0, 0.7) == 0.7
 
     def test_zero_bound_saturates(self):
-        spec = DelaySpec(d_max=0.0, arrival_rate=3.0, nonempty_prob=0.4)
-        assert delay_violation_prob(0.5, spec) == 0.4
+        assert delay_violation_prob(0.5, 3.0, 0.0, 0.4) == 0.4
 
     def test_strictly_decreasing(self):
-        base = dict(d_max=200.0, arrival_rate=2.0)
-        p0 = delay_violation_prob(0.01, DelaySpec(**base))
-        assert delay_violation_prob(0.02, DelaySpec(**base)) < p0
-        assert delay_violation_prob(
-            0.01, DelaySpec(d_max=400.0, arrival_rate=2.0)) < p0
-        assert delay_violation_prob(
-            0.01, DelaySpec(d_max=200.0, arrival_rate=4.0)) < p0
+        p0 = delay_violation_prob(0.01, 2.0, 200.0)
+        assert delay_violation_prob(0.02, 2.0, 200.0) < p0
+        assert delay_violation_prob(0.01, 2.0, 400.0) < p0
+        assert delay_violation_prob(0.01, 4.0, 200.0) < p0
 
     def test_range(self):
         # positive and at most 1 wherever the exponent is representable;
         # beyond double range the value underflows cleanly to zero
         rng = np.random.default_rng(0)
         for _ in range(200):
-            spec = DelaySpec(d_max=rng.uniform(0, 2000),
-                             arrival_rate=rng.uniform(0, 8),
-                             nonempty_prob=rng.uniform(0.01, 1.0))
+            d_max = rng.uniform(0, 2000)
+            arrival_rate = rng.uniform(0, 8)
+            nonempty_prob = rng.uniform(0.01, 1.0)
             theta = rng.uniform(1e-4, 2.0)
-            p = delay_violation_prob(theta, spec)
-            exponent = theta * spec.arrival_rate * spec.d_max * math.log(2.0)
+            p = delay_violation_prob(theta, arrival_rate, d_max, nonempty_prob)
+            exponent = theta * arrival_rate * d_max * math.log(2.0)
             assert 0.0 <= p <= 1.0
             if exponent < 700.0:
                 assert p > 0.0
 
     def test_exponent_units(self):
         # exponent is theta * mu * D * ln2 with mu in bits per channel use
-        spec = DelaySpec(d_max=400.0, arrival_rate=3.0)
         expected = math.exp(-0.01 * 3.0 * 400.0 * math.log(2.0))
-        assert delay_violation_prob(0.01, spec) == pytest.approx(expected,
-                                                                 rel=1e-14)
+        assert delay_violation_prob(0.01, 3.0, 400.0) == pytest.approx(
+            expected, rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            delay_violation_prob(0.0, DelaySpec(d_max=1.0, arrival_rate=1.0))
+            delay_violation_prob(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            DelaySpec(d_max=-1.0, arrival_rate=1.0)
+            delay_violation_prob(0.5, -1.0, 1.0)
         with pytest.raises(ValueError):
-            DelaySpec(d_max=1.0, arrival_rate=1.0, nonempty_prob=0.0)
+            delay_violation_prob(0.5, 1.0, -1.0)
+        with pytest.raises(ValueError):
+            delay_violation_prob(0.5, 1.0, 1.0, 0.0)
 
 
 class TestDelayViolationCurve:

@@ -26,8 +26,8 @@ from nomafbl.eccalc import (_NEGATIVE, METHODS, SERIES_REL_TOL, EcResult,
                             ec_closed_weak, ec_monte_carlo, ec_quadrature,
                             evaluate, mc_gain_draws)
 from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
-                             ec_kernel_approx, expansion_coeffs, fbl_rate,
-                             make_kernel_params, rate_minimum)
+                             expansion_coeffs, fbl_rate, make_kernel_params,
+                             rate_minimum, scalar_kernel)
 from nomafbl.specfun import ConvergenceError, tricomi_u
 from nomafbl.sweep import pool_config, validate_report
 
@@ -122,6 +122,11 @@ class TestQuadrature:
     def test_variant_validation(self):
         with pytest.raises(ValueError):
             ec_quadrature(make_cfg(), "weak", EvalControls(), "fancy")
+
+    def test_exact_kernel_refuses_an_order(self):
+        with pytest.raises(ValueError, match="exact kernel"):
+            ec_quadrature(make_cfg(), "weak", EvalControls(), "exact",
+                          PAPER_ORDER)
 
     def test_exact_vs_approx_gap_is_small_at_reference(self):
         ctl = EvalControls()
@@ -262,13 +267,13 @@ class TestQuadrature:
                 1.0, np.abs(2.0 * kp.zeta * np.log1p(g))
                 + np.abs(kp.beta * dispersion_root(g)))
         else:
-            want = ec_kernel_approx(g, kp, eps, order) * pdf
+            # the expansion spelled in numpy: powers of w against a
             a = expansion_coeffs(kp.beta, order)
-            w = (1.0 + g) ** -2.0
-            terms = w[:, None] ** np.arange(a.size) @ np.abs(a)
-            scale = (eps + (1.0 - eps) * (1.0 + g) ** (2.0 * kp.zeta)
-                     * terms) * pdf
-        integrand = _integrand(cfg, role, kp, eps, order)
+            powers = ((1.0 + g) ** -2.0)[:, None] ** np.arange(a.size)
+            base = (1.0 - eps) * (1.0 + g) ** (2.0 * kp.zeta)
+            want = (eps + base * (powers @ a)) * pdf
+            scale = (eps + base * (powers @ np.abs(a))) * pdf
+        integrand = _integrand(cfg, role, scalar_kernel(kp, eps, order))
         got = np.array([integrand(float(x)) for x in xs])
         assert np.all(want > 0.0)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
@@ -813,12 +818,12 @@ class TestClosedForms:
         # at very high SNR the weak user saturates at the kernel value of
         # the interference-limited SINR ceiling; each method is bounded by
         # the cap computed from its own kernel
-        from nomafbl.fblrate import ec_kernel_approx
         ctl = EvalControls(mc_samples=60_000)
         cfg = make_cfg(rho_db=60.0)
         kp = make_kernel_params(0.01, 300, 1e-5)
         ceiling = cfg.alpha_t / cfg.alpha_u
-        cap_closed = -math.log(ec_kernel_approx(ceiling, kp, 1e-5)) \
+        paper_kernel = scalar_kernel(kp, 1e-5, PAPER_ORDER)
+        cap_closed = -math.log(paper_kernel(ceiling)) \
             / (0.01 * 300 * LN2)
         cap_exact = -math.log(ec_kernel(ceiling, kp, 1e-5)) \
             / (0.01 * 300 * LN2)
@@ -870,25 +875,35 @@ class TestClosedForms:
                 evaluate(make_cfg(), "both", method, EvalControls())
 
 
-class TestClosedFormDomain:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(V=st.integers(2, 20), t_frac=st.floats(0.0, 1.0),
+# The whole SystemConfig box: any pool and pair, power split, SNR,
+# blocklength, error target and QoS exponent up to 3
+BOX = dict(V=st.integers(2, 20), t_frac=st.floats(0.0, 1.0),
            u_frac=st.floats(0.0, 1.0),
            alpha_t=st.floats(0.5, 0.99, exclude_min=True, exclude_max=True),
            rho_db=st.floats(-10.0, 50.0), n=st.integers(50, 2000),
-           log_eps=st.floats(-9.0, -1.0), log_theta=st.floats(-4.0,
-                                                            math.log10(3.0)))
+           log_eps=st.floats(-9.0, -1.0),
+           log_theta=st.floats(-4.0, math.log10(3.0)))
+
+
+def box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps, log_theta):
+    t = 1 + min(int(t_frac * (V - 1)), V - 2)
+    u = t + 1 + min(int(u_frac * (V - t)), V - t - 1)
+    theta = 10.0 ** log_theta
+    return SystemConfig(V=V, t=t, u=u, alpha_t=alpha_t,
+                        alpha_u=1.0 - alpha_t, rho=db_to_linear(rho_db),
+                        n=n, eps=10.0 ** log_eps, theta_t=theta,
+                        theta_u=theta)
+
+
+class TestClosedFormDomain:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**BOX)
     def test_closed_forms_finite_or_flagged(self, V, t_frac, u_frac, alpha_t,
                                             rho_db, n, log_eps, log_theta):
         # over the whole SystemConfig box the closed forms neither raise nor
         # warn, and a non-finite value is always flagged unconverged
-        t = 1 + min(int(t_frac * (V - 1)), V - 2)
-        u = t + 1 + min(int(u_frac * (V - t)), V - t - 1)
-        theta = 10.0 ** log_theta
-        cfg = SystemConfig(V=V, t=t, u=u, alpha_t=alpha_t,
-                           alpha_u=1.0 - alpha_t, rho=db_to_linear(rho_db),
-                           n=n, eps=10.0 ** log_eps, theta_t=theta,
-                           theta_u=theta)
+        cfg = box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps,
+                      log_theta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = [ec_closed_weak(cfg, EvalControls()),
@@ -897,27 +912,33 @@ class TestClosedFormDomain:
             assert math.isfinite(res.value) or not res.converged
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(V=st.integers(2, 20), t_frac=st.floats(0.0, 1.0),
-           u_frac=st.floats(0.0, 1.0),
-           alpha_t=st.floats(0.5, 0.99, exclude_min=True, exclude_max=True),
-           rho_db=st.floats(-10.0, 50.0), n=st.integers(50, 2000),
-           log_eps=st.floats(-9.0, -1.0), log_theta=st.floats(-4.0,
-                                                            math.log10(3.0)))
+    @given(**BOX)
     def test_strong_tracks_quadrature_over_box(self, V, t_frac, u_frac,
                                                alpha_t, rho_db, n, log_eps,
                                                log_theta):
         # the extended-precision sum is within 1e-10 of the quadrature of
         # the same expanded kernel, and the two error bounds cover the gap
-        t = 1 + min(int(t_frac * (V - 1)), V - 2)
-        u = t + 1 + min(int(u_frac * (V - t)), V - t - 1)
-        theta = 10.0 ** log_theta
-        cfg = SystemConfig(V=V, t=t, u=u, alpha_t=alpha_t,
-                           alpha_u=1.0 - alpha_t, rho=db_to_linear(rho_db),
-                           n=n, eps=10.0 ** log_eps, theta_t=theta,
-                           theta_u=theta)
+        cfg = box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps,
+                      log_theta)
         closed = ec_closed_strong(cfg, EvalControls())
         oracle = ec_quadrature(cfg, "strong", EvalControls(), "approx",
                                closed.expansion_order)
         assert closed.value == pytest.approx(oracle.value, rel=1e-10)
         assert abs(closed.value - oracle.value) <= \
             closed.tail_bound + oracle.tail_bound
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**BOX)
+    def test_bounds_cover_gap_to_exact_over_box(self, V, t_frac, u_frac,
+                                                alpha_t, rho_db, n, log_eps,
+                                                log_theta):
+        # wherever a closed form bounds its expansion, its two bounds and
+        # the oracle's cover its gap to the exact-kernel quadrature
+        cfg = box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps,
+                      log_theta)
+        for role in ROLES:
+            closed = evaluate(cfg, role, "closed_form", EvalControls())
+            if math.isfinite(closed.expansion_bound):
+                exact = ec_quadrature(cfg, role, EvalControls(), "exact")
+                assert abs(closed.value - exact.value) <= closed.tail_bound \
+                    + closed.expansion_bound + exact.tail_bound

@@ -2,16 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
 from nomafbl.fblrate import (PAPER_ORDER, KernelParams, dispersion_root,
-                             ec_kernel, ec_kernel_approx, expansion_error_coeffs,
+                             ec_kernel, expansion_error_coeffs,
                              expansion_order, fbl_rate, make_kernel_params,
-                             rate_minimum)
+                             rate_minimum, scalar_kernel)
 
 LN2 = math.log(2.0)
+
+
+def expanded(gamma, kp, eps, order=PAPER_ORDER):
+    """The production float expansion, scalar_kernel at order, over an
+    array of gamma."""
+    return np.vectorize(scalar_kernel(kp, eps, order), otypes=[float])(gamma)
 
 
 class TestKernelParams:
@@ -149,8 +155,8 @@ class TestEcKernel:
     def test_limit_is_eps(self):
         kp = make_kernel_params(0.01, 300, 1e-5)
         assert ec_kernel(1e8, kp, 1e-5) == pytest.approx(1e-5, rel=1e-6)
-        assert ec_kernel_approx(1e8, kp, 1e-5) == pytest.approx(1e-5,
-                                                               rel=1e-6)
+        assert scalar_kernel(kp, 1e-5, PAPER_ORDER)(1e8) == pytest.approx(
+            1e-5, rel=1e-6)
 
     def test_eventually_decreasing(self):
         # strictly decreasing above a small threshold until the value
@@ -164,7 +170,7 @@ class TestEcKernel:
             kp = make_kernel_params(theta, n, eps)
             if kp.beta > 2.0:
                 continue
-            for kern in (ec_kernel, ec_kernel_approx):
+            for kern in (ec_kernel, expanded):
                 vals = kern(g, kp, eps)
                 diffs = np.diff(vals)
                 assert np.all(diffs <= 0.0)
@@ -183,19 +189,35 @@ class TestEcKernel:
         assert math.isfinite(val)
         assert val >= eps
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log_theta=st.floats(-4.0, 1.0), n=st.integers(50, 2000),
+           log_eps=st.floats(-9.0, -0.5), log_gamma=st.floats(-9.0, 6.0))
+    def test_scalar_twin(self, log_theta, n, log_eps, log_gamma):
+        # scalar_kernel with no order is ec_kernel in float math, held to
+        # 1e-14 of the kernel's condition: its value times the magnitudes
+        # of the exponent's two terms
+        eps, g = 10.0 ** log_eps, 10.0 ** log_gamma
+        kp = make_kernel_params(10.0 ** log_theta, n, eps)
+        log_term = 2.0 * kp.zeta * math.log1p(g)
+        delta_term = kp.beta * dispersion_root(g)
+        assume(log_term + delta_term <= 700.0)
+        want = ec_kernel(g, kp, eps)
+        cond = want * max(1.0, abs(log_term) + abs(delta_term))
+        assert abs(scalar_kernel(kp, eps)(g) - want) <= 1e-14 * cond
+
 
 class TestEcKernelApprox:
     def test_exact_when_beta_zero(self):
         kp = make_kernel_params(0.01, 300, 0.5)
         g = np.linspace(0.0, 60.0, 200)
-        assert np.allclose(ec_kernel_approx(g, kp, 0.5),
+        assert np.allclose(expanded(g, kp, 0.5),
                            ec_kernel(g, kp, 0.5), rtol=1e-14)
 
     def test_known_overshoot_at_zero(self):
         # the truncated expansion tends to eps + (1-eps)(1 + beta/2) at
         # gamma = 0 while the exact kernel tends to 1
         kp = make_kernel_params(0.01, 400, 1e-6)
-        val = ec_kernel_approx(0.0, kp, 1e-6)
+        val = scalar_kernel(kp, 1e-6, PAPER_ORDER)(0.0)
         assert val == pytest.approx(1e-6 + (1 - 1e-6) * (1 + kp.beta / 2),
                                     rel=1e-12)
 
@@ -206,12 +228,12 @@ class TestEcKernelApprox:
         for beta in (0.1, 0.4, 0.75):
             kp = KernelParams(zeta=-1.5, beta=beta)
             exact = ec_kernel(g, kp, 1e-5)
-            approx = ec_kernel_approx(g, kp, 1e-5)
+            approx = expanded(g, kp, 1e-5)
             assert np.max(np.abs(approx - exact) / exact) < 0.05
 
     def test_default_is_the_regrouped_second_order_form(self):
-        # the default order (2, 1) is the expansion the closed forms were
-        # first derived with: K+1 and K-beta/2 regrouped over (1+g)^-2
+        # PAPER_ORDER (2, 1) is the expansion the closed forms were first
+        # derived with: K+1 and K-beta/2 regrouped over (1+g)^-2
         rng = np.random.default_rng(11)
         g = np.concatenate([[0.0], rng.uniform(0.0, 80.0, 300)])
         for theta, n, eps in ((0.01, 300, 1e-5), (0.3, 400, 1e-6),
@@ -223,9 +245,8 @@ class TestEcKernelApprox:
                 base * (kappa + 1.0)
                 - base * (1.0 + g) ** -2.0 * (kappa - kp.beta / 2.0))
             assert PAPER_ORDER == (2, 1)
-            for val in (ec_kernel_approx(g, kp, eps),
-                        ec_kernel_approx(g, kp, eps, (2, 1))):
-                assert np.allclose(val, regrouped, rtol=1e-12, atol=0.0)
+            assert np.allclose(expanded(g, kp, eps, PAPER_ORDER), regrouped,
+                               rtol=1e-12, atol=0.0)
 
 
 class TestExpansionOrder:
@@ -255,7 +276,7 @@ class TestExpansionOrder:
                 bound = (1 - 1e-5) * (1.0 + g) ** (2 * kp.zeta) \
                     * (r_m + t_j * w ** (order[1] + 1))
                 exact = ec_kernel(g, kp, 1e-5)
-                gap = np.abs(ec_kernel_approx(g, kp, 1e-5, order) - exact)
+                gap = np.abs(expanded(g, kp, 1e-5, order) - exact)
                 assert np.all(gap <= bound + 8 * np.finfo(float).eps * exact)
 
     def test_higher_order_tracks_exact_kernel(self):
@@ -265,8 +286,7 @@ class TestExpansionOrder:
         for beta in (0.1, 0.75, 2.0, 4.0):
             kp = KernelParams(zeta=-1.5, beta=beta)
             exact = ec_kernel(g, kp, 1e-5)
-            approx = ec_kernel_approx(g, kp, 1e-5,
-                                      expansion_order(beta, 1e-10))
+            approx = expanded(g, kp, 1e-5, expansion_order(beta, 1e-10))
             assert np.max(np.abs(approx - exact) / exact) < 1e-5
 
     def test_order_domain(self):

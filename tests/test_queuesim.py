@@ -6,7 +6,7 @@ import pytest
 
 from nomafbl.channel import (SystemConfig, db_to_linear, gamma_for_role,
                              snr_strong)
-from nomafbl.delay import DelaySpec, delay_violation_prob
+from nomafbl.delay import delay_violation_prob
 from nomafbl.eccalc import EvalControls, ec_closed_strong
 from nomafbl.fblrate import fbl_rate
 from nomafbl.queuesim import (InsufficientDataError, SimSpec,
@@ -398,9 +398,7 @@ class TestAgainstAnalytics:
         assert abs(stats.fitted_theta - target) <= 0.25 * target
 
         nonempty = float(stats.tail_prob[0])
-        analytic = delay_violation_prob(
-            theta, DelaySpec(d_max=400.0, arrival_rate=mu,
-                             nonempty_prob=nonempty))
+        analytic = delay_violation_prob(theta, mu, 400.0, nonempty)
         assert stats.delay_violation_freq > 0.0
         ratio = stats.delay_violation_freq / analytic
         assert 0.1 <= ratio <= 10.0

@@ -317,6 +317,27 @@ class TestConfigFile:
             load_sweep_config(str(cfg_file))
         assert main(["sweep", str(cfg_file)]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "grid = lin:0:1", "grid = log:0:1:5", "n = 3.5", "eps = abc",
+        "d_max = four", "rho_db_variants = 10,x"])
+    def test_unparsable_value_names_its_key(self, line, tmp_path, capsys):
+        key, text = line.split(" = ")
+        grid = "" if key == "grid" else "grid = 0.1,0.2\n"
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text(f"[sweep:x]\naxis = theta\n{grid}"
+                            f"output = x.csv\n{line}\n")
+        assert main(["sweep", str(cfg_file)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: [sweep:x] cannot parse {key} = {text!r}: ")
+
+    def test_key_given_twice_is_a_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text("[sweep:x]\naxis = theta\ngrid = 0.1\n"
+                            "grid = 0.2\noutput = x.csv\n")
+        assert main(["sweep", str(cfg_file)]) == 2
+        assert "option 'grid' in section 'sweep:x' already exists" \
+            in capsys.readouterr().err
+
     def test_unknown_section(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("[other]\nkey = 1\n")
