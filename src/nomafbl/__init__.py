@@ -6,8 +6,9 @@ NOMA pair drawn from an ordered Rayleigh user pool, plus a block-level queue
 simulator that checks the tail laws empirically.
 """
 
-from .channel import (SystemConfig, db_to_linear, ordered_cdf, ordered_pdf,
-                      ordered_quantile, sinr_weak, snr_strong)
+from .channel import (SystemConfig, db_to_linear, gain_for_gamma,
+                      gamma_for_role, ordered_cdf, ordered_pdf,
+                      ordered_quantile)
 from .delay import DelayPoint, delay_violation_curve, delay_violation_prob
 from .eccalc import (EcResult, EvalControls, ec_closed_strong, ec_closed_weak,
                      ec_monte_carlo, ec_quadrature, evaluate)

@@ -70,14 +70,15 @@ class SystemConfig:
         if abs(alpha_sum - 1.0) > 1e-12:
             raise ValueError(
                 f"alpha_t + alpha_u must equal 1, got {alpha_sum}")
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        for name in ("rho", "theta_t", "theta_u"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
         if self.n < 1:
             raise ValueError(f"blocklength n must be >= 1, got {self.n}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.theta_t <= 0.0 or self.theta_u <= 0.0:
-            raise ValueError("QoS exponents theta_t, theta_u must be positive")
 
     def order_index(self, role: str) -> int:
         _check_role(role)
@@ -102,15 +103,20 @@ def _check_order(k: int, V: int):
         raise ValueError(f"order index k must lie in [1, {V}], got {k}")
 
 
+def _pdf_constants(k: int, V: int):
+    """(1 / B(k, V - k + 1), k - 1, V - k): the constants of ordered_pdf."""
+    _check_order(k, V)
+    return 1.0 / beta_fn(k, V - k + 1), k - 1, V - k
+
+
 def ordered_pdf(x, k: int, V: int):
     """Density of the k-th smallest of V iid unit-mean exponential gains."""
-    _check_order(k, V)
+    xi, k_1, v_k = _pdf_constants(k, V)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("power gain must be non-negative")
-    xi = 1.0 / beta_fn(k, V - k + 1)
     F = -np.expm1(-x)
-    out = xi * np.exp(-x) * F ** (k - 1) * np.exp(-(V - k) * x)
+    out = xi * np.exp(-x) * F ** k_1 * np.exp(-v_k * x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -184,26 +190,47 @@ def sample_gain(k: int, V: int, size: int, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# SINR maps
+# SINR map
 # ---------------------------------------------------------------------------
 
-def sinr_weak(x_t, cfg: SystemConfig):
-    """SINR of the weak user, which treats the strong user as interference.
-
-    Strictly increasing in the gain and bounded above by alpha_t / alpha_u.
-    """
-    x_t = np.asarray(x_t, dtype=float)
-    out = cfg.alpha_t * x_t / (cfg.alpha_u * x_t + 1.0 / cfg.rho)
-    return float(out) if out.ndim == 0 else out
-
-
-def snr_strong(x_u, cfg: SystemConfig):
-    """Interference-free SNR of the strong user after SIC."""
-    x_u = np.asarray(x_u, dtype=float)
-    out = cfg.alpha_u * cfg.rho * x_u
-    return float(out) if out.ndim == 0 else out
-
-
 def gamma_for_role(x, cfg: SystemConfig, role: str):
+    """SINR of the role's user at gain x: the weak user's, which treats the
+    strong user as interference and stays below alpha_t / alpha_u, or the
+    strong user's interference-free SNR after SIC."""
     _check_role(role)
-    return sinr_weak(x, cfg) if role == "weak" else snr_strong(x, cfg)
+    x = np.asarray(x, dtype=float)
+    if role == "weak":
+        out = cfg.alpha_t * x / (cfg.alpha_u * x + 1.0 / cfg.rho)
+    else:
+        out = cfg.alpha_u * cfg.rho * x
+    return float(out) if out.ndim == 0 else out
+
+
+def gain_for_gamma(gamma: float, cfg: SystemConfig, role: str) -> float:
+    """Inverse of gamma_for_role; inf for a weak-user gamma at or above
+    alpha_t / alpha_u, which that SINR never reaches."""
+    _check_role(role)
+    if role == "strong":
+        return gamma / (cfg.alpha_u * cfg.rho)
+    denom = cfg.alpha_t - gamma * cfg.alpha_u
+    if denom <= 0.0:
+        return math.inf
+    return gamma / (cfg.rho * denom)
+
+
+def scalar_integrand(cfg: SystemConfig, role: str, kernel):
+    """kernel(gamma_for_role(x)) * ordered_pdf(x) as a function of one float
+    for a float kernel (fblrate.scalar_kernel): plain float arithmetic over
+    constants made once here, as QUADPACK calls it node by node."""
+    xi, k_1, v_k = _pdf_constants(cfg.order_index(role), cfg.V)
+    a_t, a_u, rho_inv = cfg.alpha_t, cfg.alpha_u, 1.0 / cfg.rho
+    snr = cfg.alpha_u * cfg.rho
+    weak = role == "weak"
+
+    def integrand(x):
+        g = a_t * x / (a_u * x + rho_inv) if weak else snr * x
+        pdf = (xi * math.exp(-x) * (-math.expm1(-x)) ** k_1
+               * math.exp(-v_k * x))
+        return kernel(g) * pdf
+
+    return integrand

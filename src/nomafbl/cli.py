@@ -16,6 +16,7 @@ import math
 import sys
 import time
 
+from .channel import ROLES
 from .delay import delay_at_capacity
 from .eccalc import EvalControls, evaluate
 from .fblrate import LN2
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(overrides --mu-frac)")
     p_q.add_argument("--blocks", type=int, default=400_000)
     p_q.add_argument("--warmup", type=int, default=10_000)
-    p_q.add_argument("--role", choices=("weak", "strong"), default="strong")
+    p_q.add_argument("--role", choices=ROLES, default="strong")
     p_q.add_argument("--rho-db", type=float, default=20.0)
     p_q.add_argument("--n", type=int, default=QOS_POINT["n"])
     p_q.add_argument("--eps", type=float, default=QOS_POINT["eps"])

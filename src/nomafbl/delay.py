@@ -29,13 +29,13 @@ def delay_violation_prob(theta: float, arrival_rate: float, d_max: float,
     """Large-deviations approximation of Pr{delay > d_max}: a constant
     arrival rate mu in bits per channel use, d_max in channel uses and
     Pr{Q > 0} = nonempty_prob, by default its conservative upper bound 1."""
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if arrival_rate < 0.0:
-        raise ValueError(
-            f"arrival_rate must be non-negative, got {arrival_rate}")
-    if d_max < 0.0:
-        raise ValueError(f"d_max must be non-negative, got {d_max}")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
+    if not 0.0 <= arrival_rate < math.inf:
+        raise ValueError(f"arrival_rate must be finite and non-negative, "
+                         f"got {arrival_rate}")
+    if not 0.0 <= d_max < math.inf:
+        raise ValueError(f"d_max must be finite and non-negative, got {d_max}")
     if not 0.0 < nonempty_prob <= 1.0:
         raise ValueError(
             f"nonempty_prob must lie in (0, 1], got {nonempty_prob}")

@@ -34,8 +34,8 @@ from decimal import Context, Decimal, getcontext, localcontext
 import mpmath
 import numpy as np
 
-from .channel import (SystemConfig, gamma_for_role, ordered_quantile,
-                      sample_gain)
+from .channel import (SystemConfig, gain_for_gamma, gamma_for_role,
+                      ordered_quantile, sample_gain, scalar_integrand)
 from .fblrate import (LN2, ec_kernel, expansion_coeffs, expansion_error_coeffs,
                       expansion_order, make_kernel_params, rate_minimum,
                       scalar_kernel)
@@ -205,35 +205,6 @@ def ec_monte_carlo(cfg: SystemConfig, role: str,
 # Quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _gamma_to_gain(gamma, cfg, role):
-    if role == "strong":
-        return gamma / (cfg.alpha_u * cfg.rho)
-    denom = cfg.alpha_t - gamma * cfg.alpha_u
-    if denom <= 0.0:
-        return math.inf
-    return gamma / (cfg.rho * denom)
-
-
-def _integrand(cfg: SystemConfig, role: str, kernel):
-    """kernel(gamma_for_role(x)) * ordered_pdf(x) as a function of one float,
-    for a kernel of fblrate.scalar_kernel: plain float arithmetic in math
-    over constants made once here, as QUADPACK calls it node by node."""
-    k = cfg.order_index(role)
-    xi = 1.0 / beta_fn(k, cfg.V - k + 1)
-    k_1, v_k = k - 1, cfg.V - k
-    a_t, a_u, rho_inv = cfg.alpha_t, cfg.alpha_u, 1.0 / cfg.rho
-    snr = cfg.alpha_u * cfg.rho
-    weak = role == "weak"
-
-    def integrand(x):
-        g = a_t * x / (a_u * x + rho_inv) if weak else snr * x
-        pdf = (xi * math.exp(-x) * (-math.expm1(-x)) ** k_1
-               * math.exp(-v_k * x))
-        return kernel(g) * pdf
-
-    return integrand
-
-
 def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
                   kernel_variant: str = "exact",
                   order: tuple[int, int] | None = None) -> EcResult:
@@ -256,17 +227,17 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
     eps = cfg.eps
     kp = make_kernel_params(theta, cfg.n, eps)
     order = None if kernel_variant == "exact" else _order(kp, order)
-    integrand = _integrand(cfg, role, scalar_kernel(kp, eps, order))
+    integrand = scalar_integrand(cfg, role, scalar_kernel(kp, eps, order))
     k_idx = cfg.order_index(role)
 
     x_hi = ordered_quantile(1.0 - 1e-6, k_idx, cfg.V)
     pts = [ordered_quantile(q, k_idx, cfg.V)
            for q in (1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9)]
     # mass near gamma = 1 (high SNR, large theta n) lies below the quantiles
-    unit = _gamma_to_gain(1.0, cfg, role)
+    unit = gain_for_gamma(1.0, cfg, role)
     pts.extend(unit * 10.0 ** k for k in range(-2, 3))
     # the exact kernel peaks at the rate minimum, for every theta
-    peak = _gamma_to_gain(rate_minimum(cfg.n, eps), cfg, role)
+    peak = gain_for_gamma(rate_minimum(cfg.n, eps), cfg, role)
     pts.extend([0.5 * peak, peak, 2.0 * peak])
     pts = sorted(p for p in pts if 0.0 < p < x_hi)
 
@@ -344,7 +315,7 @@ def _int_ladder(etas, s_max: int, s0=0.0) -> list[np.ndarray]:
 
 
 def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
-                 log_prefactors: np.ndarray, ctl: EvalControls):
+                 log_prefactors: np.ndarray):
     """Inner series sum_s C(c, s) q^s d I_s, scaled by exp(log_prefactor),
     for every c in cs at once (one row per c).
 
@@ -357,11 +328,11 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
     from a not-yet-reached bulk.  Each row stops at its first term whose
     tail is negligible against the running sum, before a term beyond e^700
     (the first term, d I_0 <= 1 times a prefactor <= 1, never is), or at
-    the term budget.  Returns per-row arrays (sum, terms_used, tail_bound);
-    the tail bound is inf where the series diverges, that is where it meets
-    a term beyond e^700 or its terms still grow at the budget.
+    the ladder's last rung.  Returns per-row arrays (sum, terms_used,
+    tail_bound); the tail bound is inf where the series diverges, that is
+    where it meets a term beyond e^700 or its terms still grow at the end.
     """
-    s_max = min(ctl.series_max_terms, ladder.size - 1)
+    s_max = ladder.size - 1
     s = np.arange(1, s_max + 1)
     steps = (s - 1.0) - cs[:, None]     # term ratio = step |q| / s
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -404,7 +375,7 @@ def _weak_ladders(V: int, t: int, d: float, s_max: int) -> tuple:
 
 
 def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
-    """Weak-user moments E[(1 + sinr_weak)^(2 zeta - 2j)], via binomial
+    """Weak-user moments E[(1 + SINR)^(2 zeta - 2j)], via binomial
     expansion of the ordered density.
 
     The SINR ratio is rewritten as a scaled (x + a)/(x + b) form whose
@@ -429,7 +400,7 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
     terms_used = np.zeros(cs.size, dtype=int)
     ladders = _weak_ladders(cfg.V, cfg.t, d, ctl.series_max_terms)
     for r, ladder in enumerate(ladders):
-        series, s_used, tail = _weak_series(cs, q, d, ladder, log_pref, ctl)
+        series, s_used, tail = _weak_series(cs, q, d, ladder, log_pref)
         weight = math.comb(cfg.t - 1, r)
         parts.append(weight * series)
         tails.append(weight * tail)
@@ -468,7 +439,7 @@ def _strong_sums(cfg: SystemConfig, zeta, a, digits: int):
         return moments.astype(float), float(scale), float(lost)
 
 
-def _strong_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
+def _strong_moments(cfg: SystemConfig, zeta, a):
     """Strong-user moments E[(1+g)^(2 zeta - 2j)] and their rounding error.
 
     The interference-free SNR is linear in the gain, so each moment is an
@@ -514,8 +485,9 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
     kp = make_kernel_params(theta, cfg.n, eps)
     order = _order(kp, order)
     a = expansion_coeffs(kp.beta, order)
-    moments_of = _weak_moments if role == "weak" else _strong_moments
-    moments, err, terms, converged = moments_of(cfg, kp.zeta, a, ctl)
+    moments, err, terms, converged = (
+        _weak_moments(cfg, kp.zeta, a, ctl) if role == "weak"
+        else _strong_moments(cfg, kp.zeta, a))
     inner = eps + (1.0 - eps) * math.fsum(a * moments)
     if math.isfinite(inner) and err < 0.5 * inner:
         value = _ec_from_mean(inner, theta, cfg.n)

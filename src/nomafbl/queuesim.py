@@ -50,8 +50,9 @@ class SimSpec:
             raise ValueError("arrival_rate must be finite and non-negative")
         if self.num_blocks <= self.warmup_blocks or self.warmup_blocks < 0:
             raise ValueError("need num_blocks > warmup_blocks >= 0")
-        if self.d_max < 0.0:
-            raise ValueError("d_max must be non-negative")
+        if not 0.0 <= self.d_max < math.inf:
+            raise ValueError(
+                f"d_max must be finite and non-negative, got {self.d_max}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

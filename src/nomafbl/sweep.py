@@ -63,6 +63,9 @@ class SweepSpec:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.grid:
             raise ValueError("sweep grid must not be empty")
+        if not all(map(math.isfinite, self.grid)):
+            raise ValueError(f"sweep grid values must be finite, got "
+                             f"{self.grid}")
         if list(self.grid) != sorted(self.grid):
             raise ValueError("sweep grid must be ascending")
         if not self.roles or any(r not in ROLES for r in self.roles):

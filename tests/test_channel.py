@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import nomafbl
 from nomafbl.channel import (SystemConfig, _mirror_order_gain, db_to_linear,
-                             gamma_for_role, ordered_cdf, ordered_pdf,
-                             ordered_quantile, sample_gain, sinr_weak,
-                             snr_strong)
+                             gain_for_gamma, gamma_for_role, ordered_cdf,
+                             ordered_pdf, ordered_quantile, sample_gain)
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, rho=100.0, n=300,
             eps=1e-5, theta_t=0.01, theta_u=0.01)
@@ -293,35 +295,98 @@ class TestMarginalSampling:
 class TestSinrMaps:
     def test_weak_examples(self):
         cfg = make_cfg(rho=10.0)
-        assert sinr_weak(0.0, cfg) == 0.0
-        assert sinr_weak(1.0, cfg) == pytest.approx(0.8 / 0.3, rel=1e-12)
+        assert gamma_for_role(0.0, cfg, "weak") == 0.0
+        assert gamma_for_role(1.0, cfg, "weak") == pytest.approx(0.8 / 0.3,
+                                                                 rel=1e-12)
 
     def test_weak_ceiling_and_monotonicity(self):
         cfg = make_cfg()
         ceiling = cfg.alpha_t / cfg.alpha_u
         xs = np.sort(np.random.default_rng(3).uniform(0, 50.0, 300))
-        vals = sinr_weak(xs, cfg)
+        vals = gamma_for_role(xs, cfg, "weak")
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all(vals <= ceiling)
-        assert sinr_weak(1e12, cfg) == pytest.approx(ceiling, rel=1e-9)
+        assert gamma_for_role(1e12, cfg, "weak") == pytest.approx(ceiling,
+                                                                  rel=1e-9)
 
     def test_strong_examples(self):
         cfg = make_cfg()
-        assert snr_strong(0.0, cfg) == 0.0
-        assert snr_strong(1.0, make_cfg(rho=100.0)) == pytest.approx(20.0)
+        assert gamma_for_role(0.0, cfg, "strong") == 0.0
+        assert gamma_for_role(1.0, make_cfg(rho=100.0),
+                              "strong") == pytest.approx(20.0)
 
     def test_strong_linearity_in_rho(self):
         for x in (0.3, 1.7, 4.0):
-            v1 = snr_strong(x, make_cfg(rho=50.0))
-            v2 = snr_strong(x, make_cfg(rho=100.0))
+            v1 = gamma_for_role(x, make_cfg(rho=50.0), "strong")
+            v2 = gamma_for_role(x, make_cfg(rho=100.0), "strong")
             assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
 
     def test_role_dispatch(self):
         cfg = make_cfg()
-        assert gamma_for_role(1.0, cfg, "weak") == sinr_weak(1.0, cfg)
-        assert gamma_for_role(1.0, cfg, "strong") == snr_strong(1.0, cfg)
-        with pytest.raises(ValueError):
-            gamma_for_role(1.0, cfg, "medium")
+        xs = np.array([0.5, 1.0])
+        assert gamma_for_role(1.0, cfg, "weak") == 0.8 / (0.2 + 1.0 / 100.0)
+        assert gamma_for_role(1.0, cfg, "strong") == 0.2 * 100.0
+        assert gamma_for_role(xs, cfg, "strong").shape == (2,)
+        for bad in (gamma_for_role, gain_for_gamma):
+            with pytest.raises(ValueError, match="role"):
+                bad(1.0, cfg, "medium")
+
+    @pytest.mark.parametrize("role", ["weak", "strong"])
+    @pytest.mark.parametrize("rho_db", [0.0, 20.0, 40.0])
+    def test_gain_for_gamma_inverts_the_map(self, role, rho_db):
+        # near its ceiling the weak SINR is flat in the gain, so its inverse
+        # amplifies gamma's rounding by the condition 1 + alpha_u rho x
+        cfg = make_cfg(rho=db_to_linear(rho_db))
+        for x in np.logspace(-6.0, 3.0, 91):
+            back = gain_for_gamma(gamma_for_role(x, cfg, role), cfg, role)
+            cond = 1.0 + cfg.alpha_u * cfg.rho * x if role == "weak" else 1.0
+            assert abs(back - x) <= 8 * np.finfo(float).eps * cond * x
+
+    def test_weak_inverse_is_inf_at_and_above_the_ceiling(self):
+        cfg = make_cfg()
+        ceiling = cfg.alpha_t / cfg.alpha_u
+        for gamma in (ceiling, np.nextafter(ceiling, 10.0), 5.0, 1e9):
+            assert gain_for_gamma(gamma, cfg, "weak") == math.inf
+        below = np.nextafter(ceiling, 0.0)
+        assert math.isfinite(gain_for_gamma(below, cfg, "weak"))
+        assert gain_for_gamma(1e9, cfg, "strong") == pytest.approx(5e7)
 
     def test_db_conversion(self):
         assert db_to_linear(20.0) == pytest.approx(100.0)
+
+
+def _package_imports(source: str) -> set[str]:
+    """The nomafbl modules a module's source imports, by name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("nomafbl.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level and module.split(".")[0] != "nomafbl":
+                continue
+            if not node.level:
+                module = module.partition(".")[2]
+            names |= ({module.split(".")[0]} if module
+                      else {a.name for a in node.names})
+    return names
+
+
+class TestLayering:
+    CORE = {"specfun", "fblrate", "channel"}
+
+    def test_helper_reads_every_import_form(self):
+        source = ("import numpy\nimport nomafbl.eccalc\n"
+                  "from . import sweep\nfrom .delay import x\n"
+                  "from nomafbl import cli\nfrom nomafbl.queuesim import y\n"
+                  "from scipy import special\n")
+        assert _package_imports(source) == {"eccalc", "sweep", "delay",
+                                            "cli", "queuesim"}
+
+    @pytest.mark.parametrize("module", sorted(CORE))
+    def test_core_modules_import_only_each_other(self, module):
+        # the special functions, the rate kernel and the channel law sit
+        # below the evaluators: none of them imports eccalc or anything above
+        path = Path(nomafbl.__file__).parent / f"{module}.py"
+        assert _package_imports(path.read_text()) <= self.CORE - {module}

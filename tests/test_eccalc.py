@@ -18,18 +18,16 @@ from scipy import special
 
 from nomafbl import eccalc
 from nomafbl.channel import (ROLES, SystemConfig, db_to_linear,
-                             gamma_for_role, ordered_pdf, ordered_quantile,
-                             sinr_weak)
+                             gain_for_gamma, gamma_for_role, ordered_pdf,
+                             ordered_quantile, scalar_integrand)
 from nomafbl.eccalc import (_NEGATIVE, METHODS, SERIES_REL_TOL, EcResult,
-                            EvalControls, _gamma_to_gain, _int_ladder,
-                            _integrand, _weak_series, ec_closed_strong,
-                            ec_closed_weak, ec_monte_carlo, ec_quadrature,
-                            evaluate, mc_gain_draws)
+                            EvalControls, _int_ladder, _weak_series,
+                            ec_closed_strong, ec_closed_weak, ec_monte_carlo,
+                            ec_quadrature, evaluate, mc_gain_draws)
 from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
                              expansion_coeffs, fbl_rate, make_kernel_params,
                              rate_minimum, scalar_kernel)
 from nomafbl.specfun import ConvergenceError, tricomi_u
-from nomafbl.sweep import pool_config, validate_report
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, n=300, eps=1e-5,
             theta_t=0.01, theta_u=0.01)
@@ -159,10 +157,9 @@ class TestQuadrature:
         kp = make_kernel_params(1.0, 400, 1e-6)
         grid = np.logspace(-6, 0.6, 4000)
         xs = np.logspace(-9, 1.2, 200_000)
-        from nomafbl.channel import ordered_pdf
         brute = np.trapezoid(
-            ec_kernel(sinr_weak(xs, cfg), kp, 1e-6) * ordered_pdf(xs, 2, 10),
-            xs)
+            ec_kernel(gamma_for_role(xs, cfg, "weak"), kp, 1e-6)
+            * ordered_pdf(xs, 2, 10), xs)
         assert math.exp(-res.value * 1.0 * 400 * LN2) == pytest.approx(
             brute, rel=1e-3)
 
@@ -203,7 +200,7 @@ class TestQuadrature:
             calls.append(kw.get("points")) or quad(*a, **kw)))
         cfg = make_cfg(n=400, eps=1e-6, theta_t=1.0, theta_u=1.0)
         ec_quadrature(cfg, role, EvalControls(), variant)
-        peak = _gamma_to_gain(rate_minimum(400, 1e-6), cfg, role)
+        peak = gain_for_gamma(rate_minimum(400, 1e-6), cfg, role)
         assert peak in calls[0]
 
     @pytest.mark.parametrize("role, expected", [("weak", -0.03514),
@@ -273,7 +270,7 @@ class TestQuadrature:
             base = (1.0 - eps) * (1.0 + g) ** (2.0 * kp.zeta)
             want = (eps + base * (powers @ a)) * pdf
             scale = (eps + base * (powers @ np.abs(a))) * pdf
-        integrand = _integrand(cfg, role, scalar_kernel(kp, eps, order))
+        integrand = scalar_integrand(cfg, role, scalar_kernel(kp, eps, order))
         got = np.array([integrand(float(x)) for x in xs])
         assert np.all(want > 0.0)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
@@ -309,12 +306,12 @@ class TestQuadrature:
         assert res.note == note
 
 
-def _weak_series_loop(c, q, d, ladder, log_prefactor, ctl):
+def _weak_series_loop(c, q, d, ladder, log_prefactor):
     """Term-by-term reference for eccalc._weak_series (one c at a time)."""
     log_q = math.log(abs(q))
     sign_q = -1.0 if q < 0.0 else 1.0
     log_coef, sign, total, tail = log_prefactor, 1.0, 0.0, math.inf
-    s_max = min(ctl.series_max_terms, ladder.size - 1)
+    s_max = ladder.size - 1
     prev_log, log_ratio, s_used = None, math.inf, 0
     for s in range(s_max + 1):
         if s > 0:
@@ -360,12 +357,10 @@ class TestClosedFormSeries:
         cs = np.array([-3.0, -5.0, -35.0, -60.0, -400.0])
         log_pref = cs * math.log(1.0 / cfg.alpha_u)
         for budget in (2, 200, 500):
-            ctl = EvalControls(series_max_terms=budget)
             ladder = _int_ladder([9 * d], budget)[0]
-            sums, terms, tails = _weak_series(cs, q, d, ladder, log_pref,
-                                              ctl)
+            sums, terms, tails = _weak_series(cs, q, d, ladder, log_pref)
             for i, c in enumerate(cs):
-                ref = _weak_series_loop(c, q, d, ladder, log_pref[i], ctl)
+                ref = _weak_series_loop(c, q, d, ladder, log_pref[i])
                 assert terms[i] == ref[1]
                 assert sums[i] == pytest.approx(ref[0], rel=1e-12, abs=0.0)
                 assert tails[i] == pytest.approx(ref[2], rel=1e-12, abs=0.0)
@@ -534,18 +529,9 @@ class TestGainDrawMemo:
     def cold_memo(self):
         mc_gain_draws.cache_clear()
 
-    @staticmethod
-    def count_draws(monkeypatch):
-        """Record (k, size) of each sample_gain call Monte-Carlo makes."""
-        calls = []
-        sample_gain = eccalc.sample_gain
-        monkeypatch.setattr(eccalc, "sample_gain", lambda *a: (
-            calls.append((a[0], a[2])) or sample_gain(*a)))
-        return calls
-
-    def test_one_pool_shares_one_draw(self, monkeypatch):
+    def test_one_pool_shares_one_draw(self, count_draws):
         # the draws depend on neither the SNR nor theta: one per user
-        calls = self.count_draws(monkeypatch)
+        calls = count_draws
         ctl = EvalControls(mc_samples=70_000, seed=4)
         other = make_cfg(rho_db=5.0, theta_t=0.1, theta_u=0.1)
         for cfg in (make_cfg(), other):
@@ -556,19 +542,6 @@ class TestGainDrawMemo:
         draws = mc_gain_draws(8, 10, 4, 70_000)
         assert mc_gain_draws(8, 10, 4, 70_000) is draws
         assert mc_gain_draws(8, 10, 5, 70_000) is not draws
-
-    def test_memo_is_read_only(self):
-        for x in mc_gain_draws(2, 10, 1234, 500):
-            assert not x.flags.writeable
-            with pytest.raises(ValueError):
-                x[0] = 1.0
-
-    def test_validate_report_at_three_snrs_draws_once(self, monkeypatch):
-        calls = self.count_draws(monkeypatch)
-        ctl = EvalControls(mc_samples=5000)
-        for rho_db in (10.0, 20.0, 30.0):
-            validate_report(pool_config(300, 1e-5, 0.01, rho_db), ctl)
-        assert calls == [(2, 5000), (8, 5000)]
 
     def test_threads_asking_for_two_pools_get_their_own(self):
         # under contention for the memo each call still returns the draws

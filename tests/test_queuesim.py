@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nomafbl.channel import (SystemConfig, db_to_linear, gamma_for_role,
-                             snr_strong)
+from nomafbl.channel import SystemConfig, db_to_linear, gamma_for_role
 from nomafbl.delay import delay_violation_prob
 from nomafbl.eccalc import EvalControls, ec_closed_strong
 from nomafbl.fblrate import fbl_rate
@@ -58,7 +57,7 @@ class TestTrivialQueues:
         cfg = SystemConfig(V=2, t=1, u=2, alpha_t=0.8, alpha_u=0.2,
                            rho=100.0, n=400, eps=1e-300, theta_t=0.01,
                            theta_u=0.01)
-        rate = fbl_rate(snr_strong(1.0, cfg), 400, 1e-300)
+        rate = fbl_rate(gamma_for_role(1.0, cfg, "strong"), 400, 1e-300)
         monkeypatch.setattr(queuesim, "_chunk_services",
                             lambda spec, count, chunk_index:
                             np.full(count, 400 * rate))

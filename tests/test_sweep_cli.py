@@ -12,7 +12,9 @@ import pytest
 import nomafbl.eccalc
 from nomafbl.channel import SystemConfig, db_to_linear
 from nomafbl.cli import _build_parser, main
+from nomafbl.delay import delay_violation_prob
 from nomafbl.eccalc import EvalControls, ec_monte_carlo, mc_gain_draws
+from nomafbl.queuesim import SimSpec
 from nomafbl.sweep import (CSV_HEADER, SweepSpec, figure_preset,
                            load_sweep_config, pool_config, read_rows,
                            run_sweep, validate_report, write_plot_script)
@@ -92,6 +94,33 @@ class TestSweepSpecValidation:
         # same rows under different scenario ids
         with pytest.raises(ValueError, match="theta axis"):
             small_spec(tmp_path, rho_db_variants=(0.0, 40.0))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("field, make", [
+        ("rho", lambda tmp: replace(BASE, rho=math.nan)),
+        ("rho", lambda tmp: replace(BASE, rho=math.inf)),
+        ("theta_t", lambda tmp: replace(BASE, theta_t=math.inf)),
+        ("theta_u", lambda tmp: replace(BASE, theta_u=math.nan)),
+        ("d_max", lambda tmp: SimSpec(cfg=BASE, role="strong",
+                                      arrival_rate=1.0, num_blocks=10,
+                                      d_max=math.inf)),
+        ("d_max", lambda tmp: SimSpec(cfg=BASE, role="strong",
+                                      arrival_rate=1.0, num_blocks=10,
+                                      d_max=math.nan)),
+        ("theta", lambda tmp: delay_violation_prob(math.nan, 1.0, 400.0)),
+        ("arrival_rate",
+         lambda tmp: delay_violation_prob(1.0, math.inf, 400.0)),
+        ("d_max", lambda tmp: delay_violation_prob(1.0, 1.0, math.nan)),
+        ("grid", lambda tmp: small_spec(tmp, axis="theta",
+                                        grid=(0.01, math.inf))),
+        ("grid", lambda tmp: small_spec(tmp, grid=(math.nan,))),
+    ], ids=["rho_nan", "rho_inf", "theta_t_inf", "theta_u_nan",
+            "sim_d_max_inf", "sim_d_max_nan", "delay_theta_nan",
+            "delay_rate_inf", "delay_d_max_nan", "grid_inf", "grid_nan"])
+    def test_refused_naming_its_field(self, field, make, tmp_path):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            make(tmp_path)
 
 
 class TestRunSweep:
@@ -206,19 +235,8 @@ class TestGainReuse:
             assert res.value == alone.value
             assert res.std_error == alone.std_error
 
-    @staticmethod
-    def count_draws(monkeypatch):
-        """Record (k, size) of each sample_gain call Monte-Carlo makes,
-        from a cold memo."""
-        mc_gain_draws.cache_clear()
-        calls = []
-        sample_gain = nomafbl.eccalc.sample_gain
-        monkeypatch.setattr(nomafbl.eccalc, "sample_gain", lambda *a: (
-            calls.append((a[0], a[2])) or sample_gain(*a)))
-        return calls
-
-    def test_one_draw_per_chunk(self, tmp_path, monkeypatch):
-        calls = self.count_draws(monkeypatch)
+    def test_one_draw_per_chunk(self, tmp_path, count_draws):
+        calls = count_draws
         spec = figure_preset("fig3", output_path=str(tmp_path / "fig3.csv"),
                              mc_samples=200_000)
         rows = run_sweep(spec)
@@ -227,10 +245,10 @@ class TestGainReuse:
         chunks = [1 << 16] * 3 + [200_000 - 3 * (1 << 16)]
         assert calls == [(2, m) for m in chunks] + [(8, m) for m in chunks]
 
-    def test_validate_cli_draws_once_for_every_snr(self, monkeypatch, capsys):
+    def test_validate_cli_draws_once_for_every_snr(self, count_draws, capsys):
         # one draw per user serves the three --rho-db reports, which print
         # what a report drawing its own gains prints
-        calls = self.count_draws(monkeypatch)
+        calls = count_draws
         main(["validate", "--rho-db", "10", "20", "30", "--mc-samples",
               "5000"])
         assert calls == [(2, 5000), (8, 5000)]
@@ -461,6 +479,28 @@ class TestCli:
     def test_queue_sim_refuses_a_nan_arrival_rate(self):
         assert main(["queue-sim", "--mu", "nan", "--blocks", "2000",
                      "--warmup", "10"]) == 2
+
+    @pytest.mark.parametrize("args, config, message", [
+        (["validate", "--rho-db", "nan"], None, "rho must be"),
+        (["validate", "--theta", "inf"], None, "theta_t must be"),
+        (["queue-sim", "--d-max", "inf", "--blocks", "2000", "--warmup",
+          "10"], None, "d_max must be"),
+        (["sweep"], "axis = rho_db\ngrid = 10\ntheta = nan\n",
+         "theta_t must be"),
+        (["sweep"], "axis = theta\ngrid = 0.01,inf\n",
+         "sweep grid values must be finite"),
+    ], ids=["rho_db_nan", "theta_inf", "d_max_inf", "config_theta_nan",
+            "config_grid_inf"])
+    def test_non_finite_input_is_a_config_error(self, args, config, message,
+                                                 tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        if config is not None:
+            cfg_file = tmp_path / "s.cfg"
+            cfg_file.write_text(f"[sweep:s]\n{config}output = {out}\n")
+            args = args + [str(cfg_file)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_queue_sim_refuses_a_failed_capacity(self, capsys):
         # the strong user's kernel mean is not positive here, so there is
