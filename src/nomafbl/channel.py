@@ -103,21 +103,26 @@ def _check_order(k: int, V: int):
         raise ValueError(f"order index k must lie in [1, {V}], got {k}")
 
 
-def _pdf_constants(k: int, V: int):
-    """(1 / B(k, V - k + 1), k - 1, V - k): the constants of ordered_pdf."""
-    _check_order(k, V)
-    return 1.0 / beta_fn(k, V - k + 1), k - 1, V - k
-
-
 def ordered_pdf(x, k: int, V: int):
     """Density of the k-th smallest of V iid unit-mean exponential gains."""
-    xi, k_1, v_k = _pdf_constants(k, V)
+    xi = 1.0 / ordered_mixture(k, V)[0]
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("power gain must be non-negative")
     F = -np.expm1(-x)
-    out = xi * np.exp(-x) * F ** k_1 * np.exp(-v_k * x)
+    out = xi * np.exp(-x) * F ** (k - 1) * np.exp(-(V - k) * x)
     return float(out) if out.ndim == 0 else out
+
+
+def ordered_mixture(k: int, V: int):
+    """ordered_pdf as a signed sum of exponentials, the form the closed
+    forms integrate term by term: by the binomial expansion of
+    (1 - e^-x)^(k-1), f(x) = sum_{r<k} w_r e^(-lambda_r x) / B with
+    B = B(k, V - k + 1), lambda_r = V - k + 1 + r and w_r = (-1)^r C(k-1, r).
+    Returns (B, rates, weights), the last two as tuples of ints."""
+    _check_order(k, V)
+    return (beta_fn(k, V - k + 1), tuple(range(V - k + 1, V + 1)),
+            tuple((-1) ** r * math.comb(k - 1, r) for r in range(k)))
 
 
 def ordered_cdf(x, k: int, V: int):
@@ -222,7 +227,8 @@ def scalar_integrand(cfg: SystemConfig, role: str, kernel):
     """kernel(gamma_for_role(x)) * ordered_pdf(x) as a function of one float
     for a float kernel (fblrate.scalar_kernel): plain float arithmetic over
     constants made once here, as QUADPACK calls it node by node."""
-    xi, k_1, v_k = _pdf_constants(cfg.order_index(role), cfg.V)
+    k = cfg.order_index(role)
+    xi, k_1, v_k = 1.0 / ordered_mixture(k, cfg.V)[0], k - 1, cfg.V - k
     a_t, a_u, rho_inv = cfg.alpha_t, cfg.alpha_u, 1.0 / cfg.rho
     snr = cfg.alpha_u * cfg.rho
     weak = role == "weak"

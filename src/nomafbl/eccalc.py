@@ -35,11 +35,12 @@ import mpmath
 import numpy as np
 
 from .channel import (SystemConfig, gain_for_gamma, gamma_for_role,
-                      ordered_quantile, sample_gain, scalar_integrand)
+                      ordered_mixture, ordered_quantile, sample_gain,
+                      scalar_integrand)
 from .fblrate import (LN2, ec_kernel, expansion_coeffs, expansion_error_coeffs,
                       expansion_order, make_kernel_params, rate_minimum,
                       scalar_kernel)
-from .specfun import ConvergenceError, beta_fn, scaled_expint
+from .specfun import ConvergenceError, scaled_expint
 
 _MC_CHUNK = 1 << 16
 _MACHEPS = np.finfo(float).eps
@@ -94,10 +95,11 @@ _NEGATIVE = "negative capacity: delay exponent infeasible at this SNR"
 class EcResult:
     """An effective-capacity value with method tag and diagnostics.
 
-    converged        closed forms: False where the moment series was cut at
-                     the term budget, or where its kernel mean was not finite
-                     or its error bound not below half that mean, so that the
-                     value is the approx-kernel quadrature's; a non-positive
+    converged        closed forms: False where a weak series was cut at the
+                     term budget with a finite tail, which keeps the series
+                     value, and where the sum's kernel mean was not finite or
+                     its error bound not below half that mean, which gives
+                     the approx-kernel quadrature's value; a non-positive
                      quadrature mean raises ConvergenceError instead
     tail_bound       numerical error bound in bits/cu against the kernel the
                      method integrates: series truncation and rounding, or
@@ -314,10 +316,10 @@ def _int_ladder(etas, s_max: int, s0=0.0) -> list[np.ndarray]:
     return ladders
 
 
-def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
+def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
                  log_prefactors: np.ndarray):
     """Inner series sum_s C(c, s) q^s d I_s, scaled by exp(log_prefactor),
-    for every c in cs at once (one row per c).
+    for every ladder (a row of ``ladders``) and every c in cs at once.
 
     SystemConfig makes c < 0 and q < 0, so every term C(c, s) q^s d I_s =
     C(s - c - 1, s) |q|^s d I_s is positive: no signs are tracked, the sum
@@ -325,14 +327,14 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
     bound.  Terms are tracked in the log domain: for large |c| the early
     terms underflow while the series peak (near |c q| / (1 - |q|)) may
     still lie far ahead, and only the log trend can tell a negligible tail
-    from a not-yet-reached bulk.  Each row stops at its first term whose
+    from a not-yet-reached bulk.  Each series stops at its first term whose
     tail is negligible against the running sum, before a term beyond e^700
     (the first term, d I_0 <= 1 times a prefactor <= 1, never is), or at
-    the ladder's last rung.  Returns per-row arrays (sum, terms_used,
-    tail_bound); the tail bound is inf where the series diverges, that is
-    where it meets a term beyond e^700 or its terms still grow at the end.
+    the ladder's last rung.  Returns arrays (sum, terms_used, tail_bound)
+    indexed [ladder, c]; the tail bound is inf where the series diverges,
+    that is where it meets a term beyond e^700 or its terms still grow.
     """
-    s_max = ladder.size - 1
+    s_max = ladders.shape[1] - 1
     s = np.arange(1, s_max + 1)
     steps = (s - 1.0) - cs[:, None]     # term ratio = step |q| / s
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -340,43 +342,44 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladder: np.ndarray,
         log_term = np.concatenate(
             [log_prefactors[:, None],
              log_prefactors[:, None] + np.cumsum(incr, axis=1)], axis=1) \
-            + np.log(d * ladder[:s_max + 1])
+            + np.log(d * ladders)[:, None, :]
         terms = np.exp(log_term)
-        totals = np.cumsum(terms, axis=1)
+        totals = np.cumsum(terms, axis=-1)
         log_ratio = np.full_like(log_term, np.inf)
-        log_ratio[:, 1:] = np.diff(log_term, axis=1)
+        log_ratio[..., 1:] = np.diff(log_term, axis=-1)
         ratio = np.exp(np.minimum(log_ratio, 0.0))
         tails = np.where(log_ratio < 0.0,
                          terms * ratio / (1.0 - ratio), np.inf)
     done = (log_ratio < 0.0) & (
         (tails <= SERIES_REL_TOL * totals)
         | ((totals == 0.0) & (log_term < -700.0)))
-    done[:, :2] = False
-    blown = log_term > 700.0
-    rows, cols = np.arange(cs.size), np.arange(s_max + 1)
-    stop = np.where(done, cols, s_max).min(axis=1)
-    blow = np.where(blown, cols, s_max + 1).min(axis=1)
+    done[..., :2] = False
+    cols = np.arange(s_max + 1)
+    stop = np.where(done, cols, s_max).min(axis=-1)
+    blow = np.where(log_term > 700.0, cols, s_max + 1).min(axis=-1)
     diverged = blow <= stop
     last = np.where(diverged, blow - 1, stop)
-    return (totals[rows, last], np.where(diverged, blow, stop),
-            np.where(diverged, math.inf, tails[rows, last]))
+    i, j = np.indices(last.shape)
+    return (totals[i, j, last], np.where(diverged, blow, stop),
+            np.where(diverged, math.inf, tails[i, j, last]))
 
 
 @functools.lru_cache(maxsize=1)
-def _weak_ladders(V: int, t: int, d: float, s_max: int) -> tuple:
-    """The weak user's I_s ladders at eta = (V - t + 1 + r) d, r < t, made
-    read-only.  They depend on neither theta nor the expansion order, so a
-    theta sweep at one SNR builds them once: the cache keeps the last key
-    only, and an SNR sweep, which changes d on every row, misses on each."""
-    ladders = _int_ladder([(V - t + 1 + r) * d for r in range(t)], s_max)
-    for ladder in ladders:
-        ladder.flags.writeable = False
-    return tuple(ladders)
+def _weak_ladders(V: int, t: int, d: float, s_max: int) -> np.ndarray:
+    """The weak user's I_s ladders at eta = lambda_r d, one row per rate
+    lambda_r of ordered_mixture, as one read-only matrix.  They depend on
+    neither theta nor the expansion order, so a theta sweep at one SNR
+    builds them once: the cache keeps the last key only, and an SNR sweep,
+    which changes d on every row, misses on each."""
+    ladders = np.array(_int_ladder(
+        [rate * d for rate in ordered_mixture(t, V)[1]], s_max))
+    ladders.flags.writeable = False
+    return ladders
 
 
 def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
-    """Weak-user moments E[(1 + SINR)^(2 zeta - 2j)], via binomial
-    expansion of the ordered density.
+    """Weak-user moments E[(1 + SINR)^(2 zeta - 2j)], integrated term by
+    term over the ordered density's exponentials (ordered_mixture).
 
     The SINR ratio is rewritten as a scaled (x + a)/(x + b) form whose
     binomial expansion in d/(x + b) converges geometrically at rate alpha_t
@@ -386,81 +389,65 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
     and the last SNR's ladders serve every theta after it (_weak_ladders).
     Returns (moments, err, terms, converged) for _ec_closed: err is the
     sum over the expansion coefficients a_j of |a_j| times the inner
-    series' tail bounds (inf where one diverges), plus rounding; converged
-    is that tail sum within SERIES_REL_TOL of the same weighted sum of the
-    inner series' magnitudes, so a high moment left truncated by the term
-    budget counts only as much as its coefficient lets it.
+    series' tail bounds (inf where one diverges), plus their rounding;
+    converged is that tail sum within SERIES_REL_TOL of the same weighted
+    sum of the inner series' magnitudes, so a high moment left truncated by
+    the term budget counts only as much as its coefficient lets it.
     """
     cs = 2.0 * zeta - 2.0 * np.arange(a.size)
-    q = -cfg.alpha_t
     d = 1.0 / (cfg.rho * cfg.alpha_u)
-    xi = 1.0 / beta_fn(cfg.t, cfg.V - cfg.t + 1)
-    log_pref = cs * math.log(1.0 / cfg.alpha_u)
-    parts, tails = [], []
-    terms_used = np.zeros(cs.size, dtype=int)
+    b_fn, _, weights = ordered_mixture(cfg.t, cfg.V)
     ladders = _weak_ladders(cfg.V, cfg.t, d, ctl.series_max_terms)
-    for r, ladder in enumerate(ladders):
-        series, s_used, tail = _weak_series(cs, q, d, ladder, log_pref)
-        weight = math.comb(cfg.t - 1, r)
-        parts.append(weight * series)
-        tails.append(weight * tail)
-        terms_used = np.maximum(terms_used, s_used + 1)
-    mu = xi * np.array([math.fsum((-1) ** r * x for r, x in enumerate(col))
-                        for col in zip(*parts)])
-    tail_j = xi * np.array([math.fsum(col) for col in zip(*tails)])
-    scale_j = xi * np.array([math.fsum(col) for col in zip(*parts)])
+    series, terms, tails = _weak_series(cs, -cfg.alpha_t, d, ladders,
+                                        cs * math.log(1.0 / cfg.alpha_u))
+    w, xi = np.array(weights)[:, None], 1.0 / b_fn
+    mu, tail_j, scale_j = (xi * np.array([math.fsum(col) for col in x.T])
+                           for x in (w * series, abs(w) * tails,
+                                     abs(w) * series))
     used = a != 0.0
     tail = math.fsum(np.abs(a[used]) * tail_j[used])
     scale = math.fsum(np.abs(a[used]) * scale_j[used])
-    err = tail + _MACHEPS * (scale + math.fsum(np.abs(a * mu)))
-    return mu, err, int(terms_used.max()), tail <= SERIES_REL_TOL * scale
-
-
-def _strong_sums(cfg: SystemConfig, zeta, a, digits: int):
-    """Strong-user moments E[(1+g)^(2 zeta - 2j)] summed at `digits` digits,
-    as floats; the magnitude xi d sum_j |a_j| sum_i |w_i I_i| of the terms
-    of their a-weighted sum; and the digits that sum loses to cancellation.
-
-    The ladders, the sums and both measures run in Decimal under a local
-    decimal context of `digits` digits; the float inputs enter exactly.
-    """
-    with localcontext(Context(prec=digits)):
-        d = 1 / Decimal(cfg.rho * cfg.alpha_u)
-        s0 = -2 * Decimal(zeta)
-        xi_d = d / Decimal(beta_fn(cfg.u, cfg.V - cfg.u + 1))
-        ladders = _int_ladder([(cfg.V - cfg.u + 1 + i) * d
-                               for i in range(cfg.u)], 2 * (a.size - 1), s0)
-        terms = [(-1) ** i * math.comb(cfg.u - 1, i) * ladder[::2]
-                 for i, ladder in enumerate(ladders)]
-        moments = xi_d * sum(terms)
-        a = [Decimal(x) for x in a]     # exact, as is every float here
-        scale = xi_d * sum(abs(x) * y for x, y in zip(a, sum(np.abs(terms))))
-        lost = (scale / abs(sum(x * y for x, y in zip(a, moments)))).log10()
-        return moments.astype(float), float(scale), float(lost)
+    return (mu, tail + _MACHEPS * scale, int(terms.max()) + 1,
+            tail <= SERIES_REL_TOL * scale)
 
 
 def _strong_moments(cfg: SystemConfig, zeta, a):
-    """Strong-user moments E[(1+g)^(2 zeta - 2j)] and their rounding error.
+    """Strong-user moments E[(1+g)^(2 zeta - 2j)] and their rounding error,
+    integrated term by term over the ordered density's exponentials.
 
     The interference-free SNR is linear in the gain, so each moment is an
     alternating sum of I_s(eta) = U(1, 2 - s, eta) at s = -2 zeta + 2j; per
     eta all of them sit on one ladder of the real-order recurrence, and the
     u ladders take their seeds from one scaled_expint call per seed order.
-    The sum cancels up to about 30 digits, so it runs in Decimal at
-    _SUM_DIGITS digits, redone at _SUM_DIGITS_SPARE more than it loses where
-    fewer than _SUM_DIGITS_KEPT remain; mpmath makes only the seeds.  The
-    only error is rounding: 10^(4 - digits) times the sum's magnitude, plus
-    eps times the float moments'.  The sum has no term budget, so it
-    reports no term count and always counts as converged.
+    The sum cancels up to about 30 digits, so the ladders and the sum run in
+    Decimal at _SUM_DIGITS digits, which the float inputs enter exactly;
+    mpmath makes only the seeds.  Where fewer than _SUM_DIGITS_KEPT digits
+    of the a-weighted sum survive against its magnitude xi d sum_j |a_j|
+    sum_i |w_i I_i|, the pass is redone once at _SUM_DIGITS_SPARE more
+    digits than it lost.  The error is 10^(4 - digits) times that
+    magnitude; the sum has no term budget, so it reports no term count and
+    always counts as converged.
     """
+    b_fn, rates, weights = ordered_mixture(cfg.u, cfg.V)
     digits = _SUM_DIGITS
-    moments, scale, lost = _strong_sums(cfg, zeta, a, digits)
-    if digits - lost < _SUM_DIGITS_KEPT:
+    for redo in (False, True):
+        with localcontext(Context(prec=digits)):
+            d = 1 / Decimal(cfg.rho * cfg.alpha_u)
+            xi_d = d / Decimal(b_fn)
+            ladders = _int_ladder([rate * d for rate in rates],
+                                  2 * (a.size - 1), -2 * Decimal(zeta))
+            terms = [w * ladder[::2] for w, ladder in zip(weights, ladders)]
+            moments = xi_d * sum(terms)
+            a_dec = [Decimal(x) for x in a]     # exact, as is every float
+            scale = xi_d * sum(abs(x) * y
+                               for x, y in zip(a_dec, sum(np.abs(terms))))
+            lost = float((scale / abs(sum(
+                x * y for x, y in zip(a_dec, moments)))).log10())
+        if redo or digits - lost >= _SUM_DIGITS_KEPT:
+            break
         digits = math.ceil(lost) + _SUM_DIGITS_SPARE
-        moments, scale, _ = _strong_sums(cfg, zeta, a, digits)
-    noise = 10.0 ** (4 - digits) * scale \
-        + _MACHEPS * math.fsum(np.abs(a * moments))
-    return moments, noise, None, True
+    return moments.astype(float), 10.0 ** (4 - digits) * float(scale), \
+        None, True
 
 
 def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
@@ -470,12 +457,13 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
     Expands the kernel to ``order`` (chosen from beta by default, see
     fblrate.expansion_order) and assembles its mean eps + (1 - eps)
     sum_j a_j mu_j from the role's moments mu_j = E[(1+g)^(2 zeta - 2j)]
-    (_weak_moments, _strong_moments), which also bound the error err of
-    sum_j a_j mu_j.  One rule for both users: the sum stands where the
-    mean is finite and err < mean / 2 (a diverged series has err = inf);
-    otherwise the value is the adaptive quadrature of the same expanded
-    kernel, flagged unconverged, and where that quadrature's mean is not
-    positive its ConvergenceError reaches the caller.  ``tail_bound`` is
+    (_weak_moments, _strong_moments), which bound the moments' error; err
+    adds to that the rounding of sum_j a_j mu_j itself.  One rule for both
+    users: the sum stands where the mean is finite and err < mean / 2 (a
+    diverged series has err = inf); otherwise the value is the adaptive
+    quadrature of the same expanded kernel, flagged unconverged, and where
+    that quadrature's mean is not positive its ConvergenceError reaches the
+    caller.  ``tail_bound`` is
     the error against the expanded kernel, ``expansion_bound`` that of the
     expanded kernel against the exact one; their sum bounds the gap to the
     exact-kernel capacity.
@@ -488,6 +476,7 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
     moments, err, terms, converged = (
         _weak_moments(cfg, kp.zeta, a, ctl) if role == "weak"
         else _strong_moments(cfg, kp.zeta, a))
+    err += _MACHEPS * math.fsum(np.abs(a * moments))
     inner = eps + (1.0 - eps) * math.fsum(a * moments)
     if math.isfinite(inner) and err < 0.5 * inner:
         value = _ec_from_mean(inner, theta, cfg.n)

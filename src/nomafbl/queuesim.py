@@ -53,6 +53,11 @@ class SimSpec:
         if not 0.0 <= self.d_max < math.inf:
             raise ValueError(
                 f"d_max must be finite and non-negative, got {self.d_max}")
+        if self.d_max > self.num_blocks * self.cfg.n:
+            raise ValueError(
+                f"d_max must not exceed the simulated horizon num_blocks * n "
+                f"= {self.num_blocks * self.cfg.n} channel uses, got "
+                f"{self.d_max}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

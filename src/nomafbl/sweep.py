@@ -72,6 +72,12 @@ class SweepSpec:
             raise ValueError(f"roles must be a non-empty subset of {ROLES}")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValueError(f"methods must be a non-empty subset of {METHODS}")
+        if not all(map(math.isfinite, self.rho_db_variants or ())):
+            raise ValueError(f"rho_db_variants must be finite, got "
+                             f"{self.rho_db_variants}")
+        if self.d_max is not None and not 0.0 <= self.d_max < math.inf:
+            raise ValueError(f"d_max must be finite and non-negative, got "
+                             f"{self.d_max}")
         if self.axis == "rho_db" and self.rho_db_variants:
             raise ValueError("rho_db_variants need a theta axis: the rho_db "
                              "axis sets the SNR of every row itself")

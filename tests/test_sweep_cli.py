@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nomafbl.eccalc
+import nomafbl.sweep
 from nomafbl.channel import SystemConfig, db_to_linear
 from nomafbl.cli import _build_parser, main
 from nomafbl.delay import delay_violation_prob
@@ -115,9 +116,19 @@ class TestNonFiniteInputs:
         ("grid", lambda tmp: small_spec(tmp, axis="theta",
                                         grid=(0.01, math.inf))),
         ("grid", lambda tmp: small_spec(tmp, grid=(math.nan,))),
+        ("rho_db_variants",
+         lambda tmp: small_spec(tmp, axis="theta", grid=(0.01,),
+                                rho_db_variants=(10.0, math.nan))),
+        ("d_max", lambda tmp: small_spec(tmp, d_max=-5.0)),
+        ("d_max", lambda tmp: small_spec(tmp, d_max=math.inf)),
+        ("d_max", lambda tmp: SimSpec(cfg=BASE, role="strong",
+                                      arrival_rate=1.0, num_blocks=10,
+                                      d_max=10 * BASE.n + 0.5)),
     ], ids=["rho_nan", "rho_inf", "theta_t_inf", "theta_u_nan",
             "sim_d_max_inf", "sim_d_max_nan", "delay_theta_nan",
-            "delay_rate_inf", "delay_d_max_nan", "grid_inf", "grid_nan"])
+            "delay_rate_inf", "delay_d_max_nan", "grid_inf", "grid_nan",
+            "variants_nan", "sweep_d_max_negative", "sweep_d_max_inf",
+            "sim_d_max_beyond_horizon"])
     def test_refused_naming_its_field(self, field, make, tmp_path):
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             make(tmp_path)
@@ -501,6 +512,30 @@ class TestCli:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("rho_db_variants = 10,nan", "rho_db_variants must be finite"),
+        ("d_max = -5", "d_max must be finite and non-negative")])
+    def test_bad_sweep_value_is_refused_before_any_row(
+            self, line, message, tmp_path, capsys, monkeypatch):
+        # both were once refused only after rows had been evaluated
+        calls = []
+        monkeypatch.setattr(nomafbl.sweep, "evaluate",
+                            lambda *args: calls.append(args))
+        out = tmp_path / "o.csv"
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text(f"[sweep:s]\naxis = theta\ngrid = 0.01\n"
+                            f"output = {out}\n{line}\n")
+        assert main(["sweep", str(cfg_file)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists() and calls == []
+
+    def test_queue_sim_refuses_d_max_beyond_its_horizon(self, capsys):
+        # 1e300 channel uses asked for about 2.5e297 blocks beyond the run
+        assert main(["queue-sim", "--d-max", "1e300", "--blocks", "2000",
+                     "--warmup", "10"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: d_max must not exceed the simulated horizon")
 
     def test_queue_sim_refuses_a_failed_capacity(self, capsys):
         # the strong user's kernel mean is not positive here, so there is
