@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from decimal import Context, Decimal, getcontext, localcontext
 
@@ -40,15 +39,17 @@ from .channel import (SystemConfig, gain_for_gamma, gamma_for_role,
 from .fblrate import (LN2, ec_kernel, expansion_coeffs, expansion_error_coeffs,
                       expansion_order, make_kernel_params, rate_minimum,
                       scalar_kernel)
-from .specfun import ConvergenceError, scaled_expint
+from .specfun import (_SEED_LOCK, ConvergenceError, scaled_expint,
+                      tricomi_u)
 
 _MC_CHUNK = 1 << 16
 _MACHEPS = np.finfo(float).eps
-# Significant digits of the strong user's sum (see _strong_moments)
+# Significant digits of the strong user's sum (see _strong_moments): its
+# float pass and its Decimal pass, the least each keeps, the redo's spare
+_FLOAT_DIGITS, _FLOAT_DIGITS_KEPT = 16, 10
 _SUM_DIGITS, _SUM_DIGITS_KEPT, _SUM_DIGITS_SPARE = 50, 20, 30
 # Relative tolerance of the kernel expansion order and the weak-user series
 SERIES_REL_TOL = 1e-10
-_SEED_LOCK = threading.Lock()
 
 METHODS = ("closed_form", "monte_carlo", "quadrature")
 
@@ -111,7 +112,9 @@ class EcResult:
                      bound holds); tail_bound + expansion_bound bounds the
                      gap to the exact-kernel value
     note             how the value was made, for closed forms including the
-                     expansion order and both bounds, for quadrature the
+                     expansion order and both bounds, and for the strong
+                     user the route of its sum and the digits it lost
+                     (_strong_moments), for quadrature the
                      kernel and QUADPACK's integrand evaluations and
                      subintervals; a negative value adds, once, that its
                      delay exponent is infeasible
@@ -281,29 +284,25 @@ def _int_ladder(etas, s_max: int, s0=0.0) -> list[np.ndarray]:
     is stable upward for s > eta and downward below, so each ladder is
     seeded at s0 + k0 with k0 ~ ceil(eta - s0) + 1 and run in the stable
     direction on each side.  The etas that share a k0 get their seeds from
-    one scaled_expint call.  The rungs are floats for float etas, else
-    Decimals at the precision of the current decimal context, orders
-    s0 + k included.  mpmath then makes the seeds at that many digits; it
+    one call.  The rungs are floats for float etas, seeded by tricomi_u,
+    else Decimals at the precision of the current decimal context, orders
+    s0 + k included, seeded by scaled_expint at that many digits; mpmath
     takes no Decimal, so the seeds' arguments and values pass as strings,
-    and a value's string rounds it within 10^(1 - digits) relative.  Float
-    seeds are made at mpmath's default 53 bits, whatever the caller's
-    precision; mpmath's precision is process-wide, so seeding holds a lock.
+    and a value's string rounds it within 10^(1 - digits) relative.
     """
     extended = isinstance(etas[0], Decimal)
     k0s = [min(s_max, max(0, math.ceil(eta - s0) + 1)) for eta in etas]
     seeds = {}
-    precision = (mpmath.workdps(getcontext().prec) if extended
-                 else mpmath.workprec(53))
-    with _SEED_LOCK, precision:
-        for k0 in sorted(set(k0s)):
-            group = [i for i, k in enumerate(k0s) if k == k0]
-            if extended:
+    for k0 in sorted(set(k0s)):
+        group = [i for i, k in enumerate(k0s) if k == k0]
+        if extended:
+            with _SEED_LOCK, mpmath.workdps(getcontext().prec):
                 values = [Decimal(str(v)) for v in scaled_expint(
                     str(s0 + k0), [str(etas[i]) for i in group])]
-            else:
-                values = [float(v) for v in scaled_expint(
-                    s0 + k0, [etas[i] for i in group])]
-            seeds.update(zip(group, values))
+        else:
+            values = tricomi_u(1.0, 2.0 - (s0 + k0),
+                               [etas[i] for i in group]).tolist()
+        seeds.update(zip(group, values))
     ladders = []
     for i, (eta, k0) in enumerate(zip(etas, k0s)):
         rungs = [seeds[i]]
@@ -387,7 +386,7 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
     I_s ladder above, which depends on the exponent only through the
     binomial weights, so each ladder is built once and serves every moment,
     and the last SNR's ladders serve every theta after it (_weak_ladders).
-    Returns (moments, err, terms, converged) for _ec_closed: err is the
+    Returns (moments, err, terms, converged, "") for _ec_closed: err is the
     sum over the expansion coefficients a_j of |a_j| times the inner
     series' tail bounds (inf where one diverges), plus their rounding;
     converged is that tail sum within SERIES_REL_TOL of the same weighted
@@ -408,7 +407,25 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
     tail = math.fsum(np.abs(a[used]) * tail_j[used])
     scale = math.fsum(np.abs(a[used]) * scale_j[used])
     return (mu, tail + _MACHEPS * scale, int(terms.max()) + 1,
-            tail <= SERIES_REL_TOL * scale)
+            tail <= SERIES_REL_TOL * scale, "")
+
+
+def _strong_pass(cfg: SystemConfig, zeta, a, num):
+    """One pass of the strong user's sum in the number type num, float or
+    Decimal (at the context's precision), which the float inputs enter
+    exactly: the moments, their magnitude xi d sum_j |a_j| sum_i |w_i I_i|
+    and the digits the a-weighted sum of the moments loses against it."""
+    b_fn, rates, weights = ordered_mixture(cfg.u, cfg.V)
+    d = 1 / num(cfg.rho * cfg.alpha_u)
+    xi_d = d / num(b_fn)
+    ladders = _int_ladder([rate * d for rate in rates], 2 * (a.size - 1),
+                          -2 * num(zeta))
+    terms = [w * ladder[::2] for w, ladder in zip(weights, ladders)]
+    moments = xi_d * sum(terms)
+    a_num = [num(x) for x in a]
+    scale = xi_d * sum(abs(x) * y for x, y in zip(a_num, sum(np.abs(terms))))
+    total = abs(sum(x * y for x, y in zip(a_num, moments)))
+    return moments, scale, math.log10(scale / total) if total else math.inf
 
 
 def _strong_moments(cfg: SystemConfig, zeta, a):
@@ -418,36 +435,30 @@ def _strong_moments(cfg: SystemConfig, zeta, a):
     The interference-free SNR is linear in the gain, so each moment is an
     alternating sum of I_s(eta) = U(1, 2 - s, eta) at s = -2 zeta + 2j; per
     eta all of them sit on one ladder of the real-order recurrence, and the
-    u ladders take their seeds from one scaled_expint call per seed order.
-    The sum cancels up to about 30 digits, so the ladders and the sum run in
-    Decimal at _SUM_DIGITS digits, which the float inputs enter exactly;
-    mpmath makes only the seeds.  Where fewer than _SUM_DIGITS_KEPT digits
-    of the a-weighted sum survive against its magnitude xi d sum_j |a_j|
-    sum_i |w_i I_i|, the pass is redone once at _SUM_DIGITS_SPARE more
-    digits than it lost.  The error is 10^(4 - digits) times that
-    magnitude; the sum has no term budget, so it reports no term count and
-    always counts as converged.
+    u ladders take their seeds from one call per seed order.  The sum
+    cancels up to about 30 digits.  A float pass (_strong_pass) stands
+    where at least _FLOAT_DIGITS_KEPT of its _FLOAT_DIGITS digits survive;
+    otherwise the ladders and the sum run in Decimal at _SUM_DIGITS digits,
+    and where fewer than _SUM_DIGITS_KEPT digits survive, once more at
+    _SUM_DIGITS_SPARE more digits than were lost.  The error is
+    10^(4 - digits) times the magnitude; the sum has no term budget, so it
+    reports no term count and always counts as converged.  The route is
+    "float sum", "sum at 50 digits" or "redone at D digits", with the
+    digits its last pass lost.
     """
-    b_fn, rates, weights = ordered_mixture(cfg.u, cfg.V)
-    digits = _SUM_DIGITS
-    for redo in (False, True):
-        with localcontext(Context(prec=digits)):
-            d = 1 / Decimal(cfg.rho * cfg.alpha_u)
-            xi_d = d / Decimal(b_fn)
-            ladders = _int_ladder([rate * d for rate in rates],
-                                  2 * (a.size - 1), -2 * Decimal(zeta))
-            terms = [w * ladder[::2] for w, ladder in zip(weights, ladders)]
-            moments = xi_d * sum(terms)
-            a_dec = [Decimal(x) for x in a]     # exact, as is every float
-            scale = xi_d * sum(abs(x) * y
-                               for x, y in zip(a_dec, sum(np.abs(terms))))
-            lost = float((scale / abs(sum(
-                x * y for x, y in zip(a_dec, moments)))).log10())
-        if redo or digits - lost >= _SUM_DIGITS_KEPT:
-            break
-        digits = math.ceil(lost) + _SUM_DIGITS_SPARE
-    return moments.astype(float), 10.0 ** (4 - digits) * float(scale), \
-        None, True
+    moments, scale, lost = _strong_pass(cfg, zeta, a, float)
+    digits, route = _FLOAT_DIGITS, "float sum"
+    if digits - lost < _FLOAT_DIGITS_KEPT:
+        digits, route = _SUM_DIGITS, f"sum at {_SUM_DIGITS} digits"
+        for redo in (False, True):
+            with localcontext(Context(prec=digits)):
+                moments, scale, lost = _strong_pass(cfg, zeta, a, Decimal)
+            if redo or digits - lost >= _SUM_DIGITS_KEPT:
+                break
+            digits = math.ceil(lost) + _SUM_DIGITS_SPARE
+            route = f"redone at {digits} digits"
+    return (moments.astype(float), 10.0 ** (4 - digits) * float(scale),
+            None, True, f"{route}, {lost:.2f} digits lost")
 
 
 def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
@@ -457,8 +468,9 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
     Expands the kernel to ``order`` (chosen from beta by default, see
     fblrate.expansion_order) and assembles its mean eps + (1 - eps)
     sum_j a_j mu_j from the role's moments mu_j = E[(1+g)^(2 zeta - 2j)]
-    (_weak_moments, _strong_moments), which bound the moments' error; err
-    adds to that the rounding of sum_j a_j mu_j itself.  One rule for both
+    (_weak_moments, _strong_moments), which bound the moments' error and
+    name the route of the strong sum; err adds to that the rounding of
+    sum_j a_j mu_j itself.  One rule for both
     users: the sum stands where the mean is finite and err < mean / 2 (a
     diverged series has err = inf); otherwise the value is the adaptive
     quadrature of the same expanded kernel, flagged unconverged, and where
@@ -473,7 +485,7 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
     kp = make_kernel_params(theta, cfg.n, eps)
     order = _order(kp, order)
     a = expansion_coeffs(kp.beta, order)
-    moments, err, terms, converged = (
+    moments, err, terms, converged, route = (
         _weak_moments(cfg, kp.zeta, a, ctl) if role == "weak"
         else _strong_moments(cfg, kp.zeta, a))
     err += _MACHEPS * math.fsum(np.abs(a * moments))
@@ -482,13 +494,13 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
         value = _ec_from_mean(inner, theta, cfg.n)
         tail_bound = (1.0 - eps) * err / (inner * theta * cfg.n * LN2)
         mu = abs(moments[0]), abs(moments[-1])
-        how = "" if converged else "series truncated at term budget; "
+        how = "" if converged else "series truncated at term budget"
     else:
         fallback = ec_quadrature(cfg, role, ctl, "approx", order)
         value, tail_bound = fallback.value, fallback.tail_bound
         inner = math.exp(-fallback.value * theta * cfg.n * LN2)
         mu, converged = (1.0, 1.0), False
-        how = f"series unconverged; value from quadrature ({fallback.note}); "
+        how = f"series unconverged; value from quadrature ({fallback.note})"
     # by expansion_error_coeffs the kernel means differ by at most
     # (1-eps) (r_M mu_0 + t_J mu_J), with mu_j <= 1, on either side of inner
     r_m, t_j = expansion_error_coeffs(kp.beta, order)
@@ -499,8 +511,9 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
         value, "closed_form", series_terms=terms, converged=converged,
         tail_bound=tail_bound, expansion_order=order,
         expansion_bound=expansion_bound,
-        note=f"{how}kernel expansion order {order}; truncation bound "
-             f"{tail_bound:.1e}, expansion bound {expansion_bound:.1e} bits/cu")
+        note="; ".join(filter(None, [
+            route, how, f"kernel expansion order {order}; truncation bound "
+            f"{tail_bound:.1e}, expansion bound {expansion_bound:.1e} bits/cu"])))
 
 
 def ec_closed_weak(cfg: SystemConfig, ctl: EvalControls,

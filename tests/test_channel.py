@@ -180,19 +180,6 @@ class TestSampling:
             ref = sorted_reference(V, k, 100_000, np.random.default_rng(22))
             assert stats.ks_2samp(ours, ref).statistic < 0.01
 
-    @pytest.mark.parametrize("V,t,u", SAMPLER_POOLS)
-    def test_strong_marginal_ks(self, V, t, u):
-        x_u = sample_gain(u, V, 100_000, np.random.default_rng(23))
-        res = stats.kstest(x_u, lambda x: ordered_cdf(x, u, V))
-        assert res.statistic < 0.01
-
-    @pytest.mark.parametrize("V,t,u", SAMPLER_POOLS)
-    def test_returns_fresh_contiguous_arrays(self, V, t, u):
-        for k in (t, u):
-            x = sample_gain(k, V, 1000, np.random.default_rng(24))
-            assert x.dtype == np.float64 and x.shape == (1000,)
-            assert x.flags.c_contiguous and x.flags.owndata
-
     def test_stream_is_pinned(self):
         # the weak user of the fig3 pool, from the bottom end: the x_t of
         # joint_reference, so any change to these values changes

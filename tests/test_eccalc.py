@@ -28,6 +28,7 @@ from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
                              expansion_coeffs, fbl_rate, make_kernel_params,
                              rate_minimum, scalar_kernel)
 from nomafbl.specfun import ConvergenceError, tricomi_u
+from nomafbl.sweep import figure_preset
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, n=300, eps=1e-5,
             theta_t=0.01, theta_u=0.01)
@@ -454,10 +455,14 @@ class TestWeakLadderMemo:
 
     def test_theta_sweep_seeds_weak_ladders_once(self, monkeypatch):
         # the weak ladders depend on the SNR, not on theta: of three fig4
-        # rows at 20 dB only the first seeds them
-        seed, seeds = eccalc.scaled_expint, []
+        # rows at 20 dB only the first seeds them, in float, and none at
+        # 50 digits
+        float_seed, seeds = eccalc.tricomi_u, []
+        exact_seed, exact_seeds = eccalc.scaled_expint, []
+        monkeypatch.setattr(eccalc, "tricomi_u", lambda a, b, z: (
+            seeds.append((b, len(z))) or float_seed(a, b, z)))
         monkeypatch.setattr(eccalc, "scaled_expint", lambda s, etas: (
-            seeds.append((s, len(etas))) or seed(s, etas)))
+            exact_seeds.append((s, len(etas))) or exact_seed(s, etas)))
         per_row = []
         for theta in (1e-3, 1e-2, 0.1):
             cfg = make_cfg(rho_db=20.0, n=400, eps=1e-6, theta_t=theta,
@@ -467,6 +472,7 @@ class TestWeakLadderMemo:
             per_row.append(len(seeds) - before)
         assert per_row[0] > 0
         assert per_row[1:] == [0, 0]
+        assert exact_seeds == []
 
     def test_memo_is_read_only(self):
         cfg = make_cfg()
@@ -631,20 +637,55 @@ class TestClosedForms:
     ])
     def test_strong_row_seeds_once_per_order(self, monkeypatch, rho_db,
                                              theta, orders, gammas):
-        # fig5 rows: one scaled_expint call per distinct seed order for all
-        # u ladders of the row, and Gamma(1 - s) once per non-integer order
-        seed, gamma = eccalc.scaled_expint, mpmath.mp.gamma
-        seeds, calls = [], []
+        # fig5 rows: the float pass makes one tricomi_u call per distinct
+        # seed order for all u ladders of the row, and the 50-digit pass
+        # one scaled_expint call, which makes Gamma(1 - s) once per
+        # non-integer order; each is counted on its own
+        float_seed, exact_seed = eccalc.tricomi_u, eccalc.scaled_expint
+        gamma = mpmath.mp.gamma
+        seeds, exact_seeds, calls = [], [], []
+        monkeypatch.setattr(eccalc, "tricomi_u", lambda a, b, z: (
+            seeds.append((b, len(z))) or float_seed(a, b, z)))
         monkeypatch.setattr(eccalc, "scaled_expint", lambda s, etas: (
-            seeds.append((s, len(etas))) or seed(s, etas)))
-        monkeypatch.setattr(mpmath.mp, "gamma",
-                            lambda *a: calls.append(a) or gamma(*a))
+            exact_seeds.append((s, len(etas))) or exact_seed(s, etas)))
         cfg = make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
                        theta_u=theta)
-        ec_closed_strong(cfg, EvalControls())
-        assert len(seeds) == len({s for s, _ in seeds}) == orders
-        assert sum(n for _, n in seeds) == cfg.u
+        kp = make_kernel_params(theta, cfg.n, cfg.eps)
+        a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
+        eccalc._strong_pass(cfg, kp.zeta, a, float)
+        monkeypatch.setattr(mpmath.mp, "gamma",
+                            lambda *args: calls.append(args) or gamma(*args))
+        with decimal.localcontext(decimal.Context(prec=50)):
+            eccalc._strong_pass(cfg, kp.zeta, a, Decimal)
+        for made in (seeds, exact_seeds):
+            assert len(made) == len({s for s, _ in made}) == orders
+            assert sum(n for _, n in made) == cfg.u
         assert len(calls) == gammas
+
+    def test_strong_note_names_its_route(self):
+        # every fig5 row names one route and the digits its last pass lost;
+        # the float sum stands exactly where the 50-digit pass loses at
+        # most 6 digits, and a 50-digit note gives that pass's loss
+        routes = ("float sum,", "sum at 50 digits,", "redone at ")
+        spec = figure_preset("fig5")
+        kept = 0
+        for rho_db in spec.rho_db_variants:
+            for theta in spec.grid:
+                cfg = replace(spec.base, rho=db_to_linear(rho_db),
+                              theta_t=theta, theta_u=theta)
+                res = ec_closed_strong(cfg, EvalControls())
+                named = [route for route in routes if route in res.note]
+                assert len(named) == 1
+                kp = make_kernel_params(theta, cfg.n, cfg.eps)
+                a = expansion_coeffs(kp.beta, res.expansion_order)
+                with decimal.localcontext(decimal.Context(prec=50)):
+                    lost = eccalc._strong_pass(cfg, kp.zeta, a, Decimal)[2]
+                assert (named[0] == "float sum,") == (lost <= 6.0)
+                if named[0] == "sum at 50 digits,":
+                    assert res.note.startswith(
+                        f"sum at 50 digits, {lost:.2f} digits lost;")
+                kept += named[0] == "float sum,"
+        assert kept == 39
 
     @pytest.mark.parametrize("cfg", [
         # worst float64 sum of the benchmark's reference points (9e-6)

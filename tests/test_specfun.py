@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from nomafbl import specfun
 from nomafbl.eccalc import _int_ladder
 from nomafbl.specfun import (beta_fn, exp_integral_ei, gaussian_q,
                              gaussian_q_inv, scaled_expint, tricomi_u)
@@ -179,6 +180,69 @@ class TestTricomiU:
                                abs(scaled_expint(s, [eta])[0] / ref - 1))
         assert worst <= 1e-10
         assert worst_mp <= 1e-30
+
+    def test_float_routes_within_ulps_over_seed_box(self, monkeypatch):
+        # the float value of each route against scaled_expint at 50 digits,
+        # at the order 2 - b asked for, in units of 2^-52 relative: the box
+        # of the oracle test above, integer orders up to eta = 1e4 (e^eta
+        # would overflow from 710), and orders at eta 0.45..0.95, where the
+        # series cancels by more than _FLOAT_LOST and mpmath takes over.
+        # The pole at an integer order is out of the series, so the band
+        # just off one stays in float
+        box = [(s, eta) for s in np.geomspace(1.05, 400.0, 7)
+               for eta in np.geomspace(1.5e-3, 50.0, 6)]
+        box += [(eta + ds, eta) for eta in np.geomspace(20.0, 500.0, 6)
+                for ds in (-0.5, 1.0, 2.5)]
+        near = [(m + ds, eta) for m in (1, 2, 4, 50, 400)
+                for ds in (-1e-12, 1e-12, -1e-8, 1e-8)
+                for eta in (1e-3, 0.15, 1.6, 20.0)]
+        box += near
+        box += [(float(s), eta) for s in (0, 1, 2, 7, 30, 50, 51, 200, 400)
+                for eta in (1e-3, 0.5, 3.0, 31.9, 32.0, 100.0, 1e3, 1e4)]
+        box += [(s, eta) for s in (1.5076, 2.04, 2.5076, 2.6973)
+                for eta in (0.45, 0.63, 0.79, 0.95)]
+        exact, handed = specfun.scaled_expint, []
+        monkeypatch.setattr(specfun, "scaled_expint", lambda s, etas: (
+            handed.append(etas) or exact(s, etas)))
+        worst = {}
+        for s, eta in box:
+            b = 2.0 - s
+            before = len(handed)
+            value = tricomi_u(1.0, b, eta)
+            with mpmath.workdps(50):
+                ulps = float(abs(value / exact(2 - mpmath.mpf(b), [eta])[0]
+                                 - 1)) / 2.0 ** -52
+            route = ("mpmath" if len(handed) > before
+                     else "expn" if s.is_integer() and s <= 50 and eta < 32
+                     else "fraction" if eta >= 1.0 or s >= 20.0
+                     else "series")
+            worst[route] = max(worst.get(route, 0.0), ulps)
+            if route in ("series", "mpmath"):
+                assert (route == "mpmath") == (
+                    specfun._series_float(s, eta)[1] > specfun._FLOAT_LOST)
+            if (s, eta) in near:
+                assert route != "mpmath"
+        assert set(worst) == {"expn", "fraction", "series", "mpmath"}
+        assert worst.pop("expn") <= 7.0
+        assert max(worst.values()) <= 4.0
+
+    @pytest.mark.parametrize("b, z, name", [
+        (1.0, math.inf, "z"), (1.0, math.nan, "z"), (math.inf, 1.0, "b"),
+        (-math.inf, 1.0, "b"), (math.nan, 1.0, "b")],
+        ids=["z_inf", "z_nan", "b_inf", "b_minus_inf", "b_nan"])
+    def test_non_finite_input_is_refused(self, b, z, name):
+        # each case failed its own way: z = inf with ConvergenceError, b =
+        # +-inf with OverflowError, b = nan converting NaN to an integer
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            tricomi_u(1.0, b, z)
+
+    @pytest.mark.parametrize("s, eta, name", [
+        (math.inf, 1.0, "s"), (-math.inf, 1.0, "s"), (math.nan, 1.0, "s"),
+        (2.5, math.inf, "eta"), (2.5, math.nan, "eta")],
+        ids=["s_inf", "s_minus_inf", "s_nan", "eta_inf", "eta_nan"])
+    def test_scaled_expint_refuses_non_finite_input(self, s, eta, name):
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            scaled_expint(s, [eta])
 
     @pytest.mark.parametrize("s, etas", [
         # 1F1 terms that turn about as 2 - s + k nears 0, with eta large

@@ -399,7 +399,7 @@ class TestValidateReport:
         strong_moments = nomafbl.eccalc._strong_moments
         monkeypatch.setattr(
             nomafbl.eccalc, "_strong_moments",
-            lambda *a: (strong_moments(*a)[0], math.inf, None, True))
+            lambda *a: (strong_moments(*a)[0], math.inf, None, True, ""))
         report = validate_report(BASE, EvalControls(mc_samples=5000, seed=2))
         gates = {g.name: g.passed for g in report.gates}
         assert gates["strong closed vs approx-kernel quadrature"]
