@@ -16,6 +16,9 @@ kernel vs Monte-Carlo isolates sampling, and exact vs expanded quadrature
 isolates the expansion error itself, which the closed forms also bound and
 report.
 
+Both closed forms sum I_s ladders that specfun.expint_ladders builds and
+seeds, in float or at the decimal context's digits.
+
 scipy.integrate, which only the quadrature oracle uses, is imported on the
 first ec_quadrature call (or the first read of ``eccalc.integrate``), not
 with the package: it adds about 26 MB resident and 0.24 s cold, which
@@ -28,9 +31,8 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Context, Decimal, getcontext, localcontext
+from decimal import Context, Decimal, localcontext
 
-import mpmath
 import numpy as np
 
 from .channel import (SystemConfig, gain_for_gamma, gamma_for_role,
@@ -39,8 +41,7 @@ from .channel import (SystemConfig, gain_for_gamma, gamma_for_role,
 from .fblrate import (LN2, ec_kernel, expansion_coeffs, expansion_error_coeffs,
                       expansion_order, make_kernel_params, rate_minimum,
                       scalar_kernel)
-from .specfun import (_SEED_LOCK, ConvergenceError, scaled_expint,
-                      tricomi_u)
+from .specfun import ConvergenceError, expint_ladders
 
 _MC_CHUNK = 1 << 16
 _MACHEPS = np.finfo(float).eps
@@ -276,45 +277,6 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def _int_ladder(etas, s_max: int, s0=0.0) -> list[np.ndarray]:
-    """I_{s0+k} = int_0^inf e^{-eta v} (1+v)^{-(s0+k)} dv for k = 0 .. s_max,
-    one ladder per eta of a sequence.
-
-    The three-term recurrence I_{s+1} = (1 - eta I_s)/s holds for real s and
-    is stable upward for s > eta and downward below, so each ladder is
-    seeded at s0 + k0 with k0 ~ ceil(eta - s0) + 1 and run in the stable
-    direction on each side.  The etas that share a k0 get their seeds from
-    one call.  The rungs are floats for float etas, seeded by tricomi_u,
-    else Decimals at the precision of the current decimal context, orders
-    s0 + k included, seeded by scaled_expint at that many digits; mpmath
-    takes no Decimal, so the seeds' arguments and values pass as strings,
-    and a value's string rounds it within 10^(1 - digits) relative.
-    """
-    extended = isinstance(etas[0], Decimal)
-    k0s = [min(s_max, max(0, math.ceil(eta - s0) + 1)) for eta in etas]
-    seeds = {}
-    for k0 in sorted(set(k0s)):
-        group = [i for i, k in enumerate(k0s) if k == k0]
-        if extended:
-            with _SEED_LOCK, mpmath.workdps(getcontext().prec):
-                values = [Decimal(str(v)) for v in scaled_expint(
-                    str(s0 + k0), [str(etas[i]) for i in group])]
-        else:
-            values = tricomi_u(1.0, 2.0 - (s0 + k0),
-                               [etas[i] for i in group]).tolist()
-        seeds.update(zip(group, values))
-    ladders = []
-    for i, (eta, k0) in enumerate(zip(etas, k0s)):
-        rungs = [seeds[i]]
-        for k in range(k0 - 1, -1, -1):
-            rungs.append((1 - (s0 + k) * rungs[-1]) / eta)
-        rungs.reverse()
-        for k in range(k0, s_max):
-            rungs.append((1 - eta * rungs[-1]) / (s0 + k))
-        ladders.append(np.array(rungs, dtype=object if extended else float))
-    return ladders
-
-
 def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
                  log_prefactors: np.ndarray):
     """Inner series sum_s C(c, s) q^s d I_s, scaled by exp(log_prefactor),
@@ -370,7 +332,7 @@ def _weak_ladders(V: int, t: int, d: float, s_max: int) -> np.ndarray:
     neither theta nor the expansion order, so a theta sweep at one SNR
     builds them once: the cache keeps the last key only, and an SNR sweep,
     which changes d on every row, misses on each."""
-    ladders = np.array(_int_ladder(
+    ladders = np.array(expint_ladders(
         [rate * d for rate in ordered_mixture(t, V)[1]], s_max))
     ladders.flags.writeable = False
     return ladders
@@ -382,10 +344,11 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
 
     The SINR ratio is rewritten as a scaled (x + a)/(x + b) form whose
     binomial expansion in d/(x + b) converges geometrically at rate alpha_t
-    (= -q, as alpha_t + alpha_u = 1); each integral moment reduces to the
-    I_s ladder above, which depends on the exponent only through the
-    binomial weights, so each ladder is built once and serves every moment,
-    and the last SNR's ladders serve every theta after it (_weak_ladders).
+    (= -q, as alpha_t + alpha_u = 1); each integral moment reduces to an
+    I_s ladder (specfun.expint_ladders), which depends on the exponent only
+    through the binomial weights, so each ladder is built once and serves
+    every moment, and the last SNR's ladders serve every theta after it
+    (_weak_ladders).
     Returns (moments, err, terms, converged, "") for _ec_closed: err is the
     sum over the expansion coefficients a_j of |a_j| times the inner
     series' tail bounds (inf where one diverges), plus their rounding;
@@ -418,8 +381,8 @@ def _strong_pass(cfg: SystemConfig, zeta, a, num):
     b_fn, rates, weights = ordered_mixture(cfg.u, cfg.V)
     d = 1 / num(cfg.rho * cfg.alpha_u)
     xi_d = d / num(b_fn)
-    ladders = _int_ladder([rate * d for rate in rates], 2 * (a.size - 1),
-                          -2 * num(zeta))
+    ladders = expint_ladders([rate * d for rate in rates], 2 * (a.size - 1),
+                             -2 * num(zeta))
     terms = [w * ladder[::2] for w, ladder in zip(weights, ladders)]
     moments = xi_d * sum(terms)
     a_num = [num(x) for x in a]

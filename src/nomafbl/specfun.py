@@ -8,35 +8,40 @@ adds only the domain check the callers rely on:
   * the Beta function (scipy's beta: within 2.3 eps of the exact value at
     every integer pair of a pool of up to 40 users)
 
+expint_ladders builds and seeds the I_s(eta) = e^eta E_s(eta) ladders of
+both users' closed forms: float ladders by tricomi_u, Decimal ones by
+scaled_expint at the decimal context's digits, one call per seed order.
+
 tricomi_u gives U(1, b, z) = e^z E_s(z), s = 2 - b, in float64 for one b
-and a float or an array of z, and seeds the float I_s ladders of both
-users, one call per seed order of a row.  Its routes: scipy's expn at
-integer 0 <= s <= 50 below z = 32; from z = 1 up and at s >= 20 the
-continued fraction of E_s; else the series DLMF 8.19.10 with the pole of an
-integer order taken out, where its terms cancel by at most 4x; and
-scaled_expint at 53 bits for the rest.  Over the tests' seed box expn is
-within 7 units of 2^-52 relative and the other routes within 4.
+and a float or an array of z.  Its routes: scipy's expn at integer
+0 <= s <= 50 below z = 32; from z = 1 up and at s >= 20 the continued
+fraction of E_s, which scaled_expint takes from z = 32 up; else the series
+DLMF 8.19.10 with the pole of an integer order taken out, where its terms
+cancel by at most 4x; and scaled_expint at 53 bits for the rest.  Over the
+tests' seed box expn is within 7 units of 2^-52 relative and the other
+routes within 4.
 
 scaled_expint gives e^eta E_s(eta) for one real s and a sequence of eta at
-mpmath's working precision, and seeds the strong user's Decimal ladders:
-its alternating sum can cancel up to about 30 digits, so where a float pass
-keeps too few digits its ladders run in extended precision.  Below eta = 32
-a non-integer order is the direct sum, redone with more guard bits where
-its two terms cancel.  A call makes Gamma(1-s) once, and again per redo
-guard, and sums the 1F1 series of all its eta in one fixed-point pass: the
-denominators 2 - s + k and the terms at the largest eta are made once, and
-each eta adds one Horner pass of a multiply and a shift per term.
+mpmath's working precision.  It seeds the strong user's Decimal ladders:
+their alternating sum can cancel up to about 30 digits, so where a float
+pass keeps too few digits the ladders run in extended precision.  Below
+eta = 32 a non-integer order is the direct sum, redone with more guard bits
+where its two terms cancel.  A call makes Gamma(1-s) once, and again per
+redo guard, and sums the 1F1 series of all its eta in one fixed-point pass:
+the denominators 2 - s + k and the terms at the largest eta are made once,
+and each eta adds one Horner pass of a multiply and a shift per term.
 
 The float routes are pure and thread-safe.  scaled_expint reads mpmath's
 working precision, which is process-wide (mp.workdps sets it for every
-thread), unlike a decimal context, which is per thread; tricomi_u, and the
-closed forms' Decimal seeding, set it under _SEED_LOCK.
+thread), unlike a decimal context, which is per thread; tricomi_u and
+expint_ladders set it under _SEED_LOCK.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from decimal import Decimal, getcontext
 
 import mpmath
 import numpy as np
@@ -120,7 +125,7 @@ def scaled_expint(s, etas):
     cancel, and the 1F1 series of every eta below _CF_ETA is summed in one
     fixed-point pass per guard (_expint_sums).  From _CF_ETA up, where
     expint loses every digit if s is large too, it is the continued fraction
-    of E_s by the modified Lentz method (Numerical Recipes, 3rd ed., 6.3).
+    of E_s (_fraction) to 1/16 of the working precision's epsilon.
     """
     mp = mpmath.mp
     s, etas = mp.mpf(s), [mp.mpf(eta) for eta in etas]
@@ -132,26 +137,9 @@ def scaled_expint(s, etas):
                          f"{bad[0]}")
     direct = [] if mp.isint(s) else [eta for eta in etas if eta < _CF_ETA]
     sums = iter(_expint_sums(s, direct) if direct else [])
-    return [_expint_fraction(s, eta) if eta >= _CF_ETA
+    return [_fraction(s, eta, mp.eps / 16) if eta >= _CF_ETA
             else mp.exp(eta) * mp.expint(s, eta) if mp.isint(s)
             else next(sums) for eta in etas]
-
-
-def _expint_fraction(s, eta):
-    """The continued fraction of e^eta E_s(eta), for eta >= _CF_ETA."""
-    mp = mpmath.mp
-    b = eta + s
-    c, d = mp.inf, 1 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (s - 1 + i)
-        b += 2
-        d = 1 / (an * d + b)
-        c = b + an / c
-        h *= c * d
-        if abs(c * d - 1) <= mp.eps:
-            return h
-    raise ConvergenceError(f"E_s fraction unconverged at s={s}, eta={eta}")
 
 
 def _expint_sums(s, etas):
@@ -316,7 +304,7 @@ def tricomi_u(a: float, b: float, z):
         if s.is_integer() and 0.0 <= s <= _EXPN_ORDER and eta < _CF_ETA:
             values.append(special.expn(int(s), eta) * math.exp(eta))
         elif s >= 0.0 and (eta >= 1.0 or s >= _CF_ORDER):
-            values.append(_fraction_float(s, eta))
+            values.append(_fraction(s, eta, _EPS / 16))
         else:
             try:
                 value, lost = _series_float(s, eta)
@@ -334,15 +322,16 @@ def tricomi_u(a: float, b: float, z):
     return float(values) if values.ndim == 0 else values
 
 
-def _fraction_float(s, eta):
-    """The continued fraction of e^eta E_s(eta) (_expint_fraction) in
-    float, as 1 / (b_0 + a_1 / (b_1 + a_2 / ...)) with b_i = eta + s + 2i
-    and a_i = -i (s - 1 + i), for s >= 0.
+def _fraction(s, eta, tol):
+    """The continued fraction of e^eta E_s(eta), as
+    1 / (b_0 + a_1 / (b_1 + a_2 / ...)) with b_i = eta + s + 2i and
+    a_i = -i (s - 1 + i), in the number type of s and eta: float for
+    tricomi_u, mpmath numbers at the working precision for scaled_expint.
 
-    Steed's method sums the convergents' steps until one is below 1/16
-    ulp, which sets the depth; the value is the fraction at that depth
-    evaluated from the bottom up, within about an ulp where the running
-    sum drifts by up to 7 and the modified Lentz method by up to 44.
+    Steed's method sums the convergents' steps until one is below tol
+    relative to the sum, which sets the depth; the value is the fraction at
+    that depth evaluated from the bottom up, within about an ulp in float,
+    where the running sum drifts by up to 7.
     """
     c, s1 = eta + s, s - 1.0
     b = c + 2.0
@@ -350,7 +339,7 @@ def _fraction_float(s, eta):
     step = -s * d
     total = c + step        # the convergents of 1 / I stay positive
     depth = 1
-    while not -_EPS / 16 * total <= step <= _EPS / 16 * total:
+    while not -tol * total <= step <= tol * total:
         depth += 1
         if depth > 10_000:
             raise ConvergenceError(
@@ -401,6 +390,46 @@ def _series_float(s, eta):
         k += 1
         term *= -eta / k
     return math.exp(eta) * total, top / abs(total) if total else math.inf
+
+
+def expint_ladders(etas, s_max: int, s0=0.0) -> list[np.ndarray]:
+    """I_{s0+k} = int_0^inf e^{-eta v} (1+v)^{-(s0+k)} dv for k = 0 .. s_max,
+    one ladder per eta of a sequence.
+
+    The three-term recurrence I_{s+1} = (1 - eta I_s)/s holds for real s and
+    is stable upward for s > eta and downward below, so each ladder is
+    seeded at s0 + k0 with k0 ~ ceil(eta - s0) + 1 and run in the stable
+    direction on each side.  The etas that share a k0 get their seeds from
+    one call.  The rungs are floats for float etas, seeded by tricomi_u,
+    else Decimals at the precision of the current decimal context, orders
+    s0 + k included, seeded by scaled_expint at that many digits under
+    _SEED_LOCK; mpmath takes no Decimal, so the seeds' arguments and values
+    pass as strings, and a value's string rounds it within 10^(1 - digits)
+    relative.
+    """
+    extended = isinstance(etas[0], Decimal)
+    k0s = [min(s_max, max(0, math.ceil(eta - s0) + 1)) for eta in etas]
+    seeds = {}
+    for k0 in sorted(set(k0s)):
+        group = [i for i, k in enumerate(k0s) if k == k0]
+        if extended:
+            with _SEED_LOCK, mpmath.workdps(getcontext().prec):
+                values = [Decimal(str(v)) for v in scaled_expint(
+                    str(s0 + k0), [str(etas[i]) for i in group])]
+        else:
+            values = tricomi_u(1.0, 2.0 - (s0 + k0),
+                               [etas[i] for i in group]).tolist()
+        seeds.update(zip(group, values))
+    ladders = []
+    for i, (eta, k0) in enumerate(zip(etas, k0s)):
+        rungs = [seeds[i]]
+        for k in range(k0 - 1, -1, -1):
+            rungs.append((1 - (s0 + k) * rungs[-1]) / eta)
+        rungs.reverse()
+        for k in range(k0, s_max):
+            rungs.append((1 - eta * rungs[-1]) / (s0 + k))
+        ladders.append(np.array(rungs, dtype=object if extended else float))
+    return ladders
 
 
 # ---------------------------------------------------------------------------

@@ -403,3 +403,30 @@ class TestLayering:
         # or an import across the eccalc/queuesim pair fails here
         path = Path(nomafbl.__file__).parent / f"{module}.py"
         assert _package_imports(path.read_text()) <= self.BELOW[module]
+
+    @staticmethod
+    def _imports(module):
+        path = Path(nomafbl.__file__).parent / f"{module}.py"
+        return [node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+    @pytest.mark.parametrize("module", sorted(CORE | set(BELOW)))
+    def test_no_module_imports_a_private_name(self, module):
+        # a module's underscore names are its own: the closed forms once
+        # took specfun's seed lock to set mpmath's precision themselves
+        private = [alias.name for node in self._imports(module)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level or (node.module or "").startswith("nomafbl"))
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
+
+    @pytest.mark.parametrize("module", sorted(CORE | set(BELOW)))
+    def test_only_specfun_imports_mpmath(self, module):
+        # extended precision is specfun's to set: it makes every seed at
+        # the precision the caller's decimal context asks for
+        names = {alias.name.split(".")[0] for node in self._imports(module)
+                 if isinstance(node, ast.Import) for alias in node.names}
+        names |= {(node.module or "").split(".")[0]
+                  for node in self._imports(module)
+                  if isinstance(node, ast.ImportFrom) and not node.level}
+        assert ("mpmath" in names) == (module == "specfun")

@@ -21,13 +21,14 @@ from nomafbl.channel import (ROLES, SystemConfig, db_to_linear,
                              gain_for_gamma, gamma_for_role, ordered_pdf,
                              ordered_quantile, scalar_integrand)
 from nomafbl.eccalc import (_NEGATIVE, METHODS, SERIES_REL_TOL, EcResult,
-                            EvalControls, _int_ladder, _weak_series,
+                            EvalControls, _weak_series,
                             ec_closed_strong, ec_closed_weak, ec_monte_carlo,
                             ec_quadrature, evaluate, mc_gain_draws)
 from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
                              expansion_coeffs, fbl_rate, make_kernel_params,
                              rate_minimum, scalar_kernel)
-from nomafbl.specfun import ConvergenceError, tricomi_u
+from nomafbl import specfun
+from nomafbl.specfun import ConvergenceError, expint_ladders, tricomi_u
 from nomafbl.sweep import figure_preset
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, n=300, eps=1e-5,
@@ -358,7 +359,7 @@ class TestClosedFormSeries:
         cs = np.array([-3.0, -5.0, -35.0, -60.0, -400.0])
         log_pref = cs * math.log(1.0 / cfg.alpha_u)
         for budget in (2, 200, 500):
-            ladder = _int_ladder([9 * d], budget)[0]
+            ladder = expint_ladders([9 * d], budget)[0]
             sums, terms, tails = (x[0] for x in _weak_series(
                 cs, q, d, ladder[None, :], log_pref))
             for i, c in enumerate(cs):
@@ -380,7 +381,7 @@ class TestClosedFormSeries:
         d = 0.05
         cs = np.array([-3.0, -35.0, -400.0])
         log_pref = cs * math.log(5.0)
-        ladders = np.array(_int_ladder([9 * d, 10 * d, 11 * d], 300))
+        ladders = np.array(expint_ladders([9 * d, 10 * d, 11 * d], 300))
         together = _weak_series(cs, -0.8, d, ladders, log_pref)
         for r in range(3):
             alone = _weak_series(cs, -0.8, d, ladders[r:r + 1], log_pref)
@@ -393,7 +394,7 @@ class TestClosedFormSeries:
     def test_real_order_ladder(self, eta, s0):
         # one Tricomi seed per eta, run in the stable direction, gives
         # every rung I_{s0+k} = U(1, 2 - s0 - k, eta)
-        ladder = _int_ladder([eta], 34, s0)[0]
+        ladder = expint_ladders([eta], 34, s0)[0]
         for k in (0, 1, 2, 17, 34):
             assert ladder[k] == pytest.approx(
                 tricomi_u(1.0, 2.0 - s0 - k, eta), rel=1e-10)
@@ -401,7 +402,7 @@ class TestClosedFormSeries:
     @pytest.mark.parametrize("eta", [1e-3, 0.45, 7.0, 600.0])
     def test_integer_ladder_starts_at_one_over_eta(self, eta):
         # I_0 = 1/eta; the downward recurrence reaches it as (1 - 0 I_1)/eta
-        ladder = _int_ladder([eta], 500)[0]
+        ladder = expint_ladders([eta], 500)[0]
         assert ladder[0] == 1.0 / eta
         assert ladder[1] == pytest.approx(tricomi_u(1.0, 1.0, eta), rel=1e-10)
 
@@ -415,7 +416,7 @@ class TestClosedFormSeries:
         # seed, against a 60-digit quadrature of the Laplace integral.
         # With the seed cast through float the rungs were 4e-31 to 8e-17 off
         with decimal.localcontext(decimal.Context(prec=50)):
-            ladder = _int_ladder([Decimal(eta)], 34, Decimal(s0))[0]
+            ladder = expint_ladders([Decimal(eta)], 34, Decimal(s0))[0]
         for k in (0, 1, 2, 17, 34):
             assert isinstance(ladder[k], Decimal)
             assert _rel_to_laplace(ladder[k], s0, k, eta) <= 1e-45
@@ -432,9 +433,9 @@ class TestClosedFormSeries:
             with monkeypatch.context() as patch:
                 patch.setattr(mpmath.mp, "gamma",
                               lambda *a: calls.append(a) or gamma(*a))
-                batch = _int_ladder([Decimal(e) for e in etas], 34,
-                                    Decimal(s0))
-            singles = [_int_ladder([Decimal(e)], 34, Decimal(s0))[0]
+                batch = expint_ladders([Decimal(e) for e in etas], 34,
+                                       Decimal(s0))
+            singles = [expint_ladders([Decimal(e)], 34, Decimal(s0))[0]
                        for e in etas]
         assert len(calls) == 6
         for ladder, single, eta in zip(batch, singles, etas):
@@ -442,10 +443,10 @@ class TestClosedFormSeries:
             for k in (0, 1, 17, 34):
                 assert _rel_to_laplace(ladder[k], s0, k, eta) <= 1e-45
         floats = [float(e) for e in etas]
-        for ladder, eta in zip(_int_ladder(floats, 34, float(s0)), floats):
+        for ladder, eta in zip(expint_ladders(floats, 34, float(s0)), floats):
             assert ladder.dtype == float
-            assert np.array_equal(ladder, _int_ladder([eta], 34,
-                                                      float(s0))[0])
+            assert np.array_equal(ladder, expint_ladders([eta], 34,
+                                                         float(s0))[0])
 
 
 class TestWeakLadderMemo:
@@ -457,11 +458,11 @@ class TestWeakLadderMemo:
         # the weak ladders depend on the SNR, not on theta: of three fig4
         # rows at 20 dB only the first seeds them, in float, and none at
         # 50 digits
-        float_seed, seeds = eccalc.tricomi_u, []
-        exact_seed, exact_seeds = eccalc.scaled_expint, []
-        monkeypatch.setattr(eccalc, "tricomi_u", lambda a, b, z: (
+        float_seed, seeds = specfun.tricomi_u, []
+        exact_seed, exact_seeds = specfun.scaled_expint, []
+        monkeypatch.setattr(specfun, "tricomi_u", lambda a, b, z: (
             seeds.append((b, len(z))) or float_seed(a, b, z)))
-        monkeypatch.setattr(eccalc, "scaled_expint", lambda s, etas: (
+        monkeypatch.setattr(specfun, "scaled_expint", lambda s, etas: (
             exact_seeds.append((s, len(etas))) or exact_seed(s, etas)))
         per_row = []
         for theta in (1e-3, 1e-2, 0.1):
@@ -640,19 +641,21 @@ class TestClosedForms:
         # fig5 rows: the float pass makes one tricomi_u call per distinct
         # seed order for all u ladders of the row, and the 50-digit pass
         # one scaled_expint call, which makes Gamma(1 - s) once per
-        # non-integer order; each is counted on its own
-        float_seed, exact_seed = eccalc.tricomi_u, eccalc.scaled_expint
+        # non-integer order; each is counted on its own.  scaled_expint is
+        # counted from the 50-digit pass on, as tricomi_u itself calls it
+        # at 53 bits for a seed that no float route holds
+        float_seed, exact_seed = specfun.tricomi_u, specfun.scaled_expint
         gamma = mpmath.mp.gamma
         seeds, exact_seeds, calls = [], [], []
-        monkeypatch.setattr(eccalc, "tricomi_u", lambda a, b, z: (
+        monkeypatch.setattr(specfun, "tricomi_u", lambda a, b, z: (
             seeds.append((b, len(z))) or float_seed(a, b, z)))
-        monkeypatch.setattr(eccalc, "scaled_expint", lambda s, etas: (
-            exact_seeds.append((s, len(etas))) or exact_seed(s, etas)))
         cfg = make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
                        theta_u=theta)
         kp = make_kernel_params(theta, cfg.n, cfg.eps)
         a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
         eccalc._strong_pass(cfg, kp.zeta, a, float)
+        monkeypatch.setattr(specfun, "scaled_expint", lambda s, etas: (
+            exact_seeds.append((s, len(etas))) or exact_seed(s, etas)))
         monkeypatch.setattr(mpmath.mp, "gamma",
                             lambda *args: calls.append(args) or gamma(*args))
         with decimal.localcontext(decimal.Context(prec=50)):

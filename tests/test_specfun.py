@@ -6,9 +6,9 @@ import pytest
 from scipy import special as sp
 
 from nomafbl import specfun
-from nomafbl.eccalc import _int_ladder
-from nomafbl.specfun import (beta_fn, exp_integral_ei, gaussian_q,
-                             gaussian_q_inv, scaled_expint, tricomi_u)
+from nomafbl.specfun import (beta_fn, exp_integral_ei, expint_ladders,
+                             gaussian_q, gaussian_q_inv, scaled_expint,
+                             tricomi_u)
 
 
 class TestGaussianQInv:
@@ -79,7 +79,7 @@ class TestExpIntegral:
         # e^z E1(z) is the first rung of the I_s ladder, run down from its
         # scaled_expint seed
         for z in (0.1, 0.5, 1.0, 5.0, 50.0, 2000.0):
-            assert _int_ladder([z], 1)[0][1] == pytest.approx(
+            assert expint_ladders([z], 1)[0][1] == pytest.approx(
                 float(sp.exp1(z) / np.exp(-z)) if z < 600 else 1 / (z + 1),
                 rel=1e-9 if z < 600 else 2e-3)
 
