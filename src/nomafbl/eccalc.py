@@ -283,21 +283,28 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
     for every ladder (a row of ``ladders``) and every c in cs at once.
 
     SystemConfig makes c < 0 and q < 0, so every term C(c, s) q^s d I_s =
-    C(s - c - 1, s) |q|^s d I_s is positive: no signs are tracked, the sum
-    is monotone and the running term ratio gives an honest geometric tail
-    bound.  Terms are tracked in the log domain: for large |c| the early
-    terms underflow while the series peak (near |c q| / (1 - |q|)) may
-    still lie far ahead, and only the log trend can tell a negligible tail
-    from a not-yet-reached bulk.  Each series stops at its first term whose
-    tail is negligible against the running sum, before a term beyond e^700
-    (the first term, d I_0 <= 1 times a prefactor <= 1, never is), or at
-    the ladder's last rung.  Returns arrays (sum, terms_used, tail_bound)
-    indexed [ladder, c]; the tail bound is inf where the series diverges,
-    that is where it meets a term beyond e^700 or its terms still grow.
+    C(s - c - 1, s) |q|^s d I_s is positive: no signs are tracked and the
+    sum is monotone.  Term s is term s - 1 times |q| (s - 1 - c) / s times
+    I_s / I_{s-1} <= 1, so every ratio after column j is at most
+    rho = |q| max(1, (j - c) / (j + 1)), the supremum of
+    |q| (k - c) / (k + 1) over k >= j, and the tail after column j is at
+    most its term times rho / (1 - rho); the last ratio alone understates
+    the later ones where they still grow toward |q|.  Terms are tracked in
+    the log domain: for large |c| the early terms underflow while the
+    series peak (near |c q| / (1 - |q|)) may still lie far ahead, and only
+    the log trend can tell a negligible tail from a not-yet-reached bulk.
+    Each series stops at its first term whose tail is negligible against
+    the running sum, before a term beyond e^700 (the first term,
+    d I_0 <= 1 times a prefactor <= 1, never is), or at the ladder's last
+    rung.  Returns arrays (sum, terms_used, tail_bound) indexed [ladder, c];
+    the tail bound is inf where the series diverges, that is where it meets
+    a term beyond e^700 or ends with rho >= 1.
     """
     s_max = ladders.shape[1] - 1
     s = np.arange(1, s_max + 1)
     steps = (s - 1.0) - cs[:, None]     # term ratio = step |q| / s
+    cols = np.arange(s_max + 1)
+    rho = -q * np.maximum(1.0, (cols - cs[:, None]) / (cols + 1.0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         incr = np.log(steps) - np.log(s) + math.log(-q)
         log_term = np.concatenate(
@@ -306,16 +313,10 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
             + np.log(d * ladders)[:, None, :]
         terms = np.exp(log_term)
         totals = np.cumsum(terms, axis=-1)
-        log_ratio = np.full_like(log_term, np.inf)
-        log_ratio[..., 1:] = np.diff(log_term, axis=-1)
-        ratio = np.exp(np.minimum(log_ratio, 0.0))
-        tails = np.where(log_ratio < 0.0,
-                         terms * ratio / (1.0 - ratio), np.inf)
-    done = (log_ratio < 0.0) & (
-        (tails <= SERIES_REL_TOL * totals)
-        | ((totals == 0.0) & (log_term < -700.0)))
+        tails = np.where(rho < 1.0, terms * rho / (1.0 - rho), np.inf)
+    done = (tails <= SERIES_REL_TOL * totals) | (
+        (rho < 1.0) & (totals == 0.0) & (log_term < -700.0))
     done[..., :2] = False
-    cols = np.arange(s_max + 1)
     stop = np.where(done, cols, s_max).min(axis=-1)
     blow = np.where(log_term > 700.0, cols, s_max + 1).min(axis=-1)
     diverged = blow <= stop
