@@ -284,11 +284,9 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
 
     SystemConfig makes c < 0 and q < 0, so every term C(c, s) q^s d I_s =
     C(s - c - 1, s) |q|^s d I_s is positive: no signs are tracked and the
-    sum is monotone.  Term s is term s - 1 times |q| (s - 1 - c) / s times
-    I_s / I_{s-1} <= 1, so every ratio after column j is at most
-    rho = |q| max(1, (j - c) / (j + 1)), the supremum of
-    |q| (k - c) / (k + 1) over k >= j, and the tail after column j is at
-    most its term times rho / (1 - rho); the last ratio alone understates
+    sum is monotone.  As I_s falls with s, the term ratios after column j
+    are at most rho = |q| max(1, (j - c) / (j + 1)), so the tail after it
+    is at most its term times rho / (1 - rho); the last ratio understates
     the later ones where they still grow toward |q|.  Terms are tracked in
     the log domain: for large |c| the early terms underflow while the
     series peak (near |c q| / (1 - |q|)) may still lie far ahead, and only
