@@ -94,7 +94,11 @@ def simulate_workload(arrivals_per_block: float, services: np.ndarray,
 
     Vectorized through the running-minimum representation of the reflected
     random walk, in place on one new array and one scratch array; returns
-    the backlog after each block and leaves `services` unchanged.
+    the backlog after each block and leaves `services` unchanged.  W_k is
+    within 2 sum_{i<=k} |e_i| of the exact recursion from `initial`, e_i
+    the rounding error of the walk's i-th partial sum, with no |e_i| above
+    2^-53 m max|A - S| over m blocks; W_k's own rounding keeps its order
+    against any float level.
     """
     walk = np.subtract(arrivals_per_block, services, dtype=float)
     np.cumsum(walk, out=walk)
@@ -139,16 +143,20 @@ def _time_above(w_start, w_end, level, lo, hi, n):
                  np.where(w_start > level, hi - lo, 0.0)))
 
 
-def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n):
+def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n, A,
+               services):
     """Time the chunk's backlog spends above level within [late_lo, late_hi].
 
     Block k of the chunk is block start + k of the run: it starts at
     (start + k) n and runs linearly from w[k] to w[k + 1], w being the
-    chunk's backlog after the carried carry_w.  Only blocks that start or
-    end above level are evaluated; every other block adds exactly 0
-    (_time_above), and a chunk with no such block allocates nothing more.
-    The lengths are summed at their places among zeros, so the float sum is
-    the one over every block."""
+    chunk's backlog from A and services after the carried carry_w.  Only
+    blocks that start or end above level are evaluated; every other block
+    adds exactly 0 (_time_above), and a chunk with no such block allocates
+    nothing more.  Where one of them may top level only by the walk's
+    rounding (simulate_workload), level, for the carried backlog too, rises
+    by that bound, with each e_i exact by Knuth's TwoSum.  The lengths are
+    summed at their places among zeros, so the float sum is the one over
+    every block."""
     high = backlog > level
     above = np.empty_like(high)
     above[0] = carry_w > level
@@ -158,9 +166,18 @@ def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n):
     if blocks.size == 0:
         return 0.0
     w_start = np.where(blocks > 0, backlog[blocks - 1], carry_w)
+    w_end = backlog[blocks]
+    reach = 2.0 ** -52 * services.size ** 2 * max(A, np.max(services))
+    if np.any(np.maximum(w_start, w_end) <= level + reach):
+        steps = np.subtract(A, services, dtype=float)
+        walk = np.cumsum(steps)
+        rise = np.diff(walk, prepend=0.0)
+        steps -= rise       # e_i = steps - rise + (s_{i-1} - (s_i - rise))
+        steps[1:] += walk[:-1] - (walk[1:] - rise[1:])
+        level += 2.0 * float(np.sum(np.abs(steps)))
     block_t = n * (start + blocks).astype(float)
     lengths = np.zeros(backlog.size)
-    lengths[blocks] = _time_above(w_start, backlog[blocks], level,
+    lengths[blocks] = _time_above(w_start, w_end, level,
                                   np.clip(late_lo - block_t, 0.0, n),
                                   np.clip(late_hi - block_t, 0.0, n), n)
     return float(np.sum(lengths))
@@ -204,7 +221,7 @@ def run_queue_sim(spec: SimSpec) -> QueueStats:
             sum_w += float(np.sum(window))
 
         late_time += _late_time(backlog, carry_w, mu * spec.d_max, start,
-                                late_lo, late_hi, n)
+                                late_lo, late_hi, n, A, services)
         carry_w = float(backlog[-1])
 
     mean_queue = sum_w / counted

@@ -224,6 +224,30 @@ class TestReproducibility:
         assert shares[0] == 0.0
         assert shares[1] > 0.0
 
+    @pytest.mark.parametrize("chunk", [256, 4096])
+    def test_backlog_touching_the_level_is_not_late(self, chunk,
+                                                   monkeypatch):
+        # the walk falls by 1e5..2e5 bits a block, and each failed block
+        # lifts the empty queue to A = mu n = mu d_max exactly, as the
+        # sequential recursion gives it; the cumulative sum made it up to
+        # 9.9e-9 bits more, which read as late (1.3e-14 and 5.0e-14 of the
+        # time).  Block 2047 ends a 256-block chunk, so the carried backlog
+        # touches the level too
+        services = np.random.default_rng(3).uniform(1e5, 2e5, 3000)
+        services[1500::100] = 0.0
+        services[2047] = 0.0
+        spec = SimSpec(cfg=make_cfg(), role="strong", arrival_rate=4.0 / 3.0,
+                       num_blocks=2990, warmup_blocks=10, d_max=400.0, seed=0)
+        level, w = spec.arrival_rate * spec.d_max, 0.0
+        touches = 0
+        for served in services:
+            w = max(w + spec.arrival_rate * spec.cfg.n - served, 0.0)
+            assert w <= level
+            touches += w == level
+        assert touches == 16
+        stats = _run_frozen(spec, services, chunk, monkeypatch)
+        assert stats.delay_violation_freq == 0.0
+
     def test_delay_window_starts_d_max_after_warmup(self, monkeypatch):
         # 40 counted blocks of an overloaded queue with d_max = 3.8 blocks:
         # its backlog crosses mu * d_max within d_max of the end of warmup,
