@@ -314,7 +314,6 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
         tails = np.where(rho < 1.0, terms * rho / (1.0 - rho), np.inf)
     done = (tails <= SERIES_REL_TOL * totals) | (
         (rho < 1.0) & (totals == 0.0) & (log_term < -700.0))
-    done[..., :2] = False
     stop = np.where(done, cols, s_max).min(axis=-1)
     blow = np.where(log_term > 700.0, cols, s_max + 1).min(axis=-1)
     diverged = blow <= stop

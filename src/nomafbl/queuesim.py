@@ -169,12 +169,11 @@ def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n, A,
     w_end = backlog[blocks]
     reach = 2.0 ** -52 * services.size ** 2 * max(A, np.max(services))
     if np.any(np.maximum(w_start, w_end) <= level + reach):
-        steps = np.subtract(A, services, dtype=float)
-        walk = np.cumsum(steps)
-        rise = np.diff(walk, prepend=0.0)
-        steps -= rise       # e_i = steps - rise + (s_{i-1} - (s_i - rise))
-        steps[1:] += walk[:-1] - (walk[1:] - rise[1:])
-        level += 2.0 * float(np.sum(np.abs(steps)))
+        walk = np.cumsum(np.subtract(A, services, dtype=float))
+        prev = np.concatenate(([0.0], walk[:-1]))
+        rise = walk - prev      # TwoSum: walk + e = prev + (A - services)
+        level += 2.0 * float(np.sum(np.abs(
+            (prev - (walk - rise)) + ((A - services) - rise))))
     block_t = n * (start + blocks).astype(float)
     lengths = np.zeros(backlog.size)
     lengths[blocks] = _time_above(w_start, w_end, level,

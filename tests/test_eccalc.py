@@ -328,8 +328,8 @@ def _weak_series_loop(c, q, d, ladder, log_prefactor):
         rho = abs(q) * max(1.0, (s - c) / (s + 1))
         tail = (math.exp(log_term) * rho / (1.0 - rho) if rho < 1.0
                 else math.inf)
-        if s >= 2 and (tail <= SERIES_REL_TOL * abs(total) or (
-                rho < 1.0 and total == 0.0 and log_term < -700.0)):
+        if tail <= SERIES_REL_TOL * abs(total) or (
+                rho < 1.0 and total == 0.0 and log_term < -700.0):
             return total, s, tail
     return total, s_max, tail
 
