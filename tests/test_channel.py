@@ -415,8 +415,8 @@ class TestLayering:
         # a module's underscore names are its own: the closed forms once
         # took specfun's seed lock to set mpmath's precision themselves
         private = [alias.name for node in self._imports(module)
-                   if isinstance(node, ast.ImportFrom)
-                   and (node.level or (node.module or "").startswith("nomafbl"))
+                   if isinstance(node, ast.ImportFrom) and (
+                       node.level or (node.module or "").startswith("nomafbl"))
                    for alias in node.names if alias.name.startswith("_")]
         assert private == []
 

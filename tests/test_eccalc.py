@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from nomafbl import eccalc
+from nomafbl import eccalc, specfun
 from nomafbl.channel import (ROLES, SystemConfig, db_to_linear,
                              gain_for_gamma, gamma_for_role, ordered_pdf,
                              ordered_quantile, scalar_integrand)
@@ -27,7 +27,6 @@ from nomafbl.eccalc import (_NEGATIVE, METHODS, SERIES_REL_TOL, EcResult,
 from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
                              expansion_coeffs, fbl_rate, make_kernel_params,
                              rate_minimum, scalar_kernel)
-from nomafbl import specfun
 from nomafbl.specfun import ConvergenceError, expint_ladders, tricomi_u
 from nomafbl.sweep import figure_preset
 
