@@ -154,9 +154,9 @@ def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n, A,
     adds exactly 0 (_time_above), and a chunk with no such block allocates
     nothing more.  Where one of them may top level only by the walk's
     rounding (simulate_workload), level, for the carried backlog too, rises
-    by that bound, with each e_i exact by Knuth's TwoSum.  The lengths are
-    summed at their places among zeros, so the float sum is the one over
-    every block."""
+    by that bound up to the last such block, each e_i exact by Knuth's
+    TwoSum.  The lengths are summed at their places among zeros, so the
+    float sum is the one over every block."""
     high = backlog > level
     above = np.empty_like(high)
     above[0] = carry_w > level
@@ -168,12 +168,14 @@ def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n, A,
     w_start = np.where(blocks > 0, backlog[blocks - 1], carry_w)
     w_end = backlog[blocks]
     reach = 2.0 ** -52 * services.size ** 2 * max(A, np.max(services))
-    if np.any(np.maximum(w_start, w_end) <= level + reach):
-        walk = np.cumsum(np.subtract(A, services, dtype=float))
+    near = np.flatnonzero(np.maximum(w_start, w_end) <= level + reach)
+    if near.size:       # the walk up to the last such block, by TwoSum
+        steps = np.subtract(A, services[:blocks[near[-1]] + 1], dtype=float)
+        walk = np.cumsum(steps)
         prev = np.concatenate(([0.0], walk[:-1]))
-        rise = walk - prev      # TwoSum: walk + e = prev + (A - services)
+        rise = walk - prev      # walk + e = prev + steps, exactly
         level += 2.0 * float(np.sum(np.abs(
-            (prev - (walk - rise)) + ((A - services) - rise))))
+            (prev - (walk - rise)) + (steps - rise))))
     block_t = n * (start + blocks).astype(float)
     lengths = np.zeros(backlog.size)
     lengths[blocks] = _time_above(w_start, w_end, level,

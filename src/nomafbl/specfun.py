@@ -125,7 +125,9 @@ def scaled_expint(s, etas):
     cancel, and the 1F1 series of every eta below _CF_ETA is summed in one
     fixed-point pass per guard (_expint_sums).  From _CF_ETA up, where
     expint loses every digit if s is large too, it is the continued fraction
-    of E_s (_fraction) to 1/16 of the working precision's epsilon.
+    of E_s (_fraction) to 1/16 of the working precision's epsilon, and
+    expint again at s < 0, where the fraction's convergents can change sign
+    and, from about s < -eta, it fails.
     """
     mp = mpmath.mp
     s, etas = mp.mpf(s), [mp.mpf(eta) for eta in etas]
@@ -137,9 +139,9 @@ def scaled_expint(s, etas):
                          f"{bad[0]}")
     direct = [] if mp.isint(s) else [eta for eta in etas if eta < _CF_ETA]
     sums = iter(_expint_sums(s, direct) if direct else [])
-    return [_fraction(s, eta, mp.eps / 16) if eta >= _CF_ETA
-            else mp.exp(eta) * mp.expint(s, eta) if mp.isint(s)
-            else next(sums) for eta in etas]
+    return [_fraction(s, eta, mp.eps / 16) if eta >= _CF_ETA and s >= 0
+            else mp.exp(eta) * mp.expint(s, eta)
+            if mp.isint(s) or eta >= _CF_ETA else next(sums) for eta in etas]
 
 
 def _expint_sums(s, etas):
@@ -325,8 +327,9 @@ def tricomi_u(a: float, b: float, z):
 def _fraction(s, eta, tol):
     """The continued fraction of e^eta E_s(eta), as
     1 / (b_0 + a_1 / (b_1 + a_2 / ...)) with b_i = eta + s + 2i and
-    a_i = -i (s - 1 + i), in the number type of s and eta: float for
-    tricomi_u, mpmath numbers at the working precision for scaled_expint.
+    a_i = -i (s - 1 + i), for s >= 0, in the number type of s and eta:
+    float for tricomi_u, mpmath numbers at the working precision for
+    scaled_expint.
 
     Steed's method sums the convergents' steps until one is below tol
     relative to the sum, which sets the depth; the value is the fraction at

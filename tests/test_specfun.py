@@ -289,6 +289,21 @@ class TestTricomiU:
             ulps_off = abs(value - exact) / 2 ** (mpmath.mag(exact) - prec)
         assert ulps_off <= 2
 
+    @pytest.mark.parametrize("s, eta", [(-100.25, 33.0), (-300.5, 100.0),
+                                        (-50.5, 40.0), (-3.0, 50.0)])
+    def test_negative_order_from_eta_32(self, s, eta):
+        # a negative order from eta = 32 up goes to mpmath's expint: the
+        # continued fraction, whose convergents change sign there, was 100 %
+        # off at s < -eta in scaled_expint and in tricomi_u, which hands
+        # these points to it
+        with mpmath.workdps(60):
+            ref = mpmath.quad(lambda v: mpmath.exp(-eta * v) * (1 + v) ** -s,
+                              [0, 1, 10, mpmath.inf])
+        with mpmath.workdps(40):
+            assert abs(scaled_expint(s, [eta])[0] / ref - 1) <= 1e-35
+        assert tricomi_u(1.0, 2.0 - s, eta) == pytest.approx(float(ref),
+                                                             rel=1e-14)
+
     @pytest.mark.parametrize("s, eta", [(26.25, 1.5e-3), (31.33, 1.5e-3),
                                         (30.0, 3.1e-3)])
     def test_power_law_tail_at_small_eta(self, s, eta):
