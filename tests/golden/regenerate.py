@@ -6,14 +6,18 @@ Run from the root of a source checkout:
 
 It rewrites every file of OUTPUTS in this directory, and versions.txt, the
 record's header, which names the numpy, scipy and mpmath versions the
-record was made with.  tests/test_golden.py rebuilds the same outputs
-in-process and compares them with the record byte for byte.
+record was made with, and prints what moved: each file's moved lines, old
+and new, and the largest relative change of each column (named by the CSV
+header, or numbered by its place among a text line's numbers).
+tests/test_golden.py rebuilds the same outputs in-process and compares them
+with the record byte for byte.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -62,9 +66,52 @@ def build() -> dict[str, str]:
     return texts
 
 
+_NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def _columns(name: str, header: list[str], line: str) -> list[tuple]:
+    """(column, field) pairs of one record line: a CSV line's fields under
+    the header's names, and a text line's numbers under the line's text
+    with its numbers as # and the number's place."""
+    if name.endswith(".csv"):
+        return list(zip(header, line.split(",")))
+    label = " ".join(_NUMBER.sub("#", line).split())
+    return [(f"{label} [{i + 1}]", x)
+            for i, x in enumerate(_NUMBER.findall(line))]
+
+
+def moved(name: str, old: str, new: str) -> list[str]:
+    """The report of one record: its moved lines, old and new, and the
+    largest relative change of each column whose numbers moved."""
+    old_rows, new_rows = old.splitlines(), new.splitlines()
+    if old_rows == new_rows:
+        return [f"{name}: unchanged"]
+    header = new_rows[0].split(",") if new_rows else []
+    report, largest = [], {}
+    for row, (a, b) in enumerate(zip(old_rows, new_rows), start=1):
+        if a == b:
+            continue
+        report += [f"  {row}: {a}", f"  {row}> {b}"]
+        for (key, x), (_, y) in zip(_columns(name, header, a),
+                                    _columns(name, header, b)):
+            try:
+                change = abs(float(y) - float(x)) / max(abs(float(x)), 1e-300)
+            except ValueError:
+                continue
+            largest[key] = max(largest.get(key, 0.0), change)
+    return ([f"{name}: {len(report) // 2} of {len(new_rows)} lines moved"
+             + (f", {len(old_rows)} rows before" if len(old_rows)
+                != len(new_rows) else "")] + report
+            + [f"  largest relative change in {key}: {change:.2e}"
+               for key, change in largest.items() if change])
+
+
 def main() -> int:
     for name, text in build().items():
-        (HERE / name).write_text(text)
+        path = HERE / name
+        old = path.read_text() if path.exists() else ""
+        print("\n".join(moved(name, old, text)))
+        path.write_text(text)
     (HERE / HEADER).write_text(versions() + "\n")
     return 0
 
