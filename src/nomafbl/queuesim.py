@@ -94,11 +94,14 @@ def simulate_workload(arrivals_per_block: float, services: np.ndarray,
 
     Vectorized through the running-minimum representation of the reflected
     random walk, in place on one new array and one scratch array; returns
-    the backlog after each block and leaves `services` unchanged.  W_k is
-    within 2 sum_{i<=k} |e_i| of the exact recursion from `initial`, e_i
-    the rounding error of the walk's i-th partial sum, with no |e_i| above
-    2^-53 m max|A - S| over m blocks; W_k's own rounding keeps its order
-    against any float level.
+    the backlog after each block and leaves `services` unchanged.  With e_i
+    the rounding error of the walk's i-th partial sum, no |e_i| above
+    2^-53 m max|A - S| over m blocks, W_k exceeds the exact recursion from
+    `initial` by at most |sum_{a<i<=k} e_i|, a the last block up to k where
+    the walk's running minimum fell below both its past and -initial (the
+    queue emptied) or else the start, and falls short of it by at most
+    2 sum_{i<=k} |e_i|; W_k's own rounding keeps its order against any
+    float level.
     """
     walk = np.subtract(arrivals_per_block, services, dtype=float)
     np.cumsum(walk, out=walk)
@@ -143,20 +146,24 @@ def _time_above(w_start, w_end, level, lo, hi, n):
                  np.where(w_start > level, hi - lo, 0.0)))
 
 
-def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n, A,
-               services):
-    """Time the chunk's backlog spends above level within [late_lo, late_hi].
+def _late_time(backlog, carry_w, carry_err, level, start, late_lo, late_hi,
+               n, A, services):
+    """Time the chunk's backlog spends above level within [late_lo, late_hi],
+    and a bound on the error of the chunk's last backlog.
 
     Block k of the chunk is block start + k of the run: it starts at
     (start + k) n and runs linearly from w[k] to w[k + 1], w being the
-    chunk's backlog from A and services after the carried carry_w.  Only
-    blocks that start or end above level are evaluated; every other block
-    adds exactly 0 (_time_above), and a chunk with no such block allocates
-    nothing more.  Where one of them may top level only by the walk's
-    rounding (simulate_workload), level, for the carried backlog too, rises
-    by that bound up to the last such block, each e_i exact by Knuth's
-    TwoSum.  The lengths are summed at their places among zeros, so the
-    float sum is the one over every block."""
+    chunk's backlog from A and services after the carried carry_w, which is
+    within carry_err.  Only blocks that start or end above level are
+    evaluated; every other block adds exactly 0 (_time_above).  Where one
+    of them may top level only by the walk's rounding, each e_i is made
+    exact by Knuth's TwoSum, and each block's level rises by twice the
+    larger bound of its two backlogs (simulate_workload), carry_err added
+    until the queue first empties.  Elsewhere the last backlog's bound is
+    the a priori one.  The lengths are summed at their places among zeros,
+    so the float sum is the one over every block."""
+    reach = 2.0 ** -52 * services.size ** 2 * max(A, np.max(services))
+    last_err = reach / 2.0 + carry_err * (backlog.min() > 0.0)
     high = backlog > level
     above = np.empty_like(high)
     above[0] = carry_w > level
@@ -164,24 +171,31 @@ def _late_time(backlog, carry_w, level, start, late_lo, late_hi, n, A,
     above |= high
     blocks = np.flatnonzero(above)
     if blocks.size == 0:
-        return 0.0
+        return 0.0, last_err
     w_start = np.where(blocks > 0, backlog[blocks - 1], carry_w)
     w_end = backlog[blocks]
-    reach = 2.0 ** -52 * services.size ** 2 * max(A, np.max(services))
-    near = np.flatnonzero(np.maximum(w_start, w_end) <= level + reach)
-    if near.size:       # the walk up to the last such block, by TwoSum
-        steps = np.subtract(A, services[:blocks[near[-1]] + 1], dtype=float)
+    if np.any(np.maximum(w_start, w_end) <= level + reach):
+        steps = np.subtract(A, services, dtype=float)
         walk = np.cumsum(steps)
         prev = np.concatenate(([0.0], walk[:-1]))
         rise = walk - prev      # walk + e = prev + steps, exactly
-        level += 2.0 * float(np.sum(np.abs(
-            (prev - (walk - rise)) + (steps - rise))))
+        errs = np.concatenate(([0.0], np.cumsum(np.abs(
+            (prev - (walk - rise)) + (steps - rise)))))
+        # each bound runs from where the walk's floor last rose (the queue
+        # emptied), or from the chunk start with carry_err
+        rose = np.diff(np.maximum(carry_w, -np.minimum.accumulate(walk)),
+                       prepend=carry_w) > 0.0
+        anchor = np.maximum.accumulate(np.where(rose, np.arange(walk.size), -1))
+        since = errs[1:] - errs[1 + anchor] + carry_err * (anchor < 0)
+        last_err = float(since[-1])
+        level = level + 2.0 * np.maximum(
+            since[blocks], np.where(blocks > 0, since[blocks - 1], carry_err))
     block_t = n * (start + blocks).astype(float)
     lengths = np.zeros(backlog.size)
     lengths[blocks] = _time_above(w_start, w_end, level,
                                   np.clip(late_lo - block_t, 0.0, n),
                                   np.clip(late_hi - block_t, 0.0, n), n)
-    return float(np.sum(lengths))
+    return float(np.sum(lengths)), last_err
 
 
 def run_queue_sim(spec: SimSpec) -> QueueStats:
@@ -206,7 +220,7 @@ def run_queue_sim(spec: SimSpec) -> QueueStats:
     counted = spec.num_blocks - spec.warmup_blocks     # >= 1 by SimSpec
     late_time = 0.0
 
-    carry_w = 0.0
+    carry_w = carry_err = 0.0
     for chunk_index, start in enumerate(range(0, total, _BLOCK_CHUNK)):
         m = min(_BLOCK_CHUNK, total - start)
         services = _chunk_services(spec, m, chunk_index)
@@ -221,8 +235,10 @@ def run_queue_sim(spec: SimSpec) -> QueueStats:
                                                   side="right")
             sum_w += float(np.sum(window))
 
-        late_time += _late_time(backlog, carry_w, mu * spec.d_max, start,
-                                late_lo, late_hi, n, A, services)
+        late, carry_err = _late_time(backlog, carry_w, carry_err,
+                                     mu * spec.d_max, start, late_lo,
+                                     late_hi, n, A, services)
+        late_time += late
         carry_w = float(backlog[-1])
 
     mean_queue = sum_w / counted

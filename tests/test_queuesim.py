@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,6 +248,26 @@ class TestReproducibility:
         assert touches == 16
         stats = _run_frozen(spec, services, chunk, monkeypatch)
         assert stats.delay_violation_freq == 0.0
+
+    def test_bound_runs_from_where_the_queue_emptied(self):
+        # the walk climbs to 1e11 bits over 100 failed blocks, where its
+        # partial sums round by up to 7.6e-6 bits each, then one huge
+        # service empties the queue; after that the backlog grows by 0.25
+        # bits a block near 0 and its last block ends 1e-6 bits above the
+        # level.  A bound over the whole chunk (about 1e-3 bits) left that
+        # block out; the one since the queue emptied is about 1e-12 bits
+        n, A = 400, 1e9 + 0.1
+        services = np.concatenate([[A], np.zeros(100), [101 * A + 1000.0],
+                                   np.full(50, A - 0.25)])
+        backlog = simulate_workload(A, services)
+        exact = sum(Fraction(A) - Fraction(s) for s in services[102:])
+        step = Fraction(A) - Fraction(services[-1])
+        level = float(exact - Fraction(1, 10 ** 6))
+        last = services.size - 1
+        late, _ = queuesim._late_time(backlog, 0.0, 0.0, level, 0, last * n,
+                                      (last + 1) * n, n, A, services)
+        assert late == pytest.approx(
+            n * float((exact - Fraction(level)) / step), rel=1e-6)
 
     def test_delay_window_starts_d_max_after_warmup(self, monkeypatch):
         # 40 counted blocks of an overloaded queue with d_max = 3.8 blocks:
