@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import re
 import sys
 import tempfile
@@ -95,9 +96,10 @@ def moved(name: str, old: str, new: str) -> list[str]:
         for (key, x), (_, y) in zip(_columns(name, header, a),
                                     _columns(name, header, b)):
             try:
-                change = abs(float(y) - float(x)) / max(abs(float(x)), 1e-300)
+                x, y = float(x), float(y)
             except ValueError:
                 continue
+            change = 0.0 if y == x else abs(y - x) / abs(x) if x else math.inf
             largest[key] = max(largest.get(key, 0.0), change)
     return ([f"{name}: {len(report) // 2} of {len(new_rows)} lines moved"
              + (f", {len(old_rows)} rows before" if len(old_rows)
