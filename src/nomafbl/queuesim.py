@@ -94,14 +94,12 @@ def simulate_workload(arrivals_per_block: float, services: np.ndarray,
 
     Vectorized through the running-minimum representation of the reflected
     random walk, in place on one new array and one scratch array; returns
-    the backlog after each block and leaves `services` unchanged.  With e_i
-    the rounding error of the walk's i-th partial sum, no |e_i| above
-    2^-53 m max|A - S| over m blocks, W_k exceeds the exact recursion from
-    `initial` by at most |sum_{a<i<=k} e_i|, a the last block up to k where
-    the walk's running minimum fell below both its past and -initial (the
-    queue emptied) or else the start, and falls short of it by at most
-    2 sum_{i<=k} |e_i|; W_k's own rounding keeps its order against any
-    float level.
+    the backlog after each block and leaves `services` unchanged.  W_k tops
+    the exact recursion from `initial` by at most |sum_{a<i<=k} e_i|, a the
+    last block where the walk's running minimum fell (the queue emptied) or
+    the start, and falls short by at most 2 sum_{i<=k} |e_i|, e_i the
+    rounding of the walk's i-th partial sum (at most 2^-53 m max|A - S|
+    over m blocks); W_k's own rounding keeps its order against any level.
     """
     walk = np.subtract(arrivals_per_block, services, dtype=float)
     np.cumsum(walk, out=walk)
@@ -149,19 +147,17 @@ def _time_above(w_start, w_end, level, lo, hi, n):
 def _late_time(backlog, carry_w, carry_err, level, start, late_lo, late_hi,
                n, A, services):
     """Time the chunk's backlog spends above level within [late_lo, late_hi],
-    and a bound on the error of the chunk's last backlog.
+    and the bound on the chunk's last backlog that the next chunk carries.
 
     Block k of the chunk is block start + k of the run: it starts at
     (start + k) n and runs linearly from w[k] to w[k + 1], w being the
-    chunk's backlog from A and services after the carried carry_w, which is
-    within carry_err.  Only blocks that start or end above level are
-    evaluated; every other block adds exactly 0 (_time_above).  Where one
-    of them may top level only by the walk's rounding, each e_i is made
-    exact by Knuth's TwoSum, and each block's level rises by twice the
-    larger bound of its two backlogs (simulate_workload), carry_err added
-    until the queue first empties.  Elsewhere the last backlog's bound is
-    the a priori one.  The lengths are summed at their places among zeros,
-    so the float sum is the one over every block."""
+    chunk's backlog after the carried carry_w (within carry_err).  Only
+    blocks that start or end above level are evaluated; every other adds
+    exactly 0 (_time_above).  Where one may top level only by the walk's
+    rounding, each block's level rises by twice its backlogs' larger bound
+    (simulate_workload, e_i exact by Knuth's TwoSum, plus carry_err until
+    the queue empties).  The lengths are summed at their places among
+    zeros, so the float sum is the one over every block."""
     reach = 2.0 ** -52 * services.size ** 2 * max(A, np.max(services))
     last_err = reach / 2.0 + carry_err * (backlog.min() > 0.0)
     high = backlog > level
@@ -181,12 +177,10 @@ def _late_time(backlog, carry_w, carry_err, level, start, late_lo, late_hi,
         rise = walk - prev      # walk + e = prev + steps, exactly
         errs = np.concatenate(([0.0], np.cumsum(np.abs(
             (prev - (walk - rise)) + (steps - rise)))))
-        # each bound runs from where the walk's floor last rose (the queue
-        # emptied), or from the chunk start with carry_err
         rose = np.diff(np.maximum(carry_w, -np.minimum.accumulate(walk)),
                        prepend=carry_w) > 0.0
-        anchor = np.maximum.accumulate(np.where(rose, np.arange(walk.size), -1))
-        since = errs[1:] - errs[1 + anchor] + carry_err * (anchor < 0)
+        first = np.maximum.accumulate(rose * np.arange(1, walk.size + 1))
+        since = errs[1:] - errs[first] + carry_err * (first == 0)
         last_err = float(since[-1])
         level = level + 2.0 * np.maximum(
             since[blocks], np.where(blocks > 0, since[blocks - 1], carry_err))
