@@ -13,6 +13,7 @@ its own user's gain, never the joint law of the pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,6 +124,18 @@ def ordered_mixture(k: int, V: int):
     _check_order(k, V)
     return (beta_fn(k, V - k + 1), tuple(range(V - k + 1, V + 1)),
             tuple((-1) ** r * math.comb(k - 1, r) for r in range(k)))
+
+
+@functools.lru_cache(maxsize=4)
+def ordered_taylor(k: int, V: int, terms: int):
+    """B times ordered_pdf's Taylor coefficients at 0 below x^terms, each an
+    integer ratio rounded once, and sum_r |w_r| lambda_r^terms / terms!,
+    which bounds B |f^(terms)| / terms! on x >= 0 (ordered_mixture)."""
+    _, rates, weights = ordered_mixture(k, V)
+    return (tuple(sum(w * (-rate) ** i for w, rate in zip(weights, rates))
+                  / math.factorial(i) for i in range(terms)),
+            sum(abs(w) * rate ** terms for w, rate in zip(weights, rates))
+            / math.factorial(terms))
 
 
 def ordered_cdf(x, k: int, V: int):

@@ -17,7 +17,8 @@ isolates the expansion error itself, which the closed forms also bound and
 report.
 
 Both closed forms sum I_s ladders that specfun.expint_ladders builds and
-seeds, in float or at the decimal context's digits.
+seeds, in float or at the decimal context's digits; the strong user's
+float route splits each moment at x0 (_strong_split).
 
 scipy.integrate, which only the quadrature oracle uses, is imported on the
 first ec_quadrature call (or the first read of ``eccalc.integrate``), not
@@ -36,18 +37,20 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 
 from .channel import (SystemConfig, gain_for_gamma, gamma_for_role,
-                      ordered_mixture, ordered_quantile, sample_gain,
-                      scalar_integrand)
+                      ordered_mixture, ordered_quantile, ordered_taylor,
+                      sample_gain, scalar_integrand)
 from .fblrate import (LN2, ec_kernel, expansion_coeffs, expansion_error_coeffs,
                       expansion_order, make_kernel_params, rate_minimum,
                       scalar_kernel)
-from .specfun import ConvergenceError, expint_ladders
+from .specfun import ConvergenceError, expint_ladders, power_moments
 
 _MC_CHUNK = 1 << 16
 _MACHEPS = np.finfo(float).eps
-# Significant digits of the strong user's sum (see _strong_moments): its
-# float pass and its Decimal pass, the least each keeps, the redo's spare
-_FLOAT_DIGITS, _FLOAT_DIGITS_KEPT = 16, 10
+# The strong user's sum (_strong_moments): the float split's point, Taylor
+# terms, ladder error and least digits kept; the Decimal pass's digits, the
+# least it keeps and the redo's spare
+_SPLIT_X0, _SPLIT_TERMS, _LADDER_REL, _FLOAT_DIGITS_KEPT = (
+    0.5, 50, 64 * _MACHEPS, 10)
 _SUM_DIGITS, _SUM_DIGITS_KEPT, _SUM_DIGITS_SPARE = 50, 20, 30
 # Relative tolerance of the kernel expansion order and the weak-user series
 SERIES_REL_TOL = 1e-10
@@ -114,11 +117,11 @@ class EcResult:
                      gap to the exact-kernel value
     note             how the value was made, for closed forms including the
                      expansion order and both bounds, and for the strong
-                     user the route of its sum and the digits it lost
-                     (_strong_moments), for quadrature the
-                     kernel and QUADPACK's integrand evaluations and
-                     subintervals; a negative value adds, once, that its
-                     delay exponent is infeasible
+                     user the route of its sum ("split at x0", "sum at 50
+                     digits", "redone at D digits"; _strong_moments) and the
+                     digits it lost; for quadrature the kernel and QUADPACK's
+                     integrand evaluations and subintervals; a negative
+                     value adds, once, that its delay exponent is infeasible
     """
 
     value: float
@@ -371,53 +374,78 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
             tail <= SERIES_REL_TOL * scale, "")
 
 
-def _strong_pass(cfg: SystemConfig, zeta, a, num):
-    """One pass of the strong user's sum in the number type num, float or
-    Decimal (at the context's precision), which the float inputs enter
-    exactly: the moments, their magnitude xi d sum_j |a_j| sum_i |w_i I_i|
-    and the digits the a-weighted sum of the moments loses against it."""
+@np.errstate(all="ignore")
+def _strong_split(cfg: SystemConfig, zeta, a):
+    """The strong moments mu(m) = int (1 + c x)^-m f(x) dx, m = -2 zeta + 2j,
+    c = rho alpha_u, split at x0 = _SPLIT_X0, in float: the moments, a bound
+    on the error of sum_j a_j mu_j, the digits that sum loses and whether it
+    keeps _FLOAT_DIGITS_KEPT.  The head sums the Taylor terms (ordered_taylor)
+    over power_moments, the tail sum_r (w_r / B) e^(-lambda_r x0) Y^-m
+    (d + x0) I_m(lambda_r (d + x0)), Y = 1 + c x0, d = 1 / c, float ladders."""
+    c, x0, k_max = cfg.rho * cfg.alpha_u, _SPLIT_X0, _SPLIT_TERMS
     b_fn, rates, weights = ordered_mixture(cfg.u, cfg.V)
-    d = 1 / num(cfg.rho * cfg.alpha_u)
-    xi_d = d / num(b_fn)
+    taylor, remainder = ordered_taylor(cfg.u, cfg.V, k_max)
+    ms = -2.0 * zeta + 2.0 * np.arange(a.size)
+    logs, errs = power_moments(ms[0], a.size, k_max, c, x0)
+    d_x0, rates = 1.0 / c + x0, np.array(rates)[:, None]
+    expo = -x0 * rates - ms * math.log1p(c * x0)
+    ladders = np.array(expint_ladders((rates[:, 0] * d_x0).tolist(),
+                                      2 * (a.size - 1), ms[0]))[:, ::2]
+    head = np.array(taylor) / b_fn * np.exp(logs[:, :-1])
+    tail = np.array(weights)[:, None] / b_fn * d_x0 * np.exp(expo) * ladders
+    moments = np.sum(head, axis=1) + np.sum(tail, axis=0)
+    mags = np.sum(np.abs(head), axis=1) + np.sum(np.abs(tail), axis=0)
+    err = math.fsum(np.abs(a) * (np.sum(np.abs(head) * errs[:, :-1], axis=1)
+        + remainder / b_fn * np.exp(logs[:, -1]) * (1.0 + errs[:, -1])
+        + np.sum(np.abs(tail) * (_LADDER_REL + _MACHEPS * np.abs(expo)), 0)
+        + (k_max + cfg.u + 16) * _MACHEPS * mags))
+    total = abs(math.fsum(a * moments))
+    lost = float(np.log10(np.float64(math.fsum(np.abs(a) * mags)) / total))
+    return moments, err, lost, err <= 10.0 ** -_FLOAT_DIGITS_KEPT * total
+
+
+def _strong_pass(cfg: SystemConfig, zeta, a):
+    """One Decimal pass of the strong sum over the whole line at the
+    context's precision, which the float inputs enter exactly: the moments,
+    their magnitude xi d sum_j |a_j| sum_i |w_i I_i| and the digits lost."""
+    b_fn, rates, weights = ordered_mixture(cfg.u, cfg.V)
+    d = 1 / Decimal(cfg.rho * cfg.alpha_u)
+    xi_d = d / Decimal(b_fn)
     ladders = expint_ladders([rate * d for rate in rates], 2 * (a.size - 1),
-                             -2 * num(zeta))
+                             -2 * Decimal(zeta))
     terms = [w * ladder[::2] for w, ladder in zip(weights, ladders)]
     moments = xi_d * sum(terms)
-    a_num = [num(x) for x in a]
+    a_num = [Decimal(x) for x in a]
     scale = xi_d * sum(abs(x) * y for x, y in zip(a_num, sum(np.abs(terms))))
     total = abs(sum(x * y for x, y in zip(a_num, moments)))
     return moments, scale, math.log10(scale / total) if total else math.inf
 
 
 def _strong_moments(cfg: SystemConfig, zeta, a):
-    """Strong-user moments E[(1+g)^(2 zeta - 2j)] and their rounding error,
-    integrated term by term over the ordered density's exponentials.
-
-    The interference-free SNR is linear in the gain, so each moment is an
-    alternating sum of I_s(eta) = U(1, 2 - s, eta) at s = -2 zeta + 2j; per
-    eta all of them sit on one ladder of the real-order recurrence, and the
-    u ladders take their seeds from one call per seed order.  The sum
-    cancels up to about 30 digits.  A float pass (_strong_pass) stands
-    where at least _FLOAT_DIGITS_KEPT of its _FLOAT_DIGITS digits survive;
-    otherwise the ladders and the sum run in Decimal at _SUM_DIGITS digits,
-    and where fewer than _SUM_DIGITS_KEPT digits survive, once more at
-    _SUM_DIGITS_SPARE more digits than were lost.  The error is
-    10^(4 - digits) times the magnitude; the sum has no term budget, so it
-    reports no term count and always counts as converged.  The route is
-    "float sum", "sum at 50 digits" or "redone at D digits", with the
-    digits its last pass lost.
+    """Strong-user moments E[(1+g)^(2 zeta - 2j)] and the error of their
+    a-weighted sum.  The SNR is linear in the gain, so over the whole line
+    each moment is an alternating sum of I_s(eta) at s = -2 zeta + 2j over
+    the density's exponentials, which cancels by up to about 30 digits.
+    The split at x0 (_strong_split) cancels far less and stands where its
+    bound keeps _FLOAT_DIGITS_KEPT digits; else the whole line runs in
+    Decimal (_strong_pass) at _SUM_DIGITS digits, and where fewer than
+    _SUM_DIGITS_KEPT survive, once more at _SUM_DIGITS_SPARE more than were
+    lost, with error 10^(4 - digits) times the magnitude.  No term budget,
+    so no term count and always converged.  The route, "split at x0",
+    "sum at 50 digits" or "redone at D digits", and the digits its last
+    pass lost make the note.
     """
-    moments, scale, lost = _strong_pass(cfg, zeta, a, float)
-    digits, route = _FLOAT_DIGITS, "float sum"
-    if digits - lost < _FLOAT_DIGITS_KEPT:
-        digits, route = _SUM_DIGITS, f"sum at {_SUM_DIGITS} digits"
-        for redo in (False, True):
-            with localcontext(Context(prec=digits)):
-                moments, scale, lost = _strong_pass(cfg, zeta, a, Decimal)
-            if redo or digits - lost >= _SUM_DIGITS_KEPT:
-                break
-            digits = math.ceil(lost) + _SUM_DIGITS_SPARE
-            route = f"redone at {digits} digits"
+    moments, err, lost, kept = _strong_split(cfg, zeta, a)
+    if kept:
+        return moments, err, None, True, f"split at x0, {lost:.2f} digits lost"
+    digits, route = _SUM_DIGITS, f"sum at {_SUM_DIGITS} digits"
+    for redo in (False, True):
+        with localcontext(Context(prec=digits)):
+            moments, scale, lost = _strong_pass(cfg, zeta, a)
+        if redo or digits - lost >= _SUM_DIGITS_KEPT:
+            break
+        digits = math.ceil(lost) + _SUM_DIGITS_SPARE
+        route = f"redone at {digits} digits"
     return (moments.astype(float), 10.0 ** (4 - digits) * float(scale),
             None, True, f"{route}, {lost:.2f} digits lost")
 

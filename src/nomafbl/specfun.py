@@ -22,14 +22,10 @@ tests' seed box expn is within 7 units of 2^-52 relative and the other
 routes within 4.
 
 scaled_expint gives e^eta E_s(eta) for one real s and a sequence of eta at
-mpmath's working precision.  It seeds the strong user's Decimal ladders:
-their alternating sum can cancel up to about 30 digits, so where a float
-pass keeps too few digits the ladders run in extended precision.  Below
-eta = 32 a non-integer order is the direct sum, redone with more guard bits
-where its two terms cancel.  A call makes Gamma(1-s) once, and again per
-redo guard, and sums the 1F1 series of all its eta in one fixed-point pass:
-the denominators 2 - s + k and the terms at the largest eta are made once,
-and each eta adds one Horner pass of a multiply and a shift per term.
+mpmath's working precision.  It seeds the strong user's Decimal ladders,
+whose sum over the whole line can cancel up to about 30 digits, for the
+rows that the float split at x0 cannot hold to 10 digits; power_moments
+gives that split's head, the power moments of (1 + c x)^-m on [0, x0].
 
 The float routes are pure and thread-safe.  scaled_expint reads mpmath's
 working precision, which is process-wide (mp.workdps sets it for every
@@ -67,6 +63,8 @@ _EXPN_ORDER, _CF_ORDER, _FLOAT_LOST = 50.0, 20.0, 4.0
 _LNGAMMA_COEFFS = (special.zetac(np.arange(2, 30))
                    / np.arange(2, 30)).tolist()
 _SEED_LOCK = threading.Lock()
+# power_moments' hyp2f1 limit in Y; scipy's error allowed, 4x its worst
+_HYP2F1_Y, _BETAINC_REL, _HYP2F1_REL = 10.0, 1e-13, 1e-13
 
 
 class ConvergenceError(RuntimeError):
@@ -433,6 +431,57 @@ def expint_ladders(etas, s_max: int, s0=0.0) -> list[np.ndarray]:
             rungs.append((1 - eta * rungs[-1]) / (s0 + k))
         ladders.append(np.array(rungs, dtype=object if extended else float))
     return ladders
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def power_moments(m0: float, rows: int, k_max: int, c: float, x0: float):
+    """ln P and a bound on P's relative error, P[j, k] = int_0^x0 x^k
+    (1 + c x)^-m dx = c^-(k+1) B_t0(k+1, b), m = m0 + 2j > 0, b = m - k - 1,
+    t0 = c x0 / Y, Y = 1 + c x0, j < rows, k <= k_max <= 50.  Where b > 0,
+    c^-(k+1) B(k+1, b) betainc(k+1, b, t0), ln B by the ratios k / b from
+    B(1, m - 1); else x0^(k+1) Y^-m 2F1(m, 1; k+2; t0) / (k+1) (DLMF 8.17.8)
+    by hyp2f1 below Y = _HYP2F1_Y, and above, where it is up to 1.2e-11 off
+    at an integer m, by S(k) = (Y - k S(k-1)) / (-b (Y - 1)) (by parts) from
+    betainc's last cell, the closed form at k = 0 or at b = 0 t0^-m (ln Y -
+    sum_{i<m} t0^i / i).  The bound adds all rounding and scipy's error."""
+    y, ln_y = 1.0 + c * x0, math.log1p(c * x0)
+    t0, ln_c = c * x0 / y, math.log(c)
+    m = m0 + 2.0 * np.arange(rows)[:, None]
+    k = np.arange(k_max + 1.0)
+    pos = (b := m - k - 1.0) > 0.0
+    steps = np.log(np.where(pos, np.concatenate(
+        [1.0 / (m - 1.0), k[1:] / b[:, 1:]], axis=1), 1.0))
+    ln_i = np.log(special.betainc(k + 1.0, np.where(pos, b, 1.0), t0))
+    logs = np.cumsum(steps, axis=1) + ln_i - (k + 1.0) * ln_c
+    sens = np.exp(np.minimum((k + 1.0) * (math.log(t0) - ln_c) - logs
+                             - (b - 1.0) * ln_y, 700.0))    # t0 f(t0) / I
+    errs = _BETAINC_REL + _EPS * (4.0 * (sens + np.abs(ln_i) + (k + 1.0) * abs(
+        ln_c) + 4.0) + np.cumsum(np.abs(steps) + 2.0, axis=1))
+    shift = m * ln_y - (k + 1.0) * math.log(x0)     # ln(Y^m / x0^(k+1))
+    if y < _HYP2F1_Y:
+        mm, kk = (x[~pos] for x in np.broadcast_arrays(m, k))
+        s, e_s = np.ones(b.shape), _HYP2F1_REL + 4.0 * _EPS * y
+        s[~pos] = special.hyp2f1(mm, 1.0, kk + 2.0, t0) / (kk + 1.0)
+    else:
+        part = np.concatenate(([0.0], np.cumsum(t0 ** k[1:] / k[1:])))
+        part = part[np.clip(m - 1.0, 0, k_max).astype(int)]
+        given = pos | (b == 0.0) | (k == 0.0)
+        alpha = np.where(pos, np.exp(logs + shift), np.where(
+            b == 0.0, t0 ** -m * (ln_y - part),
+            y * np.expm1((m - 1.0) * ln_y) / ((y - 1.0) * (m - 1.0))))
+        e_a = np.where(pos, errs + 2.0 * _EPS * (np.abs(logs) + np.abs(
+            shift)), 4.0 * _EPS * np.where(b == 0.0, (m + 2.0) * (
+                ln_y + part) / (ln_y - part), 1.0 + np.abs((m - 1.0) * ln_y)))
+        # S(k) = alpha_k + beta_k S(k-1) from each row's last given cell
+        alpha = np.where(given, alpha, y / (-b * (y - 1.0))) * ~(
+            given & np.roll(given, -1, axis=1) & (k < k_max))
+        scale = np.cumprod(np.where(given, 1.0, k / (b * (y - 1.0))), axis=1)
+        s = scale * np.cumsum(alpha / scale, axis=1)
+        e_s = np.abs(scale / s) * np.cumsum(np.abs(alpha / scale) * (
+            np.where(given, e_a, 0.0) + (6 * k_max + 8) * _EPS), axis=1)
+    logs = np.where(pos, logs, np.log(s) - shift)
+    return logs, np.where(pos, errs, e_s + 2.0 * _EPS * (
+        np.abs(logs) + np.abs(shift)))
 
 
 # ---------------------------------------------------------------------------

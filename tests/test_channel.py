@@ -14,7 +14,7 @@ import nomafbl
 from nomafbl.channel import (SystemConfig, _mirror_order_gain, db_to_linear,
                              gain_for_gamma, gamma_for_role, ordered_cdf,
                              ordered_mixture, ordered_pdf, ordered_quantile,
-                             sample_gain)
+                             ordered_taylor, sample_gain)
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, rho=100.0, n=300,
             eps=1e-5, theta_t=0.01, theta_u=0.01)
@@ -131,6 +131,22 @@ class TestGainStatistics:
             (np.abs(terms) * (k + exponents)).sum(axis=0)
             + pdf * (k + V * xs))
         assert np.all(np.abs(terms.sum(axis=0) - pdf) <= bound)
+
+    @pytest.mark.parametrize("V,k", [(2, 1), (10, 8), (20, 17), (40, 13)])
+    def test_taylor_terms_are_the_density(self, V, k):
+        # the terms below x^(k-1) vanish exactly, and on [0, 0.5] the sum of
+        # the first 50 terms is B times the density within the remainder
+        # bound, at 60 digits
+        terms, remainder = ordered_taylor(k, V, 50)
+        assert all(c == 0.0 for c in terms[:k - 1]) and terms[k - 1] != 0.0
+        with mpmath.workdps(60):
+            for x in (0.05, 0.25, 0.5):
+                x = mpmath.mpf(x)
+                exact = (mpmath.exp(-(V - k + 1) * x)
+                         * (-mpmath.expm1(-x)) ** (k - 1))
+                head = mpmath.fsum(c * x ** i for i, c in enumerate(terms))
+                assert abs(head - exact) <= remainder * x ** 50 + 1e-15 * (
+                    mpmath.fsum(abs(c) * x ** i for i, c in enumerate(terms)))
 
     def test_mixture_refuses_a_bad_order(self):
         for k, V in ((0, 10), (11, 10)):

@@ -641,20 +641,21 @@ class TestClosedForms:
         assert closed.converged
         assert abs(closed.value - oracle.value) <= closed.tail_bound
 
-    @pytest.mark.parametrize("rho_db, theta, orders, gammas", [
-        (20.0, 0.1082636733874054, 1, 1),   # the fig5 grid point: k0 = 0
-        (20.0, 0.1, 1, 0),      # order theta n = 40: expint, no Gamma
-        (20.0, 1e-4, 1, 1),     # order 2.04: k0 = 2 for all 8 etas
-        (15.0, 1e-4, 2, 2),     # orders 2.04 and 3.04, 4 etas each
-    ])
+    @pytest.mark.parametrize("rho_db, theta, tail_orders, orders, gammas", [
+        (20.0, 0.1082636733874054, 1, 1, 1),  # the fig5 grid point: k0 = 0
+        (20.0, 0.1, 1, 1, 0),   # order theta n = 40: expint, no Gamma
+        (20.0, 1e-4, 5, 1, 1),  # order 2.04: k0 = 2 for all 8 etas
+        (15.0, 1e-4, 6, 2, 2),  # orders 2.04 and 3.04, 4 etas each
+    ], ids=["20.0-0.1082636733874054-1-1", "20.0-0.1-1-0", "20.0-0.0001-1-1",
+            "15.0-0.0001-2-2"])     # rho_db-theta-orders-gammas
     def test_strong_row_seeds_once_per_order(self, monkeypatch, rho_db,
-                                             theta, orders, gammas):
-        # fig5 rows: the float pass makes one tricomi_u call per distinct
-        # seed order for all u ladders of the row, and the 50-digit pass
-        # one scaled_expint call, which makes Gamma(1 - s) once per
-        # non-integer order; each is counted on its own.  scaled_expint is
-        # counted from the 50-digit pass on, as tricomi_u itself calls it
-        # at 53 bits for a seed that no float route holds
+                                             theta, tail_orders, orders,
+                                             gammas):
+        # fig5 rows: the split's tail makes one tricomi_u call per distinct
+        # seed order for all u ladders of the row, at eta = lambda (d + x0),
+        # and the 50-digit pass over the whole line one scaled_expint call
+        # per order, which makes Gamma(1 - s) once per non-integer order;
+        # each is counted on its own
         float_seed, exact_seed = specfun.tricomi_u, specfun.scaled_expint
         gamma = mpmath.mp.gamma
         seeds, exact_seeds, calls = [], [], []
@@ -664,23 +665,23 @@ class TestClosedForms:
                        theta_u=theta)
         kp = make_kernel_params(theta, cfg.n, cfg.eps)
         a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
-        eccalc._strong_pass(cfg, kp.zeta, a, float)
+        assert eccalc._strong_split(cfg, kp.zeta, a)[3]
         monkeypatch.setattr(specfun, "scaled_expint", lambda s, etas: (
             exact_seeds.append((s, len(etas))) or exact_seed(s, etas)))
         monkeypatch.setattr(mpmath.mp, "gamma",
                             lambda *args: calls.append(args) or gamma(*args))
         with decimal.localcontext(decimal.Context(prec=50)):
-            eccalc._strong_pass(cfg, kp.zeta, a, Decimal)
-        for made in (seeds, exact_seeds):
-            assert len(made) == len({s for s, _ in made}) == orders
+            eccalc._strong_pass(cfg, kp.zeta, a)
+        for made, count in ((seeds, tail_orders), (exact_seeds, orders)):
+            assert len(made) == len({s for s, _ in made}) == count
             assert sum(n for _, n in made) == cfg.u
         assert len(calls) == gammas
 
     def test_strong_note_names_its_route(self):
         # every fig5 row names one route and the digits its last pass lost;
-        # the float sum stands exactly where the 50-digit pass loses at
-        # most 6 digits, and a 50-digit note gives that pass's loss
-        routes = ("float sum,", "sum at 50 digits,", "redone at ")
+        # the split stands exactly where its bound keeps 10 digits, and a
+        # 50-digit note gives that pass's loss
+        routes = ("split at x0,", "sum at 50 digits,", "redone at ")
         spec = figure_preset("fig5")
         kept = 0
         for rho_db in spec.rho_db_variants:
@@ -692,14 +693,65 @@ class TestClosedForms:
                 assert len(named) == 1
                 kp = make_kernel_params(theta, cfg.n, cfg.eps)
                 a = expansion_coeffs(kp.beta, res.expansion_order)
-                with decimal.localcontext(decimal.Context(prec=50)):
-                    lost = eccalc._strong_pass(cfg, kp.zeta, a, Decimal)[2]
-                assert (named[0] == "float sum,") == (lost <= 6.0)
+                split = eccalc._strong_split(cfg, kp.zeta, a)
+                assert (named[0] == "split at x0,") == split[3]
+                if split[3]:
+                    assert res.note.startswith(
+                        f"split at x0, {split[2]:.2f} digits lost;")
                 if named[0] == "sum at 50 digits,":
+                    with decimal.localcontext(decimal.Context(prec=50)):
+                        lost = eccalc._strong_pass(cfg, kp.zeta, a)[2]
                     assert res.note.startswith(
                         f"sum at 50 digits, {lost:.2f} digits lost;")
-                kept += named[0] == "float sum,"
-        assert kept == 39
+                kept += named[0] == "split at x0,"
+        assert kept == 90
+
+    def test_no_preset_strong_row_sums_in_decimal(self, monkeypatch):
+        # every strong row of fig3-fig6 and of validate at 0-30 dB takes the
+        # float split: none calls the Decimal pass
+        passes = []
+        decimal_pass = eccalc._strong_pass
+        monkeypatch.setattr(eccalc, "_strong_pass", lambda *args: (
+            passes.append(args) or decimal_pass(*args)))
+        rows = 0
+        for name in ("fig3", "fig4", "fig5", "fig6"):
+            spec = figure_preset(name)
+            if "strong" not in spec.roles:
+                continue
+            for rho_db in spec.rho_db_variants or (None,):
+                for value in spec.grid:
+                    cfg = (replace(spec.base, rho=db_to_linear(value))
+                           if spec.axis == "rho_db" else
+                           replace(spec.base, rho=db_to_linear(rho_db),
+                                   theta_t=value, theta_u=value))
+                    ec_closed_strong(cfg, EvalControls())
+                    rows += 1
+        for rho_db in (0.0, 10.0, 20.0, 30.0):
+            ec_closed_strong(make_cfg(rho_db=rho_db), EvalControls())
+            rows += 1
+        assert rows == 175
+        assert passes == []
+
+    @pytest.mark.parametrize("cfg, route", [
+        # u = 16 of 17 at 7.9 dB: the split keeps too few digits, and the
+        # sum over the whole line loses 21 of its 50
+        (SystemConfig(V=17, t=10, u=16, alpha_t=0.978, alpha_u=0.022,
+                      rho=db_to_linear(7.886), n=1423, eps=3.43e-9,
+                      theta_t=0.3, theta_u=0.3), "sum at 50 digits, 21."),
+        # there it loses 31.4 and is redone at 62
+        (SystemConfig(V=19, t=13, u=16, alpha_t=0.9096, alpha_u=0.0904,
+                      rho=db_to_linear(-0.445), n=1426, eps=3.8e-7,
+                      theta_t=2.33, theta_u=2.33), "redone at 62 digits"),
+    ], ids=["sum-at-50", "redone"])
+    def test_strong_sum_past_the_split(self, cfg, route):
+        ctl = EvalControls(quad_rel_tol=1e-12)
+        closed = ec_closed_strong(cfg, ctl)
+        assert closed.note.startswith(route)
+        oracle = ec_quadrature(cfg, "strong", ctl, "approx",
+                               closed.expansion_order)
+        assert closed.value == pytest.approx(oracle.value, rel=1e-10)
+        assert abs(closed.value - oracle.value) <= \
+            closed.tail_bound + oracle.tail_bound
 
     @pytest.mark.parametrize("cfg", [
         # worst float64 sum of the benchmark's reference points (9e-6)

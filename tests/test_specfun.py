@@ -7,8 +7,8 @@ from scipy import special as sp
 
 from nomafbl import specfun
 from nomafbl.specfun import (beta_fn, exp_integral_ei, expint_ladders,
-                             gaussian_q, gaussian_q_inv, scaled_expint,
-                             tricomi_u)
+                             gaussian_q, gaussian_q_inv, power_moments,
+                             scaled_expint, tricomi_u)
 
 
 class TestGaussianQInv:
@@ -319,6 +319,44 @@ class TestTricomiU:
     def test_domain(self, a, z):
         with pytest.raises(ValueError):
             tricomi_u(a, 1.0, z)
+
+
+class TestPowerMoments:
+    @pytest.mark.parametrize("cx0, m0", [
+        (0.1, 0.04), (0.1, 3.0), (0.5, 4000.3), (3.16, 7.7), (9.0, 40.0),
+        # Y = 1 + c x0 = 11, t0 = 0.909: an integer m, where hyp2f1(72, 1,
+        # 79, 0.909) is 3.9e-10 off, takes the recurrence in k
+        (10.0, 40.0), (10.0, 3.0), (31.6, 0.04), (31.6, 400.0),
+        (199.0, 20.5), (199.0, 1.0), (1000.0, 3.0), (1000.0, 41.3),
+        # u = 17 at 48.9 dB (c = 0.4 rho) with theta n = 501
+        (15_500.0, 501.0),
+    ])
+    def test_within_its_bound_of_mpmath(self, cx0, m0):
+        # t0 from 0.09 to 0.999, m from 0.04 to 4032, both signs of b and
+        # the cells around b = 0, against B_t0(k+1, b) at 30 digits
+        x0, rows = 0.5, 17
+        c = cx0 / x0
+        logs, errs = power_moments(m0, rows, 50, c, x0)
+        with mpmath.workdps(30):
+            t0 = mpmath.mpf(c) * x0 / (1 + mpmath.mpf(c) * x0)
+            for j in (0, 3, 16):
+                m = m0 + 2 * j
+                near = range(max(0, math.ceil(m) - 3), min(51, math.ceil(m) + 2))
+                for k in sorted({*range(0, 51, 7), 50, *near}):
+                    exact = (mpmath.log(mpmath.betainc(k + 1, m - k - 1, 0, t0))
+                             - (k + 1) * mpmath.log(c))
+                    assert abs(logs[j, k] - exact) <= errs[j, k], (j, k)
+
+    def test_bound_stays_small_on_the_presets(self):
+        # the head cells of the presets' Taylor terms that carry weight
+        # (k = u - 1 = 7 to 29) keep their bound below the split's 10-digit
+        # rule at 0-40 dB and theta n from 0.04 to 400; it is loosest near
+        # Y = _HYP2F1_Y, where the recurrence starts (3.6e-11 at 20 dB)
+        for rho_db in range(0, 41, 5):
+            c = 0.2 * 10.0 ** (rho_db / 10.0)
+            for m0 in (0.04, 3.0, 12.5, 400.0):
+                errs = power_moments(m0, 17, 50, c, 0.5)[1]
+                assert np.max(errs[:, 7:30]) < 1e-10, (rho_db, m0)
 
 
 class TestBetaFn:
