@@ -96,10 +96,10 @@ def simulate_workload(arrivals_per_block: float, services: np.ndarray,
     random walk, in place on one new array and one scratch array; returns
     the backlog after each block and leaves `services` unchanged.  W_k tops
     the exact recursion from `initial` by at most |sum_{a<i<=k} e_i|, a the
-    last block where the walk's running minimum fell (the queue emptied) or
-    the start, and falls short by at most 2 sum_{i<=k} |e_i|, e_i the
-    rounding of the walk's i-th partial sum (at most 2^-53 m max|A - S|
-    over m blocks); W_k's own rounding keeps its order against any level.
+    last block up to k with W_a = 0 (the walk's running minimum) or the
+    start, and falls short by at most 2 sum_{i<=k} |e_i|, e_i the rounding
+    of the walk's i-th partial sum (at most 2^-53 m max|A - S| over m
+    blocks); W_k's own rounding keeps its order against any level.
     """
     walk = np.subtract(arrivals_per_block, services, dtype=float)
     np.cumsum(walk, out=walk)
@@ -159,7 +159,8 @@ def _late_time(backlog, carry_w, carry_err, level, start, late_lo, late_hi,
     the queue empties).  The lengths are summed at their places among
     zeros, so the float sum is the one over every block."""
     reach = 2.0 ** -52 * services.size ** 2 * max(A, np.max(services))
-    last_err = reach / 2.0 + carry_err * (backlog.min() > 0.0)
+    last_err = (reach / 2.0 + carry_err * (backlog.min() > 0.0)) * (
+        backlog[-1] > 0.0)      # an empty queue is at most its exact value
     high = backlog > level
     above = np.empty_like(high)
     above[0] = carry_w > level
@@ -171,17 +172,16 @@ def _late_time(backlog, carry_w, carry_err, level, start, late_lo, late_hi,
     w_start = np.where(blocks > 0, backlog[blocks - 1], carry_w)
     w_end = backlog[blocks]
     if np.any(np.maximum(w_start, w_end) <= level + reach):
-        steps = np.subtract(A, services, dtype=float)
+        steps = np.subtract(A, services[:blocks[-1] + 1], dtype=float)
         walk = np.cumsum(steps)
         prev = np.concatenate(([0.0], walk[:-1]))
         rise = walk - prev      # walk + e = prev + steps, exactly
         errs = np.concatenate(([0.0], np.cumsum(np.abs(
             (prev - (walk - rise)) + (steps - rise)))))
-        rose = np.diff(np.maximum(carry_w, -np.minimum.accumulate(walk)),
-                       prepend=carry_w) > 0.0
-        first = np.maximum.accumulate(rose * np.arange(1, walk.size + 1))
+        first = np.maximum.accumulate(   # 1 + the last block that emptied
+            (backlog[:walk.size] == 0.0) * np.arange(1, walk.size + 1))
         since = errs[1:] - errs[first] + carry_err * (first == 0)
-        last_err = float(since[-1])
+        last_err = float(since[-1]) if since.size == backlog.size else last_err
         level = level + 2.0 * np.maximum(
             since[blocks], np.where(blocks > 0, since[blocks - 1], carry_err))
     block_t = n * (start + blocks).astype(float)

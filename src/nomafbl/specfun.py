@@ -458,7 +458,7 @@ def power_moments(m0: float, rows: int, k_max: int, c: float, x0: float):
     errs = _BETAINC_REL + _EPS * (4.0 * (sens + np.abs(ln_i) + (k + 1.0) * abs(
         ln_c) + 4.0) + np.cumsum(np.abs(steps) + 2.0, axis=1))
     shift = m * ln_y - (k + 1.0) * math.log(x0)     # ln(Y^m / x0^(k+1))
-    if y < _HYP2F1_Y:
+    if y < _HYP2F1_Y or pos.all():
         mm, kk = (x[~pos] for x in np.broadcast_arrays(m, k))
         s, e_s = np.ones(b.shape), _HYP2F1_REL + 4.0 * _EPS * y
         s[~pos] = special.hyp2f1(mm, 1.0, kk + 2.0, t0) / (kk + 1.0)
