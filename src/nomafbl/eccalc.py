@@ -395,7 +395,8 @@ def _strong_split(cfg: SystemConfig, zeta, a):
     tail = np.array(weights)[:, None] / b_fn * d_x0 * np.exp(expo) * ladders
     moments = np.sum(head, axis=1) + np.sum(tail, axis=0)
     mags = np.sum(np.abs(head), axis=1) + np.sum(np.abs(tail), axis=0)
-    err = math.fsum(np.abs(a) * (np.sum(np.abs(head) * errs[:, :-1], axis=1)
+    err = math.fsum(np.abs(a) * (
+        np.sum(np.abs(head) * errs[:, :-1], axis=1)
         + remainder / b_fn * np.exp(logs[:, -1]) * (1.0 + errs[:, -1])
         + np.sum(np.abs(tail) * (_LADDER_REL + _MACHEPS * np.abs(expo)), 0)
         + (k_max + cfg.u + 16) * _MACHEPS * mags))

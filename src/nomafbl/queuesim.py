@@ -147,26 +147,26 @@ def _time_above(w_start, w_end, level, lo, hi, n):
 def _late_time(backlog, carry_w, carry_err, level, start, late_lo, late_hi,
                n, A, services):
     """Time the chunk's backlog spends above level within [late_lo, late_hi],
-    and the bound on the chunk's last backlog that the next chunk carries.
+    and a bound on its last backlog's error, for the next chunk to carry.
 
     Block k of the chunk is block start + k of the run: it starts at
     (start + k) n and runs linearly from w[k] to w[k + 1], w being the
-    chunk's backlog after the carried carry_w (within carry_err).  Only
-    blocks that start or end above level are evaluated; every other adds
-    exactly 0 (_time_above).  Where one may top level only by the walk's
-    rounding, each block's level rises by twice its backlogs' larger bound
-    (simulate_workload, e_i exact by Knuth's TwoSum, plus carry_err until
-    the queue empties).  The lengths are summed at their places among
-    zeros, so the float sum is the one over every block."""
-    reach = 2.0 ** -52 * services.size ** 2 * max(A, np.max(services))
-    last_err = (reach / 2.0 + carry_err * (backlog.min() > 0.0)) * (
-        backlog[-1] > 0.0)      # an empty queue is at most its exact value
+    backlog after the carried carry_w (within carry_err).  Only blocks that
+    start or end above level are evaluated; every other adds exactly 0
+    (_time_above).  Where one may top level only by the walk's rounding,
+    each block's level rises by twice its backlogs' larger bound
+    (simulate_workload, e_i exact by TwoSum, plus carry_err until the queue
+    empties); the last bound is 0 for an empty queue, else that or a priori.
+    The lengths sum at their places among zeros, as the sum over all blocks."""
     high = backlog > level
     above = np.empty_like(high)
     above[0] = carry_w > level
     above[1:] = high[:-1]
     above |= high
     blocks = np.flatnonzero(above)
+    reach = (2.0 ** -52 * services.size ** 2 * max(A, np.max(services))
+             if blocks.size or backlog[-1] > 0.0 else 0.0)
+    last_err = reach / 2.0 + carry_err if backlog[-1] > 0.0 else 0.0
     if blocks.size == 0:
         return 0.0, last_err
     w_start = np.where(blocks > 0, backlog[blocks - 1], carry_w)
@@ -176,14 +176,14 @@ def _late_time(backlog, carry_w, carry_err, level, start, late_lo, late_hi,
         walk = np.cumsum(steps)
         prev = np.concatenate(([0.0], walk[:-1]))
         rise = walk - prev      # walk + e = prev + steps, exactly
-        errs = np.concatenate(([0.0], np.cumsum(np.abs(
-            (prev - (walk - rise)) + (steps - rise)))))
-        first = np.maximum.accumulate(   # 1 + the last block that emptied
-            (backlog[:walk.size] == 0.0) * np.arange(1, walk.size + 1))
-        since = errs[1:] - errs[first] + carry_err * (first == 0)
-        last_err = float(since[-1]) if since.size == backlog.size else last_err
-        level = level + 2.0 * np.maximum(
-            since[blocks], np.where(blocks > 0, since[blocks - 1], carry_err))
+        cum = np.zeros(walk.size + 1)       # cum[k + 1] = sum_{i<=k} |e_i|
+        np.cumsum(np.abs((prev - (walk - rise)) + (steps - rise)), out=cum[1:])
+        empty = np.append(-1, np.flatnonzero(backlog[:walk.size] == 0.0))
+        k = np.concatenate((blocks - 1, blocks, [walk.size - 1]))
+        a = empty[np.searchsorted(empty, k, side="right") - 1]  # -1: carried
+        since = cum[k + 1] - cum[a + 1] + carry_err * (a < 0)
+        last_err = float(since[-1]) if walk.size == backlog.size else last_err
+        level = level + 2.0 * np.maximum(*np.split(since[:-1], 2))
     block_t = n * (start + blocks).astype(float)
     lengths = np.zeros(backlog.size)
     lengths[blocks] = _time_above(w_start, w_end, level,

@@ -446,8 +446,7 @@ def power_moments(m0: float, rows: int, k_max: int, c: float, x0: float):
     sum_{i<m} t0^i / i).  The bound adds all rounding and scipy's error."""
     y, ln_y = 1.0 + c * x0, math.log1p(c * x0)
     t0, ln_c = c * x0 / y, math.log(c)
-    m = m0 + 2.0 * np.arange(rows)[:, None]
-    k = np.arange(k_max + 1.0)
+    m, k = m0 + 2.0 * np.arange(rows)[:, None], np.arange(k_max + 1.0)
     pos = (b := m - k - 1.0) > 0.0
     steps = np.log(np.where(pos, np.concatenate(
         [1.0 / (m - 1.0), k[1:] / b[:, 1:]], axis=1), 1.0))
