@@ -644,8 +644,8 @@ class TestClosedForms:
     @pytest.mark.parametrize("rho_db, theta, tail_orders, orders, gammas", [
         (20.0, 0.1082636733874054, 1, 1, 1),  # the fig5 grid point: k0 = 0
         (20.0, 0.1, 1, 1, 0),   # order theta n = 40: expint, no Gamma
-        (20.0, 1e-4, 5, 1, 1),  # order 2.04: k0 = 2 for all 8 etas
-        (15.0, 1e-4, 6, 2, 2),  # orders 2.04 and 3.04, 4 etas each
+        (20.0, 1e-4, 5, 1, 1),  # whole line: k0 = 2 for all 8 etas
+        (15.0, 1e-4, 6, 2, 2),  # whole line: orders 2.04 and 3.04
     ], ids=["20.0-0.1082636733874054-1-1", "20.0-0.1-1-0", "20.0-0.0001-1-1",
             "15.0-0.0001-2-2"])     # rho_db-theta-orders-gammas
     def test_strong_row_seeds_once_per_order(self, monkeypatch, rho_db,
