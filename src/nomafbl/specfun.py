@@ -13,13 +13,14 @@ both users' closed forms: float ladders by tricomi_u, Decimal ones by
 scaled_expint at the decimal context's digits, one call per seed order.
 
 tricomi_u gives U(1, b, z) = e^z E_s(z), s = 2 - b, in float64 for one b
-and a float or an array of z.  Its routes: scipy's expn at integer
-0 <= s <= 50 below z = 32; from z = 1 up and at s >= 20 the continued
-fraction of E_s, which scaled_expint takes from z = 32 up; else the series
-DLMF 8.19.10 with the pole of an integer order taken out, where its terms
-cancel by at most 4x; and scaled_expint at 53 bits for the rest.  Over the
-tests' seed box expn is within 7 units of 2^-52 relative and the other
-routes within 4.
+and a float or an array of z.  It picks one of three routes from (s, z)
+alone: scipy's expn at integer 0 <= s <= 50 below z = 32; from z = 0.5 up
+and at s >= 20 the continued fraction of E_s, which scaled_expint takes
+from z = 32 up; and scaled_expint at 53 bits for the rest.  Over the tests'
+seed box expn is within 4.6 units of 2^-52 relative, the fraction within
+1.3 and scaled_expint within 0.7.  Both closed forms seed their float
+ladders by expn or the fraction alone: the weak ladders at integer orders,
+the strong split's tail from z = d + x0 > 0.5 up.
 
 scaled_expint gives e^eta E_s(eta) for one real s and a sequence of eta at
 mpmath's working precision.  It seeds the strong user's Decimal ladders,
@@ -55,13 +56,11 @@ _SUM_MARGIN_BITS = 8
 _LN2 = math.log(2.0)
 _EPS = 2.0 ** -52
 # tricomi_u's routes: scipy's expn at integer orders up to _EXPN_ORDER
-# (its asymptotic branch above is up to 17 ulps off), the continued fraction
-# from eta = 1 up and at s >= _CF_ORDER, and the series where its terms
-# cancel by at most a factor _FLOAT_LOST
-_EXPN_ORDER, _CF_ORDER, _FLOAT_LOST = 50.0, 20.0, 4.0
-# (zeta(n) - 1) / n for n = 2 .. 29, the series of ln Gamma(1 - e)
-_LNGAMMA_COEFFS = (special.zetac(np.arange(2, 30))
-                   / np.arange(2, 30)).tolist()
+# (its asymptotic branch above is up to 17 ulps off), and the continued
+# fraction from eta = _CF_FLOAT_ETA up and at s >= _CF_ORDER; below s = 20
+# Steed's method needs at most 190 steps from eta = 0.5 up, but 232 at
+# eta = 0.4 and 822 at 0.1
+_EXPN_ORDER, _CF_ORDER, _CF_FLOAT_ETA = 50.0, 20.0, 0.5
 _SEED_LOCK = threading.Lock()
 # power_moments' hyp2f1 limit in Y; scipy's error allowed, 4x its worst
 _HYP2F1_Y, _BETAINC_REL, _HYP2F1_REL = 10.0, 1e-13, 1e-13
@@ -288,8 +287,10 @@ def tricomi_u(a: float, b: float, z):
     in float64: a float for a float z, else an array of z's shape.
 
     Only a = 1 is implemented, the case every capacity moment reduces to.
-    The routes are in the module docstring; the z that no float route
-    holds go to one scaled_expint call at 53 bits.
+    The route follows from (s, z) alone (module docstring).  In units of
+    2^-52 relative over the tests' seed box, expn is within 4.6, the
+    fraction within 1.3, and scaled_expint at 53 bits, which takes s < 0
+    and non-integer s < _CF_ORDER below z = _CF_FLOAT_ETA, within 0.7.
     """
     if a != 1.0:
         raise ValueError(f"tricomi_u requires a = 1, got a={a}")
@@ -303,16 +304,11 @@ def tricomi_u(a: float, b: float, z):
     for i, eta in enumerate(flat):
         if s.is_integer() and 0.0 <= s <= _EXPN_ORDER and eta < _CF_ETA:
             values.append(special.expn(int(s), eta) * math.exp(eta))
-        elif s >= 0.0 and (eta >= 1.0 or s >= _CF_ORDER):
+        elif s >= 0.0 and (eta >= _CF_FLOAT_ETA or s >= _CF_ORDER):
             values.append(_fraction(s, eta, _EPS / 16))
         else:
-            try:
-                value, lost = _series_float(s, eta)
-            except OverflowError:
-                value, lost = math.nan, math.inf
-            values.append(value)
-            if not lost <= _FLOAT_LOST:
-                rest.append(i)
+            values.append(math.nan)
+            rest.append(i)
     if rest:
         with _SEED_LOCK, mpmath.workprec(53):
             for i, value in zip(rest, scaled_expint(
@@ -353,44 +349,6 @@ def _fraction(s, eta, tol):
     for i in range(depth, 0, -1):
         h = c + 2 * (i - 1) - i * (s1 + i) / h
     return 1.0 / h
-
-
-def _series_float(s, eta):
-    """(value, lost) of e^eta E_s(eta) by DLMF 8.19.10, E_s(z) =
-    z^(s-1) Gamma(1-s) - sum_k (-z)^k / (k! (1 - s + k)), in float, for
-    eta < 1 and s < _CF_ORDER not a positive integer; lost is the factor
-    by which its largest part exceeds the value.
-
-    At m = round(s) >= 1 the head and the k = m - 1 term both have a pole
-    at s = m; their sum, with e = s - m, is (-1)^m z^(m-1) / (m-1)!
-    expm1(L) / e, where L = e ln z + ln Gamma(1 - e) - sum_{i<m} ln(1 + e/i)
-    is free of it (the integer-order form DLMF 8.19.8 at e = 0), and
-    ln Gamma(1 - e) is its series in zeta(n) - 1 (A&S 6.1.33), which keeps
-    its relative accuracy as e nears 0.  The terms fall from k = m on.
-    """
-    m = round(s)
-    if m >= 1:
-        e = s - m
-        series = 0.0
-        for coeff in reversed(_LNGAMMA_COEFFS):
-            series = series * e + coeff
-        big_l = (e * math.log(eta) - math.log1p(-e)
-                 - e * (1.0 - np.euler_gamma) + e * e * series
-                 - sum(math.log1p(e / i) for i in range(1, m)))
-        head = ((-eta) ** (m - 1) / -math.factorial(m - 1)
-                * math.expm1(big_l) / e)
-    else:
-        head = eta ** (s - 1.0) * math.gamma(1.0 - s)
-    total, top = head, abs(head)
-    term, k = 1.0, 0    # term = (-eta)^k / k!
-    while k < m or abs(term) > _EPS / 16 * abs(total) * (k + 1 - s):
-        if k != m - 1:
-            part = term / (k + 1 - s)
-            total -= part
-            top = max(top, abs(part))
-        k += 1
-        term *= -eta / k
-    return math.exp(eta) * total, top / abs(total) if total else math.inf
 
 
 def expint_ladders(etas, s_max: int, s0=0.0) -> list[np.ndarray]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -1019,6 +1019,50 @@ class TestClosedFormDomain:
         assert closed.value == pytest.approx(oracle.value, rel=1e-10)
         assert abs(closed.value - oracle.value) <= \
             closed.tail_bound + oracle.tail_bound
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**BOX)
+    def test_weak_tracks_quadrature_over_box(self, V, t_frac, u_frac,
+                                             alpha_t, rho_db, n, log_eps,
+                                             log_theta):
+        # wherever the weak series converges, the two error bounds cover
+        # its gap to a 1e-12 quadrature of the same expanded kernel
+        cfg = box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps,
+                      log_theta)
+        closed = ec_closed_weak(cfg, EvalControls())
+        if closed.converged:
+            oracle = ec_quadrature(cfg, "weak",
+                                   EvalControls(quad_rel_tol=1e-12),
+                                   "approx", closed.expansion_order)
+            assert abs(closed.value - oracle.value) <= \
+                closed.tail_bound + oracle.tail_bound
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**BOX)
+    @example(V=9, t_frac=0.0, u_frac=1.0, alpha_t=0.85, rho_db=17.0, n=1331,
+             log_eps=math.log10(0.0125), log_theta=math.log10(3.8e-4))
+    def test_float_ladders_seed_without_mpmath(self, V, t_frac, u_frac,
+                                               alpha_t, rho_db, n, log_eps,
+                                               log_theta):
+        # the strong split and the weak ladders, built with scaled_expint
+        # refused: every float seed comes from expn or the continued
+        # fraction.  The example (V = u = 9, t = 1, 17 dB) seeds its strong
+        # tail at a non-integer order below eta = 1: s = 2.50578,
+        # eta = 0.63302
+        cfg = box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps,
+                      log_theta)
+
+        def refuse(s, etas):
+            raise AssertionError(f"mpmath seed at s={s}, eta={list(etas)}")
+
+        kp = make_kernel_params(cfg.theta_u, cfg.n, cfg.eps)
+        a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specfun, "scaled_expint", refuse)
+            eccalc._strong_split(cfg, kp.zeta, a)
+            eccalc._weak_ladders.__wrapped__(
+                cfg.V, cfg.t, 1.0 / (cfg.rho * cfg.alpha_u),
+                EvalControls().series_max_terms)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(**BOX)

@@ -185,22 +185,25 @@ class TestTricomiU:
         # the float value of each route against scaled_expint at 50 digits,
         # at the order 2 - b asked for, in units of 2^-52 relative: the box
         # of the oracle test above, integer orders up to eta = 1e4 (e^eta
-        # would overflow from 710), and orders at eta 0.45..0.95, where the
-        # series cancels by more than _FLOAT_LOST and mpmath takes over.
-        # The pole at an integer order is out of the series, so the band
-        # just off one stays in float
+        # would overflow from 710), orders at eta 0.45..0.95, and the strong
+        # split's tail band, s 1.5..14.5 at eta 0.5..0.76, where box rows
+        # with u = V seed.  Each point's route follows from (s, eta) alone,
+        # and only the mpmath route calls scaled_expint; near-integer orders
+        # from eta = 0.5 up stay in float
         box = [(s, eta) for s in np.geomspace(1.05, 400.0, 7)
                for eta in np.geomspace(1.5e-3, 50.0, 6)]
         box += [(eta + ds, eta) for eta in np.geomspace(20.0, 500.0, 6)
                 for ds in (-0.5, 1.0, 2.5)]
         near = [(m + ds, eta) for m in (1, 2, 4, 50, 400)
                 for ds in (-1e-12, 1e-12, -1e-8, 1e-8)
-                for eta in (1e-3, 0.15, 1.6, 20.0)]
+                for eta in (1e-3, 0.15, 0.5, 0.76, 1.6, 20.0)]
         box += near
         box += [(float(s), eta) for s in (0, 1, 2, 7, 30, 50, 51, 200, 400)
                 for eta in (1e-3, 0.5, 3.0, 31.9, 32.0, 100.0, 1e3, 1e4)]
         box += [(s, eta) for s in (1.5076, 2.04, 2.5076, 2.6973)
                 for eta in (0.45, 0.63, 0.79, 0.95)]
+        box += [(s, eta) for s in np.linspace(1.5, 14.5, 27)
+                for eta in np.linspace(0.5, 0.76, 5)]
         exact, handed = specfun.scaled_expint, []
         monkeypatch.setattr(specfun, "scaled_expint", lambda s, etas: (
             handed.append(etas) or exact(s, etas)))
@@ -212,17 +215,17 @@ class TestTricomiU:
             with mpmath.workdps(50):
                 ulps = float(abs(value / exact(2 - mpmath.mpf(b), [eta])[0]
                                  - 1)) / 2.0 ** -52
-            route = ("mpmath" if len(handed) > before
-                     else "expn" if s.is_integer() and s <= 50 and eta < 32
-                     else "fraction" if eta >= 1.0 or s >= 20.0
-                     else "series")
+            order = 2.0 - b
+            route = ("expn" if order.is_integer() and 0.0 <= order <= 50.0
+                     and eta < 32.0
+                     else "fraction" if order >= 0.0 and (
+                         eta >= 0.5 or order >= 20.0)
+                     else "mpmath")
+            assert (len(handed) > before) == (route == "mpmath")
             worst[route] = max(worst.get(route, 0.0), ulps)
-            if route in ("series", "mpmath"):
-                assert (route == "mpmath") == (
-                    specfun._series_float(s, eta)[1] > specfun._FLOAT_LOST)
-            if (s, eta) in near:
+            if (s, eta) in near and eta >= 0.5:
                 assert route != "mpmath"
-        assert set(worst) == {"expn", "fraction", "series", "mpmath"}
+        assert set(worst) == {"expn", "fraction", "mpmath"}
         assert worst.pop("expn") <= 7.0
         assert max(worst.values()) <= 4.0
 
