@@ -17,8 +17,9 @@ isolates the expansion error itself, which the closed forms also bound and
 report.
 
 Both closed forms sum I_s ladders that specfun.expint_ladders builds and
-seeds, in float or at the decimal context's digits; the strong user's
-float route splits each moment at x0 (_strong_split).
+seeds, in float or at the decimal context's digits; the weak user's series
+seed a three-term recurrence in the exponent (_weak_moments), and the
+strong user's float route splits each moment at x0 (_strong_split).
 
 scipy.integrate, which only the quadrature oracle uses, is imported on the
 first ec_quadrature call (or the first read of ``eccalc.integrate``), not
@@ -54,6 +55,9 @@ _SPLIT_X0, _SPLIT_TERMS, _LADDER_REL, _FLOAT_DIGITS_KEPT = (
 _SUM_DIGITS, _SUM_DIGITS_KEPT, _SUM_DIGITS_SPARE = 50, 20, 30
 # Relative tolerance of the kernel expansion order and the weak-user series
 SERIES_REL_TOL = 1e-10
+# The weak recurrence (_weak_moments): the tolerance of the series that seed
+# it, and the ulps of one step's magnitude that bound the step's rounding
+_SEED_REL_TOL, _STEP_ULPS = SERIES_REL_TOL / 16, 8
 
 METHODS = ("closed_form", "monte_carlo", "quadrature")
 
@@ -115,13 +119,19 @@ class EcResult:
                      expanded and the exact kernel's capacity (inf where no
                      bound holds); tail_bound + expansion_bound bounds the
                      gap to the exact-kernel value
+    series_terms     weak closed form: the term count of its longest inner
+                     series, or the whole budget plus one where no series
+                     can converge (_weak_moments); None elsewhere
     note             how the value was made, for closed forms including the
-                     expansion order and both bounds, and for the strong
-                     user the route of its sum ("split at x0", "sum at 50
-                     digits", "redone at D digits"; _strong_moments) and the
-                     digits it lost; for quadrature the kernel and QUADPACK's
-                     integrand evaluations and subintervals; a negative
-                     value adds, once, that its delay exponent is infeasible
+                     expansion order and both bounds, the route of the weak
+                     sum ("series at N exponents, recurrence for K", "series
+                     at every exponent", "no series: ..."; _weak_moments),
+                     and for the strong user the route of its sum ("split
+                     at x0", "sum at 50 digits", "redone at D digits";
+                     _strong_moments) and the digits it lost; for
+                     quadrature the kernel and QUADPACK's integrand
+                     evaluations and subintervals; a negative value adds,
+                     once, that its delay exponent is infeasible
     """
 
     value: float
@@ -281,7 +291,7 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
 # ---------------------------------------------------------------------------
 
 def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
-                 log_prefactors: np.ndarray):
+                 log_prefactors: np.ndarray, tol: float = SERIES_REL_TOL):
     """Inner series sum_s C(c, s) q^s d I_s, scaled by exp(log_prefactor),
     for every ladder (a row of ``ladders``) and every c in cs at once.
 
@@ -294,12 +304,12 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
     the log domain: for large |c| the early terms underflow while the
     series peak (near |c q| / (1 - |q|)) may still lie far ahead, and only
     the log trend can tell a negligible tail from a not-yet-reached bulk.
-    Each series stops at its first term whose tail is negligible against
-    the running sum, before a term beyond e^700 (the first term,
-    d I_0 <= 1 times a prefactor <= 1, never is), or at the ladder's last
-    rung.  Returns arrays (sum, terms_used, tail_bound) indexed [ladder, c];
-    the tail bound is inf where the series diverges, that is where it meets
-    a term beyond e^700 or ends with rho >= 1.
+    Each series stops at its first term whose tail is at most tol times
+    the running sum, before a term beyond e^700 (the first term, d I_0 <= 1
+    times a prefactor <= 1, never is), or at the ladder's last rung.
+    Returns arrays (sum, terms_used, tail_bound) indexed [ladder, c]; the
+    tail bound is inf where the series diverges, that is where it meets a
+    term beyond e^700 or ends with rho >= 1.
     """
     s_max = ladders.shape[1] - 1
     s = np.arange(1, s_max + 1)
@@ -315,7 +325,7 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
         terms = np.exp(log_term)
         totals = np.cumsum(terms, axis=-1)
         tails = np.where(rho < 1.0, terms * rho / (1.0 - rho), np.inf)
-    done = (tails <= SERIES_REL_TOL * totals) | (
+    done = (tails <= tol * totals) | (
         (rho < 1.0) & (totals == 0.0) & (log_term < -700.0))
     stop = np.where(done, cols, s_max).min(axis=-1)
     blow = np.where(log_term > 700.0, cols, s_max + 1).min(axis=-1)
@@ -340,38 +350,106 @@ def _weak_ladders(V: int, t: int, d: float, s_max: int) -> np.ndarray:
 
 
 def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
-    """Weak-user moments E[(1 + SINR)^(2 zeta - 2j)], integrated term by
-    term over the ordered density's exponentials (ordered_mixture).
+    """Weak-user moments E[(1 + SINR)^c], c = 2 zeta - 2j, j = 0..J,
+    integrated term by term over the ordered density's exponentials
+    (ordered_mixture).
 
-    The SINR ratio is rewritten as a scaled (x + a)/(x + b) form whose
-    binomial expansion in d/(x + b) converges geometrically at rate alpha_t
-    (= -q, as alpha_t + alpha_u = 1); each integral moment reduces to an
-    I_s ladder (specfun.expint_ladders), which depends on the exponent only
-    through the binomial weights, so each ladder is built once and serves
-    every moment, and the last SNR's ladders serve every theta after it
+    With q = -alpha_t and d = 1/(rho alpha_u), each exponential
+    e^(-lambda x) contributes M(c) = alpha_u^-c int e^(-lambda x)
+    (1 + q d/(x + d))^c dx.  Its binomial expansion in d/(x + d) is a
+    series over the I_s ladder at eta = lambda d (_weak_series) that
+    converges geometrically at rate alpha_t.  The ladders serve every
+    exponent, and the last SNR's ladders every theta after it
     (_weak_ladders).
-    Returns (moments, err, terms, converged, "") for _ec_closed: err is the
-    sum over the expansion coefficients a_j of |a_j| times the inner
-    series' tail bounds (inf where one diverges), plus their rounding;
+
+    Integrating M by parts links unit-spaced exponents (kappa_c =
+    lambda d q / c):
+
+        M(c-1) = -alpha_u^2 M(c+1) + alpha_u (2 - kappa_c) M(c)
+                 + alpha_u kappa_c / lambda,
+
+    and an error E carried down it obeys E(c-1) <= alpha_u^2 E(c+1) +
+    alpha_u |2 - kappa_c| E(c) plus the step's rounding.  A step with
+    alpha_u^2 + alpha_u |2 - kappa_c| <= 1 for every ladder does not grow
+    the error; kappa_c falls as |c| grows.  So the series runs, to
+    _SEED_REL_TOL, at the moments' exponents above the first c from which
+    every step down to 2 zeta - 2J is non-growing and at c + 1 and c (on
+    the presets 2 zeta and 2 zeta - 1), and the recurrence reaches the
+    rest.  Where that needs as many series as there are moments, the
+    series runs at every moment's exponent (Gautschi, "Computational
+    aspects of three-term recurrence relations", SIAM Review 9, 1967).
+    Where the ratio bound of a needed series is >= 1 at the budget's last
+    column, that series cannot converge: none runs, err is inf (so
+    _ec_closed falls back to its quadrature) and the term count is the
+    whole budget plus one, as a series cut there would report.  Every
+    needed series that runs has a finite tail bound: its positive terms
+    sum to M(c) <= 1/lambda, so none reaches e^700.
+
+    Returns (moments, err, terms, converged, route) for _ec_closed: err is
+    the sum over the expansion coefficients a_j of |a_j| times the
+    moments' error bounds (series tails, carried through the recurrence
+    with its rounding), plus their rounding;
     converged is that tail sum within SERIES_REL_TOL of the same weighted
-    sum of the inner series' magnitudes, so a high moment left truncated by
-    the term budget counts only as much as its coefficient lets it.
+    sum of the moments' magnitudes, so a high moment left truncated by the
+    term budget counts only as much as its coefficient lets it; terms is
+    the longest series' count; route names where the series ran ("series
+    at N exponents, recurrence for K", "series at every exponent", or
+    "no series: ...").
     """
-    cs = 2.0 * zeta - 2.0 * np.arange(a.size)
-    d = 1.0 / (cfg.rho * cfg.alpha_u)
-    b_fn, _, weights = ordered_mixture(cfg.t, cfg.V)
-    ladders = _weak_ladders(cfg.V, cfg.t, d, ctl.series_max_terms)
-    series, terms, tails = _weak_series(cs, -cfg.alpha_t, d, ladders,
-                                        cs * math.log(1.0 / cfg.alpha_u))
+    q, alpha_u = -cfg.alpha_t, cfg.alpha_u
+    d = 1.0 / (cfg.rho * alpha_u)
+    s_max, top = ctl.series_max_terms, 2 * (a.size - 1)
+    cs = 2.0 * zeta - np.arange(top + 1.0)      # every unit-spaced exponent
+    b_fn, rates, weights = ordered_mixture(cfg.t, cfg.V)
+    # the step at cs[k], k = 1..top-1, makes cs[k+1] from cs[k-1] and cs[k]
+    kappa = np.array(rates, dtype=float)[:, None] * (d * q / cs[1:top])
+    gain = alpha_u * (2.0 - kappa)
+    grows = np.flatnonzero(np.any(alpha_u ** 2 + np.abs(gain) > 1.0, axis=0))
+    first = int(grows[-1]) + 2 if grows.size else 1
+    direct = sorted({*range(0, first - 1, 2), first - 1, first})
+    recur, used = len(direct) < a.size, a != 0.0
+    if not recur:
+        direct = list(range(0, top + 1, 2))
+    needed = cs[direct] if recur else cs[::2][used]
+    if np.any(-q * np.maximum(1.0, (s_max - needed) / (s_max + 1.0)) >= 1.0):
+        return (np.zeros(a.size), math.inf, s_max + 1, False,
+                "no series: its ratio bound stays >= 1 through the term "
+                "budget")
+    series, terms, tails = _weak_series(
+        cs[direct], q, d, _weak_ladders(cfg.V, cfg.t, d, s_max),
+        cs[direct] * math.log(1.0 / alpha_u),
+        _SEED_REL_TOL if recur else SERIES_REL_TOL)
+    moments, errs = np.zeros((2, len(rates), top + 1))
+    moments[:, direct], errs[:, direct] = series, tails
+    if recur:
+        force = (alpha_u * d * q / cs[first:top]).tolist()
+        square, ulp = alpha_u ** 2, _STEP_ULPS * _MACHEPS
+        # alpha_u (2 + kappa) bounds |gain| and the rounding of kappa in it
+        for row, (gains, spans) in enumerate(zip(
+                gain[:, first - 1:].tolist(),
+                (alpha_u * (2.0 + kappa[:, first - 1:])).tolist())):
+            m2, m1 = moments[row, first - 1:first + 1].tolist()
+            e2, e1 = (errs[row, first - 1:first + 1] + _MACHEPS
+                      * moments[row, first - 1:first + 1]).tolist()
+            out_m, out_e = [], []
+            for g, h, f in zip(gains, spans, force):
+                m2, m1, e2, e1 = m1, f + g * m1 - square * m2, e1, (
+                    square * e2 + abs(g) * e1
+                    + ulp * (square * abs(m2) + h * abs(m1) + f))
+                out_m.append(m1)
+                out_e.append(e1)
+            moments[row, first + 1:], errs[row, first + 1:] = out_m, out_e
     w, xi = np.array(weights)[:, None], 1.0 / b_fn
+    moments, errs = moments[:, ::2], errs[:, ::2]
     mu, tail_j, scale_j = (xi * np.array([math.fsum(col) for col in x.T])
-                           for x in (w * series, abs(w) * tails,
-                                     abs(w) * series))
-    used = a != 0.0
+                           for x in (w * moments, abs(w) * errs,
+                                     abs(w) * moments))
     tail = math.fsum(np.abs(a[used]) * tail_j[used])
     scale = math.fsum(np.abs(a[used]) * scale_j[used])
+    route = (f"series at {len(direct)} exponents, recurrence for "
+             f"{top - first}" if recur else "series at every exponent")
     return (mu, tail + _MACHEPS * scale, int(terms.max()) + 1,
-            tail <= SERIES_REL_TOL * scale, "")
+            tail <= SERIES_REL_TOL * scale, route)
 
 
 @np.errstate(all="ignore")

@@ -215,6 +215,7 @@ def expansion_coeffs(beta: float, order: tuple[int, int]) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=256)
 def expansion_error_coeffs(beta: float, order: tuple[int, int]):
     """Bounds (r_M, t_J) on the two truncations of expansion_coeffs.
 
@@ -222,7 +223,9 @@ def expansion_error_coeffs(beta: float, order: tuple[int, int]):
     e^(beta delta) by at most (1+gamma)^(2 zeta) (r_M + t_J w^(J+1)):
     r_M bounds the Maclaurin remainder (delta <= 1), and t_J bounds the
     binomial tails, whose terms beyond j > m/2 share one sign and so sum to
-    at most |C(m/2 - 1, J)| w^(J+1).  Needs J >= M/2 - 1/2.
+    at most |C(m/2 - 1, J)| w^(J+1).  Needs J >= M/2 - 1/2.  Cached, as
+    expansion_coeffs is: its double loop runs once per (beta, order), not
+    once per closed-form row.
     """
     m_max, j_max = order
     if 2 * j_max + 1 < m_max:

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from nomafbl import eccalc, specfun
 from nomafbl.channel import (ROLES, SystemConfig, db_to_linear,
-                             gain_for_gamma, gamma_for_role, ordered_pdf,
-                             ordered_quantile, scalar_integrand)
+                             gain_for_gamma, gamma_for_role, ordered_mixture,
+                             ordered_pdf, ordered_quantile, scalar_integrand)
 from nomafbl.eccalc import (_NEGATIVE, METHODS, SERIES_REL_TOL, EcResult,
                             EvalControls, _weak_series,
                             ec_closed_strong, ec_closed_weak, ec_monte_carlo,
@@ -307,6 +307,75 @@ class TestQuadrature:
         assert res.note == note
 
 
+def tanhsinh_capacity(cfg, role, variant):
+    """The effective capacity by scipy's tanh-sinh quadrature in log space,
+    on ec_quadrature's panels, as an oracle independent of QUADPACK: the
+    log kernel (exact, or expanded at ec_quadrature's order) plus the log
+    of the ordered density written out with betaln.  Returns the value and
+    a bound on its error from tanhsinh's relative error estimate or ten
+    times its rtol, whichever is larger: the estimate is a heuristic.  At
+    rtol 1e-10 its mean was up to 8.8e-10 off (weak user, approx kernel,
+    29.3 dB, theta = 0.066), and at 1e-12, which costs no more, up to
+    2.7e-12 (strong user, approx kernel, 0 dB, theta = 1); a 30-digit
+    mpmath quadrature sides with QUADPACK at both."""
+    theta, eps = cfg.theta_for(role), cfg.eps
+    kp = make_kernel_params(theta, cfg.n, eps)
+    k, V = cfg.order_index(role), cfg.V
+    a = (None if variant == "exact"
+         else expansion_coeffs(kp.beta, eccalc._order(kp, None)))
+    log_b = special.betaln(k, V - k + 1)
+
+    def log_integrand(x):
+        g = gamma_for_role(x, cfg, role)
+        log_g1 = np.log1p(g)
+        if a is None:
+            log_k = np.logaddexp(math.log(eps), math.log1p(-eps)
+                                 + 2.0 * kp.zeta * log_g1
+                                 + kp.beta * dispersion_root(g))
+        else:
+            poly = np.polynomial.polynomial.polyval(np.exp(-2.0 * log_g1), a)
+            log_k = np.log(eps + (1.0 - eps) * np.exp(2.0 * kp.zeta * log_g1)
+                           * poly)
+        return (log_k - log_b - (V - k + 1) * x
+                + (k - 1) * np.log(-np.expm1(-x)))
+
+    x_hi = ordered_quantile(1.0 - 1e-6, k, V)
+    unit = gain_for_gamma(1.0, cfg, role)
+    peak = gain_for_gamma(rate_minimum(cfg.n, eps), cfg, role)
+    pts = [*(ordered_quantile(q, k, V) for q in (1e-4, 1e-3, 1e-2, 0.1, 0.5,
+                                                  0.9)),
+           *(unit * 10.0 ** i for i in range(-2, 3)),
+           0.5 * peak, peak, 2.0 * peak]
+    edges = np.array([0.0, *sorted(p for p in pts if 0.0 < p < x_hi), x_hi,
+                      np.inf])
+    rtol = 1e-12
+    res = integrate.tanhsinh(log_integrand, edges[:-1], edges[1:], log=True,
+                             rtol=math.log(rtol))
+    assert np.all(res.success)
+    log_mean = special.logsumexp(res.integral)
+    scale = theta * cfg.n * LN2
+    return (-log_mean / scale, max(
+        math.exp(special.logsumexp(res.error) - log_mean), 10 * rtol) / scale)
+
+
+class TestTanhSinhOracle:
+    @settings(max_examples=90, deadline=None, derandomize=True)
+    @given(rho_db=st.floats(0.0, 40.0), log_theta=st.floats(-4.0, 1.0),
+           role=st.sampled_from(ROLES),
+           variant=st.sampled_from(["exact", "approx"]))
+    def test_quadrature_matches_tanhsinh(self, rho_db, log_theta, role,
+                                         variant):
+        # the fig4-fig6 pool (n = 400, eps = 1e-6) from 0 to 40 dB and
+        # theta from 1e-4 to 10: QUADPACK and tanh-sinh agree within their
+        # two error estimates, for both kernels
+        theta = 10.0 ** log_theta
+        cfg = make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
+                       theta_u=theta)
+        quad = ec_quadrature(cfg, role, EvalControls(), variant)
+        value, bound = tanhsinh_capacity(cfg, role, variant)
+        assert abs(quad.value - value) <= quad.tail_bound + bound
+
+
 def _weak_series_loop(c, q, d, ladder, log_prefactor):
     """Term-by-term reference for eccalc._weak_series (one c at a time)."""
     log_q = math.log(abs(q))
@@ -441,6 +510,126 @@ class TestClosedFormSeries:
             assert ladder.dtype == float
             assert np.array_equal(ladder, expint_ladders([eta], 34,
                                                          float(s0))[0])
+
+
+def _weak_moments_every_exponent(cfg, zeta, a, ctl):
+    """eccalc._weak_moments with the series at every moment's exponent,
+    as it ran before the recurrence: the reference for the recurrence."""
+    cs = 2.0 * zeta - 2.0 * np.arange(a.size)
+    d = 1.0 / (cfg.rho * cfg.alpha_u)
+    b_fn, _, weights = ordered_mixture(cfg.t, cfg.V)
+    ladders = eccalc._weak_ladders(cfg.V, cfg.t, d, ctl.series_max_terms)
+    series, terms, tails = _weak_series(cs, -cfg.alpha_t, d, ladders,
+                                        cs * math.log(1.0 / cfg.alpha_u))
+    w, xi = np.array(weights)[:, None], 1.0 / b_fn
+    mu, tail_j, scale_j = (xi * np.array([math.fsum(col) for col in x.T])
+                           for x in (w * series, abs(w) * tails,
+                                     abs(w) * series))
+    used = a != 0.0
+    tail = math.fsum(np.abs(a[used]) * tail_j[used])
+    scale = math.fsum(np.abs(a[used]) * scale_j[used])
+    return (mu, tail + np.finfo(float).eps * scale, int(terms.max()) + 1,
+            tail <= SERIES_REL_TOL * scale, "series at every exponent")
+
+
+def preset_weak_cfgs():
+    """The configurations of every weak row of fig3, fig4 and fig6."""
+    for name in ("fig3", "fig4", "fig6"):
+        spec = figure_preset(name)
+        for rho_db in spec.rho_db_variants or (None,):
+            for value in spec.grid:
+                yield (replace(spec.base, rho=db_to_linear(value))
+                       if spec.axis == "rho_db" else
+                       replace(spec.base, rho=db_to_linear(rho_db),
+                               theta_t=value, theta_u=value))
+
+
+def assert_recurrence_tracks_every_exponent(cfg):
+    """The weak closed form by the recurrence against the same closed form
+    with the series at every exponent: where the latter converges, so does
+    the former, and the two bounds cover the gap between two sums."""
+    ctl = EvalControls()
+    new = ec_closed_weak(cfg, ctl)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eccalc, "_weak_moments", _weak_moments_every_exponent)
+        old = ec_closed_weak(cfg, ctl)
+    assert new.converged or not old.converged
+    if new.converged and old.converged:
+        assert abs(new.value - old.value) <= \
+            new.tail_bound + old.tail_bound
+    return new
+
+
+class TestWeakRecurrence:
+    @pytest.mark.parametrize("V, alpha_t, rho_db, n, theta", [
+        (10, 0.8, 20.0, 400, 0.01),     # eta = lambda d = 0.5, c0 = -4
+        (4, 0.7, 5.0, 300, 0.001),      # eta = 4.2, c0 = -0.3
+        (16, 0.9, 35.0, 500, 0.004)])   # eta = 0.05, c0 = -2
+    def test_recurrence_matches_mpmath(self, V, alpha_t, rho_db, n, theta):
+        # t = 1: one ladder, at lambda = V, so moment j is
+        # V int e^(-V x) (1 + gamma(x))^(c0 - 2j) dx.  Two series seed the
+        # recurrence; the moments it reaches are within their bounds, and
+        # within 5e-12, of a 30-digit quadrature
+        cfg = SystemConfig(V=V, t=1, u=2, alpha_t=alpha_t,
+                           alpha_u=1.0 - alpha_t, rho=db_to_linear(rho_db),
+                           n=n, eps=1e-6, theta_t=theta, theta_u=theta)
+        zeta = -theta * n / 2.0
+        with mpmath.workdps(30):
+            a_t, a_u = mpmath.mpf(alpha_t), mpmath.mpf(1.0 - alpha_t)
+            rho = mpmath.mpf(cfg.rho)
+            for j in (1, 8, 16):
+                a = np.zeros(17)
+                a[j] = 1.0
+                mu, err, _, converged, route = eccalc._weak_moments(
+                    cfg, zeta, a, EvalControls())
+                assert route == "series at 2 exponents, recurrence for 31"
+                assert converged
+                c = 2 * mpmath.mpf(zeta) - 2 * j
+                ref = mpmath.quad(lambda x: V * mpmath.exp(-V * x) * (
+                    1 + a_t * x / (a_u * x + 1 / rho)) ** c,
+                    [0, 1.0 / V, 10.0 / V, mpmath.inf])
+                gap = abs(mpmath.mpf(mu[j]) - ref)
+                assert gap <= err
+                assert gap <= 5e-12 * ref
+
+    def test_fig4_row_sums_two_series(self, monkeypatch):
+        # a fig4 row at J = 16 sums the series at 2 exponents (2 zeta and
+        # 2 zeta - 1) and reaches the other 31 by the recurrence: a cost
+        # guard that counts series, not seconds
+        cfg = replace(figure_preset("fig4").base, rho=db_to_linear(20.0))
+        series, summed = eccalc._weak_series, []
+        monkeypatch.setattr(eccalc, "_weak_series", lambda cs, *args: (
+            summed.append(cs.tolist()) or series(cs, *args)))
+        res = ec_closed_weak(cfg, EvalControls())
+        zeta = -cfg.theta_u * cfg.n / 2.0
+        assert res.expansion_order[1] == 16
+        assert summed == [[2 * zeta, 2 * zeta - 1]]
+        assert res.note.startswith(
+            "series at 2 exponents, recurrence for 31;")
+        assert res.converged
+
+    def test_large_eta_d_sums_more_series(self, monkeypatch):
+        # 0 dB with V = 20, t = 2: eta = lambda d = 95 and 100, and
+        # kappa_c = lambda d alpha_t / |c| keeps the steps near c0 = -3
+        # growing, so the series runs at more than two exponents before
+        # the recurrence takes over; the value stays within the bounds
+        cfg = make_cfg(rho_db=0.0, V=20)
+        series, summed = eccalc._weak_series, []
+        monkeypatch.setattr(eccalc, "_weak_series", lambda cs, *args: (
+            summed.append(cs.size) or series(cs, *args)))
+        res = assert_recurrence_tracks_every_exponent(cfg)
+        assert summed[0] > 2
+        assert res.note.startswith(f"series at {summed[0]} exponents, "
+                                   f"recurrence for")
+        assert res.converged
+
+    def test_presets_track_every_exponent(self):
+        # every weak row of fig3, fig4 and fig6: 121 rows at J = 16 take
+        # the recurrence, and none loses its converged flag
+        routes = [assert_recurrence_tracks_every_exponent(cfg).note
+                  for cfg in preset_weak_cfgs()]
+        assert len(routes) == 171
+        assert sum("recurrence for" in note for note in routes) == 121
 
 
 class TestWeakLadderMemo:
@@ -795,11 +984,19 @@ class TestClosedForms:
         oracle = ec_quadrature(cfg, "weak", ctl, "approx")
         assert closed.value == pytest.approx(oracle.value, abs=1e-7)
 
-    def test_weak_series_diverges_to_fallback(self):
+    def test_weak_series_diverges_to_fallback(self, monkeypatch):
+        # fig4 at theta = 1: the ratio bound of the (2, 1) moments stays
+        # >= 1 through the term budget, so no series runs (_weak_series is
+        # not called); the value is the quadrature's and the term count the
+        # whole budget
         cfg = make_cfg(n=400, eps=1e-6, theta_t=1.0, theta_u=1.0)
         ctl = EvalControls()
-        res = ec_closed_weak(cfg, ctl)
+        with monkeypatch.context() as patch:
+            patch.setattr(eccalc, "_weak_series", None)
+            res = ec_closed_weak(cfg, ctl)
         assert not res.converged
+        assert res.series_terms == 501
+        assert res.note.startswith("no series: ")
         assert "quadrature" in res.note
         oracle = ec_quadrature(cfg, "weak", ctl, "approx")
         assert res.value == pytest.approx(oracle.value, rel=1e-12)
@@ -1036,6 +1233,15 @@ class TestClosedFormDomain:
                                    "approx", closed.expansion_order)
             assert abs(closed.value - oracle.value) <= \
                 closed.tail_bound + oracle.tail_bound
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**BOX)
+    def test_weak_recurrence_tracks_every_exponent_over_box(
+            self, V, t_frac, u_frac, alpha_t, rho_db, n, log_eps, log_theta):
+        # wherever the series at every exponent converges, the recurrence
+        # converges too, and the two bounds cover the gap between them
+        assert_recurrence_tracks_every_exponent(box_cfg(
+            V, t_frac, u_frac, alpha_t, rho_db, n, log_eps, log_theta))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(**BOX)

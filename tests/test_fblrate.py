@@ -292,3 +292,13 @@ class TestExpansionOrder:
     def test_order_domain(self):
         with pytest.raises(ValueError):
             expansion_error_coeffs(1.0, (8, 3))
+
+    def test_error_coeffs_made_once_per_beta_and_order(self):
+        # a theta grid repeats its (beta, order) over SNRs and users: the
+        # second call is a cache hit and gives the very same pair
+        beta, order = 0.7387, (12, 16)
+        first = expansion_error_coeffs(beta, order)
+        hits = expansion_error_coeffs.cache_info().hits
+        assert expansion_error_coeffs(beta, order) is first
+        assert expansion_error_coeffs.cache_info().hits == hits + 1
+        assert first == expansion_error_coeffs.__wrapped__(beta, order)
