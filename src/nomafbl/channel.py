@@ -211,16 +211,20 @@ def sample_gain(k: int, V: int, size: int, rng: np.random.Generator):
 # SINR map
 # ---------------------------------------------------------------------------
 
-def gamma_for_role(x, cfg: SystemConfig, role: str):
+def gamma_for_role(x, cfg: SystemConfig, role: str, out=None):
     """SINR of the role's user at gain x: the weak user's, which treats the
     strong user as interference and stays below alpha_t / alpha_u, or the
-    strong user's interference-free SNR after SIC."""
+    strong user's interference-free SNR after SIC.  An array ``out`` of x's
+    shape, not x itself, receives the result."""
     _check_role(role)
     x = np.asarray(x, dtype=float)
+    out = np.empty_like(x) if out is None else out
     if role == "weak":
-        out = cfg.alpha_t * x / (cfg.alpha_u * x + 1.0 / cfg.rho)
+        np.multiply(cfg.alpha_u, x, out=out)
+        out += 1.0 / cfg.rho
+        np.divide(cfg.alpha_t * x, out, out=out)
     else:
-        out = cfg.alpha_u * cfg.rho * x
+        np.multiply(cfg.alpha_u * cfg.rho, x, out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -195,15 +195,15 @@ def ec_monte_carlo(cfg: SystemConfig, role: str,
     sums, sums_sq = [], []
     draws = mc_gain_draws(cfg.order_index(role), cfg.V, ctl.seed,
                           ctl.mc_samples)
+    # one pair of chunk arrays for the whole call: made afresh per chunk,
+    # glibc's malloc returned them to the system and faulted them back in
+    gammas, kernel = np.empty((2, draws[0].size))
     for x in draws:
-        k = ec_kernel(gamma_for_role(x, cfg, role), kp, eps)
+        k = ec_kernel(gamma_for_role(x, cfg, role, out=gammas[:x.size]), kp,
+                      eps, out=kernel[:x.size])
         sums.append(float(np.sum(k)))
         k *= k
         sums_sq.append(float(np.sum(k)))
-        # release this chunk's arrays before the next chunk's are made;
-        # freed a chunk late, glibc's malloc returned them to the system
-        # and the next chunk faulted them back in
-        del k
     n_samp = ctl.mc_samples
     how = f"{n_samp} samples, seed {ctl.seed}"
     mean = math.fsum(sums) / n_samp
@@ -453,34 +453,43 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
 
 
 @np.errstate(all="ignore")
-def _strong_split(cfg: SystemConfig, zeta, a):
+def _strong_split(cfg: SystemConfig, zetas, coeffs):
     """The strong moments mu(m) = int (1 + c x)^-m f(x) dx, m = -2 zeta + 2j,
-    c = rho alpha_u, split at x0 = _SPLIT_X0, in float: the moments, a bound
-    on the error of sum_j a_j mu_j, the digits that sum loses and whether it
-    keeps _FLOAT_DIGITS_KEPT.  The head sums the Taylor terms (ordered_taylor)
-    over power_moments, the tail sum_r (w_r / B) e^(-lambda_r x0) Y^-m
-    (d + x0) I_m(lambda_r (d + x0)), Y = 1 + c x0, d = 1 / c, float ladders."""
+    c = rho alpha_u, split at x0 = _SPLIT_X0, in float, for rows that share
+    cfg but their zeta and coefficients a (rows of coeffs, all of one
+    length): per row the moments, a bound on the error of sum_j a_j mu_j,
+    the digits that sum loses and whether it keeps _FLOAT_DIGITS_KEPT.  The
+    head sums the Taylor terms (ordered_taylor) over power_moments, the tail
+    sum_r (w_r / B) e^(-lambda_r x0) Y^-m (d + x0) I_m(lambda_r (d + x0)),
+    Y = 1 + c x0, d = 1 / c, float ladders, as arrays with a row axis; a
+    row's values do not depend on the other rows."""
     c, x0, k_max = cfg.rho * cfg.alpha_u, _SPLIT_X0, _SPLIT_TERMS
     b_fn, rates, weights = ordered_mixture(cfg.u, cfg.V)
     taylor, remainder = ordered_taylor(cfg.u, cfg.V, k_max)
-    ms = -2.0 * zeta + 2.0 * np.arange(a.size)
-    logs, errs = power_moments(ms[0], a.size, k_max, c, x0)
+    a = np.array(coeffs)
+    ms = -2.0 * np.array(zetas)[:, None] + 2.0 * np.arange(a.shape[1])
+    logs, errs = power_moments(ms[:, 0], a.shape[1], k_max, c, x0)
     d_x0, rates = 1.0 / c + x0, np.array(rates)[:, None]
-    expo = -x0 * rates - ms * math.log1p(c * x0)
-    ladders = np.array(expint_ladders((rates[:, 0] * d_x0).tolist(),
-                                      2 * (a.size - 1), ms[0]))[:, ::2]
-    head = np.array(taylor) / b_fn * np.exp(logs[:, :-1])
+    expo = -x0 * rates - ms[:, None] * math.log1p(c * x0)
+    ladders = np.array([expint_ladders((rates[:, 0] * d_x0).tolist(),
+                                       2 * (a.shape[1] - 1), m0)
+                        for m0 in ms[:, 0]])[..., ::2]
+    head = np.array(taylor) / b_fn * np.exp(logs[..., :-1])
     tail = np.array(weights)[:, None] / b_fn * d_x0 * np.exp(expo) * ladders
-    moments = np.sum(head, axis=1) + np.sum(tail, axis=0)
-    mags = np.sum(np.abs(head), axis=1) + np.sum(np.abs(tail), axis=0)
-    err = math.fsum(np.abs(a) * (
-        np.sum(np.abs(head) * errs[:, :-1], axis=1)
-        + remainder / b_fn * np.exp(logs[:, -1]) * (1.0 + errs[:, -1])
-        + np.sum(np.abs(tail) * (_LADDER_REL + _MACHEPS * np.abs(expo)), 0)
-        + (k_max + cfg.u + 16) * _MACHEPS * mags))
-    total = abs(math.fsum(a * moments))
-    lost = float(np.log10(np.float64(math.fsum(np.abs(a) * mags)) / total))
-    return moments, err, lost, err <= 10.0 ** -_FLOAT_DIGITS_KEPT * total
+    moments = np.sum(head, axis=-1) + np.sum(tail, axis=-2)
+    mags = np.sum(np.abs(head), axis=-1) + np.sum(np.abs(tail), axis=-2)
+    bounds = np.abs(a) * (
+        np.sum(np.abs(head) * errs[..., :-1], axis=-1)
+        + remainder / b_fn * np.exp(logs[..., -1]) * (1.0 + errs[..., -1])
+        + np.sum(np.abs(tail) * (_LADDER_REL + _MACHEPS * np.abs(expo)), -2)
+        + (k_max + cfg.u + 16) * _MACHEPS * mags)
+    splits = []
+    for row, mu, bound, mag in zip(a, moments, bounds, np.abs(a) * mags):
+        err, total = math.fsum(bound), abs(math.fsum(row * mu))
+        lost = float(np.log10(np.float64(math.fsum(mag)) / total))
+        splits.append((mu, err, lost,
+                       err <= 10.0 ** -_FLOAT_DIGITS_KEPT * total))
+    return splits
 
 
 def _strong_pass(cfg: SystemConfig, zeta, a):
@@ -500,13 +509,14 @@ def _strong_pass(cfg: SystemConfig, zeta, a):
     return moments, scale, math.log10(scale / total) if total else math.inf
 
 
-def _strong_moments(cfg: SystemConfig, zeta, a):
+def _strong_moments(cfg: SystemConfig, zeta, a, split):
     """Strong-user moments E[(1+g)^(2 zeta - 2j)] and the error of their
     a-weighted sum.  The SNR is linear in the gain, so over the whole line
     each moment is an alternating sum of I_s(eta) at s = -2 zeta + 2j over
     the density's exponentials, which cancels by up to about 30 digits.
-    The split at x0 (_strong_split) cancels far less and stands where its
-    bound keeps _FLOAT_DIGITS_KEPT digits; else the whole line runs in
+    The row's split at x0 (``split``, from _strong_split) cancels far less
+    and stands where its bound keeps _FLOAT_DIGITS_KEPT digits; else the
+    whole line runs in
     Decimal (_strong_pass) at _SUM_DIGITS digits, and where fewer than
     _SUM_DIGITS_KEPT survive, once more at _SUM_DIGITS_SPARE more than were
     lost, with error 10^(4 - digits) times the magnitude.  No term budget,
@@ -514,7 +524,7 @@ def _strong_moments(cfg: SystemConfig, zeta, a):
     "sum at 50 digits" or "redone at D digits", and the digits its last
     pass lost make the note.
     """
-    moments, err, lost, kept = _strong_split(cfg, zeta, a)
+    moments, err, lost, kept = split
     if kept:
         return moments, err, None, True, f"split at x0, {lost:.2f} digits lost"
     digits, route = _SUM_DIGITS, f"sum at {_SUM_DIGITS} digits"
@@ -529,33 +539,39 @@ def _strong_moments(cfg: SystemConfig, zeta, a):
             None, True, f"{route}, {lost:.2f} digits lost")
 
 
-def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
-               order: tuple[int, int] | None) -> EcResult:
+def _expansion(cfg: SystemConfig, role: str,
+               order: tuple[int, int] | None):
+    """The kernel parameters of a closed-form row, its expansion order
+    (given, or chosen from beta, see fblrate.expansion_order) and that
+    expansion's coefficients a_j."""
+    kp = make_kernel_params(cfg.theta_for(role), cfg.n, cfg.eps)
+    order = _order(kp, order)
+    return kp, order, expansion_coeffs(kp.beta, order)
+
+
+def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls, expansion,
+               split=None) -> EcResult:
     """Closed-form effective capacity of either user.
 
-    Expands the kernel to ``order`` (chosen from beta by default, see
-    fblrate.expansion_order) and assembles its mean eps + (1 - eps)
-    sum_j a_j mu_j from the role's moments mu_j = E[(1+g)^(2 zeta - 2j)]
-    (_weak_moments, _strong_moments), which bound the moments' error and
-    name the route of the strong sum; err adds to that the rounding of
-    sum_j a_j mu_j itself.  One rule for both
-    users: the sum stands where the mean is finite and err < mean / 2 (a
-    diverged series has err = inf); otherwise the value is the adaptive
-    quadrature of the same expanded kernel, flagged unconverged, and where
-    that quadrature's mean is not positive its ConvergenceError reaches the
-    caller.  ``tail_bound`` is
+    Assembles the mean eps + (1 - eps) sum_j a_j mu_j of the kernel
+    expansion (_expansion) from the role's moments mu_j =
+    E[(1+g)^(2 zeta - 2j)] (_weak_moments, _strong_moments from the row's
+    float split), which bound the moments' error and name the route of the
+    sum; err adds to that the rounding of sum_j a_j mu_j itself.  One rule
+    for both users: the sum stands where the mean is finite and err <
+    mean / 2 (a diverged series has err = inf); otherwise the value is the
+    adaptive quadrature of the same expanded kernel, flagged unconverged,
+    and where that quadrature's mean is not positive its ConvergenceError
+    reaches the caller.  ``tail_bound`` is
     the error against the expanded kernel, ``expansion_bound`` that of the
     expanded kernel against the exact one; their sum bounds the gap to the
     exact-kernel capacity.
     """
-    theta = cfg.theta_for(role)
-    eps = cfg.eps
-    kp = make_kernel_params(theta, cfg.n, eps)
-    order = _order(kp, order)
-    a = expansion_coeffs(kp.beta, order)
+    theta, eps = cfg.theta_for(role), cfg.eps
+    kp, order, a = expansion
     moments, err, terms, converged, route = (
         _weak_moments(cfg, kp.zeta, a, ctl) if role == "weak"
-        else _strong_moments(cfg, kp.zeta, a))
+        else _strong_moments(cfg, kp.zeta, a, split))
     err += _MACHEPS * math.fsum(np.abs(a * moments))
     inner = eps + (1.0 - eps) * math.fsum(a * moments)
     if math.isfinite(inner) and err < 0.5 * inner:
@@ -587,18 +603,59 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls,
 def ec_closed_weak(cfg: SystemConfig, ctl: EvalControls,
                    order: tuple[int, int] | None = None) -> EcResult:
     """Closed-form effective capacity of the weak user (_ec_closed)."""
-    return _ec_closed(cfg, "weak", ctl, order)
+    return _ec_closed(cfg, "weak", ctl, _expansion(cfg, "weak", order))
 
 
 def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
                      order: tuple[int, int] | None = None) -> EcResult:
-    """Closed-form effective capacity of the strong user (_ec_closed)."""
-    return _ec_closed(cfg, "strong", ctl, order)
+    """Closed-form effective capacity of the strong user: a batch of one
+    (ec_closed_strong_batch) that raises its row's failure."""
+    res, = ec_closed_strong_batch([cfg], ctl, [order])
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def ec_closed_strong_batch(cfgs, ctl: EvalControls, orders=None) -> list:
+    """Closed-form effective capacity of the strong user (_ec_closed) at
+    each of cfgs, or the ValueError or RuntimeError a row raised in its
+    place.  Rows that share rho, alpha_u, u, V and J + 1 (a theta grid's
+    J = 16 rows at one SNR) make their float split (_strong_split) in one
+    pass, and a split that fails is made again row by row; the rest of each
+    row runs alone.  Each row's value equals that of its batch of one."""
+    orders = orders or [None] * len(cfgs)
+    expansions = [_expansion(cfg, "strong", order)
+                  for cfg, order in zip(cfgs, orders)]
+    groups = {}
+    for i, (cfg, (_, _, a)) in enumerate(zip(cfgs, expansions)):
+        groups.setdefault((cfg.rho, cfg.alpha_u, cfg.u, cfg.V, a.size),
+                          []).append(i)
+    out = [None] * len(cfgs)
+    for rows in groups.values():
+        splits = _caught(_strong_split, cfgs[rows[0]],
+                         [expansions[i][0].zeta for i in rows],
+                         [expansions[i][2] for i in rows])
+        for n, i in enumerate(rows):
+            if not isinstance(splits, Exception):
+                out[i] = _caught(_ec_closed, cfgs[i], "strong", ctl,
+                                 expansions[i], splits[n])
+            else:
+                out[i] = splits if len(rows) == 1 else ec_closed_strong_batch(
+                    [cfgs[i]], ctl, [orders[i]])[0]
+    return out
+
+
+def _caught(fn, *args):
+    """fn(*args), or the ValueError or RuntimeError it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return exc
 
 
 def evaluate(cfg: SystemConfig, role: str, method: str,
              ctl: EvalControls) -> EcResult:
-    """Single entry point used by sweeps and reports."""
+    """Single entry point used by reports and one-point callers."""
     if method == "closed_form":
         cfg.theta_for(role)     # refuses an unknown role, as the others do
         closed = ec_closed_weak if role == "weak" else ec_closed_strong
@@ -608,3 +665,13 @@ def evaluate(cfg: SystemConfig, role: str, method: str,
     if method == "quadrature":
         return ec_quadrature(cfg, role, ctl, kernel_variant="exact")
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def evaluate_batch(cfgs, role: str, method: str, ctl: EvalControls) -> list:
+    """evaluate at each of cfgs, the entry point of sweeps, with a row's
+    ValueError or RuntimeError in its place; the strong closed form's rows
+    share their float splits (ec_closed_strong_batch), the rest run one by
+    one."""
+    if method == "closed_form" and role == "strong":
+        return ec_closed_strong_batch(cfgs, ctl)
+    return [_caught(evaluate, cfg, role, method, ctl) for cfg in cfgs]

@@ -74,16 +74,17 @@ def make_kernel_params(theta: float, n: int, eps: float) -> KernelParams:
                         beta=theta * math.sqrt(n) * gaussian_q_inv(eps))
 
 
-def dispersion_root(gamma):
+def dispersion_root(gamma, out=None):
     """sqrt(1 - (1+gamma)^-2), the square root of the channel dispersion.
 
     Evaluated as sqrt(gamma*(gamma+2))/(1+gamma) to avoid cancellation at
-    small gamma.  Lies in [0, 1) and increases monotonically.
+    small gamma.  Lies in [0, 1) and increases monotonically.  An array
+    ``out`` of gamma's shape, not gamma itself, receives the result.
     """
     g = np.asarray(gamma, dtype=float)
     # in place on the result and one scratch array; the result is an array
     # even for 0-d input, since out= takes no numpy scalar
-    out = np.add(g, 2.0, out=np.empty_like(g))
+    out = np.add(g, 2.0, out=np.empty_like(g) if out is None else out)
     out *= g
     np.sqrt(out, out=out)
     out /= 1.0 + g
@@ -122,17 +123,19 @@ def rate_minimum(n: int, eps: float) -> float:
     return math.expm1(0.5 * math.log1p(u)) if c > 0.0 else math.inf
 
 
-def ec_kernel(gamma, kp: KernelParams, eps: float):
-    """Inside-expectation integrand eps + (1-eps)(1+gamma)^(2 zeta) e^(beta delta)."""
+def ec_kernel(gamma, kp: KernelParams, eps: float, out=None):
+    """Inside-expectation integrand eps + (1-eps)(1+gamma)^(2 zeta) e^(beta delta),
+    into ``out`` if given (an array of gamma's shape, not gamma itself)."""
     g = np.asarray(gamma, dtype=float)
     # one exponent: apart, (1+g)^(2 zeta) underflows where e^(beta delta)
     # overflows (theta*n large), and their product would be 0 * inf; made
-    # in place on the result and the dispersion root
-    val = np.log1p(g, out=np.empty_like(g))
-    val *= 2.0 * kp.zeta
-    delta = dispersion_root(g)
-    delta *= kp.beta
-    val += delta
+    # in place on the result, with one scratch array alive at a time
+    val = np.empty_like(g) if out is None else out
+    dispersion_root(g, out=val)
+    val *= kp.beta
+    log_term = np.log1p(g)
+    log_term *= 2.0 * kp.zeta
+    val += log_term
     np.exp(val, out=val)
     val *= 1.0 - eps
     val += eps

@@ -392,7 +392,7 @@ def expint_ladders(etas, s_max: int, s0=0.0) -> list[np.ndarray]:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def power_moments(m0: float, rows: int, k_max: int, c: float, x0: float):
+def power_moments(m0, rows: int, k_max: int, c: float, x0: float):
     """ln P and a bound on P's relative error, P[j, k] = int_0^x0 x^k
     (1 + c x)^-m dx = c^-(k+1) B_t0(k+1, b), m = m0 + 2j > 0, b = m - k - 1,
     t0 = c x0 / Y, Y = 1 + c x0, j < rows, k <= k_max <= 50.  Where b > 0,
@@ -401,19 +401,22 @@ def power_moments(m0: float, rows: int, k_max: int, c: float, x0: float):
     by hyp2f1 below Y = _HYP2F1_Y, and above, where it is up to 1.2e-11 off
     at an integer m, by S(k) = (Y - k S(k-1)) / (-b (Y - 1)) (by parts) from
     betainc's last cell, the closed form at k = 0 or at b = 0 t0^-m (ln Y -
-    sum_{i<m} t0^i / i).  The bound adds all rounding and scipy's error."""
+    sum_{i<m} t0^i / i).  The bound adds all rounding and scipy's error.
+    An array m0 adds a leading axis, one slice per m0, each equal to its
+    float call: cells with b > 0 never read the b <= 0 branch taken."""
     y, ln_y = 1.0 + c * x0, math.log1p(c * x0)
     t0, ln_c = c * x0 / y, math.log(c)
-    m, k = m0 + 2.0 * np.arange(rows)[:, None], np.arange(k_max + 1.0)
+    m = np.asarray(m0)[..., None, None] + 2.0 * np.arange(rows)[:, None]
+    k = np.arange(k_max + 1.0)
     pos = (b := m - k - 1.0) > 0.0
     steps = np.log(np.where(pos, np.concatenate(
-        [1.0 / (m - 1.0), k[1:] / b[:, 1:]], axis=1), 1.0))
+        [1.0 / (m - 1.0), k[1:] / b[..., 1:]], axis=-1), 1.0))
     ln_i = np.log(special.betainc(k + 1.0, np.where(pos, b, 1.0), t0))
-    logs = np.cumsum(steps, axis=1) + ln_i - (k + 1.0) * ln_c
+    logs = np.cumsum(steps, axis=-1) + ln_i - (k + 1.0) * ln_c
     sens = np.exp(np.minimum((k + 1.0) * (math.log(t0) - ln_c) - logs
                              - (b - 1.0) * ln_y, 700.0))    # t0 f(t0) / I
     errs = _BETAINC_REL + _EPS * (4.0 * (sens + np.abs(ln_i) + (k + 1.0) * abs(
-        ln_c) + 4.0) + np.cumsum(np.abs(steps) + 2.0, axis=1))
+        ln_c) + 4.0) + np.cumsum(np.abs(steps) + 2.0, axis=-1))
     shift = m * ln_y - (k + 1.0) * math.log(x0)     # ln(Y^m / x0^(k+1))
     if y < _HYP2F1_Y or pos.all():
         mm, kk = (x[~pos] for x in np.broadcast_arrays(m, k))
@@ -431,11 +434,11 @@ def power_moments(m0: float, rows: int, k_max: int, c: float, x0: float):
                 ln_y + part) / (ln_y - part), 1.0 + np.abs((m - 1.0) * ln_y)))
         # S(k) = alpha_k + beta_k S(k-1) from each row's last given cell
         alpha = np.where(given, alpha, y / (-b * (y - 1.0))) * ~(
-            given & np.roll(given, -1, axis=1) & (k < k_max))
-        scale = np.cumprod(np.where(given, 1.0, k / (b * (y - 1.0))), axis=1)
-        s = scale * np.cumsum(alpha / scale, axis=1)
+            given & np.roll(given, -1, axis=-1) & (k < k_max))
+        scale = np.cumprod(np.where(given, 1.0, k / (b * (y - 1.0))), axis=-1)
+        s = scale * np.cumsum(alpha / scale, axis=-1)
         e_s = np.abs(scale / s) * np.cumsum(np.abs(alpha / scale) * (
-            np.where(given, e_a, 0.0) + (6 * k_max + 8) * _EPS), axis=1)
+            np.where(given, e_a, 0.0) + (6 * k_max + 8) * _EPS), axis=-1)
     logs = np.where(pos, logs, np.log(s) - shift)
     return logs, np.where(pos, errs, e_s + 2.0 * _EPS * (
         np.abs(logs) + np.abs(shift)))

@@ -20,7 +20,8 @@ import numpy as np
 
 from .channel import ROLES, SystemConfig, db_to_linear
 from .delay import delay_at_capacity
-from .eccalc import METHODS, EcResult, EvalControls, ec_quadrature, evaluate
+from .eccalc import (METHODS, EcResult, EvalControls, ec_quadrature, evaluate,
+                     evaluate_batch)
 
 CSV_HEADER = ("scenario_id,axis_name,axis_value,role,method,ec_bits_per_cu,"
               "std_error,delay_violation_prob,series_terms,converged")
@@ -106,8 +107,11 @@ def _apply_axis(base: SystemConfig, axis: str, value: float) -> SystemConfig:
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every grid x role x method combination and write the CSV.
 
-    Evaluator failures are recorded in their row with converged = False
-    instead of aborting the sweep.
+    Each (variant, role, method) grid is one evaluate_batch call, whose
+    strong closed forms share their float split along a theta axis; the
+    rows are written grid value by grid value.  Evaluator failures are
+    recorded in their row with converged = False instead of aborting the
+    sweep.
     """
     rows: list[ResultRow] = []
     variants = spec.rho_db_variants or (None,)
@@ -118,23 +122,24 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         else:
             base = replace(spec.base, rho=db_to_linear(variant))
             scen = f"{spec.scenario_id}_rho{variant:g}db"
-        for value in spec.grid:
-            cfg = _apply_axis(base, spec.axis, value)
+        cfgs = [_apply_axis(base, spec.axis, value) for value in spec.grid]
+        results = {(role, method): evaluate_batch(cfgs, role, method,
+                                                  spec.controls)
+                   for role in spec.roles for method in spec.methods}
+        for i, (value, cfg) in enumerate(zip(spec.grid, cfgs)):
             for role in spec.roles:
                 for method in spec.methods:
-                    rows.append(_one_row(scen, spec, cfg, value, role, method))
+                    rows.append(_one_row(scen, spec, cfg, value, role, method,
+                                         results[role, method][i]))
     write_rows(spec.output_path, rows)
     return rows
 
 
-def _one_row(scenario, spec, cfg, value, role, method) -> ResultRow:
-    try:
-        res = evaluate(cfg, role, method, spec.controls)
-        ec = res.value if math.isfinite(res.value) else None
-    except (ValueError, RuntimeError) as exc:
+def _one_row(scenario, spec, cfg, value, role, method, res) -> ResultRow:
+    if isinstance(res, Exception):
         res = EcResult(value=math.nan, method=method, converged=False,
-                       note=str(exc))
-        ec = None
+                       note=str(res))
+    ec = res.value if math.isfinite(res.value) else None
     dvp = None
     if spec.d_max is not None and ec is not None:
         dvp = delay_at_capacity(cfg.theta_for(role), ec, spec.d_max)

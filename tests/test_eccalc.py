@@ -854,7 +854,7 @@ class TestClosedForms:
                        theta_u=theta)
         kp = make_kernel_params(theta, cfg.n, cfg.eps)
         a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
-        assert eccalc._strong_split(cfg, kp.zeta, a)[3]
+        assert eccalc._strong_split(cfg, [kp.zeta], [a])[0][3]
         monkeypatch.setattr(specfun, "scaled_expint", lambda s, etas: (
             exact_seeds.append((s, len(etas))) or exact_seed(s, etas)))
         monkeypatch.setattr(mpmath.mp, "gamma",
@@ -882,7 +882,7 @@ class TestClosedForms:
                 assert len(named) == 1
                 kp = make_kernel_params(theta, cfg.n, cfg.eps)
                 a = expansion_coeffs(kp.beta, res.expansion_order)
-                split = eccalc._strong_split(cfg, kp.zeta, a)
+                split = eccalc._strong_split(cfg, [kp.zeta], [a])[0]
                 assert (named[0] == "split at x0,") == split[3]
                 if split[3]:
                     assert res.note.startswith(
@@ -1185,6 +1185,81 @@ def box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps, log_theta):
                         theta_u=theta)
 
 
+def assert_batch_is_rows_alone(cfgs):
+    """The strong closed forms of cfgs, and the float splits of each group
+    of rows that share one, equal the same made one row at a time, bit for
+    bit; returns the number of groups."""
+    ctl = EvalControls()
+    for cfg, res in zip(cfgs, eccalc.ec_closed_strong_batch(cfgs, ctl)):
+        alone, = eccalc.ec_closed_strong_batch([cfg], ctl)
+        assert type(res) is type(alone)
+        assert res == alone if isinstance(res, EcResult) else \
+            str(res) == str(alone)
+    groups = {}
+    for cfg in cfgs:
+        kp, _, a = eccalc._expansion(cfg, "strong", None)
+        groups.setdefault((cfg.rho, a.size), []).append((cfg, kp.zeta, a))
+    for rows in groups.values():
+        split = eccalc._strong_split(rows[0][0], [zeta for _, zeta, _ in rows],
+                                     [a for _, _, a in rows])
+        for (cfg, zeta, a), (mu, *rest) in zip(rows, split):
+            one_mu, *one_rest = eccalc._strong_split(cfg, [zeta], [a])[0]
+            assert np.array_equal(mu, one_mu) and rest == one_rest
+    return len(groups)
+
+
+class TestStrongBatch:
+    def test_preset_rows(self):
+        # every theta grid of fig4 and fig5 splits in two batches, its
+        # J = 1 and its J = 16 rows; fig3 and validate are batches of one
+        for name in ("fig3", "fig4", "fig5"):
+            spec = figure_preset(name)
+            for rho_db in spec.rho_db_variants or (None,):
+                base = (spec.base if rho_db is None else
+                        replace(spec.base, rho=db_to_linear(rho_db)))
+                cfgs = [replace(base, rho=db_to_linear(v))
+                        if spec.axis == "rho_db" else
+                        replace(base, theta_t=v, theta_u=v)
+                        for v in spec.grid]
+                groups = assert_batch_is_rows_alone(cfgs)
+                assert groups == (len(cfgs) if spec.axis == "rho_db" else 2)
+        assert assert_batch_is_rows_alone(
+            [make_cfg(rho_db=rho_db) for rho_db in (0.0, 10.0, 20.0, 30.0)
+             ]) == 4
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(**{key: BOX[key] for key in BOX if key != "log_theta"},
+           log_thetas=st.lists(BOX["log_theta"], max_size=4))
+    def test_box_rows_mixing_orders(self, V, t_frac, u_frac, alpha_t, rho_db,
+                                    n, log_eps, log_thetas):
+        # theta = 1e-4 expands to J = 16 and theta = 3 to (2, 1) over the
+        # whole box, so each batch mixes the two coefficient counts
+        assert assert_batch_is_rows_alone([
+            box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps, x)
+            for x in (-4.0, *log_thetas, math.log10(3.0))]) >= 2
+
+    def test_failed_split_is_made_again_row_by_row(self, monkeypatch):
+        # a shared split that raises is made again for each of its rows,
+        # so only the row that fails alone fails
+        split, ctl = eccalc._strong_split, EvalControls()
+        cfgs = [make_cfg(theta_t=theta, theta_u=theta)
+                for theta in (0.01, 0.02, 0.03)]
+        alone = [ec_closed_strong(cfg, ctl) for cfg in cfgs]
+        bad = make_kernel_params(0.02, 300, 1e-5).zeta
+
+        def refuse(cfg, zetas, coeffs):
+            if bad in zetas:
+                raise ConvergenceError("split refused")
+            return split(cfg, zetas, coeffs)
+
+        monkeypatch.setattr(eccalc, "_strong_split", refuse)
+        batch = eccalc.ec_closed_strong_batch(cfgs, ctl)
+        assert batch[0] == alone[0] and batch[2] == alone[2]
+        assert isinstance(batch[1], ConvergenceError)
+        with pytest.raises(ConvergenceError, match="split refused"):
+            ec_closed_strong(cfgs[1], ctl)
+
+
 class TestClosedFormDomain:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(**BOX)
@@ -1265,7 +1340,7 @@ class TestClosedFormDomain:
         a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(specfun, "scaled_expint", refuse)
-            eccalc._strong_split(cfg, kp.zeta, a)
+            eccalc._strong_split(cfg, [kp.zeta], [a])[0]
             eccalc._weak_ladders.__wrapped__(
                 cfg.V, cfg.t, 1.0 / (cfg.rho * cfg.alpha_u),
                 EvalControls().series_max_terms)

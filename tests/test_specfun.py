@@ -3,9 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from nomafbl import specfun
+from nomafbl.channel import db_to_linear
 from nomafbl.specfun import (beta_fn, exp_integral_ei, expint_ladders,
                              gaussian_q, gaussian_q_inv, power_moments,
                              scaled_expint, tricomi_u)
@@ -360,6 +363,43 @@ class TestPowerMoments:
             for m0 in (0.04, 3.0, 12.5, 400.0):
                 errs = power_moments(m0, 17, 50, c, 0.5)[1]
                 assert np.max(errs[:, 7:30]) < 1e-10, (rho_db, m0)
+
+
+class TestPowerMomentsBatch:
+    # an array m0 gives one slice per m0, each equal to its float call
+    # bit for bit, in either branch of the b <= 0 cells
+
+    @staticmethod
+    def assert_slices_are_float_calls(m0s, rows, c, x0=0.5):
+        logs, errs = power_moments(np.array(m0s), rows, 50, c, x0)
+        assert logs.shape == errs.shape == (len(m0s), rows, 51)
+        for i, m0 in enumerate(m0s):
+            one_logs, one_errs = power_moments(float(m0), rows, 50, c, x0)
+            assert np.array_equal(logs[i], one_logs), m0
+            assert np.array_equal(errs[i], one_errs), m0
+
+    @pytest.mark.parametrize("rho_db", [15.0, 20.0, 25.0])
+    def test_fig4_to_fig6_theta_grids(self, rho_db):
+        # m0 = theta n at n = 400, c = rho alpha_u: Y = 4.2, 11 and 32.6
+        m0s = [theta * 400 for theta in np.logspace(-4, 0, 30)]
+        for rows in (2, 17):
+            self.assert_slices_are_float_calls(
+                m0s, rows, 0.2 * db_to_linear(rho_db))
+
+    @pytest.mark.parametrize("cx0", [4.0, 31.6])
+    def test_batch_mixing_rows_with_and_without_positive_b(self, cx0):
+        # m0 > 51 gives b > 0 in every cell of its rows; the batch takes
+        # the b <= 0 branch of its other rows, at Y < 10 and at Y >= 10
+        self.assert_slices_are_float_calls([0.04, 400.0, 3.0, 60.5, 51.0],
+                                           17, cx0 / 0.5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(log_cx0=st.floats(-1.5, 3.5),
+           m0s=st.lists(st.floats(0.005, 6000.0), min_size=1, max_size=6),
+           rows=st.sampled_from([1, 2, 17]))
+    def test_box(self, log_cx0, m0s, rows):
+        # Y from 1.03 to 3200 and m0 = theta n over the closed forms' box
+        self.assert_slices_are_float_calls(m0s, rows, 2.0 * 10.0 ** log_cx0)
 
 
 class TestBetaFn:

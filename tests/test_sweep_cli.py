@@ -186,6 +186,26 @@ class TestRunSweep:
         lines = Path(spec.output_path).read_text().splitlines()[1:]
         assert lines[0].replace(",weak,", ",strong,") == lines[1]
 
+    def test_failed_rows_leave_the_rest_of_their_batch(self, tmp_path):
+        # one theta grid per user is one batch: its theta = 1 rows fail as
+        # above, and its theta = 0.01 rows keep the values they have alone
+        base = SystemConfig(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2,
+                            rho=db_to_linear(-30.0), n=400, eps=0.9,
+                            theta_t=1.0, theta_u=1.0)
+        spec = small_spec(tmp_path, base=base, axis="theta",
+                          grid=(0.01, 1.0), roles=("weak", "strong"))
+        rows = run_sweep(spec)
+        for row in rows[2:]:
+            assert row.ec_bits_per_cu is None and not row.converged
+        lines = Path(spec.output_path).read_text().splitlines()[1:]
+        assert lines[2].replace(",weak,", ",strong,") == lines[3]
+        cfg = replace(base, theta_t=0.01, theta_u=0.01)
+        for row in rows[:2]:
+            alone = nomafbl.eccalc.evaluate(cfg, row.role, "closed_form",
+                                            spec.controls)
+            assert (row.ec_bits_per_cu, row.series_terms, row.converged) \
+                == (alone.value, alone.series_terms, alone.converged)
+
     def test_delay_column(self, tmp_path):
         spec = small_spec(tmp_path, axis="theta", grid=(0.01,),
                           d_max=400.0)
@@ -520,8 +540,9 @@ class TestCli:
             self, line, message, tmp_path, capsys, monkeypatch):
         # both were once refused only after rows had been evaluated
         calls = []
-        monkeypatch.setattr(nomafbl.sweep, "evaluate",
-                            lambda *args: calls.append(args))
+        for entry in ("evaluate", "evaluate_batch"):
+            monkeypatch.setattr(nomafbl.sweep, entry,
+                                lambda *args: calls.append(args))
         out = tmp_path / "o.csv"
         cfg_file = tmp_path / "s.cfg"
         cfg_file.write_text(f"[sweep:s]\naxis = theta\ngrid = 0.01\n"
