@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .channel import SystemConfig
-from .eccalc import EcResult, EvalControls, evaluate
+from .eccalc import EcResult, EvalControls, evaluate_batch
 from .fblrate import LN2
 
 
@@ -61,17 +61,20 @@ def delay_violation_curve(cfg: SystemConfig, role: str, thetas,
     """Delay-violation probability across a QoS-exponent grid.
 
     For each theta the arrival rate is the closed-form effective capacity
-    at that theta (both users' exponents are swept together).
+    at that theta (both users' exponents are swept together), made for the
+    whole grid by one evaluate_batch call; the first row that failed raises
+    its exception.
     """
     thetas = list(thetas)
     if any(th <= 0.0 for th in thetas):
         raise ValueError("theta grid must be strictly positive")
     if sorted(thetas) != thetas:
         raise ValueError("theta grid must be ascending")
+    cfgs = [replace(cfg, theta_t=th, theta_u=th) for th in thetas]
     points = []
-    for th in thetas:
-        cfg_th = replace(cfg, theta_t=th, theta_u=th)
-        ec = evaluate(cfg_th, role, "closed_form", ctl)
-        prob = delay_at_capacity(th, ec.value, d_max)
-        points.append(DelayPoint(theta=th, prob=prob, ec=ec))
+    for th, ec in zip(thetas, evaluate_batch(cfgs, role, "closed_form", ctl)):
+        if isinstance(ec, Exception):
+            raise ec
+        points.append(DelayPoint(theta=th, prob=delay_at_capacity(
+            th, ec.value, d_max), ec=ec))
     return points

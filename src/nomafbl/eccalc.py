@@ -16,10 +16,11 @@ kernel vs Monte-Carlo isolates sampling, and exact vs expanded quadrature
 isolates the expansion error itself, which the closed forms also bound and
 report.
 
-Both closed forms sum I_s ladders that specfun.expint_ladders builds and
-seeds, in float or at the decimal context's digits; the weak user's series
-seed a three-term recurrence in the exponent (_weak_moments), and the
-strong user's float route splits each moment at x0 (_strong_split).
+Both closed forms sum float I_s ladders that specfun.expint_ladders builds
+and seeds; the weak user's series seed a three-term recurrence in the
+exponent (_weak_moments), and the strong user splits each moment at x0
+(_strong_split).  Where a sum's bound does not hold it, either user's
+value is the quadrature of the same expanded kernel (_ec_closed).
 
 scipy.integrate, which only the quadrature oracle uses, is imported on the
 first ec_quadrature call (or the first read of ``eccalc.integrate``), not
@@ -33,7 +34,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -47,12 +47,10 @@ from .specfun import ConvergenceError, expint_ladders, power_moments
 
 _MC_CHUNK = 1 << 16
 _MACHEPS = np.finfo(float).eps
-# The strong user's sum (_strong_moments): the float split's point, Taylor
-# terms, ladder error and least digits kept; the Decimal pass's digits, the
-# least it keeps and the redo's spare
+# The strong user's sum (_strong_split): the split's point, Taylor terms,
+# ladder error and least digits kept
 _SPLIT_X0, _SPLIT_TERMS, _LADDER_REL, _FLOAT_DIGITS_KEPT = (
     0.5, 50, 64 * _MACHEPS, 10)
-_SUM_DIGITS, _SUM_DIGITS_KEPT, _SUM_DIGITS_SPARE = 50, 20, 30
 # Relative tolerance of the kernel expansion order and the weak-user series
 SERIES_REL_TOL = 1e-10
 # The weak recurrence (_weak_moments): the tolerance of the series that seed
@@ -107,9 +105,11 @@ class EcResult:
     converged        closed forms: False where a weak series was cut at the
                      term budget with a finite tail, which keeps the series
                      value, and where the sum's kernel mean was not finite or
-                     its error bound not below half that mean, which gives
-                     the approx-kernel quadrature's value; a non-positive
-                     quadrature mean raises ConvergenceError instead
+                     its error bound not below half that mean (a strong
+                     split that keeps fewer than 10 digits, a weak series
+                     that cannot converge), which gives the approx-kernel
+                     quadrature's value; a non-positive quadrature mean
+                     raises ConvergenceError instead
     tail_bound       numerical error bound in bits/cu against the kernel the
                      method integrates: series truncation and rounding, or
                      the quadrature's error estimate
@@ -126,10 +126,10 @@ class EcResult:
                      expansion order and both bounds, the route of the weak
                      sum ("series at N exponents, recurrence for K", "series
                      at every exponent", "no series: ..."; _weak_moments),
-                     and for the strong user the route of its sum ("split
-                     at x0", "sum at 50 digits", "redone at D digits";
-                     _strong_moments) and the digits it lost; for
-                     quadrature the kernel and QUADPACK's integrand
+                     for the strong user "split at x0" and the digits the
+                     split lost (_strong_moments), and where the sum was not
+                     kept "value from quadrature" and that quadrature's
+                     note; for quadrature the kernel and QUADPACK's integrand
                      evaluations and subintervals; a negative value adds,
                      once, that its delay exponent is infeasible
     """
@@ -305,11 +305,10 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
     series peak (near |c q| / (1 - |q|)) may still lie far ahead, and only
     the log trend can tell a negligible tail from a not-yet-reached bulk.
     Each series stops at its first term whose tail is at most tol times
-    the running sum, before a term beyond e^700 (the first term, d I_0 <= 1
-    times a prefactor <= 1, never is), or at the ladder's last rung.
-    Returns arrays (sum, terms_used, tail_bound) indexed [ladder, c]; the
-    tail bound is inf where the series diverges, that is where it meets a
-    term beyond e^700 or ends with rho >= 1.
+    the running sum, or at the ladder's last rung; no term overflows, as
+    the positive terms sum to M(c) <= 1/lambda (_weak_moments).  Returns
+    arrays (sum, terms_used, tail_bound) indexed [ladder, c]; the tail
+    bound is inf where the series ends with rho >= 1.
     """
     s_max = ladders.shape[1] - 1
     s = np.arange(1, s_max + 1)
@@ -328,12 +327,8 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
     done = (tails <= tol * totals) | (
         (rho < 1.0) & (totals == 0.0) & (log_term < -700.0))
     stop = np.where(done, cols, s_max).min(axis=-1)
-    blow = np.where(log_term > 700.0, cols, s_max + 1).min(axis=-1)
-    diverged = blow <= stop
-    last = np.where(diverged, blow - 1, stop)
-    i, j = np.indices(last.shape)
-    return (totals[i, j, last], np.where(diverged, blow, stop),
-            np.where(diverged, math.inf, tails[i, j, last]))
+    i, j = np.indices(stop.shape)
+    return totals[i, j, stop], stop, tails[i, j, stop]
 
 
 @functools.lru_cache(maxsize=1)
@@ -492,51 +487,17 @@ def _strong_split(cfg: SystemConfig, zetas, coeffs):
     return splits
 
 
-def _strong_pass(cfg: SystemConfig, zeta, a):
-    """One Decimal pass of the strong sum over the whole line at the
-    context's precision, which the float inputs enter exactly: the moments,
-    their magnitude xi d sum_j |a_j| sum_i |w_i I_i| and the digits lost."""
-    b_fn, rates, weights = ordered_mixture(cfg.u, cfg.V)
-    d = 1 / Decimal(cfg.rho * cfg.alpha_u)
-    xi_d = d / Decimal(b_fn)
-    ladders = expint_ladders([rate * d for rate in rates], 2 * (a.size - 1),
-                             -2 * Decimal(zeta))
-    terms = [w * ladder[::2] for w, ladder in zip(weights, ladders)]
-    moments = xi_d * sum(terms)
-    a_num = [Decimal(x) for x in a]
-    scale = xi_d * sum(abs(x) * y for x, y in zip(a_num, sum(np.abs(terms))))
-    total = abs(sum(x * y for x, y in zip(a_num, moments)))
-    return moments, scale, math.log10(scale / total) if total else math.inf
-
-
-def _strong_moments(cfg: SystemConfig, zeta, a, split):
+def _strong_moments(split):
     """Strong-user moments E[(1+g)^(2 zeta - 2j)] and the error of their
-    a-weighted sum.  The SNR is linear in the gain, so over the whole line
-    each moment is an alternating sum of I_s(eta) at s = -2 zeta + 2j over
-    the density's exponentials, which cancels by up to about 30 digits.
-    The row's split at x0 (``split``, from _strong_split) cancels far less
-    and stands where its bound keeps _FLOAT_DIGITS_KEPT digits; else the
-    whole line runs in
-    Decimal (_strong_pass) at _SUM_DIGITS digits, and where fewer than
-    _SUM_DIGITS_KEPT survive, once more at _SUM_DIGITS_SPARE more than were
-    lost, with error 10^(4 - digits) times the magnitude.  No term budget,
-    so no term count and always converged.  The route, "split at x0",
-    "sum at 50 digits" or "redone at D digits", and the digits its last
-    pass lost make the note.
+    a-weighted sum from the row's float split at x0 (``split``, from
+    _strong_split), in _weak_moments' form.  A split whose bound keeps fewer
+    than _FLOAT_DIGITS_KEPT digits gives an infinite error, so _ec_closed
+    takes the row to its quadrature.  No term budget, so no term count; the
+    route, "split at x0", and the digits the split lost make the note.
     """
     moments, err, lost, kept = split
-    if kept:
-        return moments, err, None, True, f"split at x0, {lost:.2f} digits lost"
-    digits, route = _SUM_DIGITS, f"sum at {_SUM_DIGITS} digits"
-    for redo in (False, True):
-        with localcontext(Context(prec=digits)):
-            moments, scale, lost = _strong_pass(cfg, zeta, a)
-        if redo or digits - lost >= _SUM_DIGITS_KEPT:
-            break
-        digits = math.ceil(lost) + _SUM_DIGITS_SPARE
-        route = f"redone at {digits} digits"
-    return (moments.astype(float), 10.0 ** (4 - digits) * float(scale),
-            None, True, f"{route}, {lost:.2f} digits lost")
+    return (moments, err if kept else math.inf, None, True,
+            f"split at x0, {lost:.2f} digits lost")
 
 
 def _expansion(cfg: SystemConfig, role: str,
@@ -559,19 +520,19 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls, expansion,
     float split), which bound the moments' error and name the route of the
     sum; err adds to that the rounding of sum_j a_j mu_j itself.  One rule
     for both users: the sum stands where the mean is finite and err <
-    mean / 2 (a diverged series has err = inf); otherwise the value is the
+    mean / 2 (a weak series that cannot converge and a strong split that
+    keeps too few digits have err = inf); otherwise the value is the
     adaptive quadrature of the same expanded kernel, flagged unconverged,
     and where that quadrature's mean is not positive its ConvergenceError
-    reaches the caller.  ``tail_bound`` is
-    the error against the expanded kernel, ``expansion_bound`` that of the
-    expanded kernel against the exact one; their sum bounds the gap to the
-    exact-kernel capacity.
+    reaches the caller.  ``tail_bound`` is the error against the expanded
+    kernel, ``expansion_bound`` that of the expanded kernel against the
+    exact one; their sum bounds the gap to the exact-kernel capacity.
     """
     theta, eps = cfg.theta_for(role), cfg.eps
     kp, order, a = expansion
     moments, err, terms, converged, route = (
         _weak_moments(cfg, kp.zeta, a, ctl) if role == "weak"
-        else _strong_moments(cfg, kp.zeta, a, split))
+        else _strong_moments(split))
     err += _MACHEPS * math.fsum(np.abs(a * moments))
     inner = eps + (1.0 - eps) * math.fsum(a * moments)
     if math.isfinite(inner) and err < 0.5 * inner:
@@ -584,7 +545,7 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls, expansion,
         value, tail_bound = fallback.value, fallback.tail_bound
         inner = math.exp(-fallback.value * theta * cfg.n * LN2)
         mu, converged = (1.0, 1.0), False
-        how = f"series unconverged; value from quadrature ({fallback.note})"
+        how = f"sum not kept; value from quadrature ({fallback.note})"
     # by expansion_error_coeffs the kernel means differ by at most
     # (1-eps) (r_M mu_0 + t_J mu_J), with mu_j <= 1, on either side of inner
     r_m, t_j = expansion_error_coeffs(kp.beta, order)

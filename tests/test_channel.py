@@ -436,13 +436,25 @@ class TestLayering:
                    for alias in node.names if alias.name.startswith("_")]
         assert private == []
 
+    @classmethod
+    def _top_level_names(cls, module):
+        """The top-level packages a module imports from outside nomafbl."""
+        names = {alias.name.split(".")[0] for node in cls._imports(module)
+                 if isinstance(node, ast.Import) for alias in node.names}
+        return names | {(node.module or "").split(".")[0]
+                        for node in cls._imports(module)
+                        if isinstance(node, ast.ImportFrom) and not node.level}
+
     @pytest.mark.parametrize("module", sorted(CORE | set(BELOW)))
     def test_only_specfun_imports_mpmath(self, module):
-        # extended precision is specfun's to set: it makes every seed at
-        # the precision the caller's decimal context asks for
-        names = {alias.name.split(".")[0] for node in self._imports(module)
-                 if isinstance(node, ast.Import) for alias in node.names}
-        names |= {(node.module or "").split(".")[0]
-                  for node in self._imports(module)
-                  if isinstance(node, ast.ImportFrom) and not node.level}
+        # mpmath's working precision is process-wide, so specfun alone sets
+        # it, under its seed lock, for the seeds it makes at a fixed
+        # precision
+        names = self._top_level_names(module)
         assert ("mpmath" in names) == (module == "specfun")
+
+    @pytest.mark.parametrize("module", sorted(
+        p.stem for p in Path(nomafbl.__file__).parent.glob("*.py")))
+    def test_no_module_imports_decimal(self, module):
+        # every closed form sums in float: no extended-precision pass
+        assert "decimal" not in self._top_level_names(module)

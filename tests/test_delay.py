@@ -1,11 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nomafbl import delay
 from nomafbl.channel import SystemConfig, db_to_linear
-from nomafbl.delay import delay_violation_curve, delay_violation_prob
-from nomafbl.eccalc import EvalControls
+from nomafbl.delay import (DelayPoint, delay_at_capacity,
+                           delay_violation_curve, delay_violation_prob)
+from nomafbl.eccalc import EvalControls, evaluate
+from nomafbl.specfun import ConvergenceError
+from nomafbl.sweep import figure_preset
 
 FIG5 = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, n=400, eps=1e-6,
             theta_t=0.01, theta_u=0.01)
@@ -110,3 +115,38 @@ class TestDelayViolationCurve:
                                   ctl)
         with pytest.raises(ValueError):
             delay_violation_curve(make_cfg(), "weak", [0.0, 0.01], 400.0, ctl)
+
+    def test_points_match_per_row_evaluate(self):
+        # the grid goes through one evaluate_batch call, whose strong rows
+        # share their split: on fig5's 20 dB theta grid each point is
+        # repr-equal to its row made alone by evaluate
+        spec = figure_preset("fig5")
+        cfg = replace(spec.base, rho=db_to_linear(20.0))
+        for role in ("weak", "strong"):
+            pts = delay_violation_curve(cfg, role, spec.grid, spec.d_max,
+                                        spec.controls)
+            want = []
+            for theta in spec.grid:
+                ec = evaluate(replace(cfg, theta_t=theta, theta_u=theta),
+                              role, "closed_form", spec.controls)
+                want.append(DelayPoint(theta, delay_at_capacity(
+                    theta, ec.value, spec.d_max), ec))
+            assert repr(pts) == repr(want)
+
+    def test_first_failed_row_raises(self, monkeypatch):
+        # a row's failure reaches the caller, the first one on the grid
+        ctl = EvalControls()
+        ok = evaluate(make_cfg(), "weak", "closed_form", ctl)
+        monkeypatch.setattr(delay, "evaluate_batch", lambda *args: [
+            ok, ConvergenceError("first"), ValueError("second")])
+        with pytest.raises(ConvergenceError, match="first"):
+            delay_violation_curve(make_cfg(), "weak", [0.01, 0.02, 0.03],
+                                  400.0, ctl)
+
+    @pytest.mark.parametrize("role", ["weak", "strong"])
+    def test_row_failure_is_raised(self, role):
+        # eps = 0.9, theta = 1, -30 dB: the expanded kernel's mean is not
+        # positive, for either user
+        with pytest.raises(ConvergenceError, match="non-positive"):
+            delay_violation_curve(make_cfg(rho_db=-30.0, eps=0.9), role,
+                                  [0.01, 1.0], 400.0, EvalControls())

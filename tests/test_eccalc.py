@@ -1,4 +1,3 @@
-import decimal
 import math
 import os
 import subprocess
@@ -6,7 +5,6 @@ import sys
 import threading
 import warnings
 from dataclasses import replace
-from decimal import Decimal
 from pathlib import Path
 
 import mpmath
@@ -388,8 +386,6 @@ def _weak_series_loop(c, q, d, ladder, log_prefactor):
             log_coef += math.log(abs(step)) - math.log(s) + log_q
             sign *= (1.0 if step > 0.0 else -1.0) * sign_q
         log_term = log_coef + math.log(d * ladder[s])
-        if log_term > 700.0:
-            return total, s, math.inf
         total += sign * math.exp(log_term)
         # every later term ratio is at most rho, the supremum over k >= s
         # of |q| (k - c) / (k + 1)
@@ -400,16 +396,6 @@ def _weak_series_loop(c, q, d, ladder, log_prefactor):
                 rho < 1.0 and total == 0.0 and log_term < -700.0):
             return total, s, tail
     return total, s_max, tail
-
-
-def _rel_to_laplace(rung, s0, k, eta):
-    """|rung / I_{s0+k}(eta) - 1| against a 60-digit quadrature of the
-    Laplace integral; s0 and eta are decimal strings."""
-    with mpmath.workdps(60):
-        s, z = mpmath.mpf(s0) + k, mpmath.mpf(eta)
-        ref = mpmath.quad(lambda v: mpmath.exp(-z * v) * (1 + v) ** -s,
-                          [0, 1 / (z + s), 1, mpmath.inf])
-        return abs(mpmath.mpf(str(rung)) / ref - 1)
 
 
 class TestClosedFormSeries:
@@ -469,47 +455,20 @@ class TestClosedFormSeries:
         assert ladder[0] == 1.0 / eta
         assert ladder[1] == pytest.approx(tricomi_u(1.0, 1.0, eta), rel=1e-10)
 
-    @pytest.mark.parametrize("eta, s0", [("0.05", "3.0"), ("8.0", "3.0"),
-                                         ("40.0", "2.5"),
-                                         ("0.3", "4.000000000001")],
-                             ids=["upward", "downward", "fraction",
-                                  "near-integer"])
-    def test_decimal_ladder(self, eta, s0):
-        # the strong user's ladder: Decimal rungs at 50 digits from one
-        # seed, against a 60-digit quadrature of the Laplace integral.
-        # With the seed cast through float the rungs were 4e-31 to 8e-17 off
-        with decimal.localcontext(decimal.Context(prec=50)):
-            ladder = expint_ladders([Decimal(eta)], 34, Decimal(s0))[0]
-        for k in (0, 1, 2, 17, 34):
-            assert isinstance(ladder[k], Decimal)
-            assert _rel_to_laplace(ladder[k], s0, k, eta) <= 1e-45
-
     def test_batched_ladders_match_single_eta_ladders(self, monkeypatch):
         # one seed call per k0: 0.05 and 0.3 share k0 = 0, 2.5 and 8.0
-        # seed at k0 = 1 and 6, and 40 (k0 = 34) by the continued fraction.
-        # Every seed order is 1e-12 off an integer, so the direct sum is
-        # redone at 0.3, 2.5 and 8.0 but not at 0.05: Gamma(1 - s) is made
-        # once per direct-sum call and once per redo, 3 + 3 times
-        etas, s0 = ["0.05", "0.3", "2.5", "8.0", "40.0"], "3.000000000001"
-        gamma, calls = mpmath.mp.gamma, []
-        with decimal.localcontext(decimal.Context(prec=50)):
-            with monkeypatch.context() as patch:
-                patch.setattr(mpmath.mp, "gamma",
-                              lambda *a: calls.append(a) or gamma(*a))
-                batch = expint_ladders([Decimal(e) for e in etas], 34,
-                                       Decimal(s0))
-            singles = [expint_ladders([Decimal(e)], 34, Decimal(s0))[0]
-                       for e in etas]
-        assert len(calls) == 6
-        for ladder, single, eta in zip(batch, singles, etas):
-            assert ladder.tolist() == single.tolist()
-            for k in (0, 1, 17, 34):
-                assert _rel_to_laplace(ladder[k], s0, k, eta) <= 1e-45
-        floats = [float(e) for e in etas]
-        for ladder, eta in zip(expint_ladders(floats, 34, float(s0)), floats):
+        # seed at k0 = 1 and 6, and 40 at k0 = 34; each ladder of the batch
+        # equals that eta's ladder alone, bit for bit
+        etas, s0 = [0.05, 0.3, 2.5, 8.0, 40.0], 3.000000000001
+        seed, calls = specfun.tricomi_u, []
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "tricomi_u", lambda a, b, z: (
+                calls.append(len(z)) or seed(a, b, z)))
+            batch = expint_ladders(etas, 34, s0)
+        assert calls == [2, 1, 1, 1]
+        for ladder, eta in zip(batch, etas):
             assert ladder.dtype == float
-            assert np.array_equal(ladder, expint_ladders([eta], 34,
-                                                         float(s0))[0])
+            assert np.array_equal(ladder, expint_ladders([eta], 34, s0)[0])
 
 
 def _weak_moments_every_exponent(cfg, zeta, a, ctl):
@@ -639,14 +598,14 @@ class TestWeakLadderMemo:
 
     def test_theta_sweep_seeds_weak_ladders_once(self, monkeypatch):
         # the weak ladders depend on the SNR, not on theta: of three fig4
-        # rows at 20 dB only the first seeds them, in float, and none at
-        # 50 digits
+        # rows at 20 dB only the first seeds them, by expn or the fraction,
+        # and none by mpmath
         float_seed, seeds = specfun.tricomi_u, []
-        exact_seed, exact_seeds = specfun.scaled_expint, []
+        expint, mp_seeds = mpmath.mp.expint, []
         monkeypatch.setattr(specfun, "tricomi_u", lambda a, b, z: (
             seeds.append((b, len(z))) or float_seed(a, b, z)))
-        monkeypatch.setattr(specfun, "scaled_expint", lambda s, etas: (
-            exact_seeds.append((s, len(etas))) or exact_seed(s, etas)))
+        monkeypatch.setattr(mpmath.mp, "expint", lambda *args: (
+            mp_seeds.append(args) or expint(*args)))
         per_row = []
         for theta in (1e-3, 1e-2, 0.1):
             cfg = make_cfg(rho_db=20.0, n=400, eps=1e-6, theta_t=theta,
@@ -656,7 +615,7 @@ class TestWeakLadderMemo:
             per_row.append(len(seeds) - before)
         assert per_row[0] > 0
         assert per_row[1:] == [0, 0]
-        assert exact_seeds == []
+        assert mp_seeds == []
 
     def test_memo_is_read_only(self):
         cfg = make_cfg()
@@ -830,24 +789,17 @@ class TestClosedForms:
         assert closed.converged
         assert abs(closed.value - oracle.value) <= closed.tail_bound
 
-    @pytest.mark.parametrize("rho_db, theta, tail_orders, orders, gammas", [
-        (20.0, 0.1082636733874054, 1, 1, 1),  # the fig5 grid point: k0 = 0
-        (20.0, 0.1, 1, 1, 0),   # order theta n = 40: expint, no Gamma
-        (20.0, 1e-4, 5, 1, 1),  # whole line: k0 = 2 for all 8 etas
-        (15.0, 1e-4, 6, 2, 2),  # whole line: orders 2.04 and 3.04
-    ], ids=["20.0-0.1082636733874054-1-1", "20.0-0.1-1-0", "20.0-0.0001-1-1",
-            "15.0-0.0001-2-2"])     # rho_db-theta-orders-gammas
+    @pytest.mark.parametrize("rho_db, theta, tail_orders", [
+        (20.0, 0.1082636733874054, 1),  # the fig5 grid point: k0 = 0
+        (20.0, 0.1, 1),         # order theta n = 40
+        (20.0, 1e-4, 5),
+        (15.0, 1e-4, 6),
+    ])
     def test_strong_row_seeds_once_per_order(self, monkeypatch, rho_db,
-                                             theta, tail_orders, orders,
-                                             gammas):
+                                             theta, tail_orders):
         # fig5 rows: the split's tail makes one tricomi_u call per distinct
-        # seed order for all u ladders of the row, at eta = lambda (d + x0),
-        # and the 50-digit pass over the whole line one scaled_expint call
-        # per order, which makes Gamma(1 - s) once per non-integer order;
-        # each is counted on its own
-        float_seed, exact_seed = specfun.tricomi_u, specfun.scaled_expint
-        gamma = mpmath.mp.gamma
-        seeds, exact_seeds, calls = [], [], []
+        # seed order for all u ladders of the row, at eta = lambda (d + x0)
+        float_seed, seeds = specfun.tricomi_u, []
         monkeypatch.setattr(specfun, "tricomi_u", lambda a, b, z: (
             seeds.append((b, len(z))) or float_seed(a, b, z)))
         cfg = make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
@@ -855,22 +807,12 @@ class TestClosedForms:
         kp = make_kernel_params(theta, cfg.n, cfg.eps)
         a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
         assert eccalc._strong_split(cfg, [kp.zeta], [a])[0][3]
-        monkeypatch.setattr(specfun, "scaled_expint", lambda s, etas: (
-            exact_seeds.append((s, len(etas))) or exact_seed(s, etas)))
-        monkeypatch.setattr(mpmath.mp, "gamma",
-                            lambda *args: calls.append(args) or gamma(*args))
-        with decimal.localcontext(decimal.Context(prec=50)):
-            eccalc._strong_pass(cfg, kp.zeta, a)
-        for made, count in ((seeds, tail_orders), (exact_seeds, orders)):
-            assert len(made) == len({s for s, _ in made}) == count
-            assert sum(n for _, n in made) == cfg.u
-        assert len(calls) == gammas
+        assert len(seeds) == len({b for b, _ in seeds}) == tail_orders
+        assert sum(n for _, n in seeds) == cfg.u
 
     def test_strong_note_names_its_route(self):
-        # every fig5 row names one route and the digits its last pass lost;
-        # the split stands exactly where its bound keeps 10 digits, and a
-        # 50-digit note gives that pass's loss
-        routes = ("split at x0,", "sum at 50 digits,", "redone at ")
+        # every fig5 row is certified by its split, and its note names the
+        # split and the digits the split lost
         spec = figure_preset("fig5")
         kept = 0
         for rho_db in spec.rho_db_variants:
@@ -878,30 +820,24 @@ class TestClosedForms:
                 cfg = replace(spec.base, rho=db_to_linear(rho_db),
                               theta_t=theta, theta_u=theta)
                 res = ec_closed_strong(cfg, EvalControls())
-                named = [route for route in routes if route in res.note]
-                assert len(named) == 1
                 kp = make_kernel_params(theta, cfg.n, cfg.eps)
                 a = expansion_coeffs(kp.beta, res.expansion_order)
                 split = eccalc._strong_split(cfg, [kp.zeta], [a])[0]
-                assert (named[0] == "split at x0,") == split[3]
-                if split[3]:
-                    assert res.note.startswith(
-                        f"split at x0, {split[2]:.2f} digits lost;")
-                if named[0] == "sum at 50 digits,":
-                    with decimal.localcontext(decimal.Context(prec=50)):
-                        lost = eccalc._strong_pass(cfg, kp.zeta, a)[2]
-                    assert res.note.startswith(
-                        f"sum at 50 digits, {lost:.2f} digits lost;")
-                kept += named[0] == "split at x0,"
+                assert res.note.startswith(
+                    f"split at x0, {split[2]:.2f} digits lost;")
+                assert ("value from quadrature" in res.note) != split[3]
+                assert res.converged == split[3]
+                kept += split[3]
         assert kept == 90
 
-    def test_no_preset_strong_row_sums_in_decimal(self, monkeypatch):
-        # every strong row of fig3-fig6 and of validate at 0-30 dB takes the
-        # float split: none calls the Decimal pass
-        passes = []
-        decimal_pass = eccalc._strong_pass
-        monkeypatch.setattr(eccalc, "_strong_pass", lambda *args: (
-            passes.append(args) or decimal_pass(*args)))
+    def test_every_preset_strong_row_is_certified_by_the_split(
+            self, monkeypatch):
+        # every strong row of fig3-fig6 and of validate at 0-30 dB keeps 10
+        # digits in its float split: none falls back to the quadrature
+        fallbacks = []
+        quadrature = eccalc.ec_quadrature
+        monkeypatch.setattr(eccalc, "ec_quadrature", lambda *args: (
+            fallbacks.append(args) or quadrature(*args)))
         rows = 0
         for name in ("fig3", "fig4", "fig5", "fig6"):
             spec = figure_preset(name)
@@ -913,34 +849,42 @@ class TestClosedForms:
                            if spec.axis == "rho_db" else
                            replace(spec.base, rho=db_to_linear(rho_db),
                                    theta_t=value, theta_u=value))
-                    ec_closed_strong(cfg, EvalControls())
+                    res = ec_closed_strong(cfg, EvalControls())
+                    assert res.converged and res.note.startswith(
+                        "split at x0, ")
                     rows += 1
         for rho_db in (0.0, 10.0, 20.0, 30.0):
-            ec_closed_strong(make_cfg(rho_db=rho_db), EvalControls())
+            res = ec_closed_strong(make_cfg(rho_db=rho_db), EvalControls())
+            assert res.converged and res.note.startswith("split at x0, ")
             rows += 1
         assert rows == 175
-        assert passes == []
+        assert fallbacks == []
 
-    @pytest.mark.parametrize("cfg, route", [
-        # u = 16 of 17 at 7.9 dB: the split keeps too few digits, and the
-        # sum over the whole line loses 21 of its 50
-        (SystemConfig(V=17, t=10, u=16, alpha_t=0.978, alpha_u=0.022,
-                      rho=db_to_linear(7.886), n=1423, eps=3.43e-9,
-                      theta_t=0.3, theta_u=0.3), "sum at 50 digits, 21."),
-        # there it loses 31.4 and is redone at 62
-        (SystemConfig(V=19, t=13, u=16, alpha_t=0.9096, alpha_u=0.0904,
-                      rho=db_to_linear(-0.445), n=1426, eps=3.8e-7,
-                      theta_t=2.33, theta_u=2.33), "redone at 62 digits"),
-    ], ids=["sum-at-50", "redone"])
-    def test_strong_sum_past_the_split(self, cfg, route):
+    @pytest.mark.parametrize("cfg", [
+        # u = 16 of 17 at 7.9 dB: the split keeps too few digits
+        SystemConfig(V=17, t=10, u=16, alpha_t=0.978, alpha_u=0.022,
+                     rho=db_to_linear(7.886), n=1423, eps=3.43e-9,
+                     theta_t=0.3, theta_u=0.3),
+        # u = 16 of 19 at -0.4 dB and theta n = 3300
+        SystemConfig(V=19, t=13, u=16, alpha_t=0.9096, alpha_u=0.0904,
+                     rho=db_to_linear(-0.445), n=1426, eps=3.8e-7,
+                     theta_t=2.33, theta_u=2.33),
+        # u = 13 of 19, where the ladders seed at different orders
+        make_cfg(rho=551.22, V=19, t=3, u=13, alpha_t=0.99, alpha_u=0.01,
+                 n=481, eps=0.0258, theta_t=0.002246, theta_u=0.002246),
+    ], ids=["V17-u16", "V19-u16", "u13"])
+    def test_strong_sum_past_the_split(self, cfg):
+        # a split that keeps fewer than 10 digits hands the row to the
+        # quadrature of the same expanded kernel, flagged unconverged
         ctl = EvalControls(quad_rel_tol=1e-12)
         closed = ec_closed_strong(cfg, ctl)
-        assert closed.note.startswith(route)
         oracle = ec_quadrature(cfg, "strong", ctl, "approx",
                                closed.expansion_order)
-        assert closed.value == pytest.approx(oracle.value, rel=1e-10)
-        assert abs(closed.value - oracle.value) <= \
-            closed.tail_bound + oracle.tail_bound
+        assert closed.note.startswith("split at x0, ")
+        assert f"; value from quadrature ({oracle.note});" in closed.note
+        assert not closed.converged
+        assert closed.value == oracle.value
+        assert closed.tail_bound == oracle.tail_bound
 
     @pytest.mark.parametrize("cfg", [
         # worst float64 sum of the benchmark's reference points (9e-6)
@@ -948,18 +892,15 @@ class TestClosedForms:
                  theta_u=0.0117210229753),
         # fig3 at 34 dB, where the float64 sum's gap exceeded its bound
         make_cfg(rho_db=34.0),
-        # the ladders seed at different orders here; with each order
-        # s0 + k rounded to float64 the sum was 7e-10 off
-        make_cfg(rho=551.22, V=19, t=3, u=13, alpha_t=0.99, alpha_u=0.01,
-                 n=481, eps=0.0258, theta_t=0.002246, theta_u=0.002246),
-        # the sum loses 30.8 digits here and is redone at 61
+        # theta = 1 at 25 dB, at expansion order (2, 1)
         make_cfg(rho_db=25.0, n=400, eps=1e-6, theta_t=1.0, theta_u=1.0),
-    ], ids=["25dB", "fig3-34dB", "u13", "25dB-redo"])
-    def test_strong_sum_in_extended_precision(self, cfg):
+    ], ids=["25dB", "fig3-34dB", "25dB-theta1"])
+    def test_strong_split_tracks_quadrature(self, cfg):
         ctl = EvalControls(quad_rel_tol=1e-12)
         closed = ec_closed_strong(cfg, ctl)
         oracle = ec_quadrature(cfg, "strong", ctl, "approx",
                                closed.expansion_order)
+        assert closed.converged and closed.note.startswith("split at x0, ")
         assert closed.value == pytest.approx(oracle.value, rel=1e-10)
         assert abs(closed.value - oracle.value) <= \
             closed.tail_bound + oracle.tail_bound
@@ -1281,8 +1222,9 @@ class TestClosedFormDomain:
     def test_strong_tracks_quadrature_over_box(self, V, t_frac, u_frac,
                                                alpha_t, rho_db, n, log_eps,
                                                log_theta):
-        # the extended-precision sum is within 1e-10 of the quadrature of
-        # the same expanded kernel, and the two error bounds cover the gap
+        # the closed form, split or quadrature, is within 1e-10 of the
+        # quadrature of the same expanded kernel, and the two error bounds
+        # cover the gap
         cfg = box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps,
                       log_theta)
         closed = ec_closed_strong(cfg, EvalControls())
@@ -1325,21 +1267,20 @@ class TestClosedFormDomain:
     def test_float_ladders_seed_without_mpmath(self, V, t_frac, u_frac,
                                                alpha_t, rho_db, n, log_eps,
                                                log_theta):
-        # the strong split and the weak ladders, built with scaled_expint
-        # refused: every float seed comes from expn or the continued
-        # fraction.  The example (V = u = 9, t = 1, 17 dB) seeds its strong
-        # tail at a non-integer order below eta = 1: s = 2.50578,
-        # eta = 0.63302
+        # the strong split and the weak ladders, built with mpmath's expint
+        # refused: every seed comes from expn or the continued fraction.
+        # The example (V = u = 9, t = 1, 17 dB) seeds its strong tail at a
+        # non-integer order below eta = 1: s = 2.50578, eta = 0.63302
         cfg = box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps,
                       log_theta)
 
-        def refuse(s, etas):
-            raise AssertionError(f"mpmath seed at s={s}, eta={list(etas)}")
+        def refuse(s, eta):
+            raise AssertionError(f"mpmath seed at s={s}, eta={eta}")
 
         kp = make_kernel_params(cfg.theta_u, cfg.n, cfg.eps)
         a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(specfun, "scaled_expint", refuse)
+            patch.setattr(mpmath.mp, "expint", refuse)
             eccalc._strong_split(cfg, [kp.zeta], [a])[0]
             eccalc._weak_ladders.__wrapped__(
                 cfg.V, cfg.t, 1.0 / (cfg.rho * cfg.alpha_u),

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from nomafbl import specfun
 from nomafbl.channel import db_to_linear
 from nomafbl.specfun import (beta_fn, exp_integral_ei, expint_ladders,
                              gaussian_q, gaussian_q_inv, power_moments,
-                             scaled_expint, tricomi_u)
+                             tricomi_u)
 
 
 class TestGaussianQInv:
@@ -80,44 +79,41 @@ class TestExpIntegral:
 
     def test_scaled_e1(self):
         # e^z E1(z) is the first rung of the I_s ladder, run down from its
-        # scaled_expint seed
+        # tricomi_u seed
         for z in (0.1, 0.5, 1.0, 5.0, 50.0, 2000.0):
             assert expint_ladders([z], 1)[0][1] == pytest.approx(
                 float(sp.exp1(z) / np.exp(-z)) if z < 600 else 1 / (z + 1),
                 rel=1e-9 if z < 600 else 2e-3)
 
 
-def _direct_sum_by_hyp1f1(s, eta):
-    """e^eta eta^(s-1) Gamma(1-s) - 1F1(1; 2-s; eta) / (1-s) under the
-    seed's guard rule (32 guard bits, redone once with the bits its terms
-    lost added) and with its head, with mpmath's own 1F1 in place of the
-    fixed-point sum."""
-    mp = mpmath.mp
-    guard = 32
-    for _ in range(2):
-        with mp.extraprec(guard):
-            m = mp.mag(eta)
-            with mp.extraprec(max(m, 0, mp.mag(s - 1)
-                                  + (abs(m) + 2).bit_length())):
-                x = eta + (s - 1) * mp.ln(eta)
-            head = mp.exp(x) * mp.gamma(1 - s)
-            tail = mp.hyp1f1(1, 2 - s, eta) / (1 - s)
-            value = head - tail
-        lost = max(mp.mag(head), mp.mag(tail)) - mp.mag(value)
-        if lost <= guard:
-            return +value
-        guard = lost + 32
-    raise AssertionError(f"the 1F1 sum cancels at s={s}, eta={eta}")
-
-
 def _rel_to_laplace60(value, s, eta):
     """|value / (e^eta E_s(eta)) - 1| against a 60-digit quadrature of the
-    Laplace integral."""
+    Laplace integral, for either sign of s."""
     with mpmath.workdps(60):
         s, eta = mpmath.mpf(s), mpmath.mpf(eta)
         ref = mpmath.quad(lambda v: mpmath.exp(-eta * v) * (1 + v) ** -s,
-                          [0, 1 / (eta + s), 1, mpmath.inf])
+                          [0, 1 / (eta + abs(s)), 1, mpmath.inf])
         return abs(value / ref - 1)
+
+
+def _exact50(s, eta):
+    """e^eta E_s(eta) at 50 digits for s >= 0: mpmath's expint below
+    eta = 32, and from there up, where that expint can be wholly wrong (at
+    s = 400, eta = 1000 by a factor 1e271), the continued fraction of E_s,
+    1 / (b_0 + a_1 / (b_1 + ...)) with b_i = eta + s + 2i and
+    a_i = -i (s - 1 + i), by Lentz's method."""
+    with mpmath.workdps(50):
+        s, eta = mpmath.mpf(s), mpmath.mpf(eta)
+        if eta < 32:
+            return mpmath.exp(eta) * mpmath.expint(s, eta)
+        f = c = eta + s
+        d, i = mpmath.mpf(0), 1
+        while abs(c * d - 1) > mpmath.mpf(10) ** -50:
+            a, b = -i * (s - 1 + i), eta + s + 2 * i
+            d, c = 1 / (b + a * d), b + a / c
+            f *= c * d
+            i += 1
+        return 1 / f
 
 
 class TestTricomiU:
@@ -155,9 +151,9 @@ class TestTricomiU:
     def test_mpmath_oracle_over_seed_box(self):
         # U(1, 2 - s, eta) = e^eta E_s(eta) over the (s, eta) box that the
         # I_s ladders seed at, against a 50-digit quadrature of its Laplace
-        # integral.  The box reaches s ~ eta <= 500, past the switch to the
-        # continued fraction at eta = 32, up to (501, 500), where mpmath's
-        # expint at 34 digits is 100 % off
+        # integral.  The box reaches s ~ eta <= 500, past the switch from
+        # expn to the continued fraction at eta = 32, up to (501, 500),
+        # where mpmath's expint at 34 digits is 100 % off
         def laplace(s, eta):
             with mpmath.workdps(50):
                 s, eta = mpmath.mpf(s), mpmath.mpf(eta)
@@ -169,30 +165,26 @@ class TestTricomiU:
                for eta in np.geomspace(1.5e-3, 50.0, 6)]
         box += [(eta + ds, eta) for eta in np.geomspace(20.0, 500.0, 6)
                 for ds in (-0.5, 1.0, 2.5)]
-        # orders just off an integer, where the two terms of the direct sum
-        # have poles and cancel by up to 25 digits
+        # orders just off an integer
         box += [(m + ds, eta) for m in (1, 2, 4, 50, 400)
                 for ds in (-1e-12, 1e-12, -1e-8, 1e-8)
                 for eta in (1e-3, 0.15, 1.6, 20.0)]
-        worst = worst_mp = 0.0
+        worst = 0.0
         for s, eta in box:
             ref = laplace(s, eta)
             worst = max(worst, abs(tricomi_u(1.0, 2.0 - s, eta) / ref - 1))
-            with mpmath.workdps(34):
-                worst_mp = max(worst_mp,
-                               abs(scaled_expint(s, [eta])[0] / ref - 1))
         assert worst <= 1e-10
-        assert worst_mp <= 1e-30
 
     def test_float_routes_within_ulps_over_seed_box(self, monkeypatch):
-        # the float value of each route against scaled_expint at 50 digits,
-        # at the order 2 - b asked for, in units of 2^-52 relative: the box
-        # of the oracle test above, integer orders up to eta = 1e4 (e^eta
-        # would overflow from 710), orders at eta 0.45..0.95, and the strong
-        # split's tail band, s 1.5..14.5 at eta 0.5..0.76, where box rows
-        # with u = V seed.  Each point's route follows from (s, eta) alone,
-        # and only the mpmath route calls scaled_expint; near-integer orders
-        # from eta = 0.5 up stay in float
+        # the float value of each route against a 50-digit reference
+        # (_exact50), at the order 2 - b asked for, in units of 2^-52
+        # relative: the box of the oracle test above, integer orders up to
+        # eta = 1e4 (e^eta would overflow from 710), orders at eta
+        # 0.45..0.95, and the strong split's tail band, s 1.5..14.5 at eta
+        # 0.5..0.76, where box rows with u = V seed.  Each point's route
+        # follows from (s, eta) alone, and only the mpmath route calls
+        # mpmath's expint; near-integer orders from eta = 0.5 up stay in
+        # float
         box = [(s, eta) for s in np.geomspace(1.05, 400.0, 7)
                for eta in np.geomspace(1.5e-3, 50.0, 6)]
         box += [(eta + ds, eta) for eta in np.geomspace(20.0, 500.0, 6)
@@ -207,16 +199,16 @@ class TestTricomiU:
                 for eta in (0.45, 0.63, 0.79, 0.95)]
         box += [(s, eta) for s in np.linspace(1.5, 14.5, 27)
                 for eta in np.linspace(0.5, 0.76, 5)]
-        exact, handed = specfun.scaled_expint, []
-        monkeypatch.setattr(specfun, "scaled_expint", lambda s, etas: (
-            handed.append(etas) or exact(s, etas)))
+        expint, handed = mpmath.mp.expint, []
+        monkeypatch.setattr(mpmath.mp, "expint", lambda *args: (
+            handed.append(args) or expint(*args)))
         worst = {}
         for s, eta in box:
             b = 2.0 - s
             before = len(handed)
             value = tricomi_u(1.0, b, eta)
             with mpmath.workdps(50):
-                ulps = float(abs(value / exact(2 - mpmath.mpf(b), [eta])[0]
+                ulps = float(abs(value / _exact50(2 - mpmath.mpf(b), eta)
                                  - 1)) / 2.0 ** -52
             order = 2.0 - b
             route = ("expn" if order.is_integer() and 0.0 <= order <= 50.0
@@ -232,6 +224,29 @@ class TestTricomiU:
         assert worst.pop("expn") <= 7.0
         assert max(worst.values()) <= 4.0
 
+    def test_mpmath_route_within_ulps_of_laplace(self, monkeypatch):
+        # the mpmath route over its own box: s < 0 at eta 1e-4 to 100, and
+        # non-integer 0 <= s < 20 below eta = 0.5, with orders 1e-12 and
+        # 1e-8 off 0, 1, 2, 4, 10 and 19, each seed by mpmath's expint,
+        # within 4 units of 2^-52 of a 60-digit Laplace quadrature
+        box = [(s, eta) for s in (-0.5, -2.7, -33.3)
+               for eta in (1e-4, 0.3, 100.0)]
+        box += [(m + ds, eta) for m, eta in zip((0, 1, 2, 4, 10, 19),
+                                                (1e-4, 0.02, 0.45) * 2)
+                for ds in (-1e-12, 1e-12, -1e-8, 1e-8) if m + ds > 0]
+        box += [(s, eta) for s in (0.3, 7.7, 19.5) for eta in (1e-4, 0.49)]
+        expint, handed = mpmath.mp.expint, []
+        monkeypatch.setattr(mpmath.mp, "expint", lambda *args: (
+            handed.append(args) or expint(*args)))
+        worst = 0.0
+        for s, eta in box:
+            b = 2.0 - s
+            value = tricomi_u(1.0, b, eta)
+            worst = max(worst, float(_rel_to_laplace60(
+                value, 2 - mpmath.mpf(b), eta)) / 2.0 ** -52)
+        assert len(handed) == len(box)
+        assert worst <= 4.0
+
     @pytest.mark.parametrize("b, z, name", [
         (1.0, math.inf, "z"), (1.0, math.nan, "z"), (math.inf, 1.0, "b"),
         (-math.inf, 1.0, "b"), (math.nan, 1.0, "b")],
@@ -242,71 +257,15 @@ class TestTricomiU:
         with pytest.raises(ValueError, match=f"finite {name}"):
             tricomi_u(1.0, b, z)
 
-    @pytest.mark.parametrize("s, eta, name", [
-        (math.inf, 1.0, "s"), (-math.inf, 1.0, "s"), (math.nan, 1.0, "s"),
-        (2.5, math.inf, "eta"), (2.5, math.nan, "eta")],
-        ids=["s_inf", "s_minus_inf", "s_nan", "eta_inf", "eta_nan"])
-    def test_scaled_expint_refuses_non_finite_input(self, s, eta, name):
-        with pytest.raises(ValueError, match=f"finite {name}"):
-            scaled_expint(s, [eta])
-
-    @pytest.mark.parametrize("s, etas", [
-        # 1F1 terms that turn about as 2 - s + k nears 0, with eta large
-        (10.5, [9.0]), (20.3, [19.0]), (30.7, [29.0]), (25.25, [31.9]),
-        # terms that fall to 2^-204 and rise by 2^72 again: a rounding
-        # error at the bottom grows with the rise, which the bits cover
-        (150.25, [25.0]),
-        # terms that fall to 2^-216, below the working precision, and rise
-        # to 2^-159 again: the sum must not stop at the first small term
-        (140.25, [20.0]),
-        # orders just off an integer, where head and tail cancel
-        *[(m + ds, [0.15, 1.6, 20.0]) for m in (1, 2, 4, 50, 400)
-          for ds in (-1e-12, 1e-12)]])
-    def test_direct_sum_at_50_digits(self, s, etas):
-        # the fixed-point 1F1 pass against a 60-digit quadrature and
-        # against the sum as mpmath's 1F1 makes it, under the same guard
-        # rule; one call with every eta gives what one call per eta gives
-        with mpmath.workdps(50):
-            batch = scaled_expint(s, etas)
-            singles = [scaled_expint(s, [eta])[0] for eta in etas]
-            ulps_off = [abs(value - _direct_sum_by_hyp1f1(
-                mpmath.mpf(s), mpmath.mpf(eta)))
-                / 2 ** (mpmath.mag(value) - mpmath.mp.prec)
-                for value, eta in zip(batch, etas)]
-        assert batch == singles
-        assert max(ulps_off) <= 1
-        for value, eta in zip(batch, etas):
-            assert _rel_to_laplace60(value, s, eta) <= 1e-45
-
-    @pytest.mark.parametrize("s, eta, prec", [
-        (10.5, 9.0, mpmath.libmp.dps_to_prec(50)),
-        (95.885181, 30.7235, 300),
-        *[(s, eta, 300) for s, eta in zip(
-            np.random.default_rng(5).uniform(95.0, 105.0, 40),
-            np.random.default_rng(6).uniform(25.0, 31.0, 40))]])
-    def test_head_exponent_keeps_its_bits(self, s, eta, prec):
-        # e^(eta + (s-1) ln eta) Gamma(1-s) turns the exponent's absolute
-        # rounding error into relative error; with the exponent rounded at
-        # the working precision these were up to 95 ulps off
-        with mpmath.workprec(prec):
-            value = scaled_expint(s, [eta])[0]
-        with mpmath.workprec(1000):
-            exact = mpmath.exp(eta) * mpmath.expint(s, eta)
-            ulps_off = abs(value - exact) / 2 ** (mpmath.mag(exact) - prec)
-        assert ulps_off <= 2
-
     @pytest.mark.parametrize("s, eta", [(-100.25, 33.0), (-300.5, 100.0),
                                         (-50.5, 40.0), (-3.0, 50.0)])
     def test_negative_order_from_eta_32(self, s, eta):
         # a negative order from eta = 32 up goes to mpmath's expint: the
         # continued fraction, whose convergents change sign there, was 100 %
-        # off at s < -eta in scaled_expint and in tricomi_u, which hands
-        # these points to it
+        # off at s < -eta
         with mpmath.workdps(60):
             ref = mpmath.quad(lambda v: mpmath.exp(-eta * v) * (1 + v) ** -s,
                               [0, 1, 10, mpmath.inf])
-        with mpmath.workdps(40):
-            assert abs(scaled_expint(s, [eta])[0] / ref - 1) <= 1e-35
         assert tricomi_u(1.0, 2.0 - s, eta) == pytest.approx(float(ref),
                                                              rel=1e-14)
 
