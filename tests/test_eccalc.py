@@ -869,10 +869,7 @@ class TestClosedForms:
         SystemConfig(V=19, t=13, u=16, alpha_t=0.9096, alpha_u=0.0904,
                      rho=db_to_linear(-0.445), n=1426, eps=3.8e-7,
                      theta_t=2.33, theta_u=2.33),
-        # u = 13 of 19, where the ladders seed at different orders
-        make_cfg(rho=551.22, V=19, t=3, u=13, alpha_t=0.99, alpha_u=0.01,
-                 n=481, eps=0.0258, theta_t=0.002246, theta_u=0.002246),
-    ], ids=["V17-u16", "V19-u16", "u13"])
+    ], ids=["sum-at-50", "redone"])  # the routes these rows once took
     def test_strong_sum_past_the_split(self, cfg):
         # a split that keeps fewer than 10 digits hands the row to the
         # quadrature of the same expanded kernel, flagged unconverged
@@ -886,21 +883,32 @@ class TestClosedForms:
         assert closed.value == oracle.value
         assert closed.tail_bound == oracle.tail_bound
 
-    @pytest.mark.parametrize("cfg", [
+    @pytest.mark.parametrize("cfg, split", [
         # worst float64 sum of the benchmark's reference points (9e-6)
-        make_cfg(rho_db=25.0, n=400, eps=1e-6, theta_t=0.0117210229753,
-                 theta_u=0.0117210229753),
+        (make_cfg(rho_db=25.0, n=400, eps=1e-6, theta_t=0.0117210229753,
+                  theta_u=0.0117210229753), True),
         # fig3 at 34 dB, where the float64 sum's gap exceeded its bound
-        make_cfg(rho_db=34.0),
+        (make_cfg(rho_db=34.0), True),
+        # u = 13 of 19, where the ladders seed at different orders: the
+        # split keeps too few digits and the quadrature takes the row
+        (make_cfg(rho=551.22, V=19, t=3, u=13, alpha_t=0.99, alpha_u=0.01,
+                  n=481, eps=0.0258, theta_t=0.002246, theta_u=0.002246),
+         False),
         # theta = 1 at 25 dB, at expansion order (2, 1)
-        make_cfg(rho_db=25.0, n=400, eps=1e-6, theta_t=1.0, theta_u=1.0),
-    ], ids=["25dB", "fig3-34dB", "25dB-theta1"])
-    def test_strong_split_tracks_quadrature(self, cfg):
+        (make_cfg(rho_db=25.0, n=400, eps=1e-6, theta_t=1.0, theta_u=1.0),
+         True),
+    ], ids=["25dB", "fig3-34dB", "u13", "25dB-redo"])
+    def test_strong_sum_in_extended_precision(self, cfg, split):
+        # rows that once needed a sum past float64: each now takes the
+        # split or the quadrature, and is within 1e-10 and the two error
+        # bounds of the quadrature of the same expanded kernel
         ctl = EvalControls(quad_rel_tol=1e-12)
         closed = ec_closed_strong(cfg, ctl)
         oracle = ec_quadrature(cfg, "strong", ctl, "approx",
                                closed.expansion_order)
-        assert closed.converged and closed.note.startswith("split at x0, ")
+        assert closed.note.startswith("split at x0, ")
+        assert closed.converged == split
+        assert ("value from quadrature" in closed.note) != split
         assert closed.value == pytest.approx(oracle.value, rel=1e-10)
         assert abs(closed.value - oracle.value) <= \
             closed.tail_bound + oracle.tail_bound
