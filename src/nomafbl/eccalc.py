@@ -19,8 +19,10 @@ report.
 Both closed forms sum float I_s ladders that specfun.expint_ladders builds
 and seeds; the weak user's series seed a three-term recurrence in the
 exponent (_weak_moments), and the strong user splits each moment at x0
-(_strong_split).  Where a sum's bound does not hold it, either user's
-value is the quadrature of the same expanded kernel (_ec_closed).
+(_strong_split), on tail ladders that a whole strong batch makes in one
+expint_ladders call per ladder length (_tail_ladders).  Where a sum's
+bound does not hold it, either user's value is the quadrature of the same
+expanded kernel (_ec_closed).
 
 scipy.integrate, which only the quadrature oracle uses, is imported on the
 first ec_quadrature call (or the first read of ``eccalc.integrate``), not
@@ -338,8 +340,7 @@ def _weak_ladders(V: int, t: int, d: float, s_max: int) -> np.ndarray:
     neither theta nor the expansion order, so a theta sweep at one SNR
     builds them once: the cache keeps the last key only, and an SNR sweep,
     which changes d on every row, misses on each."""
-    ladders = np.array(expint_ladders(
-        [rate * d for rate in ordered_mixture(t, V)[1]], s_max))
+    ladders = expint_ladders(np.array(ordered_mixture(t, V)[1]) * d, s_max)
     ladders.flags.writeable = False
     return ladders
 
@@ -447,8 +448,32 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
             tail <= SERIES_REL_TOL * scale, route)
 
 
+def _tail_ladders(groups):
+    """The float ladders I_m(lambda_r (d + x0)), m = -2 zeta + 2j, d = 1 /
+    (rho alpha_u), of the strong split's tail for groups of rows (cfg,
+    zetas, coeffs) as _strong_split takes them: one array [row, r, j] per
+    group.  All groups of one length share one expint_ladders call."""
+    grids = []      # per group, each ladder's eta and s0, as [row, r]
+    for cfg, zetas, _ in groups:
+        etas = np.array(ordered_mixture(cfg.u, cfg.V)[1]) * (
+            1.0 / (cfg.rho * cfg.alpha_u) + _SPLIT_X0)
+        grids.append(np.broadcast_arrays(etas,
+                                         -2.0 * np.array(zetas)[:, None]))
+    out = [None] * len(groups)
+    for size in {len(coeffs[0]) for _, _, coeffs in groups}:
+        ids = [g for g, (_, _, coeffs) in enumerate(groups)
+               if len(coeffs[0]) == size]
+        etas, s0 = (np.concatenate([grids[g][x].ravel() for g in ids])
+                    for x in (0, 1))
+        ladders = expint_ladders(etas, 2 * (size - 1), s0)[:, ::2]
+        ends = np.cumsum([grids[g][0].size for g in ids])[:-1]
+        for g, part in zip(ids, np.split(ladders, ends)):
+            out[g] = part.reshape(*grids[g][0].shape, size)
+    return out
+
+
 @np.errstate(all="ignore")
-def _strong_split(cfg: SystemConfig, zetas, coeffs):
+def _strong_split(cfg: SystemConfig, zetas, coeffs, ladders):
     """The strong moments mu(m) = int (1 + c x)^-m f(x) dx, m = -2 zeta + 2j,
     c = rho alpha_u, split at x0 = _SPLIT_X0, in float, for rows that share
     cfg but their zeta and coefficients a (rows of coeffs, all of one
@@ -456,8 +481,9 @@ def _strong_split(cfg: SystemConfig, zetas, coeffs):
     the digits that sum loses and whether it keeps _FLOAT_DIGITS_KEPT.  The
     head sums the Taylor terms (ordered_taylor) over power_moments, the tail
     sum_r (w_r / B) e^(-lambda_r x0) Y^-m (d + x0) I_m(lambda_r (d + x0)),
-    Y = 1 + c x0, d = 1 / c, float ladders, as arrays with a row axis; a
-    row's values do not depend on the other rows."""
+    Y = 1 + c x0, d = 1 / c, on the rows' float ladders (_tail_ladders), as
+    arrays with a row axis; a row's values do not depend on the other
+    rows."""
     c, x0, k_max = cfg.rho * cfg.alpha_u, _SPLIT_X0, _SPLIT_TERMS
     b_fn, rates, weights = ordered_mixture(cfg.u, cfg.V)
     taylor, remainder = ordered_taylor(cfg.u, cfg.V, k_max)
@@ -466,9 +492,6 @@ def _strong_split(cfg: SystemConfig, zetas, coeffs):
     logs, errs = power_moments(ms[:, 0], a.shape[1], k_max, c, x0)
     d_x0, rates = 1.0 / c + x0, np.array(rates)[:, None]
     expo = -x0 * rates - ms[:, None] * math.log1p(c * x0)
-    ladders = np.array([expint_ladders((rates[:, 0] * d_x0).tolist(),
-                                       2 * (a.shape[1] - 1), m0)
-                        for m0 in ms[:, 0]])[..., ::2]
     head = np.array(taylor) / b_fn * np.exp(logs[..., :-1])
     tail = np.array(weights)[:, None] / b_fn * d_x0 * np.exp(expo) * ladders
     moments = np.sum(head, axis=-1) + np.sum(tail, axis=-2)
@@ -582,7 +605,8 @@ def ec_closed_strong_batch(cfgs, ctl: EvalControls, orders=None) -> list:
     each of cfgs, or the ValueError or RuntimeError a row raised in its
     place.  Rows that share rho, alpha_u, u, V and J + 1 (a theta grid's
     J = 16 rows at one SNR) make their float split (_strong_split) in one
-    pass, and a split that fails is made again row by row; the rest of each
+    pass, on tail ladders made for all groups at once (_tail_ladders);
+    where either fails, each row is made again alone.  The rest of each
     row runs alone.  Each row's value equals that of its batch of one."""
     orders = orders or [None] * len(cfgs)
     expansions = [_expansion(cfg, "strong", order)
@@ -591,17 +615,19 @@ def ec_closed_strong_batch(cfgs, ctl: EvalControls, orders=None) -> list:
     for i, (cfg, (_, _, a)) in enumerate(zip(cfgs, expansions)):
         groups.setdefault((cfg.rho, cfg.alpha_u, cfg.u, cfg.V, a.size),
                           []).append(i)
+    args = [(cfgs[rows[0]], [expansions[i][0].zeta for i in rows],
+             [expansions[i][2] for i in rows]) for rows in groups.values()]
+    tails = _caught(_tail_ladders, args)
     out = [None] * len(cfgs)
-    for rows in groups.values():
-        splits = _caught(_strong_split, cfgs[rows[0]],
-                         [expansions[i][0].zeta for i in rows],
-                         [expansions[i][2] for i in rows])
+    for g, rows in enumerate(groups.values()):
+        splits = tails if isinstance(tails, Exception) else _caught(
+            _strong_split, *args[g], tails[g])
         for n, i in enumerate(rows):
             if not isinstance(splits, Exception):
                 out[i] = _caught(_ec_closed, cfgs[i], "strong", ctl,
                                  expansions[i], splits[n])
             else:
-                out[i] = splits if len(rows) == 1 else ec_closed_strong_batch(
+                out[i] = splits if len(cfgs) == 1 else ec_closed_strong_batch(
                     [cfgs[i]], ctl, [orders[i]])[0]
     return out
 

@@ -9,15 +9,16 @@ adds only the domain check the callers rely on:
     every integer pair of a pool of up to 40 users)
 
 expint_ladders builds and seeds the float I_s(eta) = e^eta E_s(eta)
-ladders of both users' closed forms, one tricomi_u call per seed order;
-power_moments gives the strong split's head, the power moments of
-(1 + c x)^-m on [0, x0].
+ladders of both users' closed forms, every seed of a call by one
+tricomi_u call; power_moments gives the strong split's head, the power
+moments of (1 + c x)^-m on [0, x0].
 
-tricomi_u gives U(1, b, z) = e^z E_s(z), s = 2 - b, in float64 for one b
-and a float or an array of z.  It picks one of three routes from (s, z)
+tricomi_u gives U(1, b, z) = e^z E_s(z), s = 2 - b, in float64 for arrays
+of b and z that broadcast.  It picks each element's route from its (s, z)
 alone: scipy's expn at integer 0 <= s <= 50 below z = 32; from z = 0.5 up
-and at s >= 20 the continued fraction of E_s; and mpmath's expint at
-53 + 64 bits for the rest, s < 0 and non-integer s < 20 below z = 0.5.
+and at s >= 20 the continued fraction of E_s, one array pass for all such
+elements; and mpmath's expint at 53 + 64 bits for the rest, s < 0 and
+non-integer s < 20 below z = 0.5.
 Over the tests' seed box expn is within 4.6 units of 2^-52 relative and
 the fraction within 1.3; the mpmath route rounds its value once.  Both
 closed forms seed their ladders by expn or the fraction alone: the weak
@@ -91,99 +92,121 @@ def exp_integral_ei(x: float) -> float:
     return float(special.expi(x))
 
 
-def tricomi_u(a: float, b: float, z):
+def tricomi_u(a: float, b, z):
     """Tricomi's U(1, b, z) = e^z E_s(z), s = 2 - b, for z > 0 and real b,
-    in float64: a float for a float z, else an array of z's shape.
-
-    Only a = 1 is implemented, the case every capacity moment reduces to.
-    The route follows from (s, z) alone (module docstring).  The mpmath
-    route, which takes s < 0 and non-integer s < _CF_ORDER below
-    z = _CF_ETA, is e^z times mpmath's expint at _MP_PREC bits.
+    in float64: a float for a float b and z, else an array of the shape
+    they broadcast to.  Only a = 1 is implemented, the case every capacity
+    moment reduces to.  Each element takes the route of its own (s, z)
+    (module docstring), so it equals its one-element call.
     """
     if a != 1.0:
         raise ValueError(f"tricomi_u requires a = 1, got a={a}")
-    if not math.isfinite(b):
+    s, etas = np.broadcast_arrays(2.0 - np.asarray(b, dtype=float),
+                                  np.asarray(z, dtype=float))
+    if not np.all(np.isfinite(s)):
         raise ValueError(f"tricomi_u requires a finite b, got b={b}")
-    etas = np.asarray(z, dtype=float)
     if not np.all((etas > 0.0) & (etas < math.inf)):
         raise ValueError(f"tricomi_u requires finite z > 0, got z={z}")
-    s, flat = 2.0 - b, etas.ravel().tolist()
-    values, rest = [], []
-    for i, eta in enumerate(flat):
-        if s.is_integer() and 0.0 <= s <= _EXPN_ORDER and eta < _EXPN_ETA:
-            values.append(special.expn(int(s), eta) * math.exp(eta))
-        elif s >= 0.0 and (eta >= _CF_ETA or s >= _CF_ORDER):
-            values.append(_fraction(s, eta, _EPS / 16))
-        else:
-            values.append(math.nan)
-            rest.append(i)
-    if rest:
+    expn = (s == np.floor(s)) & (s >= 0.0) & (s <= _EXPN_ORDER) & (
+        etas < _EXPN_ETA)
+    cf = ~expn & (s >= 0.0) & ((etas >= _CF_ETA) | (s >= _CF_ORDER))
+    values = np.empty(s.shape)
+    # math.exp, not np.exp: they differ in the last bit on some etas
+    values[expn] = special.expn(s[expn].astype(int), etas[expn]) * [
+        math.exp(eta) for eta in etas[expn].tolist()]
+    values[cf] = _fraction(s[cf], etas[cf], _EPS / 16)
+    if (rest := ~(expn | cf)).any():     # e^z expint(s, z) at _MP_PREC bits
         mp = mpmath.mp
         with _SEED_LOCK, mpmath.workprec(_MP_PREC):
-            for i in rest:
-                eta = mp.mpf(flat[i])
-                values[i] = float(mp.exp(eta) * mp.expint(s, eta))
-    values = np.array(values).reshape(etas.shape)
+            points = zip(s[rest].tolist(), map(mp.mpf, etas[rest].tolist()))
+            values[rest] = [float(mp.exp(eta) * mp.expint(order, eta))
+                            for order, eta in points]
     return float(values) if values.ndim == 0 else values
 
 
+@np.errstate(all="ignore")
 def _fraction(s, eta, tol):
     """The continued fraction of e^eta E_s(eta), as
     1 / (b_0 + a_1 / (b_1 + a_2 / ...)) with b_i = eta + s + 2i and
-    a_i = -i (s - 1 + i), for float s >= 0 and eta.
+    a_i = -i (s - 1 + i), for arrays of float s >= 0 and eta.
 
     Steed's method sums the convergents' steps until one is below tol
-    relative to the sum, which sets the depth; the value is the fraction at
-    that depth evaluated from the bottom up, within about an ulp, where the
-    running sum drifts by up to 7.
+    relative to the sum, which sets each element's depth; the value is the
+    fraction at that depth evaluated from the bottom up, within about an
+    ulp, where the running sum drifts by up to 7.  The elements step
+    together but each stops at its own depth, so each equals its
+    one-element call.
     """
     c, s1 = eta + s, s - 1.0
     b = c + 2.0
     d = 1.0 / b
     step = -s * d
     total = c + step        # the convergents of 1 / I stay positive
+    depths, live = np.ones(c.shape, dtype=int), np.ones(c.shape, dtype=bool)
     depth = 1
-    while not -tol * total <= step <= tol * total:
+    while (live := live & ~(np.abs(step) <= tol * total)).any():
         depth += 1
         if depth > 10_000:
-            raise ConvergenceError(
-                f"E_s fraction unconverged at s={s}, eta={eta}")
+            i = np.argmax(live)
+            raise ConvergenceError(f"E_s fraction unconverged at s={s[i]}, "
+                                   f"eta={eta[i]}")
+        depths += live
         b += 2.0
         d = 1.0 / (b - depth * (s1 + depth) * d)
         step *= b * d - 1.0
         total += step
-    h = c + 2 * depth
+    h = c + 2 * depths
     for i in range(depth, 0, -1):
-        h = c + 2 * (i - 1) - i * (s1 + i) / h
+        h = np.where(i <= depths, c + 2 * (i - 1) - i * (s1 + i) / h, h)
     return 1.0 / h
 
 
-def expint_ladders(etas, s_max: int, s0=0.0) -> list[np.ndarray]:
+def expint_ladders(etas, s_max: int, s0=0.0) -> np.ndarray:
     """I_{s0+k} = int_0^inf e^{-eta v} (1+v)^{-(s0+k)} dv for k = 0 .. s_max,
-    one float ladder per eta of a sequence.
+    one float ladder (a row) per eta of a sequence, at one s0 or one per eta.
 
     The three-term recurrence I_{s+1} = (1 - eta I_s)/s holds for real s and
     is stable upward for s > eta and downward below, so each ladder is
     seeded at s0 + k0 with k0 ~ ceil(eta - s0) + 1 and run in the stable
-    direction on each side.  The etas that share a k0 get their seeds from
-    one tricomi_u call.
+    direction on each side.  One tricomi_u call makes every seed.  A call
+    with more ladders than rungs runs the recurrence in numpy columns
+    across its ladders, else ladder by ladder in Python floats; both make
+    each rung by the same float operations.
     """
-    k0s = [min(s_max, max(0, math.ceil(eta - s0) + 1)) for eta in etas]
-    seeds = {}
-    for k0 in sorted(set(k0s)):
-        group = [i for i, k in enumerate(k0s) if k == k0]
-        seeds.update(zip(group, tricomi_u(1.0, 2.0 - (s0 + k0),
-                                          [etas[i] for i in group]).tolist()))
+    etas, s0 = np.broadcast_arrays(np.asarray(etas, dtype=float), s0)
+    k0 = np.clip(np.ceil(etas - s0) + 1.0, 0, s_max).astype(int)
+    run = _ladder_columns if etas.size > s_max + 1 else _ladder_rows
+    return run(etas, s0, k0, tricomi_u(1.0, 2.0 - (s0 + k0), etas), s_max)
+
+
+def _ladder_rows(etas, s0, k0, seeds, s_max):
+    """expint_ladders' recurrence, ladder by ladder in Python floats."""
     ladders = []
-    for i, (eta, k0) in enumerate(zip(etas, k0s)):
-        rungs = [seeds[i]]
+    for eta, s, k0, seed in zip(*(x.tolist() for x in (etas, s0, k0, seeds))):
+        rungs = [seed]
         for k in range(k0 - 1, -1, -1):
-            rungs.append((1 - (s0 + k) * rungs[-1]) / eta)
+            rungs.append((1 - (s + k) * rungs[-1]) / eta)
         rungs.reverse()
         for k in range(k0, s_max):
-            rungs.append((1 - eta * rungs[-1]) / (s0 + k))
-        ladders.append(np.array(rungs))
-    return ladders
+            rungs.append((1 - eta * rungs[-1]) / (s + k))
+        ladders.append(rungs)
+    return np.array(ladders)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _ladder_columns(etas, s0, k0, seeds, s_max):
+    """expint_ladders' recurrence, one rung of every ladder per numpy step;
+    the rungs a ladder would make in its other direction, which may divide
+    by s0 + k = 0, are dropped."""
+    rungs = np.zeros((s_max + 1, etas.size))
+    rungs[k0, np.arange(etas.size)] = seeds
+    for k in range(k0.max() - 1, -1, -1):
+        rungs[k] = np.where(k < k0, (1 - (s0 + k) * rungs[k + 1]) / etas,
+                            rungs[k])
+    for k in range(k0.min(), s_max):
+        rungs[k + 1] = np.where(k >= k0, (1 - etas * rungs[k]) / (s0 + k),
+                                rungs[k + 1])
+    return rungs.T
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")

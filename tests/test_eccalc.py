@@ -26,7 +26,7 @@ from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
                              expansion_coeffs, fbl_rate, make_kernel_params,
                              rate_minimum, scalar_kernel)
 from nomafbl.specfun import ConvergenceError, expint_ladders, tricomi_u
-from nomafbl.sweep import figure_preset
+from nomafbl.sweep import figure_preset, run_sweep
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, n=300, eps=1e-5,
             theta_t=0.01, theta_u=0.01)
@@ -374,6 +374,13 @@ class TestTanhSinhOracle:
         assert abs(quad.value - value) <= quad.tail_bound + bound
 
 
+def strong_split(cfg, zetas, coeffs):
+    """eccalc._strong_split of rows that share cfg, on their tail ladders
+    made for them alone."""
+    ladders, = eccalc._tail_ladders([(cfg, zetas, coeffs)])
+    return eccalc._strong_split(cfg, zetas, coeffs, ladders)
+
+
 def _weak_series_loop(c, q, d, ladder, log_prefactor):
     """Term-by-term reference for eccalc._weak_series (one c at a time)."""
     log_q = math.log(abs(q))
@@ -456,16 +463,18 @@ class TestClosedFormSeries:
         assert ladder[1] == pytest.approx(tricomi_u(1.0, 1.0, eta), rel=1e-10)
 
     def test_batched_ladders_match_single_eta_ladders(self, monkeypatch):
-        # one seed call per k0: 0.05 and 0.3 share k0 = 0, 2.5 and 8.0
-        # seed at k0 = 1 and 6, and 40 at k0 = 34; each ladder of the batch
-        # equals that eta's ladder alone, bit for bit
+        # one seed call for the whole batch, though its seed orders differ:
+        # 0.05 and 0.3 seed at k0 = 0, 2.5 and 8.0 at k0 = 1 and 6, and 40
+        # at k0 = 34; each ladder of the batch equals that eta's ladder
+        # alone, bit for bit
         etas, s0 = [0.05, 0.3, 2.5, 8.0, 40.0], 3.000000000001
         seed, calls = specfun.tricomi_u, []
         with monkeypatch.context() as patch:
             patch.setattr(specfun, "tricomi_u", lambda a, b, z: (
                 calls.append(len(z)) or seed(a, b, z)))
             batch = expint_ladders(etas, 34, s0)
-        assert calls == [2, 1, 1, 1]
+        assert calls == [5]
+        assert batch.shape == (5, 35)
         for ladder, eta in zip(batch, etas):
             assert ladder.dtype == float
             assert np.array_equal(ladder, expint_ladders([eta], 34, s0)[0])
@@ -797,8 +806,9 @@ class TestClosedForms:
     ])
     def test_strong_row_seeds_once_per_order(self, monkeypatch, rho_db,
                                              theta, tail_orders):
-        # fig5 rows: the split's tail makes one tricomi_u call per distinct
-        # seed order for all u ladders of the row, at eta = lambda (d + x0)
+        # fig5 rows: the split's tail makes one tricomi_u call for all u
+        # ladders of the row, at eta = lambda (d + x0), whatever the number
+        # of distinct seed orders among them
         float_seed, seeds = specfun.tricomi_u, []
         monkeypatch.setattr(specfun, "tricomi_u", lambda a, b, z: (
             seeds.append((b, len(z))) or float_seed(a, b, z)))
@@ -806,9 +816,9 @@ class TestClosedForms:
                        theta_u=theta)
         kp = make_kernel_params(theta, cfg.n, cfg.eps)
         a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
-        assert eccalc._strong_split(cfg, [kp.zeta], [a])[0][3]
-        assert len(seeds) == len({b for b, _ in seeds}) == tail_orders
-        assert sum(n for _, n in seeds) == cfg.u
+        assert strong_split(cfg, [kp.zeta], [a])[0][3]
+        (orders, n), = seeds
+        assert n == cfg.u and len(set(orders.tolist())) == tail_orders
 
     def test_strong_note_names_its_route(self):
         # every fig5 row is certified by its split, and its note names the
@@ -822,7 +832,7 @@ class TestClosedForms:
                 res = ec_closed_strong(cfg, EvalControls())
                 kp = make_kernel_params(theta, cfg.n, cfg.eps)
                 a = expansion_coeffs(kp.beta, res.expansion_order)
-                split = eccalc._strong_split(cfg, [kp.zeta], [a])[0]
+                split = strong_split(cfg, [kp.zeta], [a])[0]
                 assert res.note.startswith(
                     f"split at x0, {split[2]:.2f} digits lost;")
                 assert ("value from quadrature" in res.note) != split[3]
@@ -1149,10 +1159,10 @@ def assert_batch_is_rows_alone(cfgs):
         kp, _, a = eccalc._expansion(cfg, "strong", None)
         groups.setdefault((cfg.rho, a.size), []).append((cfg, kp.zeta, a))
     for rows in groups.values():
-        split = eccalc._strong_split(rows[0][0], [zeta for _, zeta, _ in rows],
-                                     [a for _, _, a in rows])
+        split = strong_split(rows[0][0], [zeta for _, zeta, _ in rows],
+                             [a for _, _, a in rows])
         for (cfg, zeta, a), (mu, *rest) in zip(rows, split):
-            one_mu, *one_rest = eccalc._strong_split(cfg, [zeta], [a])[0]
+            one_mu, *one_rest = strong_split(cfg, [zeta], [a])[0]
             assert np.array_equal(mu, one_mu) and rest == one_rest
     return len(groups)
 
@@ -1196,10 +1206,10 @@ class TestStrongBatch:
         alone = [ec_closed_strong(cfg, ctl) for cfg in cfgs]
         bad = make_kernel_params(0.02, 300, 1e-5).zeta
 
-        def refuse(cfg, zetas, coeffs):
+        def refuse(cfg, zetas, coeffs, ladders):
             if bad in zetas:
                 raise ConvergenceError("split refused")
-            return split(cfg, zetas, coeffs)
+            return split(cfg, zetas, coeffs, ladders)
 
         monkeypatch.setattr(eccalc, "_strong_split", refuse)
         batch = eccalc.ec_closed_strong_batch(cfgs, ctl)
@@ -1207,6 +1217,45 @@ class TestStrongBatch:
         assert isinstance(batch[1], ConvergenceError)
         with pytest.raises(ConvergenceError, match="split refused"):
             ec_closed_strong(cfgs[1], ctl)
+
+    def test_failed_tail_ladders_are_made_again_row_by_row(self,
+                                                           monkeypatch):
+        # the tail ladders of the whole batch come from one call; where it
+        # raises, every row is made again alone, so only the row whose own
+        # ladders fail fails
+        ladders, ctl = eccalc._tail_ladders, EvalControls()
+        cfgs = [make_cfg(rho_db=rho_db, theta_t=theta, theta_u=theta)
+                for rho_db in (10.0, 20.0) for theta in (0.01, 3.0)]
+        alone = [ec_closed_strong(cfg, ctl) for cfg in cfgs]
+        bad = make_kernel_params(3.0, 300, 1e-5).zeta
+
+        def refuse(groups):
+            if any(cfg.rho == 100.0 and bad in zetas
+                   for cfg, zetas, _ in groups):
+                raise ConvergenceError("ladders refused")
+            return ladders(groups)
+
+        monkeypatch.setattr(eccalc, "_tail_ladders", refuse)
+        batch = eccalc.ec_closed_strong_batch(cfgs, ctl)
+        assert batch[:3] == alone[:3]
+        assert isinstance(batch[3], ConvergenceError)
+
+    def test_fig3_sweep_makes_its_strong_tails_in_one_call(self, tmp_path,
+                                                           monkeypatch):
+        # fig3's 21 SNRs are 21 groups of one row, which share one
+        # expint_ladders call of 21 u ladders, each seeded at theta n = 3
+        ladders, calls = eccalc.expint_ladders, []
+
+        def counted(etas, s_max, s0=0.0):
+            calls.append((len(etas), set(np.ravel(s0).tolist())))
+            return ladders(etas, s_max, s0)
+
+        monkeypatch.setattr(eccalc, "expint_ladders", counted)
+        spec = replace(figure_preset("fig3", str(tmp_path / "fig3.csv")),
+                       roles=("strong",), methods=("closed_form",))
+        rows = run_sweep(spec)
+        assert len(rows) == len(spec.grid) == 21
+        assert calls == [(21 * spec.base.u, {3.0})]
 
 
 class TestClosedFormDomain:
@@ -1289,7 +1338,7 @@ class TestClosedFormDomain:
         a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mpmath.mp, "expint", refuse)
-            eccalc._strong_split(cfg, [kp.zeta], [a])[0]
+            strong_split(cfg, [kp.zeta], [a])
             eccalc._weak_ladders.__wrapped__(
                 cfg.V, cfg.t, 1.0 / (cfg.rho * cfg.alpha_u),
                 EvalControls().series_max_terms)

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+from nomafbl import specfun
 from nomafbl.channel import db_to_linear
-from nomafbl.specfun import (beta_fn, exp_integral_ei, expint_ladders,
-                             gaussian_q, gaussian_q_inv, power_moments,
-                             tricomi_u)
+from nomafbl.specfun import (ConvergenceError, beta_fn, exp_integral_ei,
+                             expint_ladders, gaussian_q, gaussian_q_inv,
+                             power_moments, tricomi_u)
 
 
 class TestGaussianQInv:
@@ -284,6 +285,115 @@ class TestTricomiU:
     def test_domain(self, a, z):
         with pytest.raises(ValueError):
             tricomi_u(a, 1.0, z)
+
+
+def _fraction_loop(s, eta, tol):
+    """The scalar Steed loop that specfun._fraction replaced, one element
+    in Python floats, kept as its reference: (value, depth)."""
+    c, s1 = eta + s, s - 1.0
+    b = c + 2.0
+    d = 1.0 / b
+    step = -s * d
+    total = c + step
+    depth = 1
+    while not -tol * total <= step <= tol * total:
+        depth += 1
+        if depth > 10_000:
+            raise ConvergenceError(
+                f"E_s fraction unconverged at s={s}, eta={eta}")
+        b += 2.0
+        d = 1.0 / (b - depth * (s1 + depth) * d)
+        step *= b * d - 1.0
+        total += step
+    h = c + 2 * depth
+    for i in range(depth, 0, -1):
+        h = c + 2 * (i - 1) - i * (s1 + i) / h
+    return 1.0 / h, depth
+
+
+class TestArrayFraction:
+    def test_matches_scalar_loop_over_seed_box(self):
+        # one call over the seed box, s 0..400 and eta 0.5..1000, whose
+        # elements stop at depths from 1 to 176: each equals the scalar
+        # loop, bit for bit
+        s, eta = (x.ravel() for x in np.meshgrid(
+            np.concatenate([[0.0, 1.0, 3.0, 3.3, 19.5, 20.0, 50.0],
+                            np.geomspace(0.04, 400.0, 25)]),
+            np.geomspace(0.5, 1000.0, 25)))
+        tol = 2.0 ** -56
+        values = specfun._fraction(s, eta, tol)
+        refs, depths = zip(*(_fraction_loop(a, b, tol)
+                             for a, b in zip(s.tolist(), eta.tolist())))
+        assert np.array_equal(values, refs)
+        assert min(depths) == 1 and max(depths) > 150
+
+    def test_unconverged_element_names_itself(self):
+        # at eta = 1e-7 the fraction needs far more than 10,000 steps; the
+        # call raises, naming that element's s and eta, as the loop does
+        s, eta = np.array([3.0, 0.5, 7.0]), np.array([2.0, 1e-7, 40.0])
+        with pytest.raises(ConvergenceError, match=r"s=0\.5, eta=1e-07"):
+            specfun._fraction(s, eta, 2.0 ** -56)
+        with pytest.raises(ConvergenceError, match=r"s=0\.5, eta=1e-07"):
+            _fraction_loop(0.5, 1e-7, 2.0 ** -56)
+
+
+class TestSeedRoutes:
+    # orders and etas that mix every route: integer orders (3.0 is the
+    # fig3 and validate strong seed) on both sides of eta = 32,
+    # non-integer orders from eta = 0.5 up, orders >= 20 below it, and
+    # mpmath's s < 0 and non-integer s < 20 below eta = 0.5
+    S = np.array([3.0, 3.0, 3.0, 7.3, 7.3, 25.5, 2.5, -1.5, 46.0, 0.0, 50.0])
+    ETA = np.array([0.01, 2.0, 40.0, 2.0, 40.0, 0.05, 0.2, 3.0, 45.0, 5.0,
+                    31.9])
+
+    def test_each_element_equals_its_one_element_call(self):
+        # where a call mixes routes, each element is its own call's value;
+        # integer orders below eta = 32 stay on expn: sent to the fraction,
+        # the seeds at s = 3 moved four fig3 strong values in their last
+        # digits
+        values = tricomi_u(1.0, 2.0 - self.S, self.ETA)
+        for value, b, eta in zip(values, (2.0 - self.S).tolist(),
+                                 self.ETA.tolist()):
+            assert value == tricomi_u(1.0, b, eta)
+            s = 2.0 - b
+            if s.is_integer() and 0.0 <= s <= 50.0 and eta < 32.0:
+                assert value == sp.expn(int(s), eta) * math.exp(eta)
+
+    def test_order_broadcasts_against_eta(self):
+        values = tricomi_u(1.0, (2.0 - self.S)[:, None], self.ETA)
+        assert values.shape == (self.S.size, self.ETA.size)
+        for i, b in enumerate((2.0 - self.S).tolist()):
+            assert np.array_equal(values[i], tricomi_u(1.0, b, self.ETA))
+
+    def test_ladders_of_mixed_orders_equal_their_own(self):
+        # one expint_ladders call with one s0 per eta: each ladder equals
+        # its one-eta call, bit for bit
+        s0 = np.array([3.0, 3.3, 0.0, 3.0, 0.04, 3.3])
+        etas = [0.6, 2.0, 40.0, 33.0, 6.58, 45.0]
+        batch = expint_ladders(etas, 32, s0)
+        for ladder, eta, s in zip(batch, etas, s0.tolist()):
+            assert np.array_equal(ladder, expint_ladders([eta], 32, s)[0])
+
+
+class TestLadderRecurrence:
+    @pytest.mark.parametrize("etas, s0, s_max", [
+        # the weak shape: 2 ladders of 501 rungs at eta = lambda_r d, 0 dB
+        (np.array([45.0, 50.0]), np.zeros(2), 500),
+        # the strong shape: 1,200 ladders of 33 rungs, s0 0.04..400 and
+        # eta 1.55..6.58 as in a fig4-fig6 pass
+        (np.geomspace(1.55, 6.58, 1200),
+         np.geomspace(0.04, 400.0, 1200)[::-1], 32),
+    ], ids=["weak", "strong"])
+    def test_columns_equal_rows(self, etas, s0, s_max):
+        # expint_ladders picks the recurrence from the call's shape; both
+        # give the same ladders, bit for bit, so the shape moves no value
+        k0 = np.clip(np.ceil(etas - s0) + 1.0, 0, s_max).astype(int)
+        seeds = tricomi_u(1.0, 2.0 - (s0 + k0), etas)
+        rows = specfun._ladder_rows(etas, s0, k0, seeds, s_max)
+        columns = specfun._ladder_columns(etas, s0, k0, seeds, s_max)
+        assert rows.shape == columns.shape == (etas.size, s_max + 1)
+        assert np.array_equal(rows, columns)
+        assert np.array_equal(rows, expint_ladders(etas, s_max, s0))
 
 
 class TestPowerMoments:
