@@ -17,25 +17,19 @@ tricomi_u gives U(1, b, z) = e^z E_s(z), s = 2 - b, in float64 for arrays
 of b and z that broadcast.  It picks each element's route from its (s, z)
 alone: scipy's expn at integer 0 <= s <= 50 below z = 32; from z = 0.5 up
 and at s >= 20 the continued fraction of E_s, one array pass for all such
-elements; and mpmath's expint at 53 + 64 bits for the rest, s < 0 and
-non-integer s < 20 below z = 0.5.
+elements.  It refuses the rest, s < 0 and non-integer s < 20 below
+z = 0.5, which no closed form seeds at: the weak ladders seed at integer
+orders, the strong split's tail at s >= 0 from z = d + x0 > 0.5 up.
 Over the tests' seed box expn is within 4.6 units of 2^-52 relative and
-the fraction within 1.3; the mpmath route rounds its value once.  Both
-closed forms seed their ladders by expn or the fraction alone: the weak
-ladders at integer orders, the strong split's tail from z = d + x0 > 0.5
-up.
+the fraction within 1.3.
 
-Every function here is pure and thread-safe.  mpmath's working precision
-is process-wide (mp.workprec sets it for every thread), so tricomi_u sets
-it under _SEED_LOCK.
+Every function here is pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
-import mpmath
 import numpy as np
 from scipy import special
 
@@ -45,10 +39,8 @@ _EPS = 2.0 ** -52
 # (its asymptotic branch above is up to 17 ulps off) below eta = _EXPN_ETA;
 # the continued fraction from eta = _CF_ETA up and at s >= _CF_ORDER (below
 # s = 20 Steed's method needs at most 190 steps from eta = 0.5 up, but 232
-# at eta = 0.4 and 822 at 0.1); and mpmath at _MP_PREC bits for the rest
+# at eta = 0.4 and 822 at 0.1)
 _EXPN_ORDER, _EXPN_ETA, _CF_ORDER, _CF_ETA = 50.0, 32.0, 20.0, 0.5
-_MP_PREC = 53 + 64
-_SEED_LOCK = threading.Lock()
 # power_moments' hyp2f1 limit in Y; scipy's error allowed, 4x its worst
 _HYP2F1_Y, _BETAINC_REL, _HYP2F1_REL = 10.0, 1e-13, 1e-13
 
@@ -97,7 +89,8 @@ def tricomi_u(a: float, b, z):
     in float64: a float for a float b and z, else an array of the shape
     they broadcast to.  Only a = 1 is implemented, the case every capacity
     moment reduces to.  Each element takes the route of its own (s, z)
-    (module docstring), so it equals its one-element call.
+    (module docstring), so it equals its one-element call; an element that
+    has no route is refused, naming its s and z.
     """
     if a != 1.0:
         raise ValueError(f"tricomi_u requires a = 1, got a={a}")
@@ -110,17 +103,16 @@ def tricomi_u(a: float, b, z):
     expn = (s == np.floor(s)) & (s >= 0.0) & (s <= _EXPN_ORDER) & (
         etas < _EXPN_ETA)
     cf = ~expn & (s >= 0.0) & ((etas >= _CF_ETA) | (s >= _CF_ORDER))
+    if (rest := ~(expn | cf)).any():
+        raise ValueError(
+            f"tricomi_u requires s = 2 - b >= 0, and z >= {_CF_ETA} at a "
+            f"non-integer s < {_CF_ORDER}, got s={s[rest][0]}, "
+            f"z={etas[rest][0]}")
     values = np.empty(s.shape)
     # math.exp, not np.exp: they differ in the last bit on some etas
     values[expn] = special.expn(s[expn].astype(int), etas[expn]) * [
         math.exp(eta) for eta in etas[expn].tolist()]
     values[cf] = _fraction(s[cf], etas[cf], _EPS / 16)
-    if (rest := ~(expn | cf)).any():     # e^z expint(s, z) at _MP_PREC bits
-        mp = mpmath.mp
-        with _SEED_LOCK, mpmath.workprec(_MP_PREC):
-            points = zip(s[rest].tolist(), map(mp.mpf, etas[rest].tolist()))
-            values[rest] = [float(mp.exp(eta) * mp.expint(order, eta))
-                            for order, eta in points]
     return float(values) if values.ndim == 0 else values
 
 

@@ -107,30 +107,29 @@ def _apply_axis(base: SystemConfig, axis: str, value: float) -> SystemConfig:
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every grid x role x method combination and write the CSV.
 
-    Each (variant, role, method) grid is one evaluate_batch call, whose
-    strong closed forms share their float split along a theta axis; the
-    rows are written grid value by grid value.  Evaluator failures are
-    recorded in their row with converged = False instead of aborting the
-    sweep.
+    Each (role, method) pair is one evaluate_batch call over the grids of
+    every rho_db variant, whose strong closed forms share their float
+    splits along a theta axis and their tail ladders across variants; the
+    rows are written variant by variant, grid value by grid value.
+    Evaluator failures are recorded in their row with converged = False
+    instead of aborting the sweep.
     """
-    rows: list[ResultRow] = []
-    variants = spec.rho_db_variants or (None,)
-    for variant in variants:
-        if variant is None:
-            base = spec.base
-            scen = spec.scenario_id
-        else:
-            base = replace(spec.base, rho=db_to_linear(variant))
-            scen = f"{spec.scenario_id}_rho{variant:g}db"
-        cfgs = [_apply_axis(base, spec.axis, value) for value in spec.grid]
-        results = {(role, method): evaluate_batch(cfgs, role, method,
-                                                  spec.controls)
-                   for role in spec.roles for method in spec.methods}
-        for i, (value, cfg) in enumerate(zip(spec.grid, cfgs)):
-            for role in spec.roles:
-                for method in spec.methods:
-                    rows.append(_one_row(scen, spec, cfg, value, role, method,
-                                         results[role, method][i]))
+    points = []     # (scenario id, axis value, cfg) of every variant
+    for variant in spec.rho_db_variants or (None,):
+        base, scen = spec.base, spec.scenario_id
+        if variant is not None:
+            base = replace(base, rho=db_to_linear(variant))
+            scen = f"{scen}_rho{variant:g}db"
+        points += [(scen, value, _apply_axis(base, spec.axis, value))
+                   for value in spec.grid]
+    cfgs = [cfg for _, _, cfg in points]
+    results = {(role, method): evaluate_batch(cfgs, role, method,
+                                              spec.controls)
+               for role in spec.roles for method in spec.methods}
+    rows = [_one_row(scen, spec, cfg, value, role, method,
+                     results[role, method][i])
+            for i, (scen, value, cfg) in enumerate(points)
+            for role in spec.roles for method in spec.methods]
     write_rows(spec.output_path, rows)
     return rows
 

@@ -5,10 +5,10 @@ Run from the root of a source checkout:
     PYTHONPATH=src python tests/golden/regenerate.py
 
 It rewrites every file of OUTPUTS in this directory, and versions.txt, the
-record's header, which names the numpy, scipy and mpmath versions the
-record was made with, and prints what moved: each file's moved lines, old
-and new, and the largest relative change of each column (named by the CSV
-header, or numbered by its place among a text line's numbers).
+record's header, which names the numpy and scipy versions the record was
+made with, and prints what moved: each file's moved lines, old and new,
+and the largest relative change of each column (named by the CSV header,
+or numbered by its place among a text line's numbers).
 tests/test_golden.py rebuilds the same outputs in-process and compares them
 with the record byte for byte.
 """
@@ -23,7 +23,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import mpmath
 import numpy
 import scipy
 
@@ -44,9 +43,8 @@ OUTPUTS = {
 
 
 def versions() -> str:
-    """The header line naming the installed numpy, scipy and mpmath."""
-    return (f"numpy {numpy.__version__}, scipy {scipy.__version__}, "
-            f"mpmath {mpmath.__version__}")
+    """The header line naming the installed numpy and scipy."""
+    return f"numpy {numpy.__version__}, scipy {scipy.__version__}"
 
 
 def build() -> dict[str, str]:

@@ -428,8 +428,8 @@ class TestLayering:
 
     @pytest.mark.parametrize("module", sorted(CORE | set(BELOW)))
     def test_no_module_imports_a_private_name(self, module):
-        # a module's underscore names are its own: the closed forms once
-        # took specfun's seed lock to set mpmath's precision themselves
+        # a module's underscore names are its own: a caller that reads
+        # another module's private constant or state breaks when it changes
         private = [alias.name for node in self._imports(module)
                    if isinstance(node, ast.ImportFrom) and (
                        node.level or (node.module or "").startswith("nomafbl"))
@@ -445,16 +445,10 @@ class TestLayering:
                         for node in cls._imports(module)
                         if isinstance(node, ast.ImportFrom) and not node.level}
 
-    @pytest.mark.parametrize("module", sorted(CORE | set(BELOW)))
-    def test_only_specfun_imports_mpmath(self, module):
-        # mpmath's working precision is process-wide, so specfun alone sets
-        # it, under its seed lock, for the seeds it makes at a fixed
-        # precision
-        names = self._top_level_names(module)
-        assert ("mpmath" in names) == (module == "specfun")
-
     @pytest.mark.parametrize("module", sorted(
         p.stem for p in Path(nomafbl.__file__).parent.glob("*.py")))
     def test_no_module_imports_decimal(self, module):
-        # every closed form sums in float: no extended-precision pass
-        assert "decimal" not in self._top_level_names(module)
+        # every closed form sums and seeds in float: no extended-precision
+        # pass, in decimal or in mpmath, which only the tests import
+        names = self._top_level_names(module)
+        assert [name for name in ("decimal", "mpmath") if name in names] == []

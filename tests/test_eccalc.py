@@ -26,7 +26,7 @@ from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
                              expansion_coeffs, fbl_rate, make_kernel_params,
                              rate_minimum, scalar_kernel)
 from nomafbl.specfun import ConvergenceError, expint_ladders, tricomi_u
-from nomafbl.sweep import figure_preset, run_sweep
+from nomafbl.sweep import FIG3_POINT, figure_preset, pool_config, run_sweep
 
 POOL = dict(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2, n=300, eps=1e-5,
             theta_t=0.01, theta_u=0.01)
@@ -464,10 +464,10 @@ class TestClosedFormSeries:
 
     def test_batched_ladders_match_single_eta_ladders(self, monkeypatch):
         # one seed call for the whole batch, though its seed orders differ:
-        # 0.05 and 0.3 seed at k0 = 0, 2.5 and 8.0 at k0 = 1 and 6, and 40
+        # 0.5 and 1.5 seed at k0 = 0, 2.5 and 8.0 at k0 = 1 and 6, and 40
         # at k0 = 34; each ladder of the batch equals that eta's ladder
         # alone, bit for bit
-        etas, s0 = [0.05, 0.3, 2.5, 8.0, 40.0], 3.000000000001
+        etas, s0 = [0.5, 1.5, 2.5, 8.0, 40.0], 3.000000000001
         seed, calls = specfun.tricomi_u, []
         with monkeypatch.context() as patch:
             patch.setattr(specfun, "tricomi_u", lambda a, b, z: (
@@ -607,14 +607,10 @@ class TestWeakLadderMemo:
 
     def test_theta_sweep_seeds_weak_ladders_once(self, monkeypatch):
         # the weak ladders depend on the SNR, not on theta: of three fig4
-        # rows at 20 dB only the first seeds them, by expn or the fraction,
-        # and none by mpmath
+        # rows at 20 dB only the first seeds them
         float_seed, seeds = specfun.tricomi_u, []
-        expint, mp_seeds = mpmath.mp.expint, []
         monkeypatch.setattr(specfun, "tricomi_u", lambda a, b, z: (
             seeds.append((b, len(z))) or float_seed(a, b, z)))
-        monkeypatch.setattr(mpmath.mp, "expint", lambda *args: (
-            mp_seeds.append(args) or expint(*args)))
         per_row = []
         for theta in (1e-3, 1e-2, 0.1):
             cfg = make_cfg(rho_db=20.0, n=400, eps=1e-6, theta_t=theta,
@@ -624,7 +620,6 @@ class TestWeakLadderMemo:
             per_row.append(len(seeds) - before)
         assert per_row[0] > 0
         assert per_row[1:] == [0, 0]
-        assert mp_seeds == []
 
     def test_memo_is_read_only(self):
         cfg = make_cfg()
@@ -659,8 +654,8 @@ class TestSeedPrecision:
         return ec_closed_strong(cfg, EvalControls()).value
 
     def test_threads_get_serial_results(self):
-        # mpmath's precision is process-wide: four threads seeding both
-        # users' ladders at once get the serial results and leave 53 bits
+        # four threads seeding both users' ladders at once get the serial
+        # results and leave mpmath's precision at its default 53 bits
         points = [(make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
                             theta_u=theta), role)
                   for rho_db in (15.0, 25.0) for theta in (0.0031, 0.0117, 0.05)
@@ -695,6 +690,33 @@ class TestSeedPrecision:
         with mpmath.workdps(30):
             got = [self.closed(cfg, "weak") for cfg in cfgs]
         assert got == want
+
+    def test_closed_forms_run_without_mpmath(self):
+        # with mpmath unimportable, both users' closed forms at the fig3
+        # point (theta n = 3) and at a J = 16 row with theta n = 4.32 are
+        # those made in this process, repr for repr
+        points = [FIG3_POINT, dict(n=400, eps=1e-6, theta=0.0108,
+                                   rho_db=20.0)]
+        script = f"""if True:
+            import sys
+            sys.modules["mpmath"] = None        # import mpmath raises
+            import nomafbl as nf
+            for point in {points!r}:
+                cfg = nf.sweep.pool_config(**point)
+                for role in ("weak", "strong"):
+                    print(repr(nf.evaluate(cfg, role, "closed_form",
+                                           nf.EvalControls())))
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        want = [evaluate(pool_config(**point), role, "closed_form",
+                         EvalControls())
+                for point in points for role in ("weak", "strong")]
+        assert [res.expansion_order[1] for res in want[2:]] == [16, 16]
+        assert proc.stdout.splitlines() == [repr(res) for res in want]
 
 
 class TestGainDrawMemo:
@@ -1240,22 +1262,37 @@ class TestStrongBatch:
         assert batch[:3] == alone[:3]
         assert isinstance(batch[3], ConvergenceError)
 
+    @staticmethod
+    def strong_tail_calls(spec, monkeypatch):
+        """The sweep's rows and the (ladders, s0 values, ladder length) of
+        each expint_ladders call its strong closed forms make."""
+        ladders, calls = eccalc.expint_ladders, []
+
+        def counted(etas, s_max, s0=0.0):
+            calls.append((len(etas), set(np.ravel(s0).tolist()), s_max + 1))
+            return ladders(etas, s_max, s0)
+
+        monkeypatch.setattr(eccalc, "expint_ladders", counted)
+        return run_sweep(replace(spec, roles=("strong",),
+                                 methods=("closed_form",))), calls
+
     def test_fig3_sweep_makes_its_strong_tails_in_one_call(self, tmp_path,
                                                            monkeypatch):
         # fig3's 21 SNRs are 21 groups of one row, which share one
         # expint_ladders call of 21 u ladders, each seeded at theta n = 3
-        ladders, calls = eccalc.expint_ladders, []
-
-        def counted(etas, s_max, s0=0.0):
-            calls.append((len(etas), set(np.ravel(s0).tolist())))
-            return ladders(etas, s_max, s0)
-
-        monkeypatch.setattr(eccalc, "expint_ladders", counted)
-        spec = replace(figure_preset("fig3", str(tmp_path / "fig3.csv")),
-                       roles=("strong",), methods=("closed_form",))
-        rows = run_sweep(spec)
+        spec = figure_preset("fig3", str(tmp_path / "fig3.csv"))
+        rows, calls = self.strong_tail_calls(spec, monkeypatch)
         assert len(rows) == len(spec.grid) == 21
-        assert calls == [(21 * spec.base.u, {3.0})]
+        assert [call[:2] for call in calls] == [(21 * spec.base.u, {3.0})]
+
+    def test_fig5_sweep_makes_its_strong_tails_in_one_call_per_length(
+            self, tmp_path, monkeypatch):
+        # fig5's three SNR variants are one batch: its tail ladders take
+        # one expint_ladders call per ladder length, not one per SNR
+        spec = figure_preset("fig5", str(tmp_path / "fig5.csv"))
+        rows, calls = self.strong_tail_calls(spec, monkeypatch)
+        assert len(rows) == 3 * len(spec.grid)
+        assert len(calls) == len({length for *_, length in calls}) == 2
 
 
 class TestClosedFormDomain:
@@ -1324,24 +1361,19 @@ class TestClosedFormDomain:
     def test_float_ladders_seed_without_mpmath(self, V, t_frac, u_frac,
                                                alpha_t, rho_db, n, log_eps,
                                                log_theta):
-        # the strong split and the weak ladders, built with mpmath's expint
-        # refused: every seed comes from expn or the continued fraction.
-        # The example (V = u = 9, t = 1, 17 dB) seeds its strong tail at a
-        # non-integer order below eta = 1: s = 2.50578, eta = 0.63302
+        # the strong split and the weak ladders are made: every seed has a
+        # float route, expn or the continued fraction, since tricomi_u
+        # refuses any other.  The example (V = u = 9, t = 1, 17 dB) seeds
+        # its strong tail at a non-integer order below eta = 1:
+        # s = 2.50578, eta = 0.63302
         cfg = box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps,
                       log_theta)
-
-        def refuse(s, eta):
-            raise AssertionError(f"mpmath seed at s={s}, eta={eta}")
-
         kp = make_kernel_params(cfg.theta_u, cfg.n, cfg.eps)
         a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mpmath.mp, "expint", refuse)
-            strong_split(cfg, [kp.zeta], [a])
-            eccalc._weak_ladders.__wrapped__(
-                cfg.V, cfg.t, 1.0 / (cfg.rho * cfg.alpha_u),
-                EvalControls().series_max_terms)
+        strong_split(cfg, [kp.zeta], [a])
+        eccalc._weak_ladders.__wrapped__(
+            cfg.V, cfg.t, 1.0 / (cfg.rho * cfg.alpha_u),
+            EvalControls().series_max_terms)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(**BOX)

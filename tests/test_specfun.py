@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -87,16 +88,6 @@ class TestExpIntegral:
                 rel=1e-9 if z < 600 else 2e-3)
 
 
-def _rel_to_laplace60(value, s, eta):
-    """|value / (e^eta E_s(eta)) - 1| against a 60-digit quadrature of the
-    Laplace integral, for either sign of s."""
-    with mpmath.workdps(60):
-        s, eta = mpmath.mpf(s), mpmath.mpf(eta)
-        ref = mpmath.quad(lambda v: mpmath.exp(-eta * v) * (1 + v) ** -s,
-                          [0, 1 / (eta + abs(s)), 1, mpmath.inf])
-        return abs(value / ref - 1)
-
-
 def _exact50(s, eta):
     """e^eta E_s(eta) at 50 digits for s >= 0: mpmath's expint below
     eta = 32, and from there up, where that expint can be wholly wrong (at
@@ -154,7 +145,8 @@ class TestTricomiU:
         # I_s ladders seed at, against a 50-digit quadrature of its Laplace
         # integral.  The box reaches s ~ eta <= 500, past the switch from
         # expn to the continued fraction at eta = 32, up to (501, 500),
-        # where mpmath's expint at 34 digits is 100 % off
+        # where mpmath's expint at 34 digits is 100 % off.  Non-integer
+        # orders below 20 under eta = 0.5 have no float route (refused)
         def laplace(s, eta):
             with mpmath.workdps(50):
                 s, eta = mpmath.mpf(s), mpmath.mpf(eta)
@@ -172,20 +164,21 @@ class TestTricomiU:
                 for eta in (1e-3, 0.15, 1.6, 20.0)]
         worst = 0.0
         for s, eta in box:
+            if eta < 0.5 and s < 20.0 and not float(s).is_integer():
+                continue
             ref = laplace(s, eta)
             worst = max(worst, abs(tricomi_u(1.0, 2.0 - s, eta) / ref - 1))
         assert worst <= 1e-10
 
-    def test_float_routes_within_ulps_over_seed_box(self, monkeypatch):
+    def test_float_routes_within_ulps_over_seed_box(self):
         # the float value of each route against a 50-digit reference
         # (_exact50), at the order 2 - b asked for, in units of 2^-52
         # relative: the box of the oracle test above, integer orders up to
         # eta = 1e4 (e^eta would overflow from 710), orders at eta
         # 0.45..0.95, and the strong split's tail band, s 1.5..14.5 at eta
         # 0.5..0.76, where box rows with u = V seed.  Each point's route
-        # follows from (s, eta) alone, and only the mpmath route calls
-        # mpmath's expint; near-integer orders from eta = 0.5 up stay in
-        # float
+        # follows from (s, eta) alone, and a point with no route is
+        # refused; near-integer orders from eta = 0.5 up have a route
         box = [(s, eta) for s in np.geomspace(1.05, 400.0, 7)
                for eta in np.geomspace(1.5e-3, 50.0, 6)]
         box += [(eta + ds, eta) for eta in np.geomspace(20.0, 500.0, 6)
@@ -200,53 +193,28 @@ class TestTricomiU:
                 for eta in (0.45, 0.63, 0.79, 0.95)]
         box += [(s, eta) for s in np.linspace(1.5, 14.5, 27)
                 for eta in np.linspace(0.5, 0.76, 5)]
-        expint, handed = mpmath.mp.expint, []
-        monkeypatch.setattr(mpmath.mp, "expint", lambda *args: (
-            handed.append(args) or expint(*args)))
         worst = {}
         for s, eta in box:
             b = 2.0 - s
-            before = len(handed)
-            value = tricomi_u(1.0, b, eta)
-            with mpmath.workdps(50):
-                ulps = float(abs(value / _exact50(2 - mpmath.mpf(b), eta)
-                                 - 1)) / 2.0 ** -52
             order = 2.0 - b
             route = ("expn" if order.is_integer() and 0.0 <= order <= 50.0
                      and eta < 32.0
                      else "fraction" if order >= 0.0 and (
                          eta >= 0.5 or order >= 20.0)
-                     else "mpmath")
-            assert (len(handed) > before) == (route == "mpmath")
+                     else None)
+            if route is None:
+                assert (s, eta) not in near or eta < 0.5
+                with pytest.raises(ValueError, match="requires s = 2 - b"):
+                    tricomi_u(1.0, b, eta)
+                continue
+            value = tricomi_u(1.0, b, eta)
+            with mpmath.workdps(50):
+                ulps = float(abs(value / _exact50(2 - mpmath.mpf(b), eta)
+                                 - 1)) / 2.0 ** -52
             worst[route] = max(worst.get(route, 0.0), ulps)
-            if (s, eta) in near and eta >= 0.5:
-                assert route != "mpmath"
-        assert set(worst) == {"expn", "fraction", "mpmath"}
+        assert set(worst) == {"expn", "fraction"}
         assert worst.pop("expn") <= 7.0
         assert max(worst.values()) <= 4.0
-
-    def test_mpmath_route_within_ulps_of_laplace(self, monkeypatch):
-        # the mpmath route over its own box: s < 0 at eta 1e-4 to 100, and
-        # non-integer 0 <= s < 20 below eta = 0.5, with orders 1e-12 and
-        # 1e-8 off 0, 1, 2, 4, 10 and 19, each seed by mpmath's expint,
-        # within 4 units of 2^-52 of a 60-digit Laplace quadrature
-        box = [(s, eta) for s in (-0.5, -2.7, -33.3)
-               for eta in (1e-4, 0.3, 100.0)]
-        box += [(m + ds, eta) for m, eta in zip((0, 1, 2, 4, 10, 19),
-                                                (1e-4, 0.02, 0.45) * 2)
-                for ds in (-1e-12, 1e-12, -1e-8, 1e-8) if m + ds > 0]
-        box += [(s, eta) for s in (0.3, 7.7, 19.5) for eta in (1e-4, 0.49)]
-        expint, handed = mpmath.mp.expint, []
-        monkeypatch.setattr(mpmath.mp, "expint", lambda *args: (
-            handed.append(args) or expint(*args)))
-        worst = 0.0
-        for s, eta in box:
-            b = 2.0 - s
-            value = tricomi_u(1.0, b, eta)
-            worst = max(worst, float(_rel_to_laplace60(
-                value, 2 - mpmath.mpf(b), eta)) / 2.0 ** -52)
-        assert len(handed) == len(box)
-        assert worst <= 4.0
 
     @pytest.mark.parametrize("b, z, name", [
         (1.0, math.inf, "z"), (1.0, math.nan, "z"), (math.inf, 1.0, "b"),
@@ -261,14 +229,25 @@ class TestTricomiU:
     @pytest.mark.parametrize("s, eta", [(-100.25, 33.0), (-300.5, 100.0),
                                         (-50.5, 40.0), (-3.0, 50.0)])
     def test_negative_order_from_eta_32(self, s, eta):
-        # a negative order from eta = 32 up goes to mpmath's expint: the
-        # continued fraction, whose convergents change sign there, was 100 %
-        # off at s < -eta
-        with mpmath.workdps(60):
-            ref = mpmath.quad(lambda v: mpmath.exp(-eta * v) * (1 + v) ** -s,
-                              [0, 1, 10, mpmath.inf])
-        assert tricomi_u(1.0, 2.0 - s, eta) == pytest.approx(float(ref),
-                                                             rel=1e-14)
+        # a negative order has no float route and is refused, naming its s
+        # and z: the continued fraction, whose convergents change sign
+        # there, was 100 % off at s < -eta
+        b = 2.0 - s
+        with pytest.raises(ValueError, match=re.escape(f"s={2.0 - b}, "
+                                                       f"z={eta}")):
+            tricomi_u(1.0, b, eta)
+
+    @pytest.mark.parametrize("s, eta", [
+        (-0.5, 1e-4), (-2.7, 0.3), (-33.3, 100.0), (1e-12, 1e-4),
+        (1.0 - 1e-8, 0.02), (4.0 + 1e-12, 0.45), (19.0 - 1e-8, 0.45),
+        (0.3, 1e-4), (7.7, 0.49), (19.5, 0.49)])
+    def test_order_without_a_float_route_is_refused(self, s, eta):
+        # s < 0, and a non-integer s < 20 below eta = 0.5, where the
+        # fraction needs from 232 steps up; no closed form seeds there
+        b = 2.0 - s
+        with pytest.raises(ValueError, match=re.escape(f"s={2.0 - b}, "
+                                                       f"z={eta}")):
+            tricomi_u(1.0, b, eta)
 
     @pytest.mark.parametrize("s, eta", [(26.25, 1.5e-3), (31.33, 1.5e-3),
                                         (30.0, 3.1e-3)])
@@ -338,12 +317,11 @@ class TestArrayFraction:
 
 
 class TestSeedRoutes:
-    # orders and etas that mix every route: integer orders (3.0 is the
+    # orders and etas that mix both routes: integer orders (3.0 is the
     # fig3 and validate strong seed) on both sides of eta = 32,
-    # non-integer orders from eta = 0.5 up, orders >= 20 below it, and
-    # mpmath's s < 0 and non-integer s < 20 below eta = 0.5
-    S = np.array([3.0, 3.0, 3.0, 7.3, 7.3, 25.5, 2.5, -1.5, 46.0, 0.0, 50.0])
-    ETA = np.array([0.01, 2.0, 40.0, 2.0, 40.0, 0.05, 0.2, 3.0, 45.0, 5.0,
+    # non-integer orders from eta = 0.5 up and orders >= 20 below it
+    S = np.array([3.0, 3.0, 3.0, 7.3, 7.3, 25.5, 2.5, 1.0, 46.0, 0.0, 50.0])
+    ETA = np.array([0.01, 2.0, 40.0, 2.0, 40.0, 0.05, 0.5, 0.2, 45.0, 5.0,
                     31.9])
 
     def test_each_element_equals_its_one_element_call(self):
@@ -359,11 +337,21 @@ class TestSeedRoutes:
             if s.is_integer() and 0.0 <= s <= 50.0 and eta < 32.0:
                 assert value == sp.expn(int(s), eta) * math.exp(eta)
 
+    def test_first_refused_element_is_named(self):
+        # a call with elements off both routes refuses the whole call,
+        # naming the first of them
+        s = np.append(self.S, [2.5, -1.5])
+        eta = np.append(self.ETA, [0.2, 3.0])
+        with pytest.raises(ValueError, match=r"s=2\.5, z=0\.2"):
+            tricomi_u(1.0, 2.0 - s, eta)
+
     def test_order_broadcasts_against_eta(self):
-        values = tricomi_u(1.0, (2.0 - self.S)[:, None], self.ETA)
-        assert values.shape == (self.S.size, self.ETA.size)
+        # from eta = 0.5 up every order has a route, expn or the fraction
+        eta = self.ETA[self.ETA >= 0.5]
+        values = tricomi_u(1.0, (2.0 - self.S)[:, None], eta)
+        assert values.shape == (self.S.size, eta.size)
         for i, b in enumerate((2.0 - self.S).tolist()):
-            assert np.array_equal(values[i], tricomi_u(1.0, b, self.ETA))
+            assert np.array_equal(values[i], tricomi_u(1.0, b, eta))
 
     def test_ladders_of_mixed_orders_equal_their_own(self):
         # one expint_ladders call with one s0 per eta: each ladder equals
