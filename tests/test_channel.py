@@ -445,10 +445,14 @@ class TestLayering:
                         for node in cls._imports(module)
                         if isinstance(node, ast.ImportFrom) and not node.level}
 
+    @pytest.mark.parametrize("module", sorted(CORE | set(BELOW)))
+    def test_only_specfun_imports_mpmath(self, module):
+        # specfun, which once seeded through mpmath, now seeds in float
+        # too: mpmath is an oracle that only the tests import
+        assert "mpmath" not in self._top_level_names(module)
+
     @pytest.mark.parametrize("module", sorted(
         p.stem for p in Path(nomafbl.__file__).parent.glob("*.py")))
     def test_no_module_imports_decimal(self, module):
-        # every closed form sums and seeds in float: no extended-precision
-        # pass, in decimal or in mpmath, which only the tests import
-        names = self._top_level_names(module)
-        assert [name for name in ("decimal", "mpmath") if name in names] == []
+        # every closed form sums in float: no extended-precision pass
+        assert "decimal" not in self._top_level_names(module)
