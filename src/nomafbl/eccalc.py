@@ -20,9 +20,12 @@ Both closed forms sum float I_s ladders that specfun.expint_ladders builds
 and seeds; the weak user's series seed a three-term recurrence in the
 exponent (_weak_moments), and the strong user splits each moment at x0
 (_strong_split), on tail ladders that a whole strong batch makes in one
-expint_ladders call per ladder length (_tail_ladders).  Where a sum's
-bound does not hold it, either user's value is the quadrature of the same
-expanded kernel (_ec_closed).
+expint_ladders call per ladder length (_tail_ladders).  Either user's
+closed forms run as a batch (ec_closed_batch): rows that share all but
+theta make their moments as one group, the weak user's series in one
+_weak_series call per tolerance and its recurrence in numpy columns.
+Where a sum's bound does not hold it, either user's value is the
+quadrature of the same expanded kernel (_ec_closed).
 
 scipy.integrate, which only the quadrature oracle uses, is imported on the
 first ec_quadrature call (or the first read of ``eccalc.integrate``), not
@@ -329,7 +332,7 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
     done = (tails <= tol * totals) | (
         (rho < 1.0) & (totals == 0.0) & (log_term < -700.0))
     stop = np.where(done, cols, s_max).min(axis=-1)
-    i, j = np.indices(stop.shape)
+    i, j = np.arange(stop.shape[0])[:, None], np.arange(stop.shape[1])
     return totals[i, j, stop], stop, tails[i, j, stop]
 
 
@@ -345,18 +348,19 @@ def _weak_ladders(V: int, t: int, d: float, s_max: int) -> np.ndarray:
     return ladders
 
 
-def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
+def _weak_moments(cfg: SystemConfig, zetas, coeffs, ctl: EvalControls):
     """Weak-user moments E[(1 + SINR)^c], c = 2 zeta - 2j, j = 0..J,
     integrated term by term over the ordered density's exponentials
-    (ordered_mixture).
+    (ordered_mixture), for rows that share cfg but their zeta and
+    coefficients a (rows of coeffs, all of one length).
 
     With q = -alpha_t and d = 1/(rho alpha_u), each exponential
     e^(-lambda x) contributes M(c) = alpha_u^-c int e^(-lambda x)
     (1 + q d/(x + d))^c dx.  Its binomial expansion in d/(x + d) is a
     series over the I_s ladder at eta = lambda d (_weak_series) that
     converges geometrically at rate alpha_t.  The ladders serve every
-    exponent, and the last SNR's ladders every theta after it
-    (_weak_ladders).
+    exponent of every row, and the last SNR's ladders every theta after
+    it (_weak_ladders).
 
     Integrating M by parts links unit-spaced exponents (kappa_c =
     lambda d q / c):
@@ -381,7 +385,11 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
     needed series that runs has a finite tail bound: its positive terms
     sum to M(c) <= 1/lambda, so none reaches e^700.
 
-    Returns (moments, err, terms, converged, route) for _ec_closed: err is
+    The setup is arrays with a row axis, the series of all rows at one
+    tolerance one _weak_series call and the recurrence one column per
+    (row, ladder) (_recur_columns, or _recur_rows for fewer columns than
+    steps); a row's values do not depend on the other rows.  Returns per
+    row (moments, err, terms, converged, route) for _ec_closed: err is
     the sum over the expansion coefficients a_j of |a_j| times the
     moments' error bounds (series tails, carried through the recurrence
     with its rounding), plus their rounding;
@@ -394,58 +402,122 @@ def _weak_moments(cfg: SystemConfig, zeta, a, ctl: EvalControls):
     """
     q, alpha_u = -cfg.alpha_t, cfg.alpha_u
     d = 1.0 / (cfg.rho * alpha_u)
-    s_max, top = ctl.series_max_terms, 2 * (a.size - 1)
-    cs = 2.0 * zeta - np.arange(top + 1.0)      # every unit-spaced exponent
+    a = np.array(coeffs)
+    s_max, top = ctl.series_max_terms, 2 * (a.shape[1] - 1)
+    k = np.arange(top + 1)
+    cs = 2.0 * np.array(zetas)[:, None] - k     # every unit-spaced exponent
     b_fn, rates, weights = ordered_mixture(cfg.t, cfg.V)
-    # the step at cs[k], k = 1..top-1, makes cs[k+1] from cs[k-1] and cs[k]
-    kappa = np.array(rates, dtype=float)[:, None] * (d * q / cs[1:top])
+    # the step at cs[:, k], k = 1..top-1, makes cs[:, k+1] from cs[:, k-1]
+    # and cs[:, k]; arrays [row, ladder, k - 1]
+    kappa = np.array(rates, dtype=float)[:, None] * (
+        d * q / cs[:, None, 1:top])
     gain = alpha_u * (2.0 - kappa)
-    grows = np.flatnonzero(np.any(alpha_u ** 2 + np.abs(gain) > 1.0, axis=0))
-    first = int(grows[-1]) + 2 if grows.size else 1
-    direct = sorted({*range(0, first - 1, 2), first - 1, first})
-    recur, used = len(direct) < a.size, a != 0.0
-    if not recur:
-        direct = list(range(0, top + 1, 2))
-    needed = cs[direct] if recur else cs[::2][used]
-    if np.any(-q * np.maximum(1.0, (s_max - needed) / (s_max + 1.0)) >= 1.0):
-        return (np.zeros(a.size), math.inf, s_max + 1, False,
-                "no series: its ratio bound stays >= 1 through the term "
-                "budget")
-    series, terms, tails = _weak_series(
-        cs[direct], q, d, _weak_ladders(cfg.V, cfg.t, d, s_max),
-        cs[direct] * math.log(1.0 / alpha_u),
-        _SEED_REL_TOL if recur else SERIES_REL_TOL)
-    moments, errs = np.zeros((2, len(rates), top + 1))
-    moments[:, direct], errs[:, direct] = series, tails
-    if recur:
-        force = (alpha_u * d * q / cs[first:top]).tolist()
-        square, ulp = alpha_u ** 2, _STEP_ULPS * _MACHEPS
+    grows = (alpha_u ** 2 + np.abs(gain) > 1.0).any(axis=1)
+    first = np.where(grows, k[:-2], -1).max(axis=1, initial=-1) + 2
+    direct, recur = (x[first] for x in _direct_exponents(top))
+    used = a != 0.0
+    # the series that must converge: the direct ones, or where the series
+    # runs at every exponent, those of the moments that are used
+    bad = -q * np.maximum(1.0, (s_max - cs) / (s_max + 1.0)) >= 1.0
+    stuck = np.where(recur, (direct & bad).any(axis=1),
+                     (bad[:, ::2] & used).any(axis=1))
+    moments, errs = np.zeros((2, len(zetas), len(rates), top + 1))
+    terms = np.zeros(moments.shape, dtype=int)
+    live, every = recur & ~stuck, ~(recur | stuck)
+    for tol, rows in ((_SEED_REL_TOL, live), (SERIES_REL_TOL, every)):
+        i, j = np.nonzero(direct & rows[:, None])
+        if i.size:
+            moments[i, :, j], terms[i, :, j], errs[i, :, j] = (
+                x.T for x in _weak_series(
+                    cs[i, j], q, d, _weak_ladders(cfg.V, cfg.t, d, s_max),
+                    cs[i, j] * math.log(1.0 / alpha_u), tol))
+    if live.any():
+        # one column per (row, ladder), on views of moments; a column
+        # starting at top takes no step
+        starts = np.repeat(np.where(live, first, top), len(rates))
+        m, e = moments.reshape(-1, top + 1), errs.reshape(-1, top + 1)
+        work = e + _MACHEPS * m
+        recurrence = (_recur_columns if np.count_nonzero(live) * len(rates)
+                      >= top - starts.min() else _recur_rows)
         # alpha_u (2 + kappa) bounds |gain| and the rounding of kappa in it
-        for row, (gains, spans) in enumerate(zip(
-                gain[:, first - 1:].tolist(),
-                (alpha_u * (2.0 + kappa[:, first - 1:])).tolist())):
-            m2, m1 = moments[row, first - 1:first + 1].tolist()
-            e2, e1 = (errs[row, first - 1:first + 1] + _MACHEPS
-                      * moments[row, first - 1:first + 1]).tolist()
-            out_m, out_e = [], []
-            for g, h, f in zip(gains, spans, force):
-                m2, m1, e2, e1 = m1, f + g * m1 - square * m2, e1, (
-                    square * e2 + abs(g) * e1
-                    + ulp * (square * abs(m2) + h * abs(m1) + f))
-                out_m.append(m1)
-                out_e.append(e1)
-            moments[row, first + 1:], errs[row, first + 1:] = out_m, out_e
+        recurrence(m, work, starts, gain.reshape(-1, top - 1),
+                   (alpha_u * (2.0 + kappa)).reshape(-1, top - 1),
+                   np.repeat(alpha_u * d * q / cs[:, 1:top], len(rates),
+                             axis=0), alpha_u ** 2)
+        errs = np.where(k > starts[:, None], work, e).reshape(moments.shape)
     w, xi = np.array(weights)[:, None], 1.0 / b_fn
-    moments, errs = moments[:, ::2], errs[:, ::2]
-    mu, tail_j, scale_j = (xi * np.array([math.fsum(col) for col in x.T])
-                           for x in (w * moments, abs(w) * errs,
-                                     abs(w) * moments))
-    tail = math.fsum(np.abs(a[used]) * tail_j[used])
-    scale = math.fsum(np.abs(a[used]) * scale_j[used])
-    route = (f"series at {len(direct)} exponents, recurrence for "
-             f"{top - first}" if recur else "series at every exponent")
-    return (mu, tail + _MACHEPS * scale, int(terms.max()) + 1,
-            tail <= SERIES_REL_TOL * scale, route)
+    moments, errs = moments[..., ::2], errs[..., ::2]
+    mu, tail_j, scale_j = (
+        xi * np.array([[math.fsum(col) for col in row]
+                       for row in x.transpose(0, 2, 1).tolist()])
+        for x in (w * moments, abs(w) * errs, abs(w) * moments))
+    counts, longest = direct.sum(axis=1), terms.reshape(len(zetas), -1).max(1)
+    out = []
+    for r, (a_r, tail_r, scale_r, used_r) in enumerate(zip(*(
+            x.tolist() for x in (np.abs(a), tail_j, scale_j, used)))):
+        if stuck[r]:
+            out.append((np.zeros(a.shape[1]), math.inf, s_max + 1, False,
+                        "no series: its ratio bound stays >= 1 through the "
+                        "term budget"))
+            continue
+        tail, scale = (math.fsum([x * y for x, y, u in zip(a_r, ys, used_r)
+                                  if u]) for ys in (tail_r, scale_r))
+        route = (f"series at {counts[r]} exponents, recurrence for "
+                 f"{top - first[r]}" if recur[r]
+                 else "series at every exponent")
+        out.append((mu[r], tail + _MACHEPS * scale, int(longest[r]) + 1,
+                    tail <= SERIES_REL_TOL * scale, route))
+    return out
+
+
+@functools.lru_cache
+def _direct_exponents(top: int):
+    """Where _weak_moments runs its series, per first non-growing step k0
+    (a row index, 1..top): a mask [k0, k] of the exponents cs[k], every
+    even k below k0 - 1 and k0 - 1 and k0, and whether the recurrence
+    reaches the rest [k0].  Where those exponents are no fewer than the
+    moments, it does not, and the mask is every even k."""
+    k = np.arange(top + 1)
+    at, even = k - np.arange(top + 2)[:, None], k % 2 == 0
+    direct = (at == 0) | (at == -1) | (even & (at < -1))
+    recur = direct.sum(axis=1) < top // 2 + 1
+    direct[~recur] = even
+    direct.flags.writeable = recur.flags.writeable = False
+    return direct, recur
+
+
+def _recur_rows(m, work, starts, gain, span, force, square):
+    """_weak_moments' recurrence in place, column by column in Python
+    floats: from start k0 of a column (a row of m and work) it makes
+    m[k+1] and work[k+1], k = k0..top-1, from those at k-1 and k; gain,
+    span and force hold the step at k in their column k - 1."""
+    ulp = _STEP_ULPS * float(_MACHEPS)
+    ms, ws = m.tolist(), work.tolist()
+    for mc, wc, k0, gs, hs, fs in zip(ms, ws, starts.tolist(), gain.tolist(),
+                                      span.tolist(), force.tolist()):
+        m2, m1 = mc[k0 - 1:k0 + 1]
+        e2, e1 = wc[k0 - 1:k0 + 1]
+        for k, g, h, f in zip(range(k0 + 1, len(mc)), gs[k0 - 1:],
+                              hs[k0 - 1:], fs[k0 - 1:]):
+            m2, m1, e2, e1 = m1, f + g * m1 - square * m2, e1, (
+                square * e2 + abs(g) * e1
+                + ulp * (square * abs(m2) + h * abs(m1) + f))
+            mc[k], wc[k] = m1, e1
+    m[:], work[:] = ms, ws
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _recur_columns(m, work, starts, gain, span, force, square):
+    """_recur_rows' recurrence, one step of every column per numpy step, by
+    the same float operations; a column takes no step before its start."""
+    ulp = _STEP_ULPS * float(_MACHEPS)
+    for k in range(starts.min(), m.shape[1] - 1):
+        on, g, f = k >= starts, gain[:, k - 1], force[:, k - 1]
+        m2, m1, e2, e1 = m[:, k - 1], m[:, k], work[:, k - 1], work[:, k]
+        work[:, k + 1] = np.where(on, square * e2 + np.abs(g) * e1 + ulp * (
+            square * np.abs(m2) + span[:, k - 1] * np.abs(m1) + f),
+            work[:, k + 1])
+        m[:, k + 1] = np.where(on, f + g * m1 - square * m2, m[:, k + 1])
 
 
 def _tail_ladders(groups):
@@ -534,15 +606,16 @@ def _expansion(cfg: SystemConfig, role: str,
 
 
 def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls, expansion,
-               split=None) -> EcResult:
+               sums) -> EcResult:
     """Closed-form effective capacity of either user.
 
     Assembles the mean eps + (1 - eps) sum_j a_j mu_j of the kernel
     expansion (_expansion) from the role's moments mu_j =
-    E[(1+g)^(2 zeta - 2j)] (_weak_moments, _strong_moments from the row's
-    float split), which bound the moments' error and name the route of the
-    sum; err adds to that the rounding of sum_j a_j mu_j itself.  One rule
-    for both users: the sum stands where the mean is finite and err <
+    E[(1+g)^(2 zeta - 2j)] and the rest of the row's ``sums`` (from
+    _weak_moments, or _strong_moments of the row's float split), which
+    bound the moments' error and name the route of the sum; err adds to
+    that the rounding of sum_j a_j mu_j itself.  One rule for both users:
+    the sum stands where the mean is finite and err <
     mean / 2 (a weak series that cannot converge and a strong split that
     keeps too few digits have err = inf); otherwise the value is the
     adaptive quadrature of the same expanded kernel, flagged unconverged,
@@ -553,9 +626,7 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls, expansion,
     """
     theta, eps = cfg.theta_for(role), cfg.eps
     kp, order, a = expansion
-    moments, err, terms, converged, route = (
-        _weak_moments(cfg, kp.zeta, a, ctl) if role == "weak"
-        else _strong_moments(split))
+    moments, err, terms, converged, route = sums
     err += _MACHEPS * math.fsum(np.abs(a * moments))
     inner = eps + (1.0 - eps) * math.fsum(a * moments)
     if math.isfinite(inner) and err < 0.5 * inner:
@@ -586,50 +657,69 @@ def _ec_closed(cfg: SystemConfig, role: str, ctl: EvalControls, expansion,
 
 def ec_closed_weak(cfg: SystemConfig, ctl: EvalControls,
                    order: tuple[int, int] | None = None) -> EcResult:
-    """Closed-form effective capacity of the weak user (_ec_closed)."""
-    return _ec_closed(cfg, "weak", ctl, _expansion(cfg, "weak", order))
+    """Closed-form effective capacity of the weak user: a batch of one
+    (ec_closed_batch) that raises its row's failure."""
+    return _closed_alone(cfg, "weak", ctl, order)
 
 
 def ec_closed_strong(cfg: SystemConfig, ctl: EvalControls,
                      order: tuple[int, int] | None = None) -> EcResult:
     """Closed-form effective capacity of the strong user: a batch of one
-    (ec_closed_strong_batch) that raises its row's failure."""
-    res, = ec_closed_strong_batch([cfg], ctl, [order])
+    (ec_closed_batch) that raises its row's failure."""
+    return _closed_alone(cfg, "strong", ctl, order)
+
+
+def _closed_alone(cfg, role, ctl, order):
+    res, = ec_closed_batch([cfg], role, ctl, [order])
     if isinstance(res, Exception):
         raise res
     return res
 
 
-def ec_closed_strong_batch(cfgs, ctl: EvalControls, orders=None) -> list:
-    """Closed-form effective capacity of the strong user (_ec_closed) at
+def ec_closed_batch(cfgs, role: str, ctl: EvalControls, orders=None) -> list:
+    """Closed-form effective capacity of the role's user (_ec_closed) at
     each of cfgs, or the ValueError or RuntimeError a row raised in its
-    place.  Rows that share rho, alpha_u, u, V and J + 1 (a theta grid's
-    J = 16 rows at one SNR) make their float split (_strong_split) in one
-    pass, on tail ladders made for all groups at once (_tail_ladders);
-    where either fails, each row is made again alone.  The rest of each
-    row runs alone.  Each row's value equals that of its batch of one."""
+    place.  Rows that share rho, alpha_u, the role's order index, V and
+    J + 1 (a theta grid's J = 16 rows at one SNR) make their moments as
+    one group: the weak user's in one _weak_moments pass on the group's
+    ladders, the strong user's in one float split (_strong_split) on tail
+    ladders made for all groups at once (_tail_ladders).  Where a group
+    fails, each of its rows is made again alone.  The rest of each row
+    runs alone.  Each row's value equals that of its batch of one."""
     orders = orders or [None] * len(cfgs)
-    expansions = [_expansion(cfg, "strong", order)
-                  for cfg, order in zip(cfgs, orders)]
+    out = [_caught(_expansion, cfg, role, order)
+           for cfg, order in zip(cfgs, orders)]
     groups = {}
-    for i, (cfg, (_, _, a)) in enumerate(zip(cfgs, expansions)):
-        groups.setdefault((cfg.rho, cfg.alpha_u, cfg.u, cfg.V, a.size),
-                          []).append(i)
-    args = [(cfgs[rows[0]], [expansions[i][0].zeta for i in rows],
-             [expansions[i][2] for i in rows]) for rows in groups.values()]
-    tails = _caught(_tail_ladders, args)
-    out = [None] * len(cfgs)
-    for g, rows in enumerate(groups.values()):
-        splits = tails if isinstance(tails, Exception) else _caught(
-            _strong_split, *args[g], tails[g])
+    for i, (cfg, expansion) in enumerate(zip(cfgs, out)):
+        if not isinstance(expansion, Exception):
+            groups.setdefault((cfg.rho, cfg.alpha_u, cfg.order_index(role),
+                               cfg.V, expansion[2].size), []).append(i)
+    args = [(cfgs[rows[0]], [out[i][0].zeta for i in rows],
+             [out[i][2] for i in rows]) for rows in groups.values()]
+    moments = ([_caught(_weak_moments, *group, ctl) for group in args]
+               if role == "weak" else _strong_groups(args))
+    for rows, sums in zip(groups.values(), moments):
         for n, i in enumerate(rows):
-            if not isinstance(splits, Exception):
-                out[i] = _caught(_ec_closed, cfgs[i], "strong", ctl,
-                                 expansions[i], splits[n])
+            if not isinstance(sums, Exception):
+                out[i] = _caught(_ec_closed, cfgs[i], role, ctl, out[i],
+                                 sums[n])
             else:
-                out[i] = splits if len(cfgs) == 1 else ec_closed_strong_batch(
-                    [cfgs[i]], ctl, [orders[i]])[0]
+                out[i] = sums if len(cfgs) == 1 else ec_closed_batch(
+                    [cfgs[i]], role, ctl, [orders[i]])[0]
     return out
+
+
+def _strong_groups(groups) -> list:
+    """Per group (cfg, zetas, coeffs) its rows' strong moments
+    (_strong_moments of the group's _strong_split), or the error the group
+    raised; where the batch's tail ladders fail, every group fails."""
+    tails = _caught(_tail_ladders, groups)
+    if isinstance(tails, Exception):
+        return [tails] * len(groups)
+    splits = [_caught(_strong_split, *group, ladders)
+              for group, ladders in zip(groups, tails)]
+    return [split if isinstance(split, Exception)
+            else [_strong_moments(row) for row in split] for split in splits]
 
 
 def _caught(fn, *args):
@@ -656,9 +746,8 @@ def evaluate(cfg: SystemConfig, role: str, method: str,
 
 def evaluate_batch(cfgs, role: str, method: str, ctl: EvalControls) -> list:
     """evaluate at each of cfgs, the entry point of sweeps, with a row's
-    ValueError or RuntimeError in its place; the strong closed form's rows
-    share their float splits (ec_closed_strong_batch), the rest run one by
-    one."""
-    if method == "closed_form" and role == "strong":
-        return ec_closed_strong_batch(cfgs, ctl)
+    ValueError or RuntimeError in its place; the closed forms' rows share
+    their moments by group (ec_closed_batch), the rest run one by one."""
+    if method == "closed_form":
+        return ec_closed_batch(cfgs, role, ctl)
     return [_caught(evaluate, cfg, role, method, ctl) for cfg in cfgs]

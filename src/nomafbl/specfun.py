@@ -221,7 +221,9 @@ def power_moments(m0, rows: int, k_max: int, c: float, x0: float):
     pos = (b := m - k - 1.0) > 0.0
     steps = np.log(np.where(pos, np.concatenate(
         [1.0 / (m - 1.0), k[1:] / b[..., 1:]], axis=-1), 1.0))
-    ln_i = np.log(special.betainc(k + 1.0, np.where(pos, b, 1.0), t0))
+    ln_i = np.zeros(b.shape)        # read on the b > 0 cells only
+    ln_i[pos] = np.log(special.betainc(np.broadcast_to(k + 1.0, b.shape)[pos],
+                                       b[pos], t0))
     logs = np.cumsum(steps, axis=-1) + ln_i - (k + 1.0) * ln_c
     sens = np.exp(np.minimum((k + 1.0) * (math.log(t0) - ln_c) - logs
                              - (b - 1.0) * ln_y, 700.0))    # t0 f(t0) / I

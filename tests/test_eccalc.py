@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -21,7 +22,8 @@ from nomafbl.channel import (ROLES, SystemConfig, db_to_linear,
 from nomafbl.eccalc import (_NEGATIVE, METHODS, SERIES_REL_TOL, EcResult,
                             EvalControls, _weak_series,
                             ec_closed_strong, ec_closed_weak, ec_monte_carlo,
-                            ec_quadrature, evaluate, mc_gain_draws)
+                            ec_quadrature, evaluate, evaluate_batch,
+                            mc_gain_draws)
 from nomafbl.fblrate import (LN2, PAPER_ORDER, dispersion_root, ec_kernel,
                              expansion_coeffs, fbl_rate, make_kernel_params,
                              rate_minimum, scalar_kernel)
@@ -480,9 +482,14 @@ class TestClosedFormSeries:
             assert np.array_equal(ladder, expint_ladders([eta], 34, s0)[0])
 
 
-def _weak_moments_every_exponent(cfg, zeta, a, ctl):
+def _weak_moments_every_exponent(cfg, zetas, coeffs, ctl):
     """eccalc._weak_moments with the series at every moment's exponent,
     as it ran before the recurrence: the reference for the recurrence."""
+    return [_every_exponent(cfg, zeta, a, ctl)
+            for zeta, a in zip(zetas, coeffs)]
+
+
+def _every_exponent(cfg, zeta, a, ctl):
     cs = 2.0 * zeta - 2.0 * np.arange(a.size)
     d = 1.0 / (cfg.rho * cfg.alpha_u)
     b_fn, _, weights = ordered_mixture(cfg.t, cfg.V)
@@ -500,9 +507,10 @@ def _weak_moments_every_exponent(cfg, zeta, a, ctl):
             tail <= SERIES_REL_TOL * scale, "series at every exponent")
 
 
-def preset_weak_cfgs():
-    """The configurations of every weak row of fig3, fig4 and fig6."""
-    for name in ("fig3", "fig4", "fig6"):
+def preset_weak_cfgs(names=("fig3", "fig4", "fig6")):
+    """The configurations of every weak row of fig3, fig4 and fig6, each
+    preset's variants in the order its sweep hands them to one batch."""
+    for name in names:
         spec = figure_preset(name)
         for rho_db in spec.rho_db_variants or (None,):
             for value in spec.grid:
@@ -548,8 +556,8 @@ class TestWeakRecurrence:
             for j in (1, 8, 16):
                 a = np.zeros(17)
                 a[j] = 1.0
-                mu, err, _, converged, route = eccalc._weak_moments(
-                    cfg, zeta, a, EvalControls())
+                (mu, err, _, converged, route), = eccalc._weak_moments(
+                    cfg, [zeta], [a], EvalControls())
                 assert route == "series at 2 exponents, recurrence for 31"
                 assert converged
                 c = 2 * mpmath.mpf(zeta) - 2 * j
@@ -655,7 +663,7 @@ class TestSeedPrecision:
 
     def test_threads_get_serial_results(self):
         # four threads seeding both users' ladders at once get the serial
-        # results and leave mpmath's precision at its default 53 bits
+        # results
         points = [(make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
                             theta_u=theta), role)
                   for rho_db in (15.0, 25.0) for theta in (0.0031, 0.0117, 0.05)
@@ -679,17 +687,6 @@ class TestSeedPrecision:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert got == [want] * 4
-        assert mpmath.mp.prec == 53
-
-    def test_weak_closed_form_ignores_callers_precision(self):
-        cfgs = [make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
-                         theta_u=theta)
-                for rho_db, theta in [(0.0, 0.01), (40.0, 1e-3), (40.0, 0.01)]]
-        with mpmath.workprec(53):       # mpmath's default
-            want = [self.closed(cfg, "weak") for cfg in cfgs]
-        with mpmath.workdps(30):
-            got = [self.closed(cfg, "weak") for cfg in cfgs]
-        assert got == want
 
     def test_closed_forms_run_without_mpmath(self):
         # with mpmath unimportable, both users' closed forms at the fig3
@@ -1171,8 +1168,8 @@ def assert_batch_is_rows_alone(cfgs):
     of rows that share one, equal the same made one row at a time, bit for
     bit; returns the number of groups."""
     ctl = EvalControls()
-    for cfg, res in zip(cfgs, eccalc.ec_closed_strong_batch(cfgs, ctl)):
-        alone, = eccalc.ec_closed_strong_batch([cfg], ctl)
+    for cfg, res in zip(cfgs, eccalc.ec_closed_batch(cfgs, "strong", ctl)):
+        alone, = eccalc.ec_closed_batch([cfg], "strong", ctl)
         assert type(res) is type(alone)
         assert res == alone if isinstance(res, EcResult) else \
             str(res) == str(alone)
@@ -1234,7 +1231,7 @@ class TestStrongBatch:
             return split(cfg, zetas, coeffs, ladders)
 
         monkeypatch.setattr(eccalc, "_strong_split", refuse)
-        batch = eccalc.ec_closed_strong_batch(cfgs, ctl)
+        batch = eccalc.ec_closed_batch(cfgs, "strong", ctl)
         assert batch[0] == alone[0] and batch[2] == alone[2]
         assert isinstance(batch[1], ConvergenceError)
         with pytest.raises(ConvergenceError, match="split refused"):
@@ -1258,7 +1255,7 @@ class TestStrongBatch:
             return ladders(groups)
 
         monkeypatch.setattr(eccalc, "_tail_ladders", refuse)
-        batch = eccalc.ec_closed_strong_batch(cfgs, ctl)
+        batch = eccalc.ec_closed_batch(cfgs, "strong", ctl)
         assert batch[:3] == alone[:3]
         assert isinstance(batch[3], ConvergenceError)
 
@@ -1293,6 +1290,99 @@ class TestStrongBatch:
         rows, calls = self.strong_tail_calls(spec, monkeypatch)
         assert len(rows) == 3 * len(spec.grid)
         assert len(calls) == len({length for *_, length in calls}) == 2
+
+
+def assert_weak_batch_is_rows_alone(cfgs):
+    """The weak closed forms of cfgs as one batch equal each row's batch of
+    one, repr for repr (a row's error by its message); returns the batch."""
+    ctl = EvalControls()
+    batch = eccalc.ec_closed_batch(cfgs, "weak", ctl)
+    for cfg, res in zip(cfgs, batch):
+        alone, = eccalc.ec_closed_batch([cfg], "weak", ctl)
+        assert type(res) is type(alone)
+        assert repr(res) == repr(alone) if isinstance(res, EcResult) else \
+            str(res) == str(alone)
+    return batch
+
+
+def weak_box_rows():
+    """A derandomized box sample: 16 box points, each at theta = 1e-4
+    (J = 16), 3 ((2, 1)) and 4 values drawn between, as one list."""
+    rng = random.Random(34)
+    cfgs = []
+    for _ in range(16):
+        point = (rng.randint(2, 20), rng.random(), rng.random(),
+                 rng.uniform(0.5, 0.99), rng.uniform(-10.0, 50.0),
+                 rng.randint(50, 2000), rng.uniform(-9.0, -1.0))
+        draws = sorted(rng.uniform(-4.0, math.log10(3.0)) for _ in range(4))
+        cfgs += [box_cfg(*point, x)
+                 for x in (-4.0, *draws, math.log10(3.0))]
+    return cfgs
+
+
+def fig4_weak_grid(rho_db):
+    spec = figure_preset("fig4")
+    base = replace(spec.base, rho=db_to_linear(rho_db))
+    return [replace(base, theta_t=v, theta_u=v) for v in spec.grid]
+
+
+class TestWeakBatch:
+    def test_preset_rows(self):
+        # the weak rows of fig3, fig4 and fig6, each preset one batch as its
+        # sweep makes it: every row equals its batch of one
+        sizes = [len(assert_weak_batch_is_rows_alone(
+            list(preset_weak_cfgs((name,))))) for name in ("fig3", "fig4",
+                                                           "fig6")]
+        assert sizes == [21, 60, 90]
+
+    def test_box_rows(self):
+        # one batch of the box sample mixes J = 16 and (2, 1) rows, rows
+        # with no series and rows that fall back, and t = 1, 2 and > 2
+        cfgs = weak_box_rows()
+        batch = assert_weak_batch_is_rows_alone(cfgs)
+        notes = [res.note for res in batch]
+        assert {res.expansion_order[1] for res in batch} == {1, 16}
+        assert any(note.startswith("no series") for note in notes)
+        assert any("value from quadrature" in note for note in notes)
+        assert any("recurrence for" in note for note in notes)
+        assert {min(cfg.t, 3) for cfg in cfgs} == {1, 2, 3}
+
+    @pytest.mark.parametrize("cfgs", [fig4_weak_grid(20.0), weak_box_rows()],
+                             ids=["fig4_20db", "box"])
+    def test_recurrence_layouts_agree(self, cfgs, monkeypatch):
+        # both layouts run on these rows (the fig4 grid's J = 16 group in
+        # numpy columns, its rows alone in Python floats), and either
+        # layout in place of the other gives the same bits
+        rows, columns, ran = eccalc._recur_rows, eccalc._recur_columns, []
+
+        def spy(layout):
+            return lambda *args: ran.append(layout) or layout(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(eccalc, "_recur_rows", spy(rows))
+            patch.setattr(eccalc, "_recur_columns", spy(columns))
+            want = [repr(res) for res in
+                    eccalc.ec_closed_batch(cfgs, "weak", EvalControls())]
+            ec_closed_weak(cfgs[0], EvalControls())
+        assert set(ran) == {rows, columns}
+        for layout in (rows, columns):
+            with monkeypatch.context() as patch:
+                patch.setattr(eccalc, "_recur_rows", layout)
+                patch.setattr(eccalc, "_recur_columns", layout)
+                assert [repr(res) for res in eccalc.ec_closed_batch(
+                    cfgs, "weak", EvalControls())] == want
+
+    def test_theta_grid_sums_in_two_series_calls(self, monkeypatch):
+        # the 30 weak rows of fig4's grid at 20 dB make their series in one
+        # _weak_series call per tolerance (J = 16 rows seeding the
+        # recurrence, (2, 1) rows summing every exponent), not one per row:
+        # a cost guard that counts calls, not seconds
+        series, calls = eccalc._weak_series, []
+        monkeypatch.setattr(eccalc, "_weak_series", lambda *args: (
+            calls.append(args) or series(*args)))
+        cfgs = fig4_weak_grid(20.0)
+        evaluate_batch(cfgs, "weak", "closed_form", EvalControls())
+        assert len(cfgs) == 30 and len(calls) <= 2
 
 
 class TestClosedFormDomain:
