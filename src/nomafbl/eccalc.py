@@ -21,9 +21,10 @@ and seeds; the weak user's series seed a three-term recurrence in the
 exponent (_weak_moments), and the strong user splits each moment at x0
 (_strong_split), on tail ladders that a whole strong batch makes in one
 expint_ladders call per ladder length (_tail_ladders).  Either user's
-closed forms run as a batch (ec_closed_batch): rows that share all but
-theta make their moments as one group, the weak user's series in one
-_weak_series call per tolerance and its recurrence in numpy columns.
+closed forms run as a batch (ec_closed_batch): rows that share their pool
+and expansion length make their moments as one group, across SNRs and
+theta, the weak user's ladders in one expint_ladders call, its series in
+one _weak_series call per tolerance and its recurrence in numpy columns.
 Where a sum's bound does not hold it, either user's value is the
 quadrature of the same expanded kernel (_ec_closed).
 
@@ -61,6 +62,10 @@ SERIES_REL_TOL = 1e-10
 # The weak recurrence (_weak_moments): the tolerance of the series that seed
 # it, and the ulps of one step's magnitude that bound the step's rounding
 _SEED_REL_TOL, _STEP_ULPS = SERIES_REL_TOL / 16, 8
+# The most rows of one closed-form group (ec_closed_batch) that joins
+# several SNRs: a group's arrays grow with its rows, and 24 keep them near
+# those of the J = 16 rows of a 30-point theta grid at one SNR
+_GROUP_ROWS = 24
 
 METHODS = ("closed_form", "monte_carlo", "quadrature")
 
@@ -295,10 +300,12 @@ def ec_quadrature(cfg: SystemConfig, role: str, ctl: EvalControls,
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
+def _weak_series(cs: np.ndarray, q: float, d, ladders: np.ndarray,
                  log_prefactors: np.ndarray, tol: float = SERIES_REL_TOL):
     """Inner series sum_s C(c, s) q^s d I_s, scaled by exp(log_prefactor),
-    for every ladder (a row of ``ladders``) and every c in cs at once.
+    for every ladder (a row of ``ladders``) and every c in cs at once:
+    either one float d for every c and its ladders [ladder, rung], or one d
+    per c, an array [c, 1, 1], and the ladders of each, [c, ladder, rung].
 
     SystemConfig makes c < 0 and q < 0, so every term C(c, s) q^s d I_s =
     C(s - c - 1, s) |q|^s d I_s is positive: no signs are tracked and the
@@ -315,17 +322,19 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
     arrays (sum, terms_used, tail_bound) indexed [ladder, c]; the tail
     bound is inf where the series ends with rho >= 1.
     """
-    s_max = ladders.shape[1] - 1
+    s_max = ladders.shape[-1] - 1
     s = np.arange(1, s_max + 1)
     steps = (s - 1.0) - cs[:, None]     # term ratio = step |q| / s
     cols = np.arange(s_max + 1)
     rho = -q * np.maximum(1.0, (cols - cs[:, None]) / (cols + 1.0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         incr = np.log(steps) - np.log(s) + math.log(-q)
+        log_dl = np.log(d * ladders)
         log_term = np.concatenate(
             [log_prefactors[:, None],
              log_prefactors[:, None] + np.cumsum(incr, axis=1)], axis=1) \
-            + np.log(d * ladders)[:, None, :]
+            + (log_dl.swapaxes(0, 1) if log_dl.ndim == 3
+               else log_dl[:, None, :])
         terms = np.exp(log_term)
         totals = np.cumsum(terms, axis=-1)
         tails = np.where(rho < 1.0, terms * rho / (1.0 - rho), np.inf)
@@ -337,29 +346,35 @@ def _weak_series(cs: np.ndarray, q: float, d: float, ladders: np.ndarray,
 
 
 @functools.lru_cache(maxsize=1)
-def _weak_ladders(V: int, t: int, d: float, s_max: int) -> np.ndarray:
-    """The weak user's I_s ladders at eta = lambda_r d, one row per rate
-    lambda_r of ordered_mixture, as one read-only matrix.  They depend on
-    neither theta nor the expansion order, so a theta sweep at one SNR
-    builds them once: the cache keeps the last key only, and an SNR sweep,
-    which changes d on every row, misses on each."""
-    ladders = expint_ladders(np.array(ordered_mixture(t, V)[1]) * d, s_max)
+def _weak_ladders(V: int, t: int, ds: tuple, s_max: int) -> np.ndarray:
+    """The weak user's I_s ladders at eta = lambda_r d for each d of ds,
+    one row per rate lambda_r of ordered_mixture, as one read-only array
+    [d, r, s] made by one expint_ladders call.  They depend on neither
+    theta nor the expansion order, so the cache keeps the last key only:
+    a group of rows at several SNRs builds the ladders of all its d's
+    once, and a run of lone calls at one SNR (ds of one d) builds them
+    once."""
+    rates = np.array(ordered_mixture(t, V)[1])
+    ladders = expint_ladders((np.array(ds)[:, None] * rates).ravel(),
+                             s_max).reshape(len(ds), rates.size, s_max + 1)
     ladders.flags.writeable = False
     return ladders
 
 
-def _weak_moments(cfg: SystemConfig, zetas, coeffs, ctl: EvalControls):
+def _weak_moments(cfgs, zetas, coeffs, ctl: EvalControls):
     """Weak-user moments E[(1 + SINR)^c], c = 2 zeta - 2j, j = 0..J,
     integrated term by term over the ordered density's exponentials
-    (ordered_mixture), for rows that share cfg but their zeta and
-    coefficients a (rows of coeffs, all of one length).
+    (ordered_mixture), for rows (cfgs, one per row) that share their pool
+    (V, t, alpha_t, alpha_u, read from cfgs[0]) but not their SNR, zeta
+    and coefficients a (rows of coeffs, all of one length).
 
-    With q = -alpha_t and d = 1/(rho alpha_u), each exponential
+    With q = -alpha_t and each row's d = 1/(rho alpha_u), each exponential
     e^(-lambda x) contributes M(c) = alpha_u^-c int e^(-lambda x)
     (1 + q d/(x + d))^c dx.  Its binomial expansion in d/(x + d) is a
     series over the I_s ladder at eta = lambda d (_weak_series) that
-    converges geometrically at rate alpha_t.  The ladders serve every
-    exponent of every row, and the last SNR's ladders every theta after
+    converges geometrically at rate alpha_t.  The ladders of every distinct
+    d of the group come from one expint_ladders call and serve every
+    exponent of its rows, and the last group's ladders every theta after
     it (_weak_ladders).
 
     Integrating M by parts links unit-spaced exponents (kappa_c =
@@ -385,23 +400,28 @@ def _weak_moments(cfg: SystemConfig, zetas, coeffs, ctl: EvalControls):
     needed series that runs has a finite tail bound: its positive terms
     sum to M(c) <= 1/lambda, so none reaches e^700.
 
-    The setup is arrays with a row axis, the series of all rows at one
-    tolerance one _weak_series call and the recurrence one column per
-    (row, ladder) (_recur_columns, or _recur_rows for fewer columns than
-    steps); a row's values do not depend on the other rows.  Returns per
-    row (moments, err, terms, converged, route) for _ec_closed: err is
-    the sum over the expansion coefficients a_j of |a_j| times the
-    moments' error bounds (series tails, carried through the recurrence
-    with its rounding), plus their rounding;
-    converged is that tail sum within SERIES_REL_TOL of the same weighted
-    sum of the moments' magnitudes, so a high moment left truncated by the
-    term budget counts only as much as its coefficient lets it; terms is
-    the longest series' count; route names where the series ran ("series
-    at N exponents, recurrence for K", "series at every exponent", or
-    "no series: ...").
+    The setup is arrays with a row axis (d, kappa and the force term
+    alpha_u kappa / lambda too), the series of all rows at one tolerance
+    one _weak_series call, each c on its own d's ladders, and the
+    recurrence one column per (row, ladder) (_recur_columns, or
+    _recur_rows for fewer columns than steps); a row's values do not
+    depend on the other rows.  Returns per row (moments, err, terms,
+    converged, route) for _ec_closed: err is the sum over the expansion
+    coefficients a_j of |a_j| times the moments' error bounds (series
+    tails, carried through the recurrence with its rounding), plus their
+    rounding; converged is that tail sum within SERIES_REL_TOL of the same
+    weighted sum of the moments' magnitudes, so a high moment left
+    truncated by the term budget counts only as much as its coefficient
+    lets it; terms is the longest series' count; route names where the
+    series ran ("series at N exponents, recurrence for K", "series at
+    every exponent", or "no series: ...").
     """
+    cfg = cfgs[0]
     q, alpha_u = -cfg.alpha_t, cfg.alpha_u
-    d = 1.0 / (cfg.rho * alpha_u)
+    d = 1.0 / (np.array([row.rho for row in cfgs]) * alpha_u)
+    # the distinct d's, and each row's place among them
+    ds = sorted(set(d.tolist()))
+    at = np.array([ds.index(x) for x in d.tolist()])
     a = np.array(coeffs)
     s_max, top = ctl.series_max_terms, 2 * (a.shape[1] - 1)
     k = np.arange(top + 1)
@@ -410,7 +430,7 @@ def _weak_moments(cfg: SystemConfig, zetas, coeffs, ctl: EvalControls):
     # the step at cs[:, k], k = 1..top-1, makes cs[:, k+1] from cs[:, k-1]
     # and cs[:, k]; arrays [row, ladder, k - 1]
     kappa = np.array(rates, dtype=float)[:, None] * (
-        d * q / cs[:, None, 1:top])
+        (d * q)[:, None, None] / cs[:, None, 1:top])
     gain = alpha_u * (2.0 - kappa)
     grows = (alpha_u ** 2 + np.abs(gain) > 1.0).any(axis=1)
     first = np.where(grows, k[:-2], -1).max(axis=1, initial=-1) + 2
@@ -424,12 +444,16 @@ def _weak_moments(cfg: SystemConfig, zetas, coeffs, ctl: EvalControls):
     moments, errs = np.zeros((2, len(zetas), len(rates), top + 1))
     terms = np.zeros(moments.shape, dtype=int)
     live, every = recur & ~stuck, ~(recur | stuck)
+    key = (cfg.V, cfg.t, tuple(ds), s_max)
     for tol, rows in ((_SEED_REL_TOL, live), (SERIES_REL_TOL, every)):
         i, j = np.nonzero(direct & rows[:, None])
         if i.size:
+            ladders = _weak_ladders(*key)
+            d_at, ladders = ((ds[0], ladders[0]) if len(ds) == 1 else
+                             (np.array(ds)[at[i], None, None], ladders[at[i]]))
             moments[i, :, j], terms[i, :, j], errs[i, :, j] = (
                 x.T for x in _weak_series(
-                    cs[i, j], q, d, _weak_ladders(cfg.V, cfg.t, d, s_max),
+                    cs[i, j], q, d_at, ladders,
                     cs[i, j] * math.log(1.0 / alpha_u), tol))
     if live.any():
         # one column per (row, ladder), on views of moments; a column
@@ -442,8 +466,8 @@ def _weak_moments(cfg: SystemConfig, zetas, coeffs, ctl: EvalControls):
         # alpha_u (2 + kappa) bounds |gain| and the rounding of kappa in it
         recurrence(m, work, starts, gain.reshape(-1, top - 1),
                    (alpha_u * (2.0 + kappa)).reshape(-1, top - 1),
-                   np.repeat(alpha_u * d * q / cs[:, 1:top], len(rates),
-                             axis=0), alpha_u ** 2)
+                   np.repeat(alpha_u * d[:, None] * q / cs[:, 1:top],
+                             len(rates), axis=0), alpha_u ** 2)
         errs = np.where(k > starts[:, None], work, e).reshape(moments.shape)
     w, xi = np.array(weights)[:, None], 1.0 / b_fn
     moments, errs = moments[..., ::2], errs[..., ::2]
@@ -522,13 +546,16 @@ def _recur_columns(m, work, starts, gain, span, force, square):
 
 def _tail_ladders(groups):
     """The float ladders I_m(lambda_r (d + x0)), m = -2 zeta + 2j, d = 1 /
-    (rho alpha_u), of the strong split's tail for groups of rows (cfg,
-    zetas, coeffs) as _strong_split takes them: one array [row, r, j] per
-    group.  All groups of one length share one expint_ladders call."""
+    (rho alpha_u) of each row, of the strong split's tail for groups of
+    rows (cfgs, zetas, coeffs) as _strong_split takes them: one array
+    [row, r, j] per group.  All groups of one length share one
+    expint_ladders call."""
     grids = []      # per group, each ladder's eta and s0, as [row, r]
-    for cfg, zetas, _ in groups:
+    for cfgs, zetas, _ in groups:
+        cfg = cfgs[0]
         etas = np.array(ordered_mixture(cfg.u, cfg.V)[1]) * (
-            1.0 / (cfg.rho * cfg.alpha_u) + _SPLIT_X0)
+            1.0 / (np.array([row.rho for row in cfgs]) * cfg.alpha_u)
+            + _SPLIT_X0)[:, None]
         grids.append(np.broadcast_arrays(etas,
                                          -2.0 * np.array(zetas)[:, None]))
     out = [None] * len(groups)
@@ -545,25 +572,29 @@ def _tail_ladders(groups):
 
 
 @np.errstate(all="ignore")
-def _strong_split(cfg: SystemConfig, zetas, coeffs, ladders):
+def _strong_split(cfgs, zetas, coeffs, ladders):
     """The strong moments mu(m) = int (1 + c x)^-m f(x) dx, m = -2 zeta + 2j,
-    c = rho alpha_u, split at x0 = _SPLIT_X0, in float, for rows that share
-    cfg but their zeta and coefficients a (rows of coeffs, all of one
+    c = rho alpha_u, split at x0 = _SPLIT_X0, in float, for rows (cfgs, one
+    per row) that share their pool (V, u, alpha_u, read from cfgs[0]) but
+    not their SNR, zeta and coefficients a (rows of coeffs, all of one
     length): per row the moments, a bound on the error of sum_j a_j mu_j,
     the digits that sum loses and whether it keeps _FLOAT_DIGITS_KEPT.  The
-    head sums the Taylor terms (ordered_taylor) over power_moments, the tail
+    head sums the Taylor terms (ordered_taylor) over power_moments, one
+    call with each row's m0 and c, the tail
     sum_r (w_r / B) e^(-lambda_r x0) Y^-m (d + x0) I_m(lambda_r (d + x0)),
     Y = 1 + c x0, d = 1 / c, on the rows' float ladders (_tail_ladders), as
     arrays with a row axis; a row's values do not depend on the other
     rows."""
-    c, x0, k_max = cfg.rho * cfg.alpha_u, _SPLIT_X0, _SPLIT_TERMS
+    cfg, x0, k_max = cfgs[0], _SPLIT_X0, _SPLIT_TERMS
+    c = np.array([row.rho for row in cfgs]) * cfg.alpha_u
     b_fn, rates, weights = ordered_mixture(cfg.u, cfg.V)
     taylor, remainder = ordered_taylor(cfg.u, cfg.V, k_max)
     a = np.array(coeffs)
     ms = -2.0 * np.array(zetas)[:, None] + 2.0 * np.arange(a.shape[1])
     logs, errs = power_moments(ms[:, 0], a.shape[1], k_max, c, x0)
-    d_x0, rates = 1.0 / c + x0, np.array(rates)[:, None]
-    expo = -x0 * rates - ms[:, None] * math.log1p(c * x0)
+    d_x0, rates = (1.0 / c + x0)[:, None, None], np.array(rates)[:, None]
+    ln_y = np.array([math.log1p(v) for v in (c * x0).tolist()])
+    expo = -x0 * rates - ms[:, None] * ln_y[:, None, None]
     head = np.array(taylor) / b_fn * np.exp(logs[..., :-1])
     tail = np.array(weights)[:, None] / b_fn * d_x0 * np.exp(expo) * ladders
     moments = np.sum(head, axis=-1) + np.sum(tail, axis=-2)
@@ -679,26 +710,32 @@ def _closed_alone(cfg, role, ctl, order):
 def ec_closed_batch(cfgs, role: str, ctl: EvalControls, orders=None) -> list:
     """Closed-form effective capacity of the role's user (_ec_closed) at
     each of cfgs, or the ValueError or RuntimeError a row raised in its
-    place.  Rows that share rho, alpha_u, the role's order index, V and
-    J + 1 (a theta grid's J = 16 rows at one SNR) make their moments as
-    one group: the weak user's in one _weak_moments pass on the group's
-    ladders, the strong user's in one float split (_strong_split) on tail
-    ladders made for all groups at once (_tail_ladders).  Where a group
-    fails, each of its rows is made again alone.  The rest of each row
-    runs alone.  Each row's value equals that of its batch of one."""
+    place.  Rows that share alpha_t, alpha_u, the role's order index, V
+    and J + 1, everything a group reads but the SNR and theta (an SNR
+    sweep's rows, or a theta grid's (2, 1) rows at two SNRs), make their
+    moments as one group: the weak user's in one _weak_moments pass on the
+    ladders of all the group's SNRs, the strong user's in one float split
+    (_strong_split) on tail ladders made for all groups at once
+    (_tail_ladders).  A group holds all rows of each of its SNRs, and
+    more than one SNR only up to _GROUP_ROWS rows (_by_snr).  Where a
+    group fails, each of its rows is made again alone.  The rest of each
+    row runs alone.  Each row's value equals that of its batch of one."""
     orders = orders or [None] * len(cfgs)
     out = [_caught(_expansion, cfg, role, order)
            for cfg, order in zip(cfgs, orders)]
     groups = {}
     for i, (cfg, expansion) in enumerate(zip(cfgs, out)):
         if not isinstance(expansion, Exception):
-            groups.setdefault((cfg.rho, cfg.alpha_u, cfg.order_index(role),
-                               cfg.V, expansion[2].size), []).append(i)
-    args = [(cfgs[rows[0]], [out[i][0].zeta for i in rows],
-             [out[i][2] for i in rows]) for rows in groups.values()]
+            groups.setdefault((cfg.alpha_t, cfg.alpha_u,
+                               cfg.order_index(role), cfg.V,
+                               expansion[2].size), []).append(i)
+    groups = [group for rows in groups.values()
+              for group in _by_snr(rows, cfgs)]
+    args = [([cfgs[i] for i in rows], [out[i][0].zeta for i in rows],
+             [out[i][2] for i in rows]) for rows in groups]
     moments = ([_caught(_weak_moments, *group, ctl) for group in args]
                if role == "weak" else _strong_groups(args))
-    for rows, sums in zip(groups.values(), moments):
+    for rows, sums in zip(groups, moments):
         for n, i in enumerate(rows):
             if not isinstance(sums, Exception):
                 out[i] = _caught(_ec_closed, cfgs[i], role, ctl, out[i],
@@ -709,8 +746,22 @@ def ec_closed_batch(cfgs, role: str, ctl: EvalControls, orders=None) -> list:
     return out
 
 
+def _by_snr(rows, cfgs) -> list:
+    """rows (indices into cfgs) as groups of whole SNRs, in order of first
+    appearance: each SNR's rows join the group before them while it stays
+    within _GROUP_ROWS rows, else start the next."""
+    snrs, groups = {}, [[]]
+    for i in rows:
+        snrs.setdefault(cfgs[i].rho, []).append(i)
+    for part in snrs.values():
+        if groups[-1] and len(groups[-1]) + len(part) > _GROUP_ROWS:
+            groups.append([])
+        groups[-1] += part
+    return groups
+
+
 def _strong_groups(groups) -> list:
-    """Per group (cfg, zetas, coeffs) its rows' strong moments
+    """Per group (cfgs, zetas, coeffs) its rows' strong moments
     (_strong_moments of the group's _strong_split), or the error the group
     raised; where the batch's tail ladders fail, every group fails."""
     tails = _caught(_tail_ladders, groups)

@@ -43,6 +43,10 @@ _EPS = 2.0 ** -52
 _EXPN_ORDER, _EXPN_ETA, _CF_ORDER, _CF_ETA = 50.0, 32.0, 20.0, 0.5
 # power_moments' hyp2f1 limit in Y; scipy's error allowed, 4x its worst
 _HYP2F1_Y, _BETAINC_REL, _HYP2F1_REL = 10.0, 1e-13, 1e-13
+# expint_ladders runs numpy columns from this many ladders up: at 501 rungs
+# rows take 2.1 ms and columns 2.3 ms at 30 ladders, 3.0 against 2.3 at 42;
+# at 3 rungs the two meet near 28 ladders
+_LADDER_COLUMNS = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -161,13 +165,14 @@ def expint_ladders(etas, s_max: int, s0=0.0) -> np.ndarray:
     is stable upward for s > eta and downward below, so each ladder is
     seeded at s0 + k0 with k0 ~ ceil(eta - s0) + 1 and run in the stable
     direction on each side.  One tricomi_u call makes every seed.  A call
-    with more ladders than rungs runs the recurrence in numpy columns
-    across its ladders, else ladder by ladder in Python floats; both make
-    each rung by the same float operations.
+    with at least _LADDER_COLUMNS ladders runs the recurrence in numpy
+    columns across its ladders, else ladder by ladder in Python floats,
+    whatever the rung count (both cost about linearly in the rungs); both
+    make each rung by the same float operations.
     """
     etas, s0 = np.broadcast_arrays(np.asarray(etas, dtype=float), s0)
     k0 = np.clip(np.ceil(etas - s0) + 1.0, 0, s_max).astype(int)
-    run = _ladder_columns if etas.size > s_max + 1 else _ladder_rows
+    run = _ladder_columns if etas.size >= _LADDER_COLUMNS else _ladder_rows
     return run(etas, s0, k0, tricomi_u(1.0, 2.0 - (s0 + k0), etas), s_max)
 
 
@@ -201,8 +206,7 @@ def _ladder_columns(etas, s0, k0, seeds, s_max):
     return rungs.T
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def power_moments(m0, rows: int, k_max: int, c: float, x0: float):
+def power_moments(m0, rows: int, k_max: int, c, x0: float):
     """ln P and a bound on P's relative error, P[j, k] = int_0^x0 x^k
     (1 + c x)^-m dx = c^-(k+1) B_t0(k+1, b), m = m0 + 2j > 0, b = m - k - 1,
     t0 = c x0 / Y, Y = 1 + c x0, j < rows, k <= k_max <= 50.  Where b > 0,
@@ -212,31 +216,67 @@ def power_moments(m0, rows: int, k_max: int, c: float, x0: float):
     at an integer m, by S(k) = (Y - k S(k-1)) / (-b (Y - 1)) (by parts) from
     betainc's last cell, the closed form at k = 0 or at b = 0 t0^-m (ln Y -
     sum_{i<m} t0^i / i).  The bound adds all rounding and scipy's error.
-    An array m0 adds a leading axis, one slice per m0, each equal to its
-    float call: cells with b > 0 never read the b <= 0 branch taken."""
-    y, ln_y = 1.0 + c * x0, math.log1p(c * x0)
-    t0, ln_c = c * x0 / y, math.log(c)
-    m = np.asarray(m0)[..., None, None] + 2.0 * np.arange(rows)[:, None]
+    An array m0 or c (the two broadcast) adds a leading axis, one slice per
+    (m0, c), each equal to its float call: the slices run in one pass per
+    side of Y = _HYP2F1_Y (_power_moments), and cells with b > 0 never read
+    the b <= 0 branch taken."""
+    m0, c = np.asarray(m0, dtype=float), np.asarray(c, dtype=float)
+    if m0.shape != c.shape:
+        m0, c = np.broadcast_arrays(m0, c)
+    shape = (*m0.shape, rows, k_max + 1)
+    m0, c = m0.ravel(), c.ravel()
+    below = 1.0 + c * x0 < _HYP2F1_Y
+    if below.all() or not below.any():
+        return tuple(x.reshape(shape) for x in _power_moments(
+            m0, rows, k_max, c, x0))
+    logs, errs = np.empty((2, m0.size, rows, k_max + 1))
+    for side in (below, ~below):
+        logs[side], errs[side] = _power_moments(m0[side], rows, k_max,
+                                                c[side], x0)
+    return logs.reshape(shape), errs.reshape(shape)
+
+
+def _each(fn, x):
+    """fn at a float x, or at each element of the float array x, in Python
+    floats: math's log and log1p, whose last bits numpy's may not match."""
+    if isinstance(x, float):
+        return fn(x)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _power_moments(m0, rows, k_max, c, x0):
+    """power_moments of the slices (m0, c), 1-d arrays whose Y all lie on
+    one side of _HYP2F1_Y, as arrays [slice, j, k].  Slices of one c (a
+    row alone, or a theta grid at one SNR) keep its constants floats, which
+    numpy broadcasts faster than a column."""
+    c = float(c[0]) if (c == c[0]).all() else c[:, None, None]
+    y, ln_y = 1.0 + c * x0, _each(math.log1p, c * x0)
+    t0, ln_c = c * x0 / y, _each(math.log, c)
+    m = m0[:, None, None] + 2.0 * np.arange(rows)[:, None]
     k = np.arange(k_max + 1.0)
     pos = (b := m - k - 1.0) > 0.0
     steps = np.log(np.where(pos, np.concatenate(
         [1.0 / (m - 1.0), k[1:] / b[..., 1:]], axis=-1), 1.0))
     ln_i = np.zeros(b.shape)        # read on the b > 0 cells only
-    ln_i[pos] = np.log(special.betainc(np.broadcast_to(k + 1.0, b.shape)[pos],
-                                       b[pos], t0))
+    ln_i[pos] = np.log(special.betainc(
+        np.broadcast_to(k + 1.0, b.shape)[pos], b[pos],
+        t0 if isinstance(t0, float) else np.broadcast_to(t0, b.shape)[pos]))
     logs = np.cumsum(steps, axis=-1) + ln_i - (k + 1.0) * ln_c
-    sens = np.exp(np.minimum((k + 1.0) * (math.log(t0) - ln_c) - logs
+    sens = np.exp(np.minimum((k + 1.0) * (_each(math.log, t0) - ln_c) - logs
                              - (b - 1.0) * ln_y, 700.0))    # t0 f(t0) / I
     errs = _BETAINC_REL + _EPS * (4.0 * (sens + np.abs(ln_i) + (k + 1.0) * abs(
         ln_c) + 4.0) + np.cumsum(np.abs(steps) + 2.0, axis=-1))
     shift = m * ln_y - (k + 1.0) * math.log(x0)     # ln(Y^m / x0^(k+1))
-    if y < _HYP2F1_Y or pos.all():
-        mm, kk = (x[~pos] for x in np.broadcast_arrays(m, k))
+    if np.all(y < _HYP2F1_Y) or pos.all():
+        mm, kk, tt = (x[~pos] for x in np.broadcast_arrays(m, k, t0))
         s, e_s = np.ones(b.shape), _HYP2F1_REL + 4.0 * _EPS * y
-        s[~pos] = special.hyp2f1(mm, 1.0, kk + 2.0, t0) / (kk + 1.0)
+        s[~pos] = special.hyp2f1(mm, 1.0, kk + 2.0, tt) / (kk + 1.0)
     else:
-        part = np.concatenate(([0.0], np.cumsum(t0 ** k[1:] / k[1:])))
-        part = part[np.clip(m - 1.0, 0, k_max).astype(int)]
+        part = np.cumsum(np.where(k > 0.0, t0 ** k / k, 0.0), axis=-1)
+        at = np.clip(m - 1.0, 0, k_max).astype(int)
+        part = part[at] if part.ndim == 1 else np.take_along_axis(part, at,
+                                                                  axis=-1)
         given = pos | (b == 0.0) | (k == 0.0)
         alpha = np.where(pos, np.exp(logs + shift), np.where(
             b == 0.0, t0 ** -m * (ln_y - part),

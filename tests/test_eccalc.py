@@ -379,8 +379,9 @@ class TestTanhSinhOracle:
 def strong_split(cfg, zetas, coeffs):
     """eccalc._strong_split of rows that share cfg, on their tail ladders
     made for them alone."""
-    ladders, = eccalc._tail_ladders([(cfg, zetas, coeffs)])
-    return eccalc._strong_split(cfg, zetas, coeffs, ladders)
+    group = ([cfg] * len(zetas), zetas, coeffs)
+    ladders, = eccalc._tail_ladders([group])
+    return eccalc._strong_split(*group, ladders)
 
 
 def _weak_series_loop(c, q, d, ladder, log_prefactor):
@@ -482,18 +483,18 @@ class TestClosedFormSeries:
             assert np.array_equal(ladder, expint_ladders([eta], 34, s0)[0])
 
 
-def _weak_moments_every_exponent(cfg, zetas, coeffs, ctl):
+def _weak_moments_every_exponent(cfgs, zetas, coeffs, ctl):
     """eccalc._weak_moments with the series at every moment's exponent,
     as it ran before the recurrence: the reference for the recurrence."""
     return [_every_exponent(cfg, zeta, a, ctl)
-            for zeta, a in zip(zetas, coeffs)]
+            for cfg, zeta, a in zip(cfgs, zetas, coeffs)]
 
 
 def _every_exponent(cfg, zeta, a, ctl):
     cs = 2.0 * zeta - 2.0 * np.arange(a.size)
     d = 1.0 / (cfg.rho * cfg.alpha_u)
     b_fn, _, weights = ordered_mixture(cfg.t, cfg.V)
-    ladders = eccalc._weak_ladders(cfg.V, cfg.t, d, ctl.series_max_terms)
+    ladders, = eccalc._weak_ladders(cfg.V, cfg.t, (d,), ctl.series_max_terms)
     series, terms, tails = _weak_series(cs, -cfg.alpha_t, d, ladders,
                                         cs * math.log(1.0 / cfg.alpha_u))
     w, xi = np.array(weights)[:, None], 1.0 / b_fn
@@ -557,7 +558,7 @@ class TestWeakRecurrence:
                 a = np.zeros(17)
                 a[j] = 1.0
                 (mu, err, _, converged, route), = eccalc._weak_moments(
-                    cfg, [zeta], [a], EvalControls())
+                    [cfg], [zeta], [a], EvalControls())
                 assert route == "series at 2 exponents, recurrence for 31"
                 assert converged
                 c = 2 * mpmath.mpf(zeta) - 2 * j
@@ -631,8 +632,8 @@ class TestWeakLadderMemo:
 
     def test_memo_is_read_only(self):
         cfg = make_cfg()
-        ladders = eccalc._weak_ladders(cfg.V, cfg.t, 0.05, 40)
-        assert ladders is eccalc._weak_ladders(cfg.V, cfg.t, 0.05, 40)
+        ladders = eccalc._weak_ladders(cfg.V, cfg.t, (0.05,), 40)
+        assert ladders is eccalc._weak_ladders(cfg.V, cfg.t, (0.05,), 40)
         for ladder in ladders:
             assert not ladder.flags.writeable
             with pytest.raises(ValueError):
@@ -1165,8 +1166,9 @@ def box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps, log_theta):
 
 def assert_batch_is_rows_alone(cfgs):
     """The strong closed forms of cfgs, and the float splits of each group
-    of rows that share one, equal the same made one row at a time, bit for
-    bit; returns the number of groups."""
+    of rows that share one SNR and coefficient count, equal the same made
+    one row at a time, bit for bit; returns the number of such groups
+    (TestSnrBatch covers groups across SNRs)."""
     ctl = EvalControls()
     for cfg, res in zip(cfgs, eccalc.ec_closed_batch(cfgs, "strong", ctl)):
         alone, = eccalc.ec_closed_batch([cfg], "strong", ctl)
@@ -1188,8 +1190,9 @@ def assert_batch_is_rows_alone(cfgs):
 
 class TestStrongBatch:
     def test_preset_rows(self):
-        # every theta grid of fig4 and fig5 splits in two batches, its
-        # J = 1 and its J = 16 rows; fig3 and validate are batches of one
+        # every theta grid of fig4 and fig5 at one SNR splits in two
+        # groups, its J = 1 and its J = 16 rows; fig3 and validate have
+        # one row per SNR
         for name in ("fig3", "fig4", "fig5"):
             spec = figure_preset(name)
             for rho_db in spec.rho_db_variants or (None,):
@@ -1225,10 +1228,10 @@ class TestStrongBatch:
         alone = [ec_closed_strong(cfg, ctl) for cfg in cfgs]
         bad = make_kernel_params(0.02, 300, 1e-5).zeta
 
-        def refuse(cfg, zetas, coeffs, ladders):
+        def refuse(cfgs, zetas, coeffs, ladders):
             if bad in zetas:
                 raise ConvergenceError("split refused")
-            return split(cfg, zetas, coeffs, ladders)
+            return split(cfgs, zetas, coeffs, ladders)
 
         monkeypatch.setattr(eccalc, "_strong_split", refuse)
         batch = eccalc.ec_closed_batch(cfgs, "strong", ctl)
@@ -1249,8 +1252,9 @@ class TestStrongBatch:
         bad = make_kernel_params(3.0, 300, 1e-5).zeta
 
         def refuse(groups):
-            if any(cfg.rho == 100.0 and bad in zetas
-                   for cfg, zetas, _ in groups):
+            if any(cfg.rho == 100.0 and zeta == bad
+                   for cfgs, zetas, _ in groups
+                   for cfg, zeta in zip(cfgs, zetas)):
                 raise ConvergenceError("ladders refused")
             return ladders(groups)
 
@@ -1275,7 +1279,7 @@ class TestStrongBatch:
 
     def test_fig3_sweep_makes_its_strong_tails_in_one_call(self, tmp_path,
                                                            monkeypatch):
-        # fig3's 21 SNRs are 21 groups of one row, which share one
+        # fig3's 21 SNRs are one group, whose tails take one
         # expint_ladders call of 21 u ladders, each seeded at theta n = 3
         spec = figure_preset("fig3", str(tmp_path / "fig3.csv"))
         rows, calls = self.strong_tail_calls(spec, monkeypatch)
@@ -1385,6 +1389,140 @@ class TestWeakBatch:
         assert len(cfgs) == 30 and len(calls) <= 2
 
 
+def snr_box_rows():
+    """A derandomized box sample for batches across the SNR axis: 6 pools
+    (V, t, u, alpha_t), each at 3 SNRs and at theta = 1e-4 (J = 16), 3
+    ((2, 1)) and one value drawn between, as one list."""
+    rng = random.Random(35)
+    cfgs = []
+    for _ in range(6):
+        pool = (rng.randint(2, 20), rng.random(), rng.random(),
+                rng.uniform(0.5, 0.99))
+        n, log_eps = rng.randint(50, 2000), rng.uniform(-9.0, -1.0)
+        log_theta = rng.uniform(-4.0, math.log10(3.0))
+        snrs = [rng.uniform(-10.0, 50.0) for _ in range(3)]
+        cfgs += [box_cfg(*pool, rho_db, n, log_eps, x) for rho_db in snrs
+                 for x in (-4.0, log_theta, math.log10(3.0))]
+    return cfgs
+
+
+def fig3_cfgs():
+    spec = figure_preset("fig3")
+    return [replace(spec.base, rho=db_to_linear(v)) for v in spec.grid]
+
+
+class TestSnrBatch:
+    @staticmethod
+    def groups(cfgs, role, monkeypatch):
+        """ec_closed_batch of cfgs, each of its rows repr-equal to its batch
+        of one, and the distinct SNRs of each group its moments were made
+        in."""
+        made, name = [], ("_weak_moments" if role == "weak"
+                          else "_strong_split")
+        inner = getattr(eccalc, name)
+
+        def spy(group, *args):
+            made.append(len({cfg.rho for cfg in group}))
+            return inner(group, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(eccalc, name, spy)
+            batch = eccalc.ec_closed_batch(cfgs, role, EvalControls())
+        for cfg, res in zip(cfgs, batch):
+            alone, = eccalc.ec_closed_batch([cfg], role, EvalControls())
+            assert type(res) is type(alone)
+            assert repr(res) == repr(alone) if isinstance(res, EcResult) \
+                else str(res) == str(alone)
+        return made
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_fig3_rows_are_one_group(self, role, monkeypatch):
+        # fig3's 21 SNRs share their pool and expansion length: one group,
+        # whose rows each equal their batch of one
+        assert self.groups(fig3_cfgs(), role, monkeypatch) == [21]
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_box_rows_mixing_snrs_pools_and_shapes(self, role, monkeypatch):
+        # one batch of 6 pools at 3 SNRs each, J = 16 and (2, 1) rows:
+        # one group per pool and expansion length, each holding its pool's
+        # three SNRs, and every row equals its batch of one
+        made = self.groups(snr_box_rows(), role, monkeypatch)
+        assert len(made) == 12 and set(made) == {3}
+
+    def test_group_key_holds_alpha_t(self):
+        # SystemConfig lets alpha_t + alpha_u miss 1 by 1e-12, so two weak
+        # rows can share alpha_u and differ in alpha_t; the weak moments
+        # read q = -alpha_t, so the two make separate groups.  Grouped with
+        # the row at the pool's alpha_t, the other once gave
+        # 1.3109832088525373 against 1.31098320885174 alone
+        first = make_cfg(rho_db=20.0, theta_t=0.01, theta_u=0.01)
+        second = replace(first, alpha_t=first.alpha_t + 4e-13,
+                         theta_t=0.02, theta_u=0.02)
+        batch = eccalc.ec_closed_batch([first, second], "weak",
+                                       EvalControls())
+        assert [repr(res) for res in batch] == [
+            repr(ec_closed_weak(cfg, EvalControls()))
+            for cfg in (first, second)]
+
+    @pytest.mark.parametrize("name, role", [("fig5", "strong"),
+                                            ("fig6", "weak")])
+    def test_snrs_join_a_group_up_to_the_row_cap(self, name, role,
+                                                 monkeypatch):
+        # a theta grid at 15, 20 and 25 dB: each SNR's rows stay in one
+        # group, and a group of several SNRs holds at most _GROUP_ROWS
+        # rows, so its arrays stay near those of one SNR's grid
+        made, fn = [], ("_weak_moments" if role == "weak"
+                        else "_strong_split")
+        inner = getattr(eccalc, fn)
+
+        def spy(group, zetas, coeffs, *args):
+            made.append(([cfg.rho for cfg in group], len(coeffs[0])))
+            return inner(group, zetas, coeffs, *args)
+
+        monkeypatch.setattr(eccalc, fn, spy)
+        spec = figure_preset(name)
+        eccalc.ec_closed_batch([
+            replace(spec.base, rho=db_to_linear(rho_db), theta_t=v,
+                    theta_u=v)
+            for rho_db in spec.rho_db_variants for v in spec.grid],
+            role, EvalControls())
+        assert sum(len(rhos) for rhos, _ in made) == 90
+        joined = [rhos for rhos, _ in made if len(set(rhos)) > 1]
+        assert joined and all(len(rhos) <= eccalc._GROUP_ROWS
+                              for rhos in joined)
+        # each SNR's rows of one coefficient count lie in one group
+        owners = [(rho, size) for rhos, size in made for rho in set(rhos)]
+        assert len(owners) == len(set(owners))
+
+    def test_fig3_weak_ladders_in_one_call(self, tmp_path, monkeypatch):
+        # the 21 SNRs' weak ladders (42 of 501 rungs) come from one
+        # expint_ladders call: a cost guard that counts calls, not seconds
+        eccalc._weak_ladders.cache_clear()
+        ladders, calls = eccalc.expint_ladders, []
+        monkeypatch.setattr(eccalc, "expint_ladders", lambda etas, s_max: (
+            calls.append((len(etas), s_max)) or ladders(etas, s_max)))
+        spec = figure_preset("fig3", str(tmp_path / "fig3.csv"))
+        run_sweep(replace(spec, roles=("weak",), methods=("closed_form",)))
+        assert calls == [(42, 500)]
+
+    def test_fig3_strong_head_in_one_pass_per_branch(self, tmp_path,
+                                                      monkeypatch):
+        # fig3's 21 strong heads make one power_moments call, which runs
+        # one pass per side of Y = 10, not 21: a cost guard that counts
+        # calls, not seconds
+        moments, passes = eccalc.power_moments, []
+        inner = specfun._power_moments
+        monkeypatch.setattr(specfun, "_power_moments", lambda m0, *args: (
+            passes.append(m0.size) or inner(m0, *args)))
+        calls = []
+        monkeypatch.setattr(eccalc, "power_moments", lambda *args: (
+            calls.append(args) or moments(*args)))
+        spec = figure_preset("fig3", str(tmp_path / "fig3.csv"))
+        run_sweep(replace(spec, roles=("strong",), methods=("closed_form",)))
+        assert len(calls) == 1
+        assert len(passes) == 2 and sum(passes) == 21
+
+
 class TestClosedFormDomain:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(**BOX)
@@ -1462,7 +1600,7 @@ class TestClosedFormDomain:
         a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
         strong_split(cfg, [kp.zeta], [a])
         eccalc._weak_ladders.__wrapped__(
-            cfg.V, cfg.t, 1.0 / (cfg.rho * cfg.alpha_u),
+            cfg.V, cfg.t, (1.0 / (cfg.rho * cfg.alpha_u),),
             EvalControls().series_max_terms)
 
     @settings(max_examples=60, deadline=None, derandomize=True)

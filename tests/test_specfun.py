@@ -363,6 +363,12 @@ class TestSeedRoutes:
             assert np.array_equal(ladder, expint_ladders([eta], 32, s)[0])
 
 
+# eta = lambda_r d of fig3's weak ladders: lambda = 9, 10 and d = 1 /
+# (rho alpha_u), alpha_u = 0.2, at 0, 2, .., 40 dB
+FIG3_WEAK_ETAS = np.outer(1.0 / (0.2 * 10.0 ** (np.arange(0.0, 41.0, 2.0)
+                                               / 10.0)), [9.0, 10.0]).ravel()
+
+
 class TestLadderRecurrence:
     @pytest.mark.parametrize("etas, s0, s_max", [
         # the weak shape: 2 ladders of 501 rungs at eta = lambda_r d, 0 dB
@@ -371,7 +377,11 @@ class TestLadderRecurrence:
         # eta 1.55..6.58 as in a fig4-fig6 pass
         (np.geomspace(1.55, 6.58, 1200),
          np.geomspace(0.04, 400.0, 1200)[::-1], 32),
-    ], ids=["weak", "strong"])
+        # around the layout's crossover: the weak ladders of fig3's first
+        # 15 SNRs (30 of 501 rungs, rows) and of all 21 (42, columns)
+        (FIG3_WEAK_ETAS[:30], np.zeros(30), 500),
+        (FIG3_WEAK_ETAS, np.zeros(42), 500),
+    ], ids=["weak", "strong", "fig3_30", "fig3_42"])
     def test_columns_equal_rows(self, etas, s0, s_max):
         # expint_ladders picks the recurrence from the call's shape; both
         # give the same ladders, bit for bit, so the shape moves no value
@@ -382,6 +392,21 @@ class TestLadderRecurrence:
         assert rows.shape == columns.shape == (etas.size, s_max + 1)
         assert np.array_equal(rows, columns)
         assert np.array_equal(rows, expint_ladders(etas, s_max, s0))
+
+    @pytest.mark.parametrize("s_max", [2, 32, 500])
+    def test_layout_follows_the_ladder_count(self, monkeypatch, s_max):
+        # columns from _LADDER_COLUMNS ladders up, whatever the rung count
+        ran = []
+
+        def spy(name):
+            layout = getattr(specfun, name)
+            return lambda *args: ran.append(name) or layout(*args)
+
+        for name in ("_ladder_rows", "_ladder_columns"):
+            monkeypatch.setattr(specfun, name, spy(name))
+        for count in (specfun._LADDER_COLUMNS - 1, specfun._LADDER_COLUMNS):
+            expint_ladders(np.geomspace(0.1, 45.0, count), s_max)
+        assert ran == ["_ladder_rows", "_ladder_columns"]
 
 
 class TestPowerMoments:
@@ -423,8 +448,8 @@ class TestPowerMoments:
 
 
 class TestPowerMomentsBatch:
-    # an array m0 gives one slice per m0, each equal to its float call
-    # bit for bit, in either branch of the b <= 0 cells
+    # an array m0 or c gives one slice per (m0, c), each equal to its
+    # float call bit for bit, in either branch of the b <= 0 cells
 
     @staticmethod
     def assert_slices_are_float_calls(m0s, rows, c, x0=0.5):
@@ -457,6 +482,46 @@ class TestPowerMomentsBatch:
     def test_box(self, log_cx0, m0s, rows):
         # Y from 1.03 to 3200 and m0 = theta n over the closed forms' box
         self.assert_slices_are_float_calls(m0s, rows, 2.0 * 10.0 ** log_cx0)
+
+    @staticmethod
+    def assert_slices_of_c_are_float_calls(m0s, cs, rows, x0=0.5):
+        logs, errs = power_moments(np.array(m0s), rows, 50, np.array(cs), x0)
+        assert logs.shape == errs.shape == (len(m0s), rows, 51)
+        for i, (m0, c) in enumerate(zip(m0s, cs)):
+            one_logs, one_errs = power_moments(float(m0), rows, 50, float(c),
+                                               x0)
+            assert np.array_equal(logs[i], one_logs), (m0, c)
+            assert np.array_equal(errs[i], one_errs), (m0, c)
+
+    def test_fig3_snr_grid(self):
+        # one slice per fig3 SNR, c = rho alpha_u from 0 to 40 dB and
+        # m0 = theta n = 3: Y from 1.1 to 1001, on both sides of Y = 10
+        cs = 0.2 * 10.0 ** (np.arange(0.0, 41.0, 2.0) / 10.0)
+        ys = 1.0 + 0.5 * cs
+        assert (ys < 10.0).any() and (ys >= 10.0).any()
+        for rows in (2, 17):
+            self.assert_slices_of_c_are_float_calls([3.0] * cs.size, cs,
+                                                    rows)
+
+    @pytest.mark.parametrize("rows", [1, 2, 17])
+    def test_array_c_mixing_branches_and_positive_b(self, rows):
+        # slices on both sides of Y = 10 (c x0 = 4 and 31.6), each with
+        # rows whose b > 0 in every cell (m0 > 51) and rows with b <= 0
+        m0s = [0.04, 400.0, 3.0, 60.5, 51.0] * 2
+        cs = [8.0] * 5 + [63.2] * 5
+        self.assert_slices_of_c_are_float_calls(m0s[::-1], cs, rows)
+        self.assert_slices_of_c_are_float_calls(m0s, cs, rows)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(points=st.lists(st.tuples(st.floats(-1.5, 3.5),
+                                     st.floats(0.005, 6000.0)),
+                           min_size=1, max_size=6),
+           rows=st.sampled_from([1, 2, 17]))
+    def test_box_of_c(self, points, rows):
+        # one (c, m0) per slice over the closed forms' box
+        self.assert_slices_of_c_are_float_calls(
+            [m0 for _, m0 in points],
+            [2.0 * 10.0 ** log_cx0 for log_cx0, _ in points], rows)
 
 
 class TestBetaFn:
