@@ -42,6 +42,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import (SystemConfig, gain_for_gamma, gamma_for_role,
                       ordered_mixture, ordered_quantile, ordered_taylor,
@@ -66,6 +67,14 @@ _SEED_REL_TOL, _STEP_ULPS = SERIES_REL_TOL / 16, 8
 # several SNRs: a group's arrays grow with its rows, and 24 keep them near
 # those of the J = 16 rows of a 30-point theta grid at one SNR
 _GROUP_ROWS = 24
+# The weak endpoint series (_endpoint_moments): the least theta n it is
+# tried at, its coefficient count, the terms whose largest stands for the
+# remainder where the terms are least, and the factor on that estimate
+_ENDPOINT_MIN, _ENDPOINT_TERMS, _ENDPOINT_SPAN, _ENDPOINT_SAFETY = (
+    24.0, 48, 5, 100.0)
+# The most (V, t, d, series budget) keys whose weak ladders are kept
+# (_weak_ladders): 21 SNRs of an SNR sweep and a few more
+_LADDER_MEMO = 32
 
 METHODS = ("closed_form", "monte_carlo", "quadrature")
 
@@ -345,28 +354,159 @@ def _weak_series(cs: np.ndarray, q: float, d, ladders: np.ndarray,
     return totals[i, j, stop], stop, tails[i, j, stop]
 
 
-@functools.lru_cache(maxsize=1)
 def _weak_ladders(V: int, t: int, ds: tuple, s_max: int) -> np.ndarray:
     """The weak user's I_s ladders at eta = lambda_r d for each d of ds,
-    one row per rate lambda_r of ordered_mixture, as one read-only array
-    [d, r, s] made by one expint_ladders call.  They depend on neither
-    theta nor the expansion order, so the cache keeps the last key only:
-    a group of rows at several SNRs builds the ladders of all its d's
-    once, and a run of lone calls at one SNR (ds of one d) builds them
-    once."""
-    rates = np.array(ordered_mixture(t, V)[1])
-    ladders = expint_ladders((np.array(ds)[:, None] * rates).ravel(),
-                             s_max).reshape(len(ds), rates.size, s_max + 1)
-    ladders.flags.writeable = False
-    return ladders
+    one row per rate lambda_r of ordered_mixture, as one array [d, r, s].
+    They depend on neither theta nor the expansion order, so each d's
+    ladders are kept, read-only, in a memo of the _LADDER_MEMO last made:
+    the d's of a call that the memo lacks are made in one expint_ladders
+    call, and a sweep makes each d's ladders once."""
+    keys = [(V, t, d, s_max) for d in ds]
+    # each dict call is atomic, so threads that share the memo need no lock
+    found = {key: ladders for key in keys
+             if (ladders := _ladder_memo.get(key)) is not None}
+    missing = [key for key in keys if key not in found]
+    if missing:
+        rates = np.array(ordered_mixture(t, V)[1])
+        made = expint_ladders(
+            (np.array([key[2] for key in missing])[:, None] * rates).ravel(),
+            s_max).reshape(len(missing), rates.size, s_max + 1)
+        made.flags.writeable = False
+        found.update(zip(missing, made))
+        _ladder_memo.update(zip(missing, made))
+        for key in list(_ladder_memo)[:-_LADDER_MEMO]:
+            _ladder_memo.pop(key, None)
+    return np.stack([found[key] for key in keys])
+
+
+_ladder_memo: dict = {}
 
 
 def _weak_moments(cfgs, zetas, coeffs, ctl: EvalControls):
-    """Weak-user moments E[(1 + SINR)^c], c = 2 zeta - 2j, j = 0..J,
-    integrated term by term over the ordered density's exponentials
-    (ordered_mixture), for rows (cfgs, one per row) that share their pool
-    (V, t, alpha_t, alpha_u, read from cfgs[0]) but not their SNR, zeta
-    and coefficients a (rows of coeffs, all of one length).
+    """Weak-user moments E[(1 + SINR)^c], c = 2 zeta - 2j, j = 0..J, of a
+    group of rows (cfgs, one per row) that share their pool (V, t,
+    alpha_t, alpha_u) but not their SNR, zeta and coefficients a (rows of
+    coeffs, all of one length): by the endpoint series where it holds
+    (_endpoint_moments), by the mixture's ladder series and recurrence
+    elsewhere (_series_moments).  Returns per row (moments, err, terms,
+    converged, route) for _ec_closed."""
+    out = _endpoint_moments(cfgs, zetas, coeffs)
+    rest = [i for i, sums in enumerate(out) if sums is None]
+    if rest:
+        for i, sums in zip(rest, _series_moments(
+                *([x[i] for i in rest] for x in (cfgs, zetas, coeffs)),
+                ctl)):
+            out[i] = sums
+    return out
+
+
+@np.errstate(all="ignore")
+def _endpoint_moments(cfgs, zetas, coeffs):
+    """The weak moments of _weak_moments' group by Watson's lemma at x = 0
+    (Bender & Orszag, Advanced Mathematical Methods, ch. 6), for the rows
+    at theta n >= _ENDPOINT_MIN whose error estimate holds their sum to
+    SERIES_REL_TOL; None for every other row.
+
+    With a = 1/rho, A = alpha_t + alpha_u, lambda = V - t + 1 and
+    m = -c, moment j is mu(m) = (1/B) int g(x) e^(-F(x)) dx, where
+    g(x) = (1 - e^-x)^(t-1) is the whole ordered density's amplitude (not
+    split into ordered_mixture's alternating terms, which cancel) and
+    F(x) = lambda x + m ln((a + A x) / (a + alpha_u x)) rises from 0.  In
+    tau = F(x), mu B = int e^-tau G(tau) dtau with G = g(x(tau)) x'(tau),
+    which Watson's lemma sums as sum_k k! G_k.  In u = x / s,
+    s = 1/F'(0) = a / (lambda a + m alpha_t), F' is rational:
+    du/dtau = P(u) / (p P(u) + 1 - p), P(u) = (1 + b1 u)(1 + b2 u),
+    p = s lambda, b1 = A s / a, b2 = alpha_u s / a, so u(tau) = tau +
+    ..., its square and cube, e^(-s u) and (1 - e^(-s u))^(t-1) / (s
+    tau)^(t-1) each take one O(k) sum per coefficient (Miller's power
+    recurrence for the last two), and G_k is their product with u': one
+    numpy step per sum, coefficient and row-group, for _ENDPOINT_TERMS
+    coefficients.  The terms T_k = (k + t - 1)! G_k / s^t shrink and
+    then grow; the sum stops below the k whose next _ENDPOINT_SPAN terms
+    have the least largest magnitude, and that magnitude, times
+    _ENDPOINT_SAFETY, estimates its remainder (one term alone can sit at
+    a sign change).  The series cannot see the plateau that the
+    integrand keeps at large x, (alpha_u / A)^m e^(-lambda x) g(x), whose
+    share of mu is (alpha_u / A)^m, so the estimate adds _ENDPOINT_SAFETY
+    times that, and the terms' rounding, _ENDPOINT_TERMS ulps of their
+    magnitudes.  A row takes the route where the sum over j of |a_j|
+    times that estimate is at most SERIES_REL_TOL times that of |a_j|
+    mu_j; its term count is its moments' longest sum, and its route
+    "endpoint series at x = 0".  Each moment is one column of arrays
+    whose values depend on no other column.
+    """
+    m0 = -2.0 * np.array(zetas)
+    rows = np.nonzero(m0 >= _ENDPOINT_MIN)[0]
+    out = [None] * len(cfgs)
+    if not rows.size:
+        return out
+    cfg, top = cfgs[0], len(coeffs[0])
+    t, lam, alpha_t, alpha_u = cfg.t, cfg.V - cfg.t + 1, cfg.alpha_t, \
+        cfg.alpha_u
+    big_a = alpha_t + alpha_u
+    m = (m0[rows, None] + 2.0 * np.arange(top)).ravel()
+    inv_rho = np.repeat([1.0 / cfgs[i].rho for i in rows], top)
+    s = inv_rho / (lam * inv_rho + m * alpha_t)
+    p, b1, b2 = s * lam, big_a * s / inv_rho, alpha_u * s / inv_rho
+    e1, e2 = b1 + b2, b1 * b2
+    k_max = _ENDPOINT_TERMS
+    # u and u^2 in tau; k u_k; e^(-s u); (1 - e^(-s u)) / (s tau); its
+    # (t - 1)th power; and G's coefficients, as rows [moment, k]
+    powers = np.zeros((m.size, 2, k_max + 1))
+    ku, ex = np.zeros((2, m.size, k_max + 1))
+    v, w, g = np.zeros((3, m.size, k_max))
+    powers[:, 0, 1] = ku[:, 1] = ex[:, 0] = w[:, 0] = 1.0
+    lin, quad = np.stack([e1, e2], 1), np.stack([-0.5 * p * e1,
+                                                 -p * e2 / 3.0], 1)
+    # Miller's weights (t j - k) / k of the power's k-th coefficient
+    miller = (t * np.arange(k_max) - np.arange(1, k_max)[:, None]) / \
+        np.arange(1, k_max)[:, None]
+    for k in range(1, k_max + 1):
+        if k > 1:
+            # the k-th coefficients of u^2 and u^3, then u's
+            sq_cube = np.vecdot(powers[:, :1, 1:k], powers[:, :, k - 1:0:-1])
+            powers[:, 1, k] = sq_cube[:, 0]
+            powers[:, 0, k] = np.vecdot(powers[:, :, k - 1], lin) / k \
+                + np.vecdot(sq_cube, quad)
+            ku[:, k] = k * powers[:, 0, k]
+        v[:, k - 1] = np.vecdot(ku[:, 1:k + 1], ex[:, k - 1::-1]) / k
+        ex[:, k] = -s * v[:, k - 1]
+        if k > 1:
+            w[:, k - 1] = np.vecdot(miller[k - 2, 1:k] * v[:, 1:k],
+                                    w[:, k - 2::-1])
+        g[:, k - 1] = np.vecdot(w[:, :k], ku[:, k:0:-1])
+    # T_k / (t - 1)! = (t)(t + 1)..(t + k - 1) G_k
+    terms = np.cumprod([1.0, *range(t, t + k_max - 1)]) * g
+    mags = np.abs(terms)
+    spans = sliding_window_view(mags, _ENDPOINT_SPAN, axis=-1).max(axis=-1)
+    stop = spans.argmin(axis=-1)
+    at = np.arange(m.size)
+    # the sums of the terms below stop, and of their magnitudes
+    sums = np.cumsum(np.stack([terms, mags]), axis=-1)[:, at, stop - 1] * (
+        stop > 0)
+    # mu = s^t (t - 1)! / B(t, lambda) sum_k T_k, and (t - 1)! / B(t,
+    # lambda) = V! / (lambda - 1)!
+    scale = s ** t * float(math.perm(cfg.V, t))
+    mu, err, used = (x.reshape(rows.size, top) for x in (
+        scale * sums[0],
+        _ENDPOINT_SAFETY * (scale * spans[at, stop] + (alpha_u / big_a) ** m)
+        + k_max * _MACHEPS * scale * sums[1], stop))
+    for r, mu_r, err_r, used_r in zip(rows.tolist(), mu, err, used):
+        a = np.abs(coeffs[r])
+        bound, total = (math.fsum((a * x)[a != 0.0]) for x in (err_r, mu_r))
+        if bound <= SERIES_REL_TOL * total and (
+                (0.0 < mu_r) & (mu_r < math.inf)).all():
+            out[r] = (mu_r, bound, int(used_r.max()), True,
+                      "endpoint series at x = 0")
+    return out
+
+
+def _series_moments(cfgs, zetas, coeffs, ctl: EvalControls):
+    """_weak_moments' moments, integrated term by term over the ordered
+    density's exponentials (ordered_mixture), for rows (cfgs, one per row)
+    that share their pool (V, t, alpha_t, alpha_u, read from cfgs[0]) but
+    not their SNR, zeta and coefficients a (rows of coeffs, all of one
+    length).
 
     With q = -alpha_t and each row's d = 1/(rho alpha_u), each exponential
     e^(-lambda x) contributes M(c) = alpha_u^-c int e^(-lambda x)
@@ -406,7 +546,7 @@ def _weak_moments(cfgs, zetas, coeffs, ctl: EvalControls):
     recurrence one column per (row, ladder) (_recur_columns, or
     _recur_rows for fewer columns than steps); a row's values do not
     depend on the other rows.  Returns per row (moments, err, terms,
-    converged, route) for _ec_closed: err is the sum over the expansion
+    converged, route): err is the sum over the expansion
     coefficients a_j of |a_j| times the moments' error bounds (series
     tails, carried through the recurrence with its rounding), plus their
     rounding; converged is that tail sum within SERIES_REL_TOL of the same
@@ -718,8 +858,9 @@ def ec_closed_batch(cfgs, role: str, ctl: EvalControls, orders=None) -> list:
     (_strong_split) on tail ladders made for all groups at once
     (_tail_ladders).  A group holds all rows of each of its SNRs, and
     more than one SNR only up to _GROUP_ROWS rows (_by_snr).  Where a
-    group fails, each of its rows is made again alone.  The rest of each
-    row runs alone.  Each row's value equals that of its batch of one."""
+    group raises, that error takes the place of each of its rows.  The
+    rest of each row runs alone.  Each row's value equals that of its
+    batch of one."""
     orders = orders or [None] * len(cfgs)
     out = [_caught(_expansion, cfg, role, order)
            for cfg, order in zip(cfgs, orders)]
@@ -737,12 +878,8 @@ def ec_closed_batch(cfgs, role: str, ctl: EvalControls, orders=None) -> list:
                if role == "weak" else _strong_groups(args))
     for rows, sums in zip(groups, moments):
         for n, i in enumerate(rows):
-            if not isinstance(sums, Exception):
-                out[i] = _caught(_ec_closed, cfgs[i], role, ctl, out[i],
-                                 sums[n])
-            else:
-                out[i] = sums if len(cfgs) == 1 else ec_closed_batch(
-                    [cfgs[i]], role, ctl, [orders[i]])[0]
+            out[i] = sums if isinstance(sums, Exception) else _caught(
+                _ec_closed, cfgs[i], role, ctl, out[i], sums[n])
     return out
 
 

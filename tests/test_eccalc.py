@@ -612,7 +612,7 @@ class TestWeakRecurrence:
 class TestWeakLadderMemo:
     @pytest.fixture(autouse=True)
     def cold_memo(self):
-        eccalc._weak_ladders.cache_clear()
+        eccalc._ladder_memo.clear()
 
     def test_theta_sweep_seeds_weak_ladders_once(self, monkeypatch):
         # the weak ladders depend on the SNR, not on theta: of three fig4
@@ -630,11 +630,36 @@ class TestWeakLadderMemo:
         assert per_row[0] > 0
         assert per_row[1:] == [0, 0]
 
+    def test_qos_pass_builds_each_snrs_ladders_once(self, tmp_path,
+                                                    monkeypatch):
+        # one fig4 + fig5 + fig6 pass makes the weak ladders of each of
+        # its three SNRs once, in no more calls than SNRs, and a second
+        # pass makes none: the memo keeps each d, whatever the group
+        ladders, calls = eccalc.expint_ladders, []
+
+        def counted(etas, s_max, *s0):
+            if not s0:          # the strong tails pass their orders
+                calls.append(len(etas))
+            return ladders(etas, s_max, *s0)
+
+        monkeypatch.setattr(eccalc, "expint_ladders", counted)
+        for _ in range(2):
+            for name in ("fig4", "fig5", "fig6"):
+                run_sweep(figure_preset(name, str(tmp_path / "out.csv")))
+        t = figure_preset("fig6").base.t
+        assert sum(calls) == 3 * t and len(calls) <= 3
+        assert len(eccalc._ladder_memo) == 3
+
     def test_memo_is_read_only(self):
+        # a second call reads the memo, whose ladders cannot be written
         cfg = make_cfg()
         ladders = eccalc._weak_ladders(cfg.V, cfg.t, (0.05,), 40)
-        assert ladders is eccalc._weak_ladders(cfg.V, cfg.t, (0.05,), 40)
-        for ladder in ladders:
+        kept = eccalc._ladder_memo[cfg.V, cfg.t, 0.05, 40]
+        assert np.array_equal(ladders[0], kept)
+        assert np.array_equal(
+            eccalc._weak_ladders(cfg.V, cfg.t, (0.05,), 40), ladders)
+        assert len(eccalc._ladder_memo) == 1
+        for ladder in kept:
             assert not ladder.flags.writeable
             with pytest.raises(ValueError):
                 ladder[0] = 0.0
@@ -649,7 +674,7 @@ class TestWeakLadderMemo:
         warm = [repr(ec_closed_weak(cfg, ctl)) for cfg in cfgs]
         cold = []
         for cfg in cfgs:
-            eccalc._weak_ladders.cache_clear()
+            eccalc._ladder_memo.clear()
             cold.append(repr(ec_closed_weak(cfg, ctl)))
         assert warm == cold
 
@@ -658,7 +683,7 @@ class TestSeedPrecision:
     @staticmethod
     def closed(cfg, role):
         if role == "weak":
-            eccalc._weak_ladders.cache_clear()
+            eccalc._ladder_memo.clear()
             return ec_closed_weak(cfg, EvalControls()).value
         return ec_closed_strong(cfg, EvalControls()).value
 
@@ -785,6 +810,13 @@ class TestGainDrawMemo:
             mc_gain_draws.cache_clear()
             cold.append(repr(ec_monte_carlo(*case)))
         assert warm == cold
+
+
+# A weak row that still reaches the quadrature fallback: at alpha_t = 0.96
+# the series' ratio bound stays >= 1 through the term budget from theta n =
+# 21.9 up, and theta n = 22.8 lies below the endpoint series' 24
+FALLBACK_ROW = make_cfg(n=400, eps=1e-6, theta_t=0.057, theta_u=0.057,
+                        alpha_t=0.96, alpha_u=0.04)
 
 
 class TestClosedForms:
@@ -964,11 +996,11 @@ class TestClosedForms:
         assert closed.value == pytest.approx(oracle.value, abs=1e-7)
 
     def test_weak_series_diverges_to_fallback(self, monkeypatch):
-        # fig4 at theta = 1: the ratio bound of the (2, 1) moments stays
-        # >= 1 through the term budget, so no series runs (_weak_series is
-        # not called); the value is the quadrature's and the term count the
-        # whole budget
-        cfg = make_cfg(n=400, eps=1e-6, theta_t=1.0, theta_u=1.0)
+        # alpha_t = 0.96 at theta n = 22.8, below the endpoint series: the
+        # ratio bound of the (2, 1) moments stays >= 1 through the term
+        # budget, so no series runs (_weak_series is not called); the value
+        # is the quadrature's and the term count the whole budget
+        cfg = FALLBACK_ROW
         ctl = EvalControls()
         with monkeypatch.context() as patch:
             patch.setattr(eccalc, "_weak_series", None)
@@ -1003,11 +1035,37 @@ class TestClosedForms:
     def test_negative_fallback_flagged_once(self):
         # the closed form's note quotes the fallback quadrature's, which
         # carries the flag too
-        cfg = make_cfg(rho_db=-10.0, n=400, eps=1e-6, theta_t=1.0,
-                       theta_u=1.0)
+        cfg = replace(FALLBACK_ROW, rho=db_to_linear(-10.0))
         res = ec_closed_weak(cfg, EvalControls())
         assert res.value < 0.0 and not res.converged
         assert res.note.count("infeasible") == 1
+
+    @pytest.mark.parametrize("rho_db", [20.0, -10.0])
+    def test_endpoint_series_at_theta_one(self, rho_db, monkeypatch):
+        # fig4's theta = 1 row, and the same at -10 dB, where its capacity
+        # is negative: the endpoint series makes both (2, 1) moments with
+        # neither the ladder series nor the quadrature, the sum converges
+        # and stays within its bound and the oracle's of a 1e-12 quadrature
+        # of the same expanded kernel, and a negative value is flagged once
+        cfg = make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=1.0,
+                       theta_u=1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(eccalc, "_weak_series", None)
+            patch.setattr(eccalc, "ec_quadrature", None)
+            res = ec_closed_weak(cfg, EvalControls())
+        assert res.converged
+        assert res.note.startswith("endpoint series at x = 0; ")
+        assert "quadrature" not in res.note
+        assert 0 < res.series_terms <= eccalc._ENDPOINT_TERMS
+        assert res.expansion_order == (2, 1)
+        assert res.expansion_bound == math.inf
+        assert (res.value < 0.0) == (rho_db < 0.0)
+        assert res.note.count("infeasible") == (rho_db < 0.0)
+        oracle = ec_quadrature(cfg, "weak", EvalControls(quad_rel_tol=1e-12),
+                               "approx", (2, 1))
+        assert abs(res.value - oracle.value) <= \
+            res.tail_bound + oracle.tail_bound
+        assert res.value == pytest.approx(oracle.value, rel=1e-12)
 
     @pytest.mark.parametrize("note", ["", "some note", _NEGATIVE,
                                       f"quoted ({_NEGATIVE}); closed form"])
@@ -1074,7 +1132,7 @@ class TestClosedForms:
     def test_fallback_states_its_kernel(self):
         # the large-theta fallback is the second-order kernel's quadrature,
         # which no expansion bound covers; the row says so
-        cfg = make_cfg(n=400, eps=1e-6, theta_t=1.0, theta_u=1.0)
+        cfg = FALLBACK_ROW
         res = ec_closed_weak(cfg, EvalControls())
         assert not res.converged
         assert res.expansion_order == (2, 1)
@@ -1219,39 +1277,45 @@ class TestStrongBatch:
             box_cfg(V, t_frac, u_frac, alpha_t, rho_db, n, log_eps, x)
             for x in (-4.0, *log_thetas, math.log10(3.0))]) >= 2
 
-    def test_failed_split_is_made_again_row_by_row(self, monkeypatch):
-        # a shared split that raises is made again for each of its rows,
-        # so only the row that fails alone fails
+    def test_failed_split_reaches_each_row_of_its_group(self, monkeypatch):
+        # a shared split that raises puts its error in the place of each of
+        # its rows, not made again row by row; the row of another group,
+        # whose expansion is shorter, is made as alone
         split, ctl = eccalc._strong_split, EvalControls()
         cfgs = [make_cfg(theta_t=theta, theta_u=theta)
-                for theta in (0.01, 0.02, 0.03)]
+                for theta in (0.01, 0.02, 0.03, 3.0)]
         alone = [ec_closed_strong(cfg, ctl) for cfg in cfgs]
         bad = make_kernel_params(0.02, 300, 1e-5).zeta
+        made = []
 
         def refuse(cfgs, zetas, coeffs, ladders):
+            made.append(len(zetas))
             if bad in zetas:
                 raise ConvergenceError("split refused")
             return split(cfgs, zetas, coeffs, ladders)
 
         monkeypatch.setattr(eccalc, "_strong_split", refuse)
         batch = eccalc.ec_closed_batch(cfgs, "strong", ctl)
-        assert batch[0] == alone[0] and batch[2] == alone[2]
-        assert isinstance(batch[1], ConvergenceError)
+        assert isinstance(batch[0], ConvergenceError)
+        assert batch[0] is batch[1] is batch[2]
+        assert batch[3] == alone[3]
+        assert sorted(made) == [1, 3]
+        assert ec_closed_strong(cfgs[0], ctl) == alone[0]
         with pytest.raises(ConvergenceError, match="split refused"):
             ec_closed_strong(cfgs[1], ctl)
 
-    def test_failed_tail_ladders_are_made_again_row_by_row(self,
-                                                           monkeypatch):
+    def test_failed_tail_ladders_reach_every_row(self, monkeypatch):
         # the tail ladders of the whole batch come from one call; where it
-        # raises, every row is made again alone, so only the row whose own
-        # ladders fail fails
+        # raises, its error takes the place of every row, none is made
+        # again alone
         ladders, ctl = eccalc._tail_ladders, EvalControls()
         cfgs = [make_cfg(rho_db=rho_db, theta_t=theta, theta_u=theta)
                 for rho_db in (10.0, 20.0) for theta in (0.01, 3.0)]
-        alone = [ec_closed_strong(cfg, ctl) for cfg in cfgs]
         bad = make_kernel_params(3.0, 300, 1e-5).zeta
+        calls = []
 
         def refuse(groups):
+            calls.append(len(groups))
             if any(cfg.rho == 100.0 and zeta == bad
                    for cfgs, zetas, _ in groups
                    for cfg, zeta in zip(cfgs, zetas)):
@@ -1260,8 +1324,9 @@ class TestStrongBatch:
 
         monkeypatch.setattr(eccalc, "_tail_ladders", refuse)
         batch = eccalc.ec_closed_batch(cfgs, "strong", ctl)
-        assert batch[:3] == alone[:3]
-        assert isinstance(batch[3], ConvergenceError)
+        assert all(res is batch[0] for res in batch)
+        assert str(batch[0]) == "ladders refused"
+        assert calls == [2]
 
     @staticmethod
     def strong_tail_calls(spec, monkeypatch):
@@ -1340,13 +1405,15 @@ class TestWeakBatch:
         assert sizes == [21, 60, 90]
 
     def test_box_rows(self):
-        # one batch of the box sample mixes J = 16 and (2, 1) rows, rows
-        # with no series and rows that fall back, and t = 1, 2 and > 2
-        cfgs = weak_box_rows()
+        # one batch of the box sample and FALLBACK_ROW mixes J = 16 and
+        # (2, 1) rows, rows with no series, rows that fall back and rows of
+        # the endpoint series, and t = 1, 2 and > 2
+        cfgs = [*weak_box_rows(), FALLBACK_ROW]
         batch = assert_weak_batch_is_rows_alone(cfgs)
         notes = [res.note for res in batch]
         assert {res.expansion_order[1] for res in batch} == {1, 16}
         assert any(note.startswith("no series") for note in notes)
+        assert any(note.startswith("endpoint series") for note in notes)
         assert any("value from quadrature" in note for note in notes)
         assert any("recurrence for" in note for note in notes)
         assert {min(cfg.t, 3) for cfg in cfgs} == {1, 2, 3}
@@ -1387,6 +1454,27 @@ class TestWeakBatch:
         cfgs = fig4_weak_grid(20.0)
         evaluate_batch(cfgs, "weak", "closed_form", EvalControls())
         assert len(cfgs) == 30 and len(calls) <= 2
+
+    def test_failed_group_reaches_each_row(self, monkeypatch):
+        # a weak group that raises puts its error in the place of each of
+        # its rows, and the batch makes no row again alone
+        moments, made = eccalc._weak_moments, []
+
+        def refuse(cfgs, zetas, coeffs, ctl):
+            made.append(len(cfgs))
+            if len(coeffs[0]) == 2:
+                raise ValueError("group refused")
+            return moments(cfgs, zetas, coeffs, ctl)
+
+        monkeypatch.setattr(eccalc, "_weak_moments", refuse)
+        cfgs = fig4_weak_grid(20.0)
+        batch = eccalc.ec_closed_batch(cfgs, "weak", EvalControls())
+        failed = [res for res in batch if isinstance(res, Exception)]
+        assert len(made) == 2
+        assert failed and all(res is failed[0] for res in failed)
+        assert str(failed[0]) == "group refused"
+        assert all(res.expansion_order[1] == 16 for res in batch
+                   if isinstance(res, EcResult))
 
 
 def snr_box_rows():
@@ -1497,7 +1585,7 @@ class TestSnrBatch:
     def test_fig3_weak_ladders_in_one_call(self, tmp_path, monkeypatch):
         # the 21 SNRs' weak ladders (42 of 501 rungs) come from one
         # expint_ladders call: a cost guard that counts calls, not seconds
-        eccalc._weak_ladders.cache_clear()
+        eccalc._ladder_memo.clear()
         ladders, calls = eccalc.expint_ladders, []
         monkeypatch.setattr(eccalc, "expint_ladders", lambda etas, s_max: (
             calls.append((len(etas), s_max)) or ladders(etas, s_max)))
@@ -1521,6 +1609,146 @@ class TestSnrBatch:
         run_sweep(replace(spec, roles=("strong",), methods=("closed_form",)))
         assert len(calls) == 1
         assert len(passes) == 2 and sum(passes) == 21
+
+
+def endpoint_reference(cfg, m):
+    """The weak moment mu(m) of _endpoint_moments by a 30-digit
+    Gauss-Legendre quadrature in the scaled variable u = x / s,
+    s = a / (lambda a + m alpha_t), on panels a quarter of max(t - 1, 1)
+    wide up to 20 of those and doubling beyond, with the integrand scaled
+    by s^(1 - t), since mpmath's tolerance is absolute.  In plain x,
+    mpmath's quadratures were up to 8e-8 off.  Returns the value and the
+    quadrature's error estimate."""
+    with mpmath.workdps(30):
+        a, a_t, a_u, m = (mpmath.mpf(x) for x in (1.0 / cfg.rho, cfg.alpha_t,
+                                                  cfg.alpha_u, m))
+        lam, t = cfg.V - cfg.t + 1, cfg.t
+        s = a / (lam * a + m * a_t)
+
+        def f(u):
+            return (mpmath.exp(-lam * s * u)
+                    * (-mpmath.expm1(-s * u) / s) ** (t - 1)
+                    * ((a + a_u * s * u) / (a + (a_t + a_u) * s * u)) ** m)
+
+        step = max(t - 1, 1)
+        pts = ([step * k / 4 for k in range(81)]
+               + [step * 40, step * 80, step * 160, mpmath.inf])
+        value, err = mpmath.quad(f, pts, method="gauss-legendre", error=True)
+        scale = s ** t / mpmath.beta(t, lam)
+        return float(scale * value), float(scale * err)
+
+
+def endpoint_box_rows(count):
+    """count box rows with theta n >= 24 from random.Random(36)."""
+    rng, cfgs = random.Random(36), []
+    while len(cfgs) < count:
+        cfg = box_cfg(rng.randint(2, 20), rng.random(), rng.random(),
+                      rng.uniform(0.5, 0.99), rng.uniform(-10.0, 50.0),
+                      rng.randint(50, 2000), rng.uniform(-9.0, -1.0),
+                      rng.uniform(-4.0, math.log10(3.0)))
+        if cfg.theta_t * cfg.n >= 24.0:
+            cfgs.append(cfg)
+    return cfgs
+
+
+class TestEndpointSeries:
+    @pytest.mark.parametrize("cfg", [
+        make_cfg(rho_db=rho_db, n=400, eps=1e-6, theta_t=theta,
+                 theta_u=theta)
+        for rho_db, theta in ((15.0, 0.0788), (20.0, 1.0), (25.0, 0.2043))
+    ] + endpoint_box_rows(10) + [
+        # near the edge: the least term alone was 130 times short of the
+        # gap, where the terms change sign
+        SystemConfig(V=14, t=13, u=14, alpha_t=0.574, alpha_u=0.426,
+                     rho=db_to_linear(0.6), n=400, eps=1e-6,
+                     theta_t=0.1965, theta_u=0.1965),
+        SystemConfig(V=17, t=13, u=15, alpha_t=0.62, alpha_u=0.38,
+                     rho=db_to_linear(6.1), n=400, eps=1e-6,
+                     theta_t=0.1554, theta_u=0.1554),
+    ], ids=lambda cfg: (
+        f"V{cfg.V}_t{cfg.t}_at{cfg.alpha_t:.3f}_{10 * math.log10(cfg.rho):.1f}"
+        f"db_m{cfg.theta_t * cfg.n:.1f}"))
+    def test_moments_match_mpmath(self, cfg):
+        # the moments at m and m + 2 of a row the series keeps are within
+        # its bound of a 30-digit quadrature; the preset and box rows are
+        # kept, the two near the edge may not be
+        zeta = -cfg.theta_t * cfg.n / 2.0
+        sums, = eccalc._endpoint_moments([cfg], [zeta], [np.ones(2)])
+        if sums is None:
+            assert cfg.t == 13
+            return
+        mu, err, terms, converged, route = sums
+        assert converged and route == "endpoint series at x = 0"
+        assert 0 < terms <= eccalc._ENDPOINT_TERMS
+        assert err <= SERIES_REL_TOL * mu.sum()
+        for j, moment in enumerate(mu):
+            ref, ref_err = endpoint_reference(cfg, -2.0 * zeta + 2 * j)
+            assert ref_err <= 1e-20 * ref
+            assert abs(moment - ref) <= err
+
+    def test_plateau_row_keeps_todays_route(self):
+        # V = 15, t = 6, alpha_t = 0.58, 38 dB, m = 88.4: the terms fall
+        # below 2e-15 of the sum, but the integrand's plateau at large x,
+        # (alpha_u / A)^m e^(-lambda x) g(x), holds 8.3e-8 of the moment,
+        # which the series cannot see.  Its estimate counts the plateau,
+        # so the row keeps the ladder series' route
+        cfg = SystemConfig(V=15, t=6, u=7, alpha_t=0.58, alpha_u=0.42,
+                           rho=db_to_linear(38.0), n=400, eps=1e-6,
+                           theta_t=0.221, theta_u=0.221)
+        zeta = -cfg.theta_t * cfg.n / 2.0
+        ref, _ = endpoint_reference(cfg, 88.4)
+        assert 0.42 ** 88.4 / ref == pytest.approx(8.3e-8, rel=0.01)
+        assert eccalc._endpoint_moments([cfg], [zeta], [np.ones(1)]) == [None]
+        res = ec_closed_weak(cfg, EvalControls())
+        assert not res.note.startswith("endpoint")
+
+    def test_preset_rows_track_the_oracle(self):
+        # every weak row of fig4 and fig6 at theta n >= 24 takes the
+        # endpoint series, converges and lies within its bound and the
+        # oracle's of a 1e-12 quadrature of the same expanded kernel
+        cfgs = sorted({cfg for cfg in preset_weak_cfgs(("fig4", "fig6"))
+                       if cfg.theta_t * cfg.n >= 24.0},
+                      key=lambda cfg: (cfg.rho, cfg.theta_t))
+        assert len(cfgs) == 27
+        for cfg, res in zip(cfgs, eccalc.ec_closed_batch(cfgs, "weak",
+                                                         EvalControls())):
+            assert res.converged
+            assert res.note.startswith("endpoint series at x = 0")
+            oracle = ec_quadrature(cfg, "weak",
+                                   EvalControls(quad_rel_tol=1e-12),
+                                   "approx", res.expansion_order)
+            assert abs(res.value - oracle.value) <= \
+                res.tail_bound + oracle.tail_bound
+
+    def test_qos_sweeps_make_no_quadrature(self, tmp_path, monkeypatch):
+        # one fig4 + fig5 + fig6 pass makes every closed form without the
+        # quadrature fallback, which took 30 weak rows before the endpoint
+        # series, and no row of it is unconverged
+        quad, calls = eccalc.ec_quadrature, []
+        monkeypatch.setattr(eccalc, "ec_quadrature", lambda *args: (
+            calls.append(args) or quad(*args)))
+        rows = [row for name in ("fig4", "fig5", "fig6") for row in
+                run_sweep(figure_preset(name, str(tmp_path / "out.csv")))]
+        assert len(rows) == 300
+        assert calls == []
+        assert all(row.converged for row in rows)
+
+    def test_figures_do_not_import_quadpack(self, tmp_path):
+        # fig4 and fig6 in a fresh process leave scipy.integrate unloaded
+        script = f"""if True:
+            import sys
+            from nomafbl import cli
+            for name in ("fig4", "fig6"):
+                assert cli.main(["figure", name, "--out",
+                                 {str(tmp_path)!r} + "/" + name]) == 0
+            print("scipy.integrate" in sys.modules)
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False"
 
 
 class TestClosedFormDomain:
@@ -1599,9 +1827,9 @@ class TestClosedFormDomain:
         kp = make_kernel_params(cfg.theta_u, cfg.n, cfg.eps)
         a = expansion_coeffs(kp.beta, eccalc._order(kp, None))
         strong_split(cfg, [kp.zeta], [a])
-        eccalc._weak_ladders.__wrapped__(
-            cfg.V, cfg.t, (1.0 / (cfg.rho * cfg.alpha_u),),
-            EvalControls().series_max_terms)
+        eccalc._ladder_memo.clear()
+        eccalc._weak_ladders(cfg.V, cfg.t, (1.0 / (cfg.rho * cfg.alpha_u),),
+                             EvalControls().series_max_terms)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(**BOX)

@@ -159,13 +159,15 @@ class TestRunSweep:
             Path(spec_b.output_path).read_bytes()
 
     def test_unconverged_row_flagged(self, tmp_path):
-        # theta = 1 drives the weak-user series out of double range; the
-        # row records the fallback value with converged = false
-        base = SystemConfig(V=10, t=2, u=8, alpha_t=0.8, alpha_u=0.2,
+        # at alpha_t = 0.96, theta n = 22.8 keeps the weak series' ratio
+        # bound >= 1 through the term budget, below the endpoint series'
+        # theta n = 24; the row records the fallback value with
+        # converged = false
+        base = SystemConfig(V=10, t=2, u=8, alpha_t=0.96, alpha_u=0.04,
                             rho=db_to_linear(20.0), n=400, eps=1e-6,
                             theta_t=1.0, theta_u=1.0)
         spec = small_spec(tmp_path, base=base, axis="theta",
-                          grid=(0.01, 1.0), roles=("weak",))
+                          grid=(0.001, 0.057), roles=("weak",))
         rows = run_sweep(spec)
         assert rows[0].converged
         assert not rows[1].converged
