@@ -16,22 +16,27 @@ kernel vs Monte-Carlo isolates sampling, and exact vs expanded quadrature
 isolates the expansion error itself, which the closed forms also bound and
 report.
 
-Both closed forms sum float I_s ladders that specfun.expint_ladders builds
-and seeds; the weak user's series seed a three-term recurrence in the
-exponent (_weak_moments), and the strong user splits each moment at x0
-(_strong_split), on tail ladders that a whole strong batch makes in one
-expint_ladders call per ladder length (_tail_ladders).  Either user's
-closed forms run as a batch (ec_closed_batch): rows that share their pool
-and expansion length make their moments as one group, across SNRs and
-theta, the weak user's ladders in one expint_ladders call, its series in
-one _weak_series call per tolerance and its recurrence in numpy columns.
-Where a sum's bound does not hold it, either user's value is the
-quadrature of the same expanded kernel (_ec_closed).
+The weak user's moments at theta n >= 24 are sums of Watson's lemma at
+x = 0 where their error estimate holds them (_endpoint_moments).
+Elsewhere both closed forms sum float I_s ladders that
+specfun.expint_ladders builds and seeds; the weak user's series seed a
+three-term recurrence in the exponent (_series_moments), and the strong
+user splits each moment at x0 (_strong_split), on tail ladders that a
+whole strong batch makes in one expint_ladders call per ladder length
+(_tail_ladders).  Either user's closed forms run as a batch
+(ec_closed_batch): rows that share their pool and expansion length make
+their moments as one group, across SNRs and theta, the weak user's
+endpoint series in one pass of numpy columns, its missing ladders in one
+expint_ladders call, its series in one _weak_series call per tolerance and
+its recurrence in numpy columns.  Where a sum's bound does not hold it,
+either user's value is the quadrature of the same expanded kernel
+(_ec_closed).
 
 scipy.integrate, which only the quadrature oracle uses, is imported on the
 first ec_quadrature call (or the first read of ``eccalc.integrate``), not
 with the package: it adds about 26 MB resident and 0.24 s cold, which
-closed-form, Monte-Carlo and queue runs never need.
+closed-form, Monte-Carlo and queue runs, the four figure presets among
+them, never need.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ _SPLIT_X0, _SPLIT_TERMS, _LADDER_REL, _FLOAT_DIGITS_KEPT = (
     0.5, 50, 64 * _MACHEPS, 10)
 # Relative tolerance of the kernel expansion order and the weak-user series
 SERIES_REL_TOL = 1e-10
-# The weak recurrence (_weak_moments): the tolerance of the series that seed
+# The weak recurrence (_series_moments): the tolerance of the series that seed
 # it, and the ulps of one step's magnitude that bound the step's rounding
 _SEED_REL_TOL, _STEP_ULPS = SERIES_REL_TOL / 16, 8
 # The most rows of one closed-form group (ec_closed_batch) that joins
@@ -123,7 +128,8 @@ class EcResult:
 
     converged        closed forms: False where a weak series was cut at the
                      term budget with a finite tail, which keeps the series
-                     value, and where the sum's kernel mean was not finite or
+                     value (a weak row of the endpoint series never is),
+                     and where the sum's kernel mean was not finite or
                      its error bound not below half that mean (a strong
                      split that keeps fewer than 10 digits, a weak series
                      that cannot converge), which gives the approx-kernel
@@ -140,11 +146,15 @@ class EcResult:
                      gap to the exact-kernel value
     series_terms     weak closed form: the term count of its longest inner
                      series, or the whole budget plus one where no series
-                     can converge (_weak_moments); None elsewhere
+                     can converge (_series_moments); on the endpoint route
+                     the terms its longest moment sums, at most
+                     _ENDPOINT_TERMS - _ENDPOINT_SPAN (_endpoint_moments);
+                     None elsewhere
     note             how the value was made, for closed forms including the
                      expansion order and both bounds, the route of the weak
-                     sum ("series at N exponents, recurrence for K", "series
-                     at every exponent", "no series: ..."; _weak_moments),
+                     sum ("endpoint series at x = 0"; "series at N
+                     exponents, recurrence for K", "series at every
+                     exponent", "no series: ..."; _weak_moments),
                      for the strong user "split at x0" and the digits the
                      split lost (_strong_moments), and where the sum was not
                      kept "value from quadrature" and that quadrature's
@@ -327,7 +337,7 @@ def _weak_series(cs: np.ndarray, q: float, d, ladders: np.ndarray,
     the log trend can tell a negligible tail from a not-yet-reached bulk.
     Each series stops at its first term whose tail is at most tol times
     the running sum, or at the ladder's last rung; no term overflows, as
-    the positive terms sum to M(c) <= 1/lambda (_weak_moments).  Returns
+    the positive terms sum to M(c) <= 1/lambda (_series_moments).  Returns
     arrays (sum, terms_used, tail_bound) indexed [ladder, c]; the tail
     bound is inf where the series ends with rho >= 1.
     """
@@ -362,7 +372,8 @@ def _weak_ladders(V: int, t: int, ds: tuple, s_max: int) -> np.ndarray:
     the d's of a call that the memo lacks are made in one expint_ladders
     call, and a sweep makes each d's ladders once."""
     keys = [(V, t, d, s_max) for d in ds]
-    # each dict call is atomic, so threads that share the memo need no lock
+    # each dict call is atomic: threads that race make a d's ladders twice
+    # at worst, and each keeps its own
     found = {key: ladders for key in keys
              if (ladders := _ladder_memo.get(key)) is not None}
     missing = [key for key in keys if key not in found]
@@ -512,10 +523,10 @@ def _series_moments(cfgs, zetas, coeffs, ctl: EvalControls):
     e^(-lambda x) contributes M(c) = alpha_u^-c int e^(-lambda x)
     (1 + q d/(x + d))^c dx.  Its binomial expansion in d/(x + d) is a
     series over the I_s ladder at eta = lambda d (_weak_series) that
-    converges geometrically at rate alpha_t.  The ladders of every distinct
-    d of the group come from one expint_ladders call and serve every
-    exponent of its rows, and the last group's ladders every theta after
-    it (_weak_ladders).
+    converges geometrically at rate alpha_t.  The ladders of each distinct
+    d of the group serve every exponent of its rows, and every later theta
+    at that d; those the memo lacks come from one expint_ladders call
+    (_weak_ladders).
 
     Integrating M by parts links unit-spaced exponents (kappa_c =
     lambda d q / c):
