@@ -432,15 +432,15 @@ def _endpoint_moments(cfgs, zetas, coeffs):
     tau)^(t-1) each take one O(k) sum per coefficient (Miller's power
     recurrence for the last two), and G_k is their product with u': one
     numpy step per sum, coefficient and row-group, for _ENDPOINT_TERMS
-    coefficients.  The terms T_k = (k + t - 1)! G_k / s^t shrink and
-    then grow; the sum stops below the k whose next _ENDPOINT_SPAN terms
-    have the least largest magnitude, and that magnitude, times
-    _ENDPOINT_SAFETY, estimates its remainder (one term alone can sit at
-    a sign change).  The series cannot see the plateau that the
-    integrand keeps at large x, (alpha_u / A)^m e^(-lambda x) g(x), whose
-    share of mu is (alpha_u / A)^m, so the estimate adds _ENDPOINT_SAFETY
-    times that, and the terms' rounding, _ENDPOINT_TERMS ulps of their
-    magnitudes.  A row takes the route where the sum over j of |a_j|
+    coefficients.  The terms T_k = (k + t - 1)! G_(k+t-1) / s^t (G
+    starts at tau^(t-1)) shrink and then grow; the sum stops below the k
+    whose next _ENDPOINT_SPAN terms have the least largest magnitude, and
+    that magnitude, times _ENDPOINT_SAFETY, estimates its remainder (one
+    term alone can sit at a sign change).  The series cannot see the
+    plateau that the integrand keeps at large x, (alpha_u / A)^m
+    e^(-lambda x) g(x), whose share of mu is (alpha_u / A)^m, so the
+    estimate adds _ENDPOINT_SAFETY times that, and the terms' rounding,
+    _ENDPOINT_TERMS ulps of their magnitudes.  A row takes the route where the sum over j of |a_j|
     times that estimate is at most SERIES_REL_TOL times that of |a_j|
     mu_j; its term count is its moments' longest sum, and its route
     "endpoint series at x = 0".  Each moment is one column of arrays
@@ -462,7 +462,8 @@ def _endpoint_moments(cfgs, zetas, coeffs):
     e1, e2 = b1 + b2, b1 * b2
     k_max = _ENDPOINT_TERMS
     # u and u^2 in tau; k u_k; e^(-s u); (1 - e^(-s u)) / (s tau); its
-    # (t - 1)th power; and G's coefficients, as rows [moment, k]
+    # (t - 1)th power; and those of G / (s^t tau^(t-1)), as rows
+    # [moment, k]
     powers = np.zeros((m.size, 2, k_max + 1))
     ku, ex = np.zeros((2, m.size, k_max + 1))
     v, w, g = np.zeros((3, m.size, k_max))
@@ -486,7 +487,7 @@ def _endpoint_moments(cfgs, zetas, coeffs):
             w[:, k - 1] = np.vecdot(miller[k - 2, 1:k] * v[:, 1:k],
                                     w[:, k - 2::-1])
         g[:, k - 1] = np.vecdot(w[:, :k], ku[:, k:0:-1])
-    # T_k / (t - 1)! = (t)(t + 1)..(t + k - 1) G_k
+    # T_k / (t - 1)! = t (t + 1)..(t + k - 1) g_k
     terms = np.cumprod([1.0, *range(t, t + k_max - 1)]) * g
     mags = np.abs(terms)
     spans = sliding_window_view(mags, _ENDPOINT_SPAN, axis=-1).max(axis=-1)

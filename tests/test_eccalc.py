@@ -1616,9 +1616,9 @@ def endpoint_reference(cfg, m):
     Gauss-Legendre quadrature in the scaled variable u = x / s,
     s = a / (lambda a + m alpha_t), on panels a quarter of max(t - 1, 1)
     wide up to 20 of those and doubling beyond, with the integrand scaled
-    by s^(1 - t), since mpmath's tolerance is absolute.  In plain x,
-    mpmath's quadratures were up to 8e-8 off.  Returns the value and the
-    quadrature's error estimate."""
+    by s^(1 - t): mpmath's tolerance is absolute, and unscaled, at
+    values near s^t, its quadratures stopped at their first degree, up to
+    2.5e-6 off.  Returns the value and the quadrature's error estimate."""
     with mpmath.workdps(30):
         a, a_t, a_u, m = (mpmath.mpf(x) for x in (1.0 / cfg.rho, cfg.alpha_t,
                                                   cfg.alpha_u, m))
