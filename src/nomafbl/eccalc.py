@@ -440,11 +440,11 @@ def _endpoint_moments(cfgs, zetas, coeffs):
     plateau that the integrand keeps at large x, (alpha_u / A)^m
     e^(-lambda x) g(x), whose share of mu is (alpha_u / A)^m, so the
     estimate adds _ENDPOINT_SAFETY times that, and the terms' rounding,
-    _ENDPOINT_TERMS ulps of their magnitudes.  A row takes the route where the sum over j of |a_j|
-    times that estimate is at most SERIES_REL_TOL times that of |a_j|
-    mu_j; its term count is its moments' longest sum, and its route
-    "endpoint series at x = 0".  Each moment is one column of arrays
-    whose values depend on no other column.
+    _ENDPOINT_TERMS ulps of their magnitudes.  A row takes the route
+    where the sum over j of |a_j| times that estimate is at most
+    SERIES_REL_TOL times that of |a_j| mu_j; its term count is its
+    moments' longest sum, and its route "endpoint series at x = 0".  Each
+    moment is one row of arrays whose values depend on no other row.
     """
     m0 = -2.0 * np.array(zetas)
     rows = np.nonzero(m0 >= _ENDPOINT_MIN)[0]
