@@ -497,8 +497,9 @@ def _endpoint_moments(cfgs, zetas, coeffs):
     sums = np.cumsum(np.stack([terms, mags]), axis=-1)[:, at, stop - 1] * (
         stop > 0)
     # mu = s^t (t - 1)! / B(t, lambda) sum_k T_k, and (t - 1)! / B(t,
-    # lambda) = V! / (lambda - 1)!
-    scale = s ** t * float(math.perm(cfg.V, t))
+    # lambda) = lambda (lambda + 1)..V, taken factor by factor with s, as
+    # it outgrows floats at large V
+    scale = np.prod(s[:, None] * np.arange(lam, cfg.V + 1.0), axis=-1)
     mu, err, used = (x.reshape(rows.size, top) for x in (
         scale * sums[0],
         _ENDPOINT_SAFETY * (scale * spans[at, stop] + (alpha_u / big_a) ** m)

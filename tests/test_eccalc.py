@@ -1686,6 +1686,17 @@ class TestEndpointSeries:
             assert ref_err <= 1e-20 * ref
             assert abs(moment - ref) <= err
 
+    def test_large_pool_is_made(self):
+        # at V = 400, t = 350 the prefactor V! / (lambda - 1)! exceeds the
+        # float range; the row is made, by whichever route holds
+        cfg = SystemConfig(V=400, t=350, u=351, alpha_t=0.8, alpha_u=0.2,
+                           rho=db_to_linear(20.0), n=400, eps=1e-6,
+                           theta_t=0.1, theta_u=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ec_closed_weak(cfg, EvalControls())
+        assert math.isfinite(res.value)
+
     def test_plateau_row_keeps_todays_route(self):
         # V = 15, t = 6, alpha_t = 0.58, 38 dB, m = 88.4: the terms fall
         # below 2e-15 of the sum, but the integrand's plateau at large x,
